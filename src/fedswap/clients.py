@@ -204,7 +204,6 @@ class ClientState:
     backbone: FrozenBackbone
     config: LocalConfig
     decoder: Optional[ParamVector] = None
-    received_from: Optional[int] = None
     features_train: np.ndarray = field(init=False, repr=False)
     features_test: np.ndarray = field(init=False, repr=False)
 

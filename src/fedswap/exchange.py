@@ -32,28 +32,19 @@ logger = logging.getLogger(__name__)
 # then this many more with only the self-derangement constraint
 _ATTEMPTS_PER_PHASE = 32
 
-_STRATEGY_TAGS = ("clustered", "round_robin", "random")
-
 
 @dataclass(frozen=True)
 class ExchangePlan:
     """assignment[i] is the decoder index delivered to client i; a permutation."""
 
     assignment: tuple[int, ...]
-    strategy_tag: str
 
     def __post_init__(self):
         assignment = tuple(int(v) for v in self.assignment)
         n = len(assignment)
         if sorted(assignment) != list(range(n)):
             raise InvalidAssignment("assignment must be a permutation of 0..n-1")
-        if self.strategy_tag not in _STRATEGY_TAGS:
-            raise InvalidAssignment(f"unknown strategy tag {self.strategy_tag!r}")
         object.__setattr__(self, "assignment", assignment)
-
-    @property
-    def n(self) -> int:
-        return len(self.assignment)
 
 
 @dataclass(frozen=True)
@@ -128,7 +119,7 @@ def build_clustered_plan(
             "a client keeps its own decoder",
             2 * _ATTEMPTS_PER_PHASE,
         )
-    return ExchangePlan(tuple(assignment), "clustered")
+    return ExchangePlan(tuple(assignment))
 
 
 def build_round_robin_plan(n: int, round: int) -> ExchangePlan:
@@ -136,7 +127,7 @@ def build_round_robin_plan(n: int, round: int) -> ExchangePlan:
     if n < 2:
         raise InvalidAssignment(f"round robin needs at least two clients, got {n}")
     k = 1 + (round % (n - 1))
-    return ExchangePlan(tuple((i + k) % n for i in range(n)), "round_robin")
+    return ExchangePlan(tuple((i + k) % n for i in range(n)))
 
 
 def build_random_plan(n: int, rng_seed: int) -> ExchangePlan:
@@ -144,4 +135,4 @@ def build_random_plan(n: int, rng_seed: int) -> ExchangePlan:
     if n < 2:
         raise InvalidAssignment(f"random exchange needs at least two clients, got {n}")
     rng = np.random.default_rng(rng_seed)
-    return ExchangePlan(tuple(int(v) for v in rng.permutation(n)), "random")
+    return ExchangePlan(tuple(int(v) for v in rng.permutation(n)))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import reprlib
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -48,6 +49,7 @@ __all__ = [
     "compare_strategies",
     "ablation_T",
     "write_metrics_csv",
+    "write_comparison",
 ]
 
 SUMMARY_NAME = "summary.json"
@@ -84,13 +86,17 @@ class ExperimentConfig:
             raise ConfigInvalid("need at least one strategy")
         unknown = [s for s in self.strategies if s not in STRATEGIES]
         if unknown:
-            raise ConfigInvalid(f"unknown strategies {unknown}; expected {STRATEGIES}")
+            raise ConfigInvalid(
+                f"unknown strategies {unknown}; expected {tuple(STRATEGIES)}"
+            )
         if not 0.0 < self.data_fraction <= 1.0:
             raise ConfigInvalid(
                 f"data_fraction must be in (0, 1], got {self.data_fraction}"
             )
         if self.task not in ("regression", "classification"):
             raise ConfigInvalid(f"unknown task {self.task!r}")
+        if self.feature_dim < 1:
+            raise ConfigInvalid(f"feature_dim must be >= 1, got {self.feature_dim}")
         if len(self.domains) < 2:
             raise ConfigInvalid("need at least 2 domains")
         ids = [d.domain_id for d in self.domains]
@@ -105,10 +111,8 @@ class ExperimentConfig:
         self.server_config(self.strategies[0], self.seeds[0])
 
     def effective_frequency(self, strategy: str) -> int:
-        # pure-aggregation baselines aggregate every round by definition
-        if strategy in ("fedavg_only", "fedprox"):
-            return 1
-        return self.aggregation_frequency
+        # strategies without an exchange plan aggregate every round by definition
+        return 1 if STRATEGIES[strategy].plan is None else self.aggregation_frequency
 
     def server_config(self, strategy: str, seed: int) -> ServerConfig:
         return ServerConfig(
@@ -164,45 +168,66 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return d
 
 
-_TOP_KEYS = {
-    "rounds", "aggregation_frequency", "warmup_rounds", "strategies", "seeds",
-    "data_fraction", "task", "input_dim", "feature_dim", "test_count",
-    "local", "domains", "out_dir",
+_NUMBER, _SEQUENCE = (int, float), (list, tuple)
+# expected JSON type of each key; the items of a sequence take _ITEM_TYPES[key]
+_TOP_TYPES = {
+    "rounds": int, "aggregation_frequency": int, "warmup_rounds": int,
+    "strategies": _SEQUENCE, "seeds": _SEQUENCE, "data_fraction": _NUMBER,
+    "task": str, "input_dim": int, "feature_dim": int, "test_count": int,
+    "local": dict, "domains": _SEQUENCE, "out_dir": str,
 }
-_LOCAL_KEYS = {"steps", "learning_rate", "batch_size", "prox_mu"}
-_DOMAIN_KEYS = {"domain_id", "sample_count", "shift", "concept_shift", "label_noise"}
+_LOCAL_TYPES = {"steps": int, "learning_rate": _NUMBER, "batch_size": int,
+                "prox_mu": _NUMBER}
+_DOMAIN_TYPES = {"domain_id": (str, int), "sample_count": int,
+                 "shift": _NUMBER + _SEQUENCE, "concept_shift": _NUMBER,
+                 "label_noise": _NUMBER}
+_ITEM_TYPES = {"strategies": str, "seeds": int, "domains": dict, "shift": _NUMBER}
+
+
+def _check_section(section: str, data, types: dict, required=()) -> None:
+    """Raise ConfigInvalid unless data is an object holding every required
+    key and only keys of types, each with a value of its listed type."""
+    if not isinstance(data, dict):
+        raise ConfigInvalid(f"{section} must be a JSON object")
+    unknown = set(data) - set(types)
+    if unknown:
+        raise ConfigInvalid(f"unknown {section} keys: {sorted(unknown)}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ConfigInvalid(f"{section} is missing keys: {missing}")
+    for key, value in data.items():
+        items = value if isinstance(value, _SEQUENCE) else ()
+        if not isinstance(value, types[key]) or not all(
+            isinstance(item, _ITEM_TYPES[key]) for item in items
+        ):
+            raise ConfigInvalid(
+                f"{section} key {key!r} has a value of the wrong type: "
+                f"{reprlib.repr(value)}"
+            )
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigInvalid("config root must be a JSON object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
+    _check_section("config", data, _TOP_TYPES)
     kwargs = dict(data)
-    input_dim = int(kwargs.get("input_dim", 16))
-    kwargs["input_dim"] = input_dim
+    input_dim = kwargs.setdefault("input_dim", 16)
 
     if "local" in kwargs:
-        local = kwargs["local"]
-        bad = set(local) - _LOCAL_KEYS
-        if bad:
-            raise ConfigInvalid(f"unknown local keys: {sorted(bad)}")
-        kwargs["local"] = LocalConfig(**local)
+        _check_section("local", kwargs["local"], _LOCAL_TYPES)
+        kwargs["local"] = LocalConfig(**kwargs["local"])
 
     if "domains" in kwargs:
         specs = []
-        for entry in kwargs["domains"]:
-            bad = set(entry) - _DOMAIN_KEYS
-            if bad:
-                raise ConfigInvalid(f"unknown domain keys: {sorted(bad)}")
+        for idx, entry in enumerate(kwargs["domains"]):
+            _check_section(
+                f"domain {idx}", entry, _DOMAIN_TYPES, ("domain_id", "sample_count")
+            )
             shift = entry.get("shift", 0.0)
             if np.isscalar(shift):
                 shift = (float(shift),) * input_dim
             specs.append(
                 DomainSpec(
                     domain_id=str(entry["domain_id"]),
-                    sample_count=int(entry["sample_count"]),
+                    sample_count=entry["sample_count"],
                     input_dim=input_dim,
                     shift=tuple(shift),
                     concept_shift=float(entry.get("concept_shift", 0.0)),
@@ -210,9 +235,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 )
             )
         kwargs["domains"] = tuple(specs)
-        return ExperimentConfig(**kwargs)
-
-    kwargs.pop("domains", None)
     return default_experiment_config(**kwargs)
 
 
@@ -360,7 +382,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> list[dict]:
     summaries = _run_cells(cfg, root)
     if len(set(cfg.strategies)) > 1:
         comparison = compare_strategies(summaries)
-        _write_comparison(comparison, root)
+        write_comparison(comparison, root)
     return summaries
 
 
@@ -471,7 +493,7 @@ def render_comparison_text(comparison: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_comparison(comparison: dict, root: Path) -> None:
+def write_comparison(comparison: dict, root: Path) -> None:
     with open(root / "comparison.json", "w") as fh:
         json.dump(comparison, fh, indent=2, sort_keys=True)
         fh.write("\n")

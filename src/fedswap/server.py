@@ -2,15 +2,15 @@
 
 The server alternates between two actions on a fixed period T: at rounds
 divisible by T it aggregates uploads into a global decoder via a weighted
-average; at every other round it clusters the uploads by cosine distance
-and redistributes them according to the configured exchange strategy.
+average; at every other round it redistributes them by the plan that the
+strategy's row in STRATEGIES builds. Only the clustered protocol clusters the
+uploads by cosine distance first.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -24,14 +24,11 @@ from .clustering import build_distance_matrix, cluster_to_two
 from .errors import ConfigInvalid, FedswapError
 from .exchange import (
     ExchangeHistory,
-    ExchangePlan,
     build_clustered_plan,
     build_random_plan,
     build_round_robin_plan,
 )
 from .params import AggregationWeights, ParamVector, weighted_average
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "AGGREGATE",
@@ -51,26 +48,9 @@ AGGREGATE = "aggregate"
 EXCHANGE = "exchange"
 WARMUP = "warmup"
 
-STRATEGIES = ("clustered", "round_robin", "random", "fedavg_only", "fedprox")
-
-# purpose tags for seed derivation; changing these changes every derived stream
-_PURPOSE_INIT = 0
-_PURPOSE_CONCEPT = 1
-_PURPOSE_DOMAIN = 2
-_PURPOSE_BACKBONE = 3
-_PURPOSE_TRAIN = 4
-_PURPOSE_EXCHANGE = 5
-_PURPOSE_WARMUP = 6
-
-PURPOSES = {
-    "init": _PURPOSE_INIT,
-    "concept": _PURPOSE_CONCEPT,
-    "domain": _PURPOSE_DOMAIN,
-    "backbone": _PURPOSE_BACKBONE,
-    "train": _PURPOSE_TRAIN,
-    "exchange": _PURPOSE_EXCHANGE,
-    "warmup": _PURPOSE_WARMUP,
-}
+# seed-derivation purpose tags; changing a value changes every stream derived from it
+PURPOSES = {"init": 0, "concept": 1, "domain": 2, "backbone": 3,
+            "train": 4, "exchange": 5, "warmup": 6}
 
 
 def derive_seed(master_seed: int, *path: int) -> int:
@@ -110,9 +90,9 @@ class ServerConfig:
             )
         if self.strategy not in STRATEGIES:
             raise ConfigInvalid(
-                f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
+                f"unknown strategy {self.strategy!r}; expected one of {tuple(STRATEGIES)}"
             )
-        if self.strategy in ("fedavg_only", "fedprox") and self.aggregation_frequency != 1:
+        if STRATEGIES[self.strategy].plan is None and self.aggregation_frequency != 1:
             raise ConfigInvalid(
                 f"strategy {self.strategy!r} aggregates every round; "
                 f"set aggregation_frequency=1"
@@ -128,14 +108,12 @@ class RoundRecord:
     """One row of the simulation trace; metrics are filled after redistribution.
 
     Warm-up rows carry non-positive round indices and decision "warmup".
-    global_eval marks rows whose metrics were computed on the shared global
-    decoder rather than on each client's own (possibly exchanged) decoder.
+    assignment is the two-cluster split behind a clustered exchange.
     """
 
     round_index: int
     decision: str
-    global_eval: bool
-    strategy_tag: Optional[str] = None
+    strategy_tag: str
     assignment: Optional[tuple[int, ...]] = None
     plan: Optional[tuple[int, ...]] = None
     domain_losses: tuple[float, ...] = ()
@@ -159,12 +137,57 @@ def schedule_decision(r: int, T: int) -> str:
     return AGGREGATE if r % T == 0 else EXCHANGE
 
 
-def _build_plan(state: ServerState, cfg: ServerConfig, n: int, r: int) -> ExchangePlan:
-    if cfg.strategy == "round_robin":
-        return build_round_robin_plan(n, r)
-    if cfg.strategy == "random":
-        return build_random_plan(n, derive_seed(cfg.master_seed, _PURPOSE_EXCHANGE, r))
-    raise ConfigInvalid(f"strategy {cfg.strategy!r} never reaches an exchange round")
+@dataclass(frozen=True)
+class Strategy:
+    """One row of STRATEGIES.
+
+    plan(cfg, state, uploads) builds an exchange round's ExchangePlan and
+    returns it with the cluster assignment it was built from, if any; None
+    means the strategy aggregates every round. proximal adds FedProx's pull
+    toward the decoder a client starts the round with to local training.
+    """
+
+    plan: Optional[Callable]
+    proximal: bool = False
+
+
+# The builders look up the clustering and exchange functions in this module's
+# namespace at call time, so wrappers patched onto those names see every call.
+def _clustered_plan(cfg, state, uploads):
+    ca = cluster_to_two(build_distance_matrix(uploads))
+    seed = derive_seed(cfg.master_seed, PURPOSES["exchange"], state.current_round)
+    plan = build_clustered_plan(ca, state.exchange_history, seed)
+    return plan, ca.index_list
+
+
+def _round_robin_plan(cfg, state, uploads):
+    return build_round_robin_plan(len(uploads), state.current_round), None
+
+
+def _random_plan(cfg, state, uploads):
+    seed = derive_seed(cfg.master_seed, PURPOSES["exchange"], state.current_round)
+    return build_random_plan(len(uploads), seed), None
+
+
+STRATEGIES = {
+    "clustered": Strategy(_clustered_plan),
+    "round_robin": Strategy(_round_robin_plan),
+    "random": Strategy(_random_plan),
+    "fedavg_only": Strategy(None),
+    "fedprox": Strategy(None, proximal=True),
+}
+
+
+def _aggregate(state: ServerState, uploads: Sequence[ParamVector],
+               weights: AggregationWeights, cfg: ServerConfig,
+               round_index: int, decision: str) -> list[ParamVector]:
+    """Deliver the uploads' weighted average to every client; it becomes the
+    latest global decoder and the round's record (metrics unfilled) is
+    appended to state.trace."""
+    global_decoder = weighted_average(uploads, weights)
+    state.latest_global_decoder = global_decoder
+    state.trace.append(RoundRecord(round_index, decision, cfg.strategy))
+    return [global_decoder] * len(uploads)
 
 
 def run_round(
@@ -177,8 +200,8 @@ def run_round(
 
     Appends a RoundRecord (metrics unfilled) to state.trace. On aggregation
     every client receives the same weighted average and the global decoder is
-    updated; on exchange the uploads are clustered, a plan is built per the
-    configured strategy, and client i receives uploads[plan.assignment[i]].
+    updated; on exchange the strategy's plan builder runs and client i
+    receives uploads[plan.assignment[i]].
     """
     r = state.current_round
     n = len(uploads)
@@ -189,55 +212,40 @@ def run_round(
     decision = schedule_decision(r, cfg.aggregation_frequency)
     try:
         if decision == AGGREGATE:
-            global_decoder = weighted_average(uploads, weights)
-            state.latest_global_decoder = global_decoder
-            record = RoundRecord(
-                round_index=r,
-                decision=AGGREGATE,
-                global_eval=True,
-                strategy_tag=cfg.strategy,
-            )
-            state.trace.append(record)
-            return [global_decoder] * n
-
-        assignment = cluster_to_two(build_distance_matrix(uploads))
-        if cfg.strategy == "clustered":
-            plan = build_clustered_plan(
-                assignment,
-                state.exchange_history,
-                derive_seed(cfg.master_seed, _PURPOSE_EXCHANGE, r),
-            )
-        else:
-            plan = _build_plan(state, cfg, n, r)
+            return _aggregate(state, uploads, weights, cfg, r, AGGREGATE)
+        plan, assignment = STRATEGIES[cfg.strategy].plan(cfg, state, uploads)
         state.exchange_history = ExchangeHistory(last_assignment=plan.assignment)
-        record = RoundRecord(
-            round_index=r,
-            decision=EXCHANGE,
-            global_eval=False,
-            strategy_tag=plan.strategy_tag,
-            assignment=assignment.index_list,
-            plan=plan.assignment,
-        )
-        state.trace.append(record)
-        return [uploads[plan.assignment[i]] for i in range(n)]
+        state.trace.append(RoundRecord(
+            r, EXCHANGE, cfg.strategy, assignment=assignment, plan=plan.assignment
+        ))
+        return [uploads[j] for j in plan.assignment]
     except FedswapError as exc:
         if str(exc).startswith(f"round {r}:"):
             raise
         raise type(exc)(f"round {r}: {exc}") from exc
 
 
-def _train_one(
-    client: ClientState, cfg: ServerConfig, seed: int
-) -> ParamVector:
-    start = client.decoder
-    if cfg.strategy == "fedprox":
-        return local_train_fedprox(start, client, start, client.config.prox_mu, seed)
-    return local_train(start, client, seed)
+def _train_all(clients: Sequence[ClientState], cfg: ServerConfig,
+               purpose: str, r: int) -> list[ParamVector]:
+    """Every client's upload after local training from its current decoder."""
+    proximal = STRATEGIES[cfg.strategy].proximal
+    uploads = []
+    for i, client in enumerate(clients):
+        seed = derive_seed(cfg.master_seed, PURPOSES[purpose], r, i)
+        start = client.decoder
+        uploads.append(
+            local_train_fedprox(start, client, start, client.config.prox_mu, seed)
+            if proximal else local_train(start, client, seed)
+        )
+    return uploads
 
 
-def _fill_metrics(record: RoundRecord, clients: Sequence[ClientState],
-                  decoders: Sequence[ParamVector]) -> None:
-    results = [evaluate(dec, cl) for dec, cl in zip(decoders, clients)]
+def _redistribute(record: RoundRecord, clients: Sequence[ClientState],
+                  deliveries: Sequence[ParamVector]) -> None:
+    """Hand client i deliveries[i] and fill the record's metrics from them."""
+    for client, decoder in zip(clients, deliveries):
+        client.decoder = decoder
+    results = [evaluate(dec, cl) for dec, cl in zip(deliveries, clients)]
     losses = np.array([res.loss for res in results])
     record.domain_losses = tuple(float(v) for v in losses)
     record.avg_loss = float(np.mean(losses))
@@ -263,45 +271,23 @@ def run_simulation(
         raise ConfigInvalid(f"clients disagree on decoder dimension: {sorted(dims)}")
     dim = dims.pop()
 
-    init_rng = np.random.default_rng(derive_seed(cfg.master_seed, _PURPOSE_INIT))
+    init_rng = np.random.default_rng(derive_seed(cfg.master_seed, PURPOSES["init"]))
     initial = ParamVector(init_rng.normal(0.0, 0.1, size=dim))
     for client in clients:
         client.decoder = initial
-        client.received_from = None
 
     weights = AggregationWeights.from_sizes([c.train_size for c in clients])
     state = ServerState()
 
     for w in range(1, cfg.warmup_rounds + 1):
-        uploads = [
-            _train_one(c, cfg, derive_seed(cfg.master_seed, _PURPOSE_WARMUP, w, i))
-            for i, c in enumerate(clients)
-        ]
-        global_decoder = weighted_average(uploads, weights)
-        state.latest_global_decoder = global_decoder
-        for client in clients:
-            client.decoder = global_decoder
-            client.received_from = None
-        record = RoundRecord(
-            round_index=w - cfg.warmup_rounds,
-            decision=WARMUP,
-            global_eval=True,
-            strategy_tag=cfg.strategy,
-        )
-        _fill_metrics(record, clients, [global_decoder] * len(clients))
-        state.trace.append(record)
+        uploads = _train_all(clients, cfg, "warmup", w)
+        deliveries = _aggregate(state, uploads, weights, cfg,
+                                w - cfg.warmup_rounds, WARMUP)
+        _redistribute(state.trace[-1], clients, deliveries)
 
     for r in range(1, cfg.rounds + 1):
         state.current_round = r
-        uploads = [
-            _train_one(c, cfg, derive_seed(cfg.master_seed, _PURPOSE_TRAIN, r, i))
-            for i, c in enumerate(clients)
-        ]
-        deliveries = run_round(state, uploads, weights, cfg)
-        record = state.trace[-1]
-        for i, client in enumerate(clients):
-            client.decoder = deliveries[i]
-            client.received_from = record.plan[i] if record.plan is not None else None
-        _fill_metrics(record, clients, deliveries)
+        deliveries = run_round(state, _train_all(clients, cfg, "train", r), weights, cfg)
+        _redistribute(state.trace[-1], clients, deliveries)
 
     return tuple(state.trace)

@@ -33,11 +33,7 @@ split_strategy = st.integers(0, 2**32 - 1).flatmap(
 class TestExchangePlanType:
     def test_rejects_non_permutation(self):
         with pytest.raises(InvalidAssignment):
-            ExchangePlan((0, 0, 1), "random")
-
-    def test_rejects_unknown_tag(self):
-        with pytest.raises(InvalidAssignment):
-            ExchangePlan((1, 0), "mystery")
+            ExchangePlan((0, 0, 1))
 
     def test_history_length_check(self):
         with pytest.raises(InvalidAssignment):

@@ -344,6 +344,21 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data", [
+        {"domains": [{"domain_id": "a"}, {"domain_id": "b", "sample_count": 10}]},
+        {"rounds": "40"},
+        {"local": 3},
+        {"domains": 5},
+        {"feature_dim": 0},
+    ])
+    def test_malformed_config_is_one_line_error(self, tmp_path, capsys, data):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_compare_empty_dir_fails(self, tmp_path, capsys):
         assert main(["compare", "--in", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fedswap import server
 from fedswap.clients import (
     ClientState,
     DomainSpec,
@@ -140,7 +141,6 @@ class TestRunRound:
             assert np.array_equal(d.values, expected.values)
         assert np.array_equal(state.latest_global_decoder.values, expected.values)
         assert state.trace[-1].decision == AGGREGATE
-        assert state.trace[-1].global_eval
 
     def test_exchange_round_permutes_uploads(self):
         uploads = uploads_of(4)
@@ -152,7 +152,6 @@ class TestRunRound:
         assert record.decision == EXCHANGE
         assert sorted(record.plan) == [0, 1, 2, 3]
         assert record.assignment is not None
-        assert not record.global_eval
         assert state.exchange_history.last_assignment == record.plan
 
     def test_round_context_attached_to_errors(self):
@@ -307,3 +306,39 @@ class TestRunSimulation:
         assert trace[2].domain_losses == losses_r2
         for c in clients:
             assert np.array_equal(c.decoder.values, global_decoder.values)
+
+
+class TestStrategyDispatch:
+    LAYERS = (
+        "local_train", "local_train_fedprox", "build_distance_matrix",
+        "cluster_to_two", "build_clustered_plan", "build_round_robin_plan",
+        "build_random_plan",
+    )
+    TRAINS = 15  # (1 warm-up + 4 protocol rounds) x 3 clients
+    # at T=2, rounds 1 and 3 of 4 exchange
+
+    @pytest.mark.parametrize("strategy, T, expected", [
+        ("clustered", 2, {"local_train": TRAINS, "build_distance_matrix": 2,
+                          "cluster_to_two": 2, "build_clustered_plan": 2}),
+        ("round_robin", 2, {"local_train": TRAINS, "build_round_robin_plan": 2}),
+        ("random", 2, {"local_train": TRAINS, "build_random_plan": 2}),
+        ("fedprox", 1, {"local_train_fedprox": TRAINS}),
+        ("fedavg_only", 1, {"local_train": TRAINS}),
+    ])
+    def test_reaches_the_right_layers(self, monkeypatch, strategy, T, expected):
+        # counts the calls made through the names the server module looks up,
+        # which is where call tracing wraps them
+        calls = dict.fromkeys(self.LAYERS, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in self.LAYERS:
+            monkeypatch.setattr(server, name, counted(name, getattr(server, name)))
+        cfg = ServerConfig(rounds=4, aggregation_frequency=T, strategy=strategy,
+                           warmup_rounds=1, master_seed=4)
+        run_simulation(cfg, make_clients())
+        assert calls == {name: expected.get(name, 0) for name in self.LAYERS}
