@@ -40,7 +40,6 @@ from .harness import (
 )
 from .params import (
     AggregationWeights,
-    LayerManifest,
     ParamVector,
     cosine_distance,
     weighted_average,
@@ -69,7 +68,6 @@ __all__ = [
     "ExperimentConfig",
     "FedswapError",
     "FrozenBackbone",
-    "LayerManifest",
     "LocalConfig",
     "MergeStep",
     "ParamVector",

@@ -9,14 +9,13 @@ the latest global decoder.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidSpec, ManifestMismatch, NonFiniteLoss
-from .params import LayerManifest, ParamVector
+from .params import ParamVector
 
 __all__ = [
     "DomainSpec",
@@ -27,11 +26,10 @@ __all__ = [
     "EvalResult",
     "generate_domain_dataset",
     "decoder_loss",
-    "decoder_gradient",
+    "decoder_loss_and_gradient",
     "local_train",
     "local_train_fedprox",
     "evaluate",
-    "export_dataset_csv",
 ]
 
 TASKS = ("regression", "classification")
@@ -59,10 +57,12 @@ class DomainSpec:
                 f"{self.domain_id}: shift has length {len(self.shift)}, "
                 f"expected {self.input_dim}"
             )
+        if not np.all(np.isfinite(self.shift + (self.concept_shift, self.label_noise))):
+            raise InvalidSpec(
+                f"{self.domain_id}: shift, concept_shift and label_noise must be finite"
+            )
         if self.concept_shift < 0 or self.label_noise < 0:
             raise InvalidSpec(f"{self.domain_id}: shift magnitudes must be >= 0")
-        if not all(np.isfinite(self.shift)):
-            raise InvalidSpec(f"{self.domain_id}: shift entries must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,9 +90,10 @@ class FrozenBackbone:
     def features(self, x: np.ndarray) -> np.ndarray:
         return np.tanh(x @ self.weight + self.bias)
 
-    def manifest(self) -> LayerManifest:
-        # linear head over features plus a scalar bias
-        return LayerManifest(((self.feature_dim,), (1,)))
+    @property
+    def decoder_dim(self) -> int:
+        """Size of the flat decoder: a linear head over the features, then one bias."""
+        return self.feature_dim + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,6 +192,8 @@ class LocalConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise InvalidSpec("steps must be >= 0")
+        if not np.isfinite(self.learning_rate) or not np.isfinite(self.prox_mu):
+            raise InvalidSpec("learning_rate and prox_mu must be finite")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.prox_mu < 0:
             raise InvalidSpec("invalid local training configuration")
 
@@ -214,10 +217,6 @@ class ClientState:
         self.features_test.setflags(write=False)
 
     @property
-    def manifest(self) -> LayerManifest:
-        return self.backbone.manifest()
-
-    @property
     def train_size(self) -> int:
         return self.data.train_size
 
@@ -232,6 +231,12 @@ def _scores(theta: np.ndarray, features: np.ndarray) -> np.ndarray:
     return features @ theta[:-1] + theta[-1]
 
 
+def _mean_loss(s: np.ndarray, labels: np.ndarray, task: str) -> float:
+    if task == "regression":
+        return float(np.mean((s - labels) ** 2))
+    return float(np.mean(np.logaddexp(0.0, -labels * s)))
+
+
 def decoder_loss(
     theta: np.ndarray,
     features: np.ndarray,
@@ -242,27 +247,25 @@ def decoder_loss(
 ) -> float:
     """Mean squared error (regression) or mean logistic loss (classification),
     plus an optional proximal penalty (mu/2)*|theta - anchor|^2."""
-    s = _scores(theta, features)
-    if task == "regression":
-        loss = float(np.mean((s - labels) ** 2))
-    else:
-        loss = float(np.mean(np.logaddexp(0.0, -labels * s)))
+    loss = _mean_loss(_scores(theta, features), labels, task)
     if mu > 0.0 and anchor is not None:
         diff = theta - anchor
         loss += 0.5 * mu * float(np.dot(diff, diff))
     return loss
 
 
-def decoder_gradient(
+def decoder_loss_and_gradient(
     theta: np.ndarray,
     features: np.ndarray,
     labels: np.ndarray,
     task: str,
     anchor: Optional[np.ndarray] = None,
     mu: float = 0.0,
-) -> np.ndarray:
-    """Exact gradient of decoder_loss with respect to theta."""
+) -> tuple[float, np.ndarray]:
+    """decoder_loss and its exact gradient with respect to theta, from one
+    computation of the scores."""
     s = _scores(theta, features)
+    loss = _mean_loss(s, labels, task)
     batch = features.shape[0]
     if task == "regression":
         residual = s - labels
@@ -276,8 +279,10 @@ def decoder_gradient(
         grad_b = float(np.mean(g))
     grad = np.concatenate([grad_w, [grad_b]])
     if mu > 0.0 and anchor is not None:
-        grad = grad + mu * (theta - anchor)
-    return grad
+        diff = theta - anchor
+        loss += 0.5 * mu * float(np.dot(diff, diff))
+        grad = grad + mu * diff
+    return loss, grad
 
 
 def _run_steps(
@@ -287,10 +292,11 @@ def _run_steps(
     anchor: Optional[np.ndarray],
     mu: float,
 ) -> ParamVector:
-    expected = client.manifest.dim
+    expected = client.backbone.decoder_dim
     if decoder.dim != expected:
         raise ManifestMismatch(
-            f"decoder dim {decoder.dim} does not match manifest dim {expected}"
+            f"decoder dim {decoder.dim} does not match the backbone's decoder dim "
+            f"{expected}"
         )
     cfg = client.config
     n = client.train_size
@@ -306,13 +312,13 @@ def _run_steps(
         else:
             idx = rng.integers(0, n, size=cfg.batch_size)
             fb, yb = features[idx], labels[idx]
-        loss = decoder_loss(theta, fb, yb, task, anchor, mu)
+        loss, grad = decoder_loss_and_gradient(theta, fb, yb, task, anchor, mu)
         if not np.isfinite(loss):
             raise NonFiniteLoss(
                 f"non-finite loss at step {step} on {client.domain.domain_id}; "
                 "reduce the learning rate"
             )
-        theta -= cfg.learning_rate * decoder_gradient(theta, fb, yb, task, anchor, mu)
+        theta -= cfg.learning_rate * grad
     if not np.all(np.isfinite(theta)):
         raise NonFiniteLoss(
             f"training diverged on {client.domain.domain_id}; reduce the learning rate"
@@ -340,30 +346,10 @@ def local_train_fedprox(
 
 def evaluate(decoder: ParamVector, client: ClientState) -> EvalResult:
     """Loss (and accuracy, for classification) on the client's test split."""
-    theta = decoder.values
-    task = client.data.task
-    loss = decoder_loss(theta, client.features_test, client.data.test_y, task)
-    if task != "classification":
+    s = _scores(decoder.values, client.features_test)
+    labels = client.data.test_y
+    loss = _mean_loss(s, labels, client.data.task)
+    if client.data.task != "classification":
         return EvalResult(loss=loss)
-    s = _scores(theta, client.features_test)
     predicted = np.where(s >= 0.0, 1.0, -1.0)
-    return EvalResult(loss=loss, accuracy=float(np.mean(predicted == client.data.test_y)))
-
-
-def export_dataset_csv(datasets: Sequence[DomainDataset], path) -> None:
-    """Dump datasets for inspection: domain_id, split, input columns, label."""
-    if not datasets:
-        raise InvalidSpec("no datasets to export")
-    input_dim = datasets[0].train_x.shape[1]
-    header = ["domain_id", "split"] + [f"x{i}" for i in range(input_dim)] + ["label"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for ds in datasets:
-            for split, xs, ys in (("train", ds.train_x, ds.train_y),
-                                  ("test", ds.test_x, ds.test_y)):
-                for row, label in zip(xs, ys):
-                    writer.writerow(
-                        [ds.domain_id, split] + [repr(float(v)) for v in row]
-                        + [repr(float(label))]
-                    )
+    return EvalResult(loss=loss, accuracy=float(np.mean(predicted == labels)))

@@ -24,7 +24,6 @@ __all__ = [
     "average_linkage",
     "cluster_to_two",
     "cluster_to_two_traced",
-    "render_merge_trace",
 ]
 
 
@@ -173,20 +172,3 @@ def cluster_to_two_traced(dm: DistanceMatrix) -> tuple[ClusterAssignment, list[M
     zero_block = first if 0 in first else second
     return ClusterAssignment.from_members(dm.n, zero_block), merges
 
-
-def render_merge_trace(
-    dm: DistanceMatrix, merges: Sequence[MergeStep], assignment: ClusterAssignment
-) -> str:
-    """Plain-text dump of the distance matrix and merge sequence, for debugging."""
-    lines = [f"distance matrix ({dm.n} decoders):"]
-    for row in dm.entries:
-        lines.append("  " + "  ".join(f"{v:.6f}" for v in row))
-    for step in merges:
-        lines.append(
-            f"merge {list(step.first)} + {list(step.second)}"
-            f"  linkage={step.linkage:.6f}"
-        )
-    lines.append(
-        f"final clusters: {list(assignment.members_0)} | {list(assignment.members_1)}"
-    )
-    return "\n".join(lines)

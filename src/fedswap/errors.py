@@ -18,7 +18,7 @@ class EmptyInput(FedswapError):
 
 
 class ManifestMismatch(FedswapError):
-    """A flat vector does not match the registered layer-shape manifest."""
+    """A decoder's size does not match the backbone's decoder layout."""
 
 
 class OverlappingClusters(FedswapError):

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .clients import (
+    TASKS,
     ClientState,
     DomainSpec,
     FrozenBackbone,
@@ -93,8 +94,8 @@ class ExperimentConfig:
             raise ConfigInvalid(
                 f"data_fraction must be in (0, 1], got {self.data_fraction}"
             )
-        if self.task not in ("regression", "classification"):
-            raise ConfigInvalid(f"unknown task {self.task!r}")
+        if self.task not in TASKS:
+            raise ConfigInvalid(f"unknown task {self.task!r}; expected one of {TASKS}")
         if self.feature_dim < 1:
             raise ConfigInvalid(f"feature_dim must be >= 1, got {self.feature_dim}")
         if len(self.domains) < 2:
@@ -184,6 +185,11 @@ _DOMAIN_TYPES = {"domain_id": (str, int), "sample_count": int,
 _ITEM_TYPES = {"strategies": str, "seeds": int, "domains": dict, "shift": _NUMBER}
 
 
+def _is_a(value, types) -> bool:
+    # JSON true/false load as bool, a subclass of int, but are never numbers here
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def _check_section(section: str, data, types: dict, required=()) -> None:
     """Raise ConfigInvalid unless data is an object holding every required
     key and only keys of types, each with a value of its listed type."""
@@ -197,8 +203,8 @@ def _check_section(section: str, data, types: dict, required=()) -> None:
         raise ConfigInvalid(f"{section} is missing keys: {missing}")
     for key, value in data.items():
         items = value if isinstance(value, _SEQUENCE) else ()
-        if not isinstance(value, types[key]) or not all(
-            isinstance(item, _ITEM_TYPES[key]) for item in items
+        if not _is_a(value, types[key]) or not all(
+            _is_a(item, _ITEM_TYPES[key]) for item in items
         ):
             raise ConfigInvalid(
                 f"{section} key {key!r} has a value of the wrong type: "
@@ -405,6 +411,14 @@ def _group_key(summary: dict) -> tuple:
     )
 
 
+def _mean_finals(summaries: Sequence[dict]) -> dict:
+    """Mean over seeds of the final average, std and worst-domain losses."""
+    return {
+        f"mean_{name}": float(np.mean([s["final"][name] for s in summaries]))
+        for name in ("avg_loss", "std_loss", "worst_domain_loss")
+    }
+
+
 def compare_strategies(summaries: Sequence[dict]) -> dict:
     """Mean-over-seeds final metrics per (strategy, T, fraction) group,
     ranked by mean average loss; ties share the better rank."""
@@ -444,11 +458,7 @@ def compare_strategies(summaries: Sequence[dict]) -> dict:
             "data_fraction": fraction,
             "seeds": [s["seed"] for s in rows],
             "train_sizes": rows[0]["train_sizes"],
-            "mean_avg_loss": float(np.mean([s["final"]["avg_loss"] for s in rows])),
-            "mean_std_loss": float(np.mean([s["final"]["std_loss"] for s in rows])),
-            "mean_worst_domain_loss": float(
-                np.mean([s["final"]["worst_domain_loss"] for s in rows])
-            ),
+            **_mean_finals(rows),
             "avg_loss_by_seed": [s["final"]["avg_loss"] for s in rows],
             "worst_domain_loss_by_seed": [
                 s["final"]["worst_domain_loss"] for s in rows
@@ -524,15 +534,7 @@ def ablation_T(
         entries.append({
             "aggregation_frequency": t,
             "seeds": [s["seed"] for s in summaries],
-            "mean_avg_loss": float(
-                np.mean([s["final"]["avg_loss"] for s in summaries])
-            ),
-            "mean_std_loss": float(
-                np.mean([s["final"]["std_loss"] for s in summaries])
-            ),
-            "mean_worst_domain_loss": float(
-                np.mean([s["final"]["worst_domain_loss"] for s in summaries])
-            ),
+            **_mean_finals(summaries),
         })
 
     best = min(e["mean_avg_loss"] for e in entries)

@@ -1,8 +1,8 @@
 """Flat decoder parameter vectors, the pairwise distance metric, and weighted aggregation.
 
-Every decoder in a simulation is represented as one float64 vector whose
-layout is fixed by a shared :class:`LayerManifest`, so vectors from
-different clients are directly comparable coordinate by coordinate.
+Every decoder in a simulation is represented as one float64 vector with the
+layout the shared backbone fixes (the linear head, then its bias), so vectors
+from different clients are directly comparable coordinate by coordinate.
 """
 
 from __future__ import annotations
@@ -12,17 +12,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyInput,
-    ManifestMismatch,
-    ZeroNormVector,
-)
+from .errors import DimensionMismatch, EmptyInput, ZeroNormVector
 
 __all__ = [
     "ParamVector",
     "AggregationWeights",
-    "LayerManifest",
     "cosine_distance",
     "weighted_average",
 ]
@@ -38,7 +32,7 @@ def _as_readonly_f64(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ParamVector:
-    """An immutable flat decoder: float64 values in canonical manifest order."""
+    """An immutable flat decoder: float64 values, the head's weights then its bias."""
 
     values: np.ndarray
 
@@ -53,9 +47,6 @@ class ParamVector:
     @property
     def dim(self) -> int:
         return int(self.values.size)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
     def __repr__(self) -> str:  # avoid dumping long arrays
         return f"ParamVector(dim={self.dim})"
@@ -92,60 +83,6 @@ class AggregationWeights:
 
     def __len__(self) -> int:
         return int(self.weights.size)
-
-
-@dataclass(frozen=True)
-class LayerManifest:
-    """Canonical flattening order for a decoder: a fixed sequence of layer shapes.
-
-    All clients in a simulation register the same manifest, which makes the
-    assumption of identical decoder architectures checkable.
-    """
-
-    shapes: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        shapes = tuple(tuple(int(d) for d in s) for s in self.shapes)
-        if not shapes:
-            raise ValueError("manifest must declare at least one layer")
-        for s in shapes:
-            if any(d < 1 for d in s):
-                raise ValueError(f"layer shape {s} has a non-positive dimension")
-        object.__setattr__(self, "shapes", shapes)
-
-    @property
-    def dim(self) -> int:
-        return int(sum(int(np.prod(s)) for s in self.shapes))
-
-    def flatten(self, layers: Sequence[np.ndarray]) -> ParamVector:
-        """Concatenate layer arrays into one ParamVector, in manifest order."""
-        if len(layers) != len(self.shapes):
-            raise ManifestMismatch(
-                f"expected {len(self.shapes)} layers, got {len(layers)}"
-            )
-        parts = []
-        for arr, shape in zip(layers, self.shapes):
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != shape:
-                raise ManifestMismatch(
-                    f"layer shape {arr.shape} does not match manifest shape {shape}"
-                )
-            parts.append(arr.reshape(-1))
-        return ParamVector(np.concatenate(parts))
-
-    def unflatten(self, vec: ParamVector) -> list[np.ndarray]:
-        """Split a ParamVector back into layer arrays. Exact inverse of flatten."""
-        if vec.dim != self.dim:
-            raise ManifestMismatch(
-                f"vector of dim {vec.dim} does not match manifest dim {self.dim}"
-            )
-        out = []
-        offset = 0
-        for shape in self.shapes:
-            size = int(np.prod(shape))
-            out.append(vec.values[offset : offset + size].reshape(shape).copy())
-            offset += size
-        return out
 
 
 def cosine_distance(a: ParamVector, b: ParamVector) -> float:

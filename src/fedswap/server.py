@@ -266,7 +266,7 @@ def run_simulation(
     """
     if len(clients) < 2:
         raise ConfigInvalid(f"need at least 2 clients, got {len(clients)}")
-    dims = {c.manifest.dim for c in clients}
+    dims = {c.backbone.decoder_dim for c in clients}
     if len(dims) != 1:
         raise ConfigInvalid(f"clients disagree on decoder dimension: {sorted(dims)}")
     dim = dims.pop()

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from fedswap.clients import decoder_gradient, decoder_loss
+from fedswap.clients import decoder_loss, decoder_loss_and_gradient
 from fedswap.clustering import ClusterAssignment, DistanceMatrix, average_linkage, cluster_to_two_traced
 from fedswap.exchange import ExchangeHistory, build_clustered_plan
 from fedswap.harness import (
@@ -221,7 +221,7 @@ def test_criterion_05_gradients_match_finite_differences(capsys):
             anchor, mu = rng.normal(size=dim), float(rng.uniform(0.1, 2.0))
         else:
             anchor, mu = None, 0.0
-        grad = decoder_gradient(theta, fb, labels, task, anchor, mu)
+        _, grad = decoder_loss_and_gradient(theta, fb, labels, task, anchor, mu)
         h = 1e-6
         approx = np.zeros(dim)
         for k in range(dim):

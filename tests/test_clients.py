@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +8,9 @@ from fedswap.clients import (
     DomainSpec,
     FrozenBackbone,
     LocalConfig,
-    decoder_gradient,
     decoder_loss,
+    decoder_loss_and_gradient,
     evaluate,
-    export_dataset_csv,
     generate_domain_dataset,
     local_train,
     local_train_fedprox,
@@ -77,6 +74,12 @@ class TestDomainSpec:
             spec(concept=-1.0)
         with pytest.raises(InvalidSpec):
             spec(noise=-0.1)
+        with pytest.raises(InvalidSpec):
+            spec(concept=float("nan"))
+        with pytest.raises(InvalidSpec):
+            spec(noise=float("inf"))
+        with pytest.raises(InvalidSpec):
+            spec(shift=float("nan"))
 
 
 class TestFrozenBackbone:
@@ -93,7 +96,7 @@ class TestFrozenBackbone:
         assert np.all(np.abs(f) <= 1.0)
 
     def test_manifest_covers_weights_and_bias(self):
-        assert backbone().manifest().dim == FEATURE_DIM + 1
+        assert backbone().decoder_dim == FEATURE_DIM + 1
 
 
 class TestGenerateDomainDataset:
@@ -168,7 +171,8 @@ class TestGradients:
             idx = rng.integers(0, cl.train_size, size=16)
             fb = cl.features_train[idx]
             yb = cl.data.train_y[idx]
-            grad = decoder_gradient(theta, fb, yb, task)
+            loss, grad = decoder_loss_and_gradient(theta, fb, yb, task)
+            assert loss == decoder_loss(theta, fb, yb, task)
             approx = fd_gradient(theta, fb, yb, task)
             denom = max(np.linalg.norm(approx), 1e-8)
             assert np.linalg.norm(grad - approx) / denom < 1e-5
@@ -181,7 +185,10 @@ class TestGradients:
             anchor = rng.normal(size=FEATURE_DIM + 1)
             fb = cl.features_train[:16]
             yb = cl.data.train_y[:16]
-            grad = decoder_gradient(theta, fb, yb, "regression", anchor, 0.7)
+            loss, grad = decoder_loss_and_gradient(
+                theta, fb, yb, "regression", anchor, 0.7
+            )
+            assert loss == decoder_loss(theta, fb, yb, "regression", anchor, 0.7)
             approx = fd_gradient(theta, fb, yb, "regression", anchor, 0.7)
             denom = max(np.linalg.norm(approx), 1e-8)
             assert np.linalg.norm(grad - approx) / denom < 1e-5
@@ -199,7 +206,7 @@ class TestLocalTrain:
         cl = client(local=LocalConfig(steps=1, learning_rate=lr, batch_size=10_000))
         start = ParamVector(np.random.default_rng(1).normal(size=FEATURE_DIM + 1))
         out = local_train(start, cl, 0)
-        grad = decoder_gradient(
+        _, grad = decoder_loss_and_gradient(
             start.values, cl.features_train, cl.data.train_y, "regression"
         )
         assert np.allclose(out.values, start.values - lr * grad, atol=1e-14)
@@ -327,18 +334,3 @@ class TestEvaluate:
         theta = ParamVector(np.random.default_rng(6).normal(size=FEATURE_DIM + 1))
         assert evaluate(theta, cl) == evaluate(theta, cl)
 
-
-class TestExportDatasetCsv:
-    def test_rows_and_columns(self, tmp_path):
-        bb = backbone()
-        ds = generate_domain_dataset(spec(count=20), bb, 1, 2, test_count=5)
-        path = tmp_path / "data.csv"
-        export_dataset_csv([ds], path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == (
-            ["domain_id", "split"] + [f"x{i}" for i in range(INPUT_DIM)] + ["label"]
-        )
-        assert len(rows) == 1 + 20 + 5
-        assert {r[1] for r in rows[1:]} == {"train", "test"}
-        assert float(rows[1][2]) == ds.train_x[0, 0]

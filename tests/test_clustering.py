@@ -12,7 +12,6 @@ from fedswap.clustering import (
     build_distance_matrix,
     cluster_to_two,
     cluster_to_two_traced,
-    render_merge_trace,
 )
 from fedswap.errors import (
     InvalidAssignment,
@@ -262,10 +261,3 @@ class TestClusterToTwo:
         rng = np.random.default_rng(3)
         dm = random_matrix(rng, 6)
         assert cluster_to_two(dm).index_list == cluster_to_two(dm).index_list
-
-    def test_render_merge_trace_mentions_final_clusters(self):
-        dm = matrix([[0, 0.1, 1.0], [0.1, 0, 1.0], [1.0, 1.0, 0]])
-        ca, merges = cluster_to_two_traced(dm)
-        text = render_merge_trace(dm, merges, ca)
-        assert "final clusters: [0, 1] | [2]" in text
-        assert "merge" in text

@@ -350,6 +350,13 @@ class TestCli:
         {"local": 3},
         {"domains": 5},
         {"feature_dim": 0},
+        {"local": {"prox_mu": float("nan")}},
+        {"local": {"learning_rate": float("inf")}},
+        {"domains": [{"domain_id": "a", "sample_count": 10,
+                      "concept_shift": float("nan")},
+                     {"domain_id": "b", "sample_count": 10}]},
+        {"rounds": True, "aggregation_frequency": 1},
+        {"seeds": [True]},
     ])
     def test_malformed_config_is_one_line_error(self, tmp_path, capsys, data):
         cfg_path = tmp_path / "config.json"
@@ -358,6 +365,8 @@ class TestCli:
                      "--out", str(tmp_path / "runs")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        # a bad input is reported as such, not as a training divergence
+        assert "reduce the learning rate" not in err
 
     def test_compare_empty_dir_fails(self, tmp_path, capsys):
         assert main(["compare", "--in", str(tmp_path)]) == 2
