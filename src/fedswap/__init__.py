@@ -22,7 +22,6 @@ from .clustering import (
 )
 from .errors import FedswapError
 from .exchange import (
-    ExchangeHistory,
     ExchangePlan,
     build_clustered_plan,
     build_random_plan,
@@ -63,7 +62,6 @@ __all__ = [
     "DistanceMatrix",
     "DomainSpec",
     "EvalResult",
-    "ExchangeHistory",
     "ExchangePlan",
     "ExperimentConfig",
     "FedswapError",

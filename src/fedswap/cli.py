@@ -7,6 +7,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .errors import FedswapError
 from .harness import (
     ablation_T,
@@ -110,7 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a diverging run overflows before the finiteness checks report it;
+        # numpy's own warnings would only add lines to that one-line error
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (FedswapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

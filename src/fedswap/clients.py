@@ -34,6 +34,9 @@ __all__ = [
 
 TASKS = ("regression", "classification")
 
+# standard deviation of the backbone's feature biases
+_BACKBONE_BIAS_SCALE = 0.2
+
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -76,12 +79,10 @@ class FrozenBackbone:
     bias: np.ndarray
 
     @classmethod
-    def create(
-        cls, seed: int, input_dim: int, feature_dim: int, bias_scale: float = 0.2
-    ) -> "FrozenBackbone":
+    def create(cls, seed: int, input_dim: int, feature_dim: int) -> "FrozenBackbone":
         rng = np.random.default_rng(seed)
         weight = rng.normal(0.0, 1.0 / np.sqrt(input_dim), size=(input_dim, feature_dim))
-        bias = rng.normal(0.0, bias_scale, size=feature_dim)
+        bias = rng.normal(0.0, _BACKBONE_BIAS_SCALE, size=feature_dim)
         weight.setflags(write=False)
         bias.setflags(write=False)
         return cls(seed=seed, input_dim=input_dim, feature_dim=feature_dim,

@@ -1,9 +1,9 @@
 """Agglomerative average-linkage clustering of uploaded decoders into two clusters.
 
 Starts from singletons and repeatedly merges the pair of clusters with the
-smallest average linkage (the mean of all cross-pair cosine distances),
-recomputed from the original pairwise matrix after every merge, until exactly
-two clusters remain.
+smallest average linkage (the mean of all cross-pair cosine distances), kept
+up to date incrementally from running cross-cluster sums, until exactly two
+clusters remain.
 """
 
 from __future__ import annotations
@@ -126,32 +126,6 @@ def average_linkage(dm: DistanceMatrix, ci: Sequence[int], cj: Sequence[int]) ->
     return total / (len(a) * len(b))
 
 
-def _pair_key(ca: tuple[int, ...], cb: tuple[int, ...]) -> tuple[int, int]:
-    # deterministic tie-break: sorted pair of the clusters' smallest members
-    ra, rb = ca[0], cb[0]
-    return (ra, rb) if ra < rb else (rb, ra)
-
-
-def _merge_to_two(dm: DistanceMatrix) -> tuple[list[tuple[int, ...]], list[MergeStep]]:
-    clusters: list[tuple[int, ...]] = [(i,) for i in range(dm.n)]
-    merges: list[MergeStep] = []
-    while len(clusters) > 2:
-        best = None
-        for p in range(len(clusters)):
-            for q in range(p + 1, len(clusters)):
-                link = average_linkage(dm, clusters[p], clusters[q])
-                key = (link, _pair_key(clusters[p], clusters[q]))
-                if best is None or key < best[0]:
-                    best = (key, p, q)
-        (link, _), p, q = best
-        merged = tuple(sorted(clusters[p] + clusters[q]))
-        merges.append(MergeStep(clusters[p], clusters[q], link))
-        clusters = [c for k, c in enumerate(clusters) if k not in (p, q)]
-        clusters.append(merged)
-        clusters.sort(key=lambda c: c[0])
-    return clusters, merges
-
-
 def cluster_to_two(dm: DistanceMatrix) -> ClusterAssignment:
     """Agglomerate singletons by minimal average linkage until two clusters remain.
 
@@ -164,11 +138,29 @@ def cluster_to_two(dm: DistanceMatrix) -> ClusterAssignment:
 
 
 def cluster_to_two_traced(dm: DistanceMatrix) -> tuple[ClusterAssignment, list[MergeStep]]:
-    """Like cluster_to_two, but also returns the merge sequence."""
-    if dm.n < 2:
-        raise TooFewDecoders(f"need at least two decoders, got {dm.n}")
-    clusters, merges = _merge_to_two(dm)
-    first, second = clusters
-    zero_block = first if 0 in first else second
-    return ClusterAssignment.from_members(dm.n, zero_block), merges
+    """Like cluster_to_two, but also returns the merge sequence.
 
+    sums[a, b] is the total distance between the clusters held in slots a
+    and b, so a merge is one row add and one column add (Lance & Williams
+    1967). A cluster lives in the slot of its smallest member; the diagonal
+    and merged-away slots hold inf. The row-major argmin of the linkage is
+    then the tie-break of cluster_to_two.
+    """
+    n = dm.n
+    if n < 2:
+        raise TooFewDecoders(f"need at least two decoders, got {n}")
+    sums = dm.entries.copy()
+    np.fill_diagonal(sums, np.inf)
+    sizes = np.ones(n)
+    members = [(i,) for i in range(n)]
+    merges: list[MergeStep] = []
+    for _ in range(n - 2):
+        linkage = sums / np.outer(sizes, sizes)
+        a, b = divmod(int(np.argmin(linkage)), n)
+        merges.append(MergeStep(members[a], members[b], float(linkage[a, b])))
+        members[a] = tuple(sorted(members[a] + members[b]))
+        sizes[a] += sizes[b]
+        sums[a] += sums[b]
+        sums[:, a] += sums[:, b]
+        sums[b] = sums[:, b] = np.inf
+    return ClusterAssignment.from_members(n, members[0]), merges

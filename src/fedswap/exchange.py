@@ -20,7 +20,6 @@ from .errors import InvalidAssignment
 
 __all__ = [
     "ExchangePlan",
-    "ExchangeHistory",
     "build_clustered_plan",
     "build_round_robin_plan",
     "build_random_plan",
@@ -47,19 +46,6 @@ class ExchangePlan:
         object.__setattr__(self, "assignment", assignment)
 
 
-@dataclass(frozen=True)
-class ExchangeHistory:
-    """The previous exchange round's assignment, or None before any exchange."""
-
-    last_assignment: Optional[tuple[int, ...]] = None
-
-    def __post_init__(self):
-        if self.last_assignment is not None:
-            object.__setattr__(
-                self, "last_assignment", tuple(int(v) for v in self.last_assignment)
-            )
-
-
 def _cursor_walk(
     index_list: tuple[int, ...],
     shuffled: tuple[list[int], list[int]],
@@ -77,20 +63,20 @@ def _cursor_walk(
 
 
 def build_clustered_plan(
-    ca: ClusterAssignment, history: ExchangeHistory, rng_seed: int
+    ca: ClusterAssignment, last: Optional[tuple[int, ...]], rng_seed: int
 ) -> ExchangePlan:
     """Distance-clustered exchange: in-cluster shuffle plus cross-cluster walk.
 
     The shuffles are rejection-sampled so that no client receives the decoder
-    it just uploaded and, when history is present, no client receives the same
-    decoder as in the previous exchange round. If the history constraint is
-    infeasible (e.g. two clients alternating) it is dropped after a bounded
-    number of attempts; the self-derangement constraint is kept.
+    it just uploaded and, unless last is None (no exchange yet), no client
+    receives the same decoder as in last, the previous exchange round's plan.
+    If that history constraint is infeasible (e.g. two clients alternating)
+    it is dropped after a bounded number of attempts; the self-derangement
+    constraint is kept.
     """
     if not isinstance(ca, ClusterAssignment):
         raise InvalidAssignment("ca must be a ClusterAssignment")
     n = ca.n
-    last = history.last_assignment
     if last is not None and len(last) != n:
         raise InvalidAssignment(
             f"history length {len(last)} does not match client count {n}"

@@ -85,11 +85,6 @@ class ExperimentConfig:
             raise ConfigInvalid("duplicate seeds")
         if not self.strategies:
             raise ConfigInvalid("need at least one strategy")
-        unknown = [s for s in self.strategies if s not in STRATEGIES]
-        if unknown:
-            raise ConfigInvalid(
-                f"unknown strategies {unknown}; expected {tuple(STRATEGIES)}"
-            )
         if not 0.0 < self.data_fraction <= 1.0:
             raise ConfigInvalid(
                 f"data_fraction must be in (0, 1], got {self.data_fraction}"
@@ -108,12 +103,17 @@ class ExperimentConfig:
                 raise ConfigInvalid(
                     f"domain {d.domain_id} input_dim {d.input_dim} != {self.input_dim}"
                 )
-        # surfaces bad rounds/frequency combinations before any cell runs
-        self.server_config(self.strategies[0], self.seeds[0])
+        # surfaces a bad strategy, seed or rounds/frequency combination of any
+        # cell before the first cell runs
+        for strategy in self.strategies:
+            for seed in self.seeds:
+                self.server_config(strategy, seed)
 
     def effective_frequency(self, strategy: str) -> int:
-        # strategies without an exchange plan aggregate every round by definition
-        return 1 if STRATEGIES[strategy].plan is None else self.aggregation_frequency
+        # strategies without an exchange plan aggregate every round by
+        # definition; an unknown name keeps T for ServerConfig to reject
+        row = STRATEGIES.get(strategy)
+        return 1 if row is not None and row.plan is None else self.aggregation_frequency
 
     def server_config(self, strategy: str, seed: int) -> ServerConfig:
         return ServerConfig(
@@ -519,20 +519,17 @@ def ablation_T(
     t_values = [int(t) for t in t_values]
     if not t_values:
         raise ConfigInvalid("need at least one T value")
-    bad = [t for t in t_values if t < 1 or cfg.rounds % t != 0]
-    if bad:
-        raise ConfigInvalid(
-            f"rounds ({cfg.rounds}) not divisible by T values {bad}"
-        )
+    # building every per-T config checks each T before any cell runs
+    subs = [replace(cfg, strategies=("clustered",), aggregation_frequency=t)
+            for t in t_values]
     root = Path(out_dir if out_dir is not None else cfg.out_dir)
     root.mkdir(parents=True, exist_ok=True)
 
     entries = []
-    for t in t_values:
-        sub = replace(cfg, strategies=("clustered",), aggregation_frequency=t)
+    for sub in subs:
         summaries = _run_cells(sub, root)
         entries.append({
-            "aggregation_frequency": t,
+            "aggregation_frequency": sub.aggregation_frequency,
             "seeds": [s["seed"] for s in summaries],
             **_mean_finals(summaries),
         })

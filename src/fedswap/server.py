@@ -23,7 +23,6 @@ from .clients import (
 from .clustering import build_distance_matrix, cluster_to_two
 from .errors import ConfigInvalid, FedswapError
 from .exchange import (
-    ExchangeHistory,
     build_clustered_plan,
     build_random_plan,
     build_round_robin_plan,
@@ -125,8 +124,7 @@ class RoundRecord:
 @dataclass
 class ServerState:
     current_round: int = 0
-    latest_global_decoder: Optional[ParamVector] = None
-    exchange_history: ExchangeHistory = field(default_factory=ExchangeHistory)
+    last_plan: Optional[tuple[int, ...]] = None
     trace: list[RoundRecord] = field(default_factory=list)
 
 
@@ -156,7 +154,7 @@ class Strategy:
 def _clustered_plan(cfg, state, uploads):
     ca = cluster_to_two(build_distance_matrix(uploads))
     seed = derive_seed(cfg.master_seed, PURPOSES["exchange"], state.current_round)
-    plan = build_clustered_plan(ca, state.exchange_history, seed)
+    plan = build_clustered_plan(ca, state.last_plan, seed)
     return plan, ca.index_list
 
 
@@ -181,11 +179,9 @@ STRATEGIES = {
 def _aggregate(state: ServerState, uploads: Sequence[ParamVector],
                weights: AggregationWeights, cfg: ServerConfig,
                round_index: int, decision: str) -> list[ParamVector]:
-    """Deliver the uploads' weighted average to every client; it becomes the
-    latest global decoder and the round's record (metrics unfilled) is
-    appended to state.trace."""
+    """Deliver the uploads' weighted average to every client and append the
+    round's record (metrics unfilled) to state.trace."""
     global_decoder = weighted_average(uploads, weights)
-    state.latest_global_decoder = global_decoder
     state.trace.append(RoundRecord(round_index, decision, cfg.strategy))
     return [global_decoder] * len(uploads)
 
@@ -199,9 +195,9 @@ def run_round(
     """Process one protocol round's uploads; returns the per-client deliveries.
 
     Appends a RoundRecord (metrics unfilled) to state.trace. On aggregation
-    every client receives the same weighted average and the global decoder is
-    updated; on exchange the strategy's plan builder runs and client i
-    receives uploads[plan.assignment[i]].
+    every client receives the same weighted average; on exchange the
+    strategy's plan builder runs, client i receives uploads[plan.assignment[i]]
+    and the plan becomes state.last_plan.
     """
     r = state.current_round
     n = len(uploads)
@@ -214,7 +210,7 @@ def run_round(
         if decision == AGGREGATE:
             return _aggregate(state, uploads, weights, cfg, r, AGGREGATE)
         plan, assignment = STRATEGIES[cfg.strategy].plan(cfg, state, uploads)
-        state.exchange_history = ExchangeHistory(last_assignment=plan.assignment)
+        state.last_plan = plan.assignment
         state.trace.append(RoundRecord(
             r, EXCHANGE, cfg.strategy, assignment=assignment, plan=plan.assignment
         ))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -314,7 +316,8 @@ class TestEvaluate:
     def test_constant_zero_decoder_near_chance_accuracy(self):
         # bias-free backbone on centered inputs makes the score distribution
         # symmetric around zero, so the label split is a fair coin
-        bb = FrozenBackbone.create(1, INPUT_DIM, FEATURE_DIM, bias_scale=0.0)
+        bb = replace(FrozenBackbone.create(1, INPUT_DIM, FEATURE_DIM),
+                     bias=np.zeros(FEATURE_DIM))
         big = DomainSpec("d", 10, INPUT_DIM, (0.0,) * INPUT_DIM, 0.5, 0.0)
         data = generate_domain_dataset(
             big, bb, 3, 4, task="classification", test_count=1000

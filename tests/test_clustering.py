@@ -257,6 +257,27 @@ class TestClusterToTwo:
         got = {frozenset(base.members_0), frozenset(base.members_1)}
         assert expected == got
 
+    def test_scipy_oracle_large_n(self):
+        # tie-free random matrices: the bipartition must be scipy's top
+        # average-linkage split, and every merge linkage the double sum
+        from scipy.cluster.hierarchy import fcluster, linkage
+        from scipy.spatial.distance import squareform
+
+        rng = np.random.default_rng(256)
+        for n in (8, 9, 16, 31, 32, 50, 64, 65, 100, 128, 150, 200, 255, 256, 256):
+            dm = random_matrix(rng, n)
+            ca, merges = cluster_to_two_traced(dm)
+            labels = fcluster(
+                linkage(squareform(dm.entries, checks=False), method="average"),
+                t=2, criterion="maxclust",
+            )
+            assert ca.index_list == tuple(0 if v == labels[0] else 1 for v in labels)
+            assert ca == cluster_to_two(dm)
+            for step in merges:
+                assert step.linkage == pytest.approx(
+                    average_linkage(dm, step.first, step.second), abs=1e-12
+                )
+
     def test_determinism(self):
         rng = np.random.default_rng(3)
         dm = random_matrix(rng, 6)

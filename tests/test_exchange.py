@@ -7,7 +7,6 @@ from scipy import stats
 from fedswap.clustering import ClusterAssignment
 from fedswap.errors import InvalidAssignment
 from fedswap.exchange import (
-    ExchangeHistory,
     ExchangePlan,
     build_clustered_plan,
     build_random_plan,
@@ -37,20 +36,18 @@ class TestExchangePlanType:
 
     def test_history_length_check(self):
         with pytest.raises(InvalidAssignment):
-            build_clustered_plan(
-                assignment_of(4, [0, 1]), ExchangeHistory((1, 0)), 0
-            )
+            build_clustered_plan(assignment_of(4, [0, 1]), (1, 0), 0)
 
 
 class TestClusteredPlan:
     def test_two_clients_forced_swap(self):
-        plan = build_clustered_plan(assignment_of(2, [0]), ExchangeHistory(), 0)
+        plan = build_clustered_plan(assignment_of(2, [0]), None, 0)
         assert plan.assignment == (1, 0)
 
     def test_equal_clusters_all_cross(self):
         ca = assignment_of(4, [0, 1])
         for seed in range(40):
-            plan = build_clustered_plan(ca, ExchangeHistory(), seed)
+            plan = build_clustered_plan(ca, None, seed)
             assert sorted(plan.assignment) == [0, 1, 2, 3]
             assert cross_count(ca, plan) == 4
             assert all(plan.assignment[i] != i for i in range(4))
@@ -58,7 +55,7 @@ class TestClusteredPlan:
     def test_three_one_split_exactly_two_cross(self):
         ca = assignment_of(4, [0, 1, 2])
         for seed in range(40):
-            plan = build_clustered_plan(ca, ExchangeHistory(), seed)
+            plan = build_clustered_plan(ca, None, seed)
             # the walk reaches client 0 first, so it consumes the lone
             # cluster-1 decoder; client 3 draws from cluster 0
             assert plan.assignment[0] == 3
@@ -69,18 +66,15 @@ class TestClusteredPlan:
 
     def test_deterministic_given_seed(self):
         ca = assignment_of(7, [0, 2, 4])
-        h = ExchangeHistory()
-        assert build_clustered_plan(ca, h, 123).assignment == build_clustered_plan(
-            ca, h, 123
+        assert build_clustered_plan(ca, None, 123).assignment == build_clustered_plan(
+            ca, None, 123
         ).assignment
 
     def test_history_positionwise_avoidance(self):
         ca = assignment_of(4, [0, 1])
-        prev = build_clustered_plan(ca, ExchangeHistory(), 9)
+        prev = build_clustered_plan(ca, None, 9)
         for seed in range(30):
-            nxt = build_clustered_plan(
-                ca, ExchangeHistory(prev.assignment), seed
-            )
+            nxt = build_clustered_plan(ca, prev.assignment, seed)
             assert all(
                 nxt.assignment[i] != prev.assignment[i] for i in range(4)
             )
@@ -89,7 +83,7 @@ class TestClusteredPlan:
         # two singleton clusters admit only one derangement, so the history
         # constraint cannot be honored and must be dropped
         ca = assignment_of(2, [0])
-        plan = build_clustered_plan(ca, ExchangeHistory((1, 0)), 5)
+        plan = build_clustered_plan(ca, (1, 0), 5)
         assert plan.assignment == (1, 0)
 
     @given(split_strategy)
@@ -100,7 +94,7 @@ class TestClusteredPlan:
         size_0 = int(rng.integers(1, n))
         members_0 = sorted(rng.choice(n, size=size_0, replace=False).tolist())
         ca = assignment_of(n, members_0)
-        plan = build_clustered_plan(ca, ExchangeHistory(), int(rng.integers(2**32)))
+        plan = build_clustered_plan(ca, None, int(rng.integers(2**32)))
         assert sorted(plan.assignment) == list(range(n))
         small = min(len(ca.members_0), len(ca.members_1))
         assert cross_count(ca, plan) == 2 * small
@@ -112,7 +106,7 @@ class TestClusteredPlan:
         # are deranged by rejection sampling
         for seed in range(200):
             ca = assignment_of(5, [0, 1, 2, 3])
-            plan = build_clustered_plan(ca, ExchangeHistory(), seed)
+            plan = build_clustered_plan(ca, None, seed)
             assert all(plan.assignment[i] != i for i in range(5))
 
 

@@ -357,6 +357,9 @@ class TestCli:
                      {"domain_id": "b", "sample_count": 10}]},
         {"rounds": True, "aggregation_frequency": 1},
         {"seeds": [True]},
+        # only a later cell's config is bad: no cell may run before the error
+        {"strategies": ["fedavg_only", "clustered"], "rounds": 5},
+        {"seeds": [0, -1]},
     ])
     def test_malformed_config_is_one_line_error(self, tmp_path, capsys, data):
         cfg_path = tmp_path / "config.json"
@@ -367,6 +370,18 @@ class TestCli:
         assert err.startswith("error:") and err.count("\n") == 1
         # a bad input is reported as such, not as a training divergence
         assert "reduce the learning rate" not in err
+        assert not list(tmp_path.rglob("summary.json"))
+
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_is_one_line_error(self, tmp_path, capsys):
+        # numpy's overflow warnings must not escape main or add lines
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"local": {"learning_rate": 50}}))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite loss at step 4 on d0")
+        assert err.count("\n") == 1
 
     def test_compare_empty_dir_fails(self, tmp_path, capsys):
         assert main(["compare", "--in", str(tmp_path)]) == 2

@@ -13,7 +13,7 @@ from fedswap.clients import (
 )
 from fedswap.clustering import build_distance_matrix, cluster_to_two
 from fedswap.errors import ConfigInvalid, ZeroNormVector
-from fedswap.exchange import ExchangeHistory, build_clustered_plan
+from fedswap.exchange import build_clustered_plan
 from fedswap.params import AggregationWeights, ParamVector, weighted_average
 from fedswap.server import (
     AGGREGATE,
@@ -139,7 +139,6 @@ class TestRunRound:
         assert len(deliveries) == 3
         for d in deliveries:
             assert np.array_equal(d.values, expected.values)
-        assert np.array_equal(state.latest_global_decoder.values, expected.values)
         assert state.trace[-1].decision == AGGREGATE
 
     def test_exchange_round_permutes_uploads(self):
@@ -152,7 +151,7 @@ class TestRunRound:
         assert record.decision == EXCHANGE
         assert sorted(record.plan) == [0, 1, 2, 3]
         assert record.assignment is not None
-        assert state.exchange_history.last_assignment == record.plan
+        assert state.last_plan == record.plan
 
     def test_round_context_attached_to_errors(self):
         uploads = [ParamVector(np.zeros(3) + [1, 0, 0]), ParamVector(np.zeros(3))]
@@ -286,7 +285,7 @@ class TestRunSimulation:
         ]
         ca = cluster_to_two(build_distance_matrix(ups))
         plan = build_clustered_plan(
-            ca, ExchangeHistory(), derive_seed(master, PURPOSES["exchange"], 1)
+            ca, None, derive_seed(master, PURPOSES["exchange"], 1)
         )
         decoders = [ups[plan.assignment[i]] for i in range(3)]
         losses_r1 = tuple(evaluate(decoders[i], replay[i]).loss for i in range(3))
