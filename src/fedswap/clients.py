@@ -72,7 +72,6 @@ class DomainSpec:
 class FrozenBackbone:
     """Shared feature extractor: tanh(x @ W + b), never updated by training."""
 
-    seed: int
     input_dim: int
     feature_dim: int
     weight: np.ndarray
@@ -85,8 +84,7 @@ class FrozenBackbone:
         bias = rng.normal(0.0, _BACKBONE_BIAS_SCALE, size=feature_dim)
         weight.setflags(write=False)
         bias.setflags(write=False)
-        return cls(seed=seed, input_dim=input_dim, feature_dim=feature_dim,
-                   weight=weight, bias=bias)
+        return cls(input_dim=input_dim, feature_dim=feature_dim, weight=weight, bias=bias)
 
     def features(self, x: np.ndarray) -> np.ndarray:
         return np.tanh(x @ self.weight + self.bias)
@@ -101,7 +99,6 @@ class FrozenBackbone:
 class DomainDataset:
     """Train/test splits for one domain, plus the generating head for oracles."""
 
-    domain_id: str
     task: str
     train_x: np.ndarray
     train_y: np.ndarray
@@ -171,7 +168,6 @@ def generate_domain_dataset(
 
     keep = max(1, int(round(spec.sample_count * train_fraction)))
     return DomainDataset(
-        domain_id=spec.domain_id,
         task=task,
         train_x=train_x[:keep].copy(),
         train_y=train_y[:keep].copy(),

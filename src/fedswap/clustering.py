@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidAssignment, OverlappingClusters, TooFewDecoders, ZeroNormVector
-from .params import ParamVector, cosine_distance
+from .errors import InvalidAssignment, OverlappingClusters, TooFewDecoders
+from .params import ParamVector, cosine_distances
 
 __all__ = [
     "DistanceMatrix",
@@ -96,19 +96,9 @@ class MergeStep:
 
 def build_distance_matrix(decoders: Sequence[ParamVector]) -> DistanceMatrix:
     """Pairwise cosine-distance matrix over the uploaded decoders."""
-    n = len(decoders)
-    if n < 2:
-        raise TooFewDecoders(f"need at least two decoders, got {n}")
-    for i, d in enumerate(decoders):
-        if float(np.linalg.norm(d.values)) == 0.0:
-            raise ZeroNormVector(f"decoder {i} has zero norm")
-    entries = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = cosine_distance(decoders[i], decoders[j])
-            entries[i, j] = d
-            entries[j, i] = d
-    return DistanceMatrix(entries)
+    if len(decoders) < 2:
+        raise TooFewDecoders(f"need at least two decoders, got {len(decoders)}")
+    return DistanceMatrix(cosine_distances(decoders))
 
 
 def average_linkage(dm: DistanceMatrix, ci: Sequence[int], cj: Sequence[int]) -> float:

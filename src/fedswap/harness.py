@@ -93,6 +93,10 @@ class ExperimentConfig:
             raise ConfigInvalid(f"unknown task {self.task!r}; expected one of {TASKS}")
         if self.feature_dim < 1:
             raise ConfigInvalid(f"feature_dim must be >= 1, got {self.feature_dim}")
+        if self.test_count < 1:
+            raise ConfigInvalid(f"test_count must be >= 1, got {self.test_count}")
+        if "\0" in self.out_dir:
+            raise ConfigInvalid("out_dir must not contain a null byte")
         if len(self.domains) < 2:
             raise ConfigInvalid("need at least 2 domains")
         ids = [d.domain_id for d in self.domains]

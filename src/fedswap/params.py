@@ -1,4 +1,4 @@
-"""Flat decoder parameter vectors, the pairwise distance metric, and weighted aggregation.
+"""Flat decoder parameter vectors, the cosine-distance kernel, and weighted aggregation.
 
 Every decoder in a simulation is represented as one float64 vector with the
 layout the shared backbone fixes (the linear head, then its bias), so vectors
@@ -7,6 +7,7 @@ from different clients are directly comparable coordinate by coordinate.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,6 +19,7 @@ __all__ = [
     "ParamVector",
     "AggregationWeights",
     "cosine_distance",
+    "cosine_distances",
     "weighted_average",
 ]
 
@@ -85,39 +87,47 @@ class AggregationWeights:
         return int(self.weights.size)
 
 
-def cosine_distance(a: ParamVector, b: ParamVector) -> float:
-    """Cosine distance 1 - (a.b)/(|a||b|), in [0, 2].
+def _common_dim(decoders: Sequence[ParamVector]) -> int:
+    """The one dim every decoder shares; raises for none or a mismatch."""
+    if len(decoders) == 0:
+        raise EmptyInput("no decoders given")
+    dim = decoders[0].dim
+    for i, d in enumerate(decoders):
+        if d.dim != dim:
+            raise DimensionMismatch(f"decoder {i} has dim {d.dim}, expected {dim}")
+    return dim
 
-    Raises ZeroNormVector for a zero-magnitude input: a zero decoder signals
-    a degenerate or untrained model and must not be hidden by a default value.
-    """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dims differ: {a.dim} vs {b.dim}")
-    na = float(np.linalg.norm(a.values))
-    nb = float(np.linalg.norm(b.values))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroNormVector("cosine distance undefined for zero-norm vector")
-    cos = float(np.dot(a.values, b.values)) / (na * nb)
-    # clamp rounding excursions so the result stays in [0, 2] exactly
-    cos = min(1.0, max(-1.0, cos))
-    return 1.0 - cos
+
+def cosine_distances(decoders: Sequence[ParamVector]) -> np.ndarray:
+    """Symmetric matrix of pairwise cosine distances 1 - (a.b)/(|a||b|), in [0, 2].
+
+    One norm per decoder and one np.dot per pair, never a Gram product (it
+    sums in another order), so each entry depends on its own pair alone.
+    Raises ZeroNormVector: a zero decoder signals a degenerate or untrained
+    model and must not be hidden by a default value."""
+    _common_dim(decoders)
+    norms = [float(np.linalg.norm(d.values)) for d in decoders]
+    if 0.0 in norms:
+        raise ZeroNormVector(f"decoder {norms.index(0.0)} has zero norm")
+    out = np.zeros((len(decoders), len(decoders)))
+    for i, j in itertools.combinations(range(len(decoders)), 2):
+        cos = float(np.dot(decoders[i].values, decoders[j].values)) / (norms[i] * norms[j])
+        # clamp rounding excursions so the result stays in [0, 2] exactly
+        out[i, j] = out[j, i] = 1.0 - min(1.0, max(-1.0, cos))
+    return out
+
+
+def cosine_distance(a: ParamVector, b: ParamVector) -> float:
+    """Cosine distance between two decoders: the pair call of cosine_distances."""
+    return float(cosine_distances((a, b))[0, 1])
 
 
 def weighted_average(
     decoders: Sequence[ParamVector], w: AggregationWeights
 ) -> ParamVector:
     """Elementwise weighted average sum_i w_i * g_i of same-dim decoders."""
-    if len(decoders) == 0:
-        raise EmptyInput("no decoders to average")
+    _common_dim(decoders)
     if len(decoders) != len(w):
-        raise DimensionMismatch(
-            f"{len(decoders)} decoders but {len(w)} weights"
-        )
-    dim = decoders[0].dim
-    for i, d in enumerate(decoders):
-        if d.dim != dim:
-            raise DimensionMismatch(f"decoder {i} has dim {d.dim}, expected {dim}")
-    acc = np.zeros(dim, dtype=np.float64)
-    for weight, dec in zip(w.weights, decoders):
-        acc += weight * dec.values
-    return ParamVector(acc)
+        raise DimensionMismatch(f"{len(decoders)} decoders but {len(w)} weights")
+    terms = (weight * dec.values for weight, dec in zip(w.weights, decoders))
+    return ParamVector(sum(terms))

@@ -216,8 +216,6 @@ def run_round(
         ))
         return [uploads[j] for j in plan.assignment]
     except FedswapError as exc:
-        if str(exc).startswith(f"round {r}:"):
-            raise
         raise type(exc)(f"round {r}: {exc}") from exc
 
 

@@ -89,20 +89,39 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError):
             matrix([[0.5, 1], [1, 0]])
 
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=30)
-    def test_matches_pairwise_cosine(self, seed):
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(5, 4), (17, 33), (64, 33)]))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_pairwise_cosine(self, seed, shape):
         from fedswap.params import cosine_distance
 
+        n, dim = shape
         rng = np.random.default_rng(seed)
-        decoders = [ParamVector(rng.normal(size=4)) for _ in range(5)]
+        decoders = [ParamVector(rng.normal(size=dim)) for _ in range(n)]
         dm = build_distance_matrix(decoders)
-        for i in range(5):
-            for j in range(5):
+        for i in range(n):
+            for j in range(n):
                 if i != j:
                     assert dm.entries[i, j] == cosine_distance(
                         decoders[i], decoders[j]
                     )
+
+    def test_scipy_cdist_oracle(self):
+        # an independent formula: scipy's cosine cdist, clipped to [0, 2],
+        # on uploads with scaled duplicates and antiparallel rows
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(2, 65))
+            dim = int(rng.integers(1, 34))
+            values = rng.normal(size=(n, dim))
+            for k in rng.choice(n, size=n // 3, replace=False):
+                sign = rng.choice([-1.0, 1.0])
+                values[k] = sign * rng.uniform(0.01, 100.0) * values[rng.integers(n)]
+            dm = build_distance_matrix([ParamVector(v) for v in values])
+            expected = np.clip(cdist(values, values, "cosine"), 0.0, 2.0)
+            np.fill_diagonal(expected, 0.0)
+            assert np.max(np.abs(dm.entries - expected)) <= 1e-12
 
 
 class TestAverageLinkage:

@@ -3,10 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedswap.cli import main
 from fedswap.clients import DomainSpec, LocalConfig
-from fedswap.errors import ConfigInvalid, MismatchedSeeds
+from fedswap.errors import ConfigInvalid, FedswapError, MismatchedSeeds
 from fedswap.harness import (
     ExperimentConfig,
     ablation_T,
@@ -56,7 +58,54 @@ def tiny_config(**overrides):
     return ExperimentConfig(**defaults)
 
 
+# JSON-shaped config values: each key gets a value of its own JSON type or
+# any nested value. Integers stay small on purpose: a large input_dim is
+# materialised as a shift tuple before any check looks at it.
+_INTS = st.integers(-3, 64)
+_NUMBERS = st.floats() | _INTS
+_WORDS = st.sampled_from(("clustered", "fedavg_only", "fedprox", "random",
+                          "round_robin", "regression", "classification", "d0"))
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=3) | _WORDS,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _json_object(types):
+    """Objects over the optional keys of types, each value of its type or any
+    JSON value; or any JSON value in place of the object."""
+    return st.fixed_dictionaries(
+        {}, optional={key: typed | _JSON for key, typed in types.items()}
+    ) | _JSON
+
+
+_CONFIG = _json_object({
+    "rounds": _INTS, "aggregation_frequency": _INTS, "warmup_rounds": _INTS,
+    "strategies": st.lists(_WORDS, max_size=3), "seeds": st.lists(_INTS, max_size=3),
+    "data_fraction": _NUMBERS, "task": _WORDS, "input_dim": _INTS,
+    "feature_dim": _INTS, "test_count": _INTS, "out_dir": st.text(max_size=3),
+    "local": _json_object({"steps": _INTS, "learning_rate": _NUMBERS,
+                           "batch_size": _INTS, "prox_mu": _NUMBERS}),
+    "domains": st.lists(_json_object({
+        "domain_id": _WORDS | _INTS, "sample_count": _INTS,
+        "shift": _NUMBERS | st.lists(_NUMBERS, max_size=3),
+        "concept_shift": _NUMBERS, "label_noise": _NUMBERS,
+    }), max_size=4),
+})
+
+
 class TestExperimentConfig:
+    @given(_CONFIG)
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_yields_config_or_fedswap_error(self, data):
+        try:
+            cfg = config_from_dict(data)
+        except FedswapError:
+            return
+        assert isinstance(cfg, ExperimentConfig)
+
     def test_validation(self):
         with pytest.raises(ConfigInvalid):
             tiny_config(seeds=())
@@ -360,6 +409,9 @@ class TestCli:
         # only a later cell's config is bad: no cell may run before the error
         {"strategies": ["fedavg_only", "clustered"], "rounds": 5},
         {"seeds": [0, -1]},
+        # both used to get past the config and fail while writing a run
+        {"test_count": 0},
+        {"out_dir": "runs\u0000x"},
     ])
     def test_malformed_config_is_one_line_error(self, tmp_path, capsys, data):
         cfg_path = tmp_path / "config.json"
@@ -371,6 +423,7 @@ class TestCli:
         # a bad input is reported as such, not as a training divergence
         assert "reduce the learning rate" not in err
         assert not list(tmp_path.rglob("summary.json"))
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.filterwarnings("error")
     def test_divergence_is_one_line_error(self, tmp_path, capsys):

@@ -157,8 +157,9 @@ class TestRunRound:
         uploads = [ParamVector(np.zeros(3) + [1, 0, 0]), ParamVector(np.zeros(3))]
         weights = AggregationWeights.from_sizes([1, 1])
         state = ServerState(current_round=1)
-        with pytest.raises(ZeroNormVector, match="round 1:"):
+        with pytest.raises(ZeroNormVector, match="round 1:") as info:
             run_round(state, uploads, weights, self.cfg())
+        assert str(info.value).count("round 1:") == 1
 
     def test_upload_count_checked_against_weights(self):
         state = ServerState(current_round=1)
