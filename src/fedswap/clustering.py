@@ -8,12 +8,12 @@ clusters remain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidAssignment, OverlappingClusters, TooFewDecoders
+from .errors import InvalidAssignment, TooFewDecoders
 from .params import ParamVector, cosine_distances
 
 __all__ = [
@@ -21,9 +21,7 @@ __all__ = [
     "ClusterAssignment",
     "MergeStep",
     "build_distance_matrix",
-    "average_linkage",
     "cluster_to_two",
-    "cluster_to_two_traced",
 ]
 
 
@@ -52,10 +50,23 @@ class DistanceMatrix:
 
 
 @dataclass(frozen=True)
+class MergeStep:
+    """One agglomerative merge: the two clusters joined and their linkage."""
+
+    first: tuple[int, ...]
+    second: tuple[int, ...]
+    linkage: float
+
+
+@dataclass(frozen=True)
 class ClusterAssignment:
-    """A two-block partition of decoder indices, as a binary index list."""
+    """A two-block partition of decoder indices, as a binary index list.
+
+    merges is the agglomeration that produced it, when there was one; it
+    takes no part in equality or hashing."""
 
     index_list: tuple[int, ...]
+    merges: tuple[MergeStep, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         idx = tuple(int(v) for v in self.index_list)
@@ -80,18 +91,11 @@ class ClusterAssignment:
         return tuple(i for i, v in enumerate(self.index_list) if v == 1)
 
     @classmethod
-    def from_members(cls, n: int, members_0: Sequence[int]) -> "ClusterAssignment":
+    def from_members(
+        cls, n: int, members_0: Sequence[int], merges: Sequence[MergeStep] = ()
+    ) -> "ClusterAssignment":
         zero = set(members_0)
-        return cls(tuple(0 if i in zero else 1 for i in range(n)))
-
-
-@dataclass(frozen=True)
-class MergeStep:
-    """One agglomerative merge: the two clusters joined and their linkage."""
-
-    first: tuple[int, ...]
-    second: tuple[int, ...]
-    linkage: float
+        return cls(tuple(0 if i in zero else 1 for i in range(n)), tuple(merges))
 
 
 def build_distance_matrix(decoders: Sequence[ParamVector]) -> DistanceMatrix:
@@ -101,40 +105,19 @@ def build_distance_matrix(decoders: Sequence[ParamVector]) -> DistanceMatrix:
     return DistanceMatrix(cosine_distances(decoders))
 
 
-def average_linkage(dm: DistanceMatrix, ci: Sequence[int], cj: Sequence[int]) -> float:
-    """Mean pairwise distance between two disjoint, non-empty clusters."""
-    a = tuple(ci)
-    b = tuple(cj)
-    if not a or not b:
-        raise OverlappingClusters("clusters must be non-empty")
-    if set(a) & set(b):
-        raise OverlappingClusters(f"clusters overlap: {sorted(set(a) & set(b))}")
-    total = 0.0
-    for u in a:
-        for v in b:
-            total += dm.entries[u, v]
-    return total / (len(a) * len(b))
-
-
 def cluster_to_two(dm: DistanceMatrix) -> ClusterAssignment:
-    """Agglomerate singletons by minimal average linkage until two clusters remain.
+    """Agglomerate singletons by minimal average linkage until two clusters
+    remain; the result carries the merge sequence.
 
     The cluster containing decoder 0 is labeled 0. Ties on the minimal
     linkage are broken toward the lexicographically smallest pair of
     cluster representatives (each cluster's smallest member).
-    """
-    assignment, _ = cluster_to_two_traced(dm)
-    return assignment
-
-
-def cluster_to_two_traced(dm: DistanceMatrix) -> tuple[ClusterAssignment, list[MergeStep]]:
-    """Like cluster_to_two, but also returns the merge sequence.
 
     sums[a, b] is the total distance between the clusters held in slots a
     and b, so a merge is one row add and one column add (Lance & Williams
     1967). A cluster lives in the slot of its smallest member; the diagonal
     and merged-away slots hold inf. The row-major argmin of the linkage is
-    then the tie-break of cluster_to_two.
+    then that tie-break.
     """
     n = dm.n
     if n < 2:
@@ -153,4 +136,4 @@ def cluster_to_two_traced(dm: DistanceMatrix) -> tuple[ClusterAssignment, list[M
         sums[a] += sums[b]
         sums[:, a] += sums[:, b]
         sums[b] = sums[:, b] = np.inf
-    return ClusterAssignment.from_members(n, members[0]), merges
+    return ClusterAssignment.from_members(n, members[0], merges)

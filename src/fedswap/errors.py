@@ -21,10 +21,6 @@ class ManifestMismatch(FedswapError):
     """A decoder's size does not match the backbone's decoder layout."""
 
 
-class OverlappingClusters(FedswapError):
-    """Two clusters passed to a linkage computation share members."""
-
-
 class TooFewDecoders(FedswapError):
     """Clustering requires at least two decoders."""
 

@@ -2,14 +2,18 @@
 
 A run cell is one (strategy, seed) simulation at a given data fraction and
 aggregation frequency. Each cell writes metrics.csv (one row per round,
-warm-up rows flagged) and summary.json. Comparison and ablation outputs
-aggregate final metrics over seeds, never across mismatched configurations.
+warm-up rows flagged) and then summary.json, so a new cell's summary.json
+appears only once the cell is complete. Comparison and ablation outputs aggregate final metrics
+over seeds, never across mismatched configurations. Every file is written
+atomically (see _write_text).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 import reprlib
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
@@ -54,7 +58,18 @@ __all__ = [
 ]
 
 SUMMARY_NAME = "summary.json"
+SUMMARY_SCHEMA = "experiment-summary-v1"
 METRICS_NAME = "metrics.csv"
+# every workload and test uses 3 to 16; the cap rejects a runaway input_dim
+# before any (input_dim,)-long shift tuple or input matrix is built
+MAX_INPUT_DIM = 4096
+
+
+def _check_input_dim(input_dim: int) -> None:
+    if not 1 <= input_dim <= MAX_INPUT_DIM:
+        raise ConfigInvalid(
+            f"input_dim must be in [1, {MAX_INPUT_DIM}], got {input_dim}"
+        )
 
 
 @dataclass(frozen=True)
@@ -79,6 +94,7 @@ class ExperimentConfig:
         object.__setattr__(self, "strategies", tuple(self.strategies))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "domains", tuple(self.domains))
+        _check_input_dim(self.input_dim)
         if not self.seeds:
             raise ConfigInvalid("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
@@ -133,6 +149,7 @@ def default_experiment_config(**overrides) -> ExperimentConfig:
     """Four-domain setup: three well-resourced similar domains plus one
     under-resourced domain with the largest input and concept shift."""
     input_dim = overrides.pop("input_dim", 16)
+    _check_input_dim(input_dim)
 
     def spec(domain_id, count, shift, concept, noise=0.1):
         return DomainSpec(
@@ -220,6 +237,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     _check_section("config", data, _TOP_TYPES)
     kwargs = dict(data)
     input_dim = kwargs.setdefault("input_dim", 16)
+    _check_input_dim(input_dim)
 
     if "local" in kwargs:
         _check_section("local", kwargs["local"], _LOCAL_TYPES)
@@ -248,19 +266,33 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return default_experiment_config(**kwargs)
 
 
-def load_config(path) -> ExperimentConfig:
+def _write_text(path, text: str) -> None:
+    """Write text to a sibling <name>.tmp, then rename it over path: an
+    interrupted process leaves the old file or the new one, never a part.
+    No fsync, so this does not guard against a power loss."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8", newline="")
+    os.replace(tmp, path)
+
+
+def _write_json(path, data) -> None:
+    _write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def _read_json(path):
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_bytes())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ConfigInvalid(f"{path}: not valid JSON ({exc})") from exc
-    return config_from_dict(data)
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(_read_json(path))
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, config_to_dict(cfg))
 
 
 def build_clients(cfg: ExperimentConfig, master_seed: int) -> list[ClientState]:
@@ -302,17 +334,18 @@ def write_metrics_csv(trace: Sequence[RoundRecord], domain_count: int, path) -> 
     """One row per round including flagged warm-up rows; floats via repr so a
     rerun with the same seed is byte-identical."""
     classification = all(r.domain_accuracies is not None for r in trace)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_csv_header(domain_count, classification))
-        for rec in trace:
-            row = [str(rec.round_index), rec.decision]
-            row += [repr(v) for v in rec.domain_losses]
-            row += [repr(rec.avg_loss), repr(rec.std_loss)]
-            if classification:
-                row += [repr(v) for v in rec.domain_accuracies]
-                row += [repr(float(np.mean(rec.domain_accuracies)))]
-            writer.writerow(row)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_csv_header(domain_count, classification))
+    for rec in trace:
+        row = [str(rec.round_index), rec.decision]
+        row += [repr(v) for v in rec.domain_losses]
+        row += [repr(rec.avg_loss), repr(rec.std_loss)]
+        if classification:
+            row += [repr(v) for v in rec.domain_accuracies]
+            row += [repr(float(np.mean(rec.domain_accuracies)))]
+        writer.writerow(row)
+    _write_text(path, buf.getvalue())
 
 
 def _summarize(
@@ -326,7 +359,7 @@ def _summarize(
     losses = list(final.domain_losses)
     worst = int(np.argmax(losses))
     summary = {
-        "schema": "experiment-summary-v1",
+        "schema": SUMMARY_SCHEMA,
         "strategy": strategy,
         "seed": seed,
         "rounds": cfg.rounds,
@@ -362,8 +395,12 @@ def run_cell(
     return trace, _summarize(cfg, strategy, seed, clients, trace)
 
 
+def _out_root(cfg: ExperimentConfig, out_dir) -> Path:
+    return Path(out_dir if out_dir is not None else cfg.out_dir)
+
+
 def cell_dir(cfg: ExperimentConfig, strategy: str, seed: int, out_dir=None) -> Path:
-    root = Path(out_dir if out_dir is not None else cfg.out_dir)
+    root = _out_root(cfg, out_dir)
     t = cfg.effective_frequency(strategy)
     return root / f"{strategy}_T{t}_f{cfg.data_fraction:g}" / f"seed_{seed}"
 
@@ -376,9 +413,7 @@ def _run_cells(cfg: ExperimentConfig, root: Path) -> list[dict]:
             cell = cell_dir(cfg, strategy, seed, root)
             cell.mkdir(parents=True, exist_ok=True)
             write_metrics_csv(trace, len(cfg.domains), cell / METRICS_NAME)
-            with open(cell / SUMMARY_NAME, "w") as fh:
-                json.dump(summary, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _write_json(cell / SUMMARY_NAME, summary)
             summaries.append(summary)
     return summaries
 
@@ -386,7 +421,7 @@ def _run_cells(cfg: ExperimentConfig, root: Path) -> list[dict]:
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> list[dict]:
     """Run every (strategy, seed) cell, write per-cell metrics.csv and
     summary.json, and a comparison when more than one strategy ran."""
-    root = Path(out_dir if out_dir is not None else cfg.out_dir)
+    root = _out_root(cfg, out_dir)
     root.mkdir(parents=True, exist_ok=True)
     save_config(cfg, root / "config.json")
     summaries = _run_cells(cfg, root)
@@ -402,8 +437,10 @@ def collect_summaries(root) -> list[dict]:
         raise ConfigInvalid(f"no {SUMMARY_NAME} files under {root}")
     out = []
     for p in paths:
-        with open(p) as fh:
-            out.append(json.load(fh))
+        summary = _read_json(p)
+        if not isinstance(summary, dict) or summary.get("schema") != SUMMARY_SCHEMA:
+            raise ConfigInvalid(f"{p}: not an {SUMMARY_SCHEMA} file")
+        out.append(summary)
     return out
 
 
@@ -508,11 +545,8 @@ def render_comparison_text(comparison: dict) -> str:
 
 
 def write_comparison(comparison: dict, root: Path) -> None:
-    with open(root / "comparison.json", "w") as fh:
-        json.dump(comparison, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(root / "comparison.txt", "w") as fh:
-        fh.write(render_comparison_text(comparison))
+    _write_json(root / "comparison.json", comparison)
+    _write_text(root / "comparison.txt", render_comparison_text(comparison))
 
 
 def ablation_T(
@@ -526,7 +560,7 @@ def ablation_T(
     # building every per-T config checks each T before any cell runs
     subs = [replace(cfg, strategies=("clustered",), aggregation_frequency=t)
             for t in t_values]
-    root = Path(out_dir if out_dir is not None else cfg.out_dir)
+    root = _out_root(cfg, out_dir)
     root.mkdir(parents=True, exist_ok=True)
 
     entries = []
@@ -547,9 +581,7 @@ def ablation_T(
         "best_mean_avg_loss": best,
         "relative_spread": (worst - best) / best if best > 0 else float("nan"),
     }
-    with open(root / "ablation_t.json", "w") as fh:
-        json.dump(table, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(root / "ablation_t.json", table)
     lines = ["T  mean_avg_loss  mean_worst_loss  mean_std_loss"]
     for e in entries:
         lines.append(
@@ -557,6 +589,5 @@ def ablation_T(
             f"{e['mean_worst_domain_loss']:<16.6f} {e['mean_std_loss']:.6f}"
         )
     lines.append(f"relative spread of mean_avg_loss: {table['relative_spread']:.4f}")
-    with open(root / "ablation_t.txt", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(root / "ablation_t.txt", "\n".join(lines) + "\n")
     return table

@@ -18,7 +18,6 @@ from .errors import DimensionMismatch, EmptyInput, ZeroNormVector
 __all__ = [
     "ParamVector",
     "AggregationWeights",
-    "cosine_distance",
     "cosine_distances",
     "weighted_average",
 ]
@@ -115,11 +114,6 @@ def cosine_distances(decoders: Sequence[ParamVector]) -> np.ndarray:
         # clamp rounding excursions so the result stays in [0, 2] exactly
         out[i, j] = out[j, i] = 1.0 - min(1.0, max(-1.0, cos))
     return out
-
-
-def cosine_distance(a: ParamVector, b: ParamVector) -> float:
-    """Cosine distance between two decoders: the pair call of cosine_distances."""
-    return float(cosine_distances((a, b))[0, 1])
 
 
 def weighted_average(

@@ -5,14 +5,13 @@ Each test prints one PASS/FAIL line to the real terminal so the gate is
 readable straight from the pytest run.
 """
 
-import itertools
 import time
 
 import numpy as np
 import pytest
 
 from fedswap.clients import decoder_loss, decoder_loss_and_gradient
-from fedswap.clustering import ClusterAssignment, DistanceMatrix, average_linkage, cluster_to_two_traced
+from fedswap.clustering import ClusterAssignment, DistanceMatrix, cluster_to_two
 from fedswap.exchange import build_clustered_plan
 from fedswap.harness import (
     build_clients,
@@ -22,8 +21,9 @@ from fedswap.harness import (
     run_cell,
     run_experiment,
 )
-from fedswap.params import ParamVector, cosine_distance
+from fedswap.params import ParamVector, cosine_distances
 from fedswap.server import AGGREGATE, schedule_decision
+from linkage_oracle import oracle_linkage, oracle_merge_to_two
 
 SEEDS = tuple(range(10))
 
@@ -63,20 +63,8 @@ def finals(cells, key, field="avg_loss"):
     return np.array([s["final"][field] for s in cells["summaries"][key]])
 
 
-def oracle_merges(entries, n):
-    clusters = [frozenset([i]) for i in range(n)]
-    merges = []
-    while len(clusters) > 2:
-        best = None
-        for a, b in itertools.combinations(clusters, 2):
-            link = sum(entries[u][v] for u in a for v in b) / (len(a) * len(b))
-            key = (link, tuple(sorted((min(a), min(b)))))
-            if best is None or key < best[0]:
-                best = (key, a, b)
-        _, a, b = best
-        merges.append((a, b, best[0][0]))
-        clusters = [c for c in clusters if c not in (a, b)] + [a | b]
-    return clusters, merges
+def pair_distance(a, b):
+    return cosine_distances((a, b))[0, 1]
 
 
 def test_criterion_01_clustering_matches_exhaustive_oracle(capsys):
@@ -89,10 +77,10 @@ def test_criterion_01_clustering_matches_exhaustive_oracle(capsys):
         iu = np.triu_indices(n, k=1)
         m[iu] = rng.uniform(0.01, 2.0, size=len(iu[0]))
         dm = DistanceMatrix(m + m.T)
-        ca, merges = cluster_to_two_traced(dm)
-        oracle_clusters, oracle_steps = oracle_merges(dm.entries, n)
-        assert len(merges) == len(oracle_steps)
-        for step, (a, b, link) in zip(merges, oracle_steps):
+        ca = cluster_to_two(dm)
+        oracle_clusters, oracle_steps = oracle_merge_to_two(dm.entries, n)
+        assert len(ca.merges) == len(oracle_steps)
+        for step, (a, b, link) in zip(ca.merges, oracle_steps):
             assert {frozenset(step.first), frozenset(step.second)} == {a, b}
             assert abs(step.linkage - link) <= 1e-12
         assert {frozenset(ca.members_0), frozenset(ca.members_1)} == set(
@@ -108,13 +96,13 @@ def test_criterion_01_clustering_matches_exhaustive_oracle(capsys):
 
 
 def test_criterion_02_distance_and_linkage_numerics(capsys):
-    assert cosine_distance(
+    assert pair_distance(
         ParamVector(np.array([1.0, 0.0])), ParamVector(np.array([1.0, 0.0]))
     ) == 0.0
-    assert cosine_distance(
+    assert pair_distance(
         ParamVector(np.array([1.0, 0.0])), ParamVector(np.array([0.0, 1.0]))
     ) == 1.0
-    assert cosine_distance(
+    assert pair_distance(
         ParamVector(np.array([1.0, 0.0])), ParamVector(np.array([-1.0, 0.0]))
     ) == 2.0
 
@@ -126,32 +114,32 @@ def test_criterion_02_distance_and_linkage_numerics(capsys):
         c = float(rng.uniform(1e-3, 1e3))
         pa, pb = ParamVector(a), ParamVector(b)
         worst_sym = max(
-            worst_sym, abs(cosine_distance(pa, pb) - cosine_distance(pb, pa))
+            worst_sym, abs(pair_distance(pa, pb) - pair_distance(pb, pa))
         )
         worst_scale = max(
             worst_scale,
-            abs(cosine_distance(ParamVector(c * a), pb) - cosine_distance(pa, pb)),
+            abs(pair_distance(ParamVector(c * a), pb) - pair_distance(pa, pb)),
         )
 
-    worst_link = 0.0
+    worst_link, links = 0.0, 0
     for _ in range(200):
         n = int(rng.integers(3, 9))
         m = np.zeros((n, n))
         iu = np.triu_indices(n, k=1)
         m[iu] = rng.uniform(0.0, 2.0, size=len(iu[0]))
         dm = DistanceMatrix(m + m.T)
-        members = list(rng.permutation(n))
-        cut = int(rng.integers(1, n))
-        ci, cj = members[:cut], members[cut:]
-        direct = sum(dm.entries[u, v] for u in ci for v in cj) / (len(ci) * len(cj))
-        worst_link = max(worst_link, abs(average_linkage(dm, ci, cj) - direct))
+        # each merge's incrementally kept linkage against the direct double sum
+        for step in cluster_to_two(dm).merges:
+            direct = oracle_linkage(dm.entries, step.first, step.second)
+            worst_link = max(worst_link, abs(step.linkage - direct))
+            links += 1
 
     ok = worst_sym <= 1e-9 and worst_scale <= 1e-9 and worst_link <= 1e-12
     report(
         capsys, 2, ok,
         f"distance identities exact; symmetry dev {worst_sym:.1e}, scale dev "
         f"{worst_scale:.1e} (tol 1e-9); linkage vs double sum {worst_link:.1e} "
-        f"(tol 1e-12) over 1000/200 probes",
+        f"(tol 1e-12) over 1000 pairs and {links} merges of 200 matrices",
     )
 
 

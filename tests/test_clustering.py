@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,18 +6,12 @@ from hypothesis import strategies as st
 from fedswap.clustering import (
     ClusterAssignment,
     DistanceMatrix,
-    average_linkage,
     build_distance_matrix,
     cluster_to_two,
-    cluster_to_two_traced,
 )
-from fedswap.errors import (
-    InvalidAssignment,
-    OverlappingClusters,
-    TooFewDecoders,
-    ZeroNormVector,
-)
-from fedswap.params import ParamVector
+from fedswap.errors import InvalidAssignment, TooFewDecoders, ZeroNormVector
+from fedswap.params import ParamVector, cosine_distances
+from linkage_oracle import oracle_linkage, oracle_merge_to_two
 
 
 def vec(*values):
@@ -35,28 +27,6 @@ def random_matrix(rng, n):
     iu = np.triu_indices(n, k=1)
     m[iu] = rng.uniform(0.01, 2.0, size=len(iu[0]))
     return DistanceMatrix(m + m.T)
-
-
-def oracle_linkage(entries, ci, cj):
-    return sum(entries[u][v] for u in ci for v in cj) / (len(ci) * len(cj))
-
-
-def oracle_merge_to_two(entries, n):
-    """Independent agglomerative reference: frozensets, full rescan each step,
-    ties broken by the sorted pair of cluster minima."""
-    clusters = [frozenset([i]) for i in range(n)]
-    merges = []
-    while len(clusters) > 2:
-        best = None
-        for a, b in itertools.combinations(clusters, 2):
-            link = oracle_linkage(entries, a, b)
-            key = (link, tuple(sorted((min(a), min(b)))))
-            if best is None or key < best[0]:
-                best = (key, a, b)
-        _, a, b = best
-        merges.append((a, b, best[0][0]))
-        clusters = [c for c in clusters if c not in (a, b)] + [a | b]
-    return clusters, merges
 
 
 class TestDistanceMatrix:
@@ -92,8 +62,6 @@ class TestDistanceMatrix:
     @given(st.integers(0, 2**32 - 1), st.sampled_from([(5, 4), (17, 33), (64, 33)]))
     @settings(max_examples=30, deadline=None)
     def test_matches_pairwise_cosine(self, seed, shape):
-        from fedswap.params import cosine_distance
-
         n, dim = shape
         rng = np.random.default_rng(seed)
         decoders = [ParamVector(rng.normal(size=dim)) for _ in range(n)]
@@ -101,9 +69,9 @@ class TestDistanceMatrix:
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    assert dm.entries[i, j] == cosine_distance(
-                        decoders[i], decoders[j]
-                    )
+                    assert dm.entries[i, j] == cosine_distances(
+                        (decoders[i], decoders[j])
+                    )[0, 1]
 
     def test_scipy_cdist_oracle(self):
         # an independent formula: scipy's cosine cdist, clipped to [0, 2],
@@ -122,48 +90,6 @@ class TestDistanceMatrix:
             expected = np.clip(cdist(values, values, "cosine"), 0.0, 2.0)
             np.fill_diagonal(expected, 0.0)
             assert np.max(np.abs(dm.entries - expected)) <= 1e-12
-
-
-class TestAverageLinkage:
-    def test_singleton_pair(self):
-        dm = matrix([[0, 1], [1, 0]])
-        assert average_linkage(dm, (0,), (1,)) == 1.0
-
-    def test_hand_summed_example(self):
-        d = 1 - 1 / np.sqrt(2)
-        entries = np.array([[0, 1, d], [1, 0, 1], [d, 1, 0]])
-        dm = DistanceMatrix(entries)
-        assert average_linkage(dm, (0,), (1, 2)) == pytest.approx(
-            (1 + d) / 2, abs=1e-12
-        )
-
-    def test_constant_cross_block(self):
-        d = 0.7
-        entries = np.full((4, 4), d)
-        np.fill_diagonal(entries, 0.0)
-        entries[0, 1] = entries[1, 0] = 0.1
-        entries[2, 3] = entries[3, 2] = 0.1
-        dm = DistanceMatrix(entries)
-        assert average_linkage(dm, (0, 1), (2, 3)) == pytest.approx(d, abs=1e-15)
-
-    def test_overlap_and_empty_raise(self):
-        dm = matrix([[0, 1], [1, 0]])
-        with pytest.raises(OverlappingClusters):
-            average_linkage(dm, (0,), (0, 1))
-        with pytest.raises(OverlappingClusters):
-            average_linkage(dm, (), (1,))
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=50)
-    def test_matches_double_sum(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(4, 8))
-        dm = random_matrix(rng, n)
-        members = list(rng.permutation(n))
-        cut = int(rng.integers(1, n))
-        ci, cj = members[:cut], members[cut:]
-        expected = oracle_linkage(dm.entries, ci, cj)
-        assert average_linkage(dm, ci, cj) == pytest.approx(expected, abs=1e-12)
 
 
 class TestClusterAssignment:
@@ -240,7 +166,7 @@ class TestClusterToTwo:
         # all distances equal: merges must follow the lexicographic tie-break
         entries = np.full((4, 4), 1.0)
         np.fill_diagonal(entries, 0.0)
-        _, merges = cluster_to_two_traced(DistanceMatrix(entries))
+        merges = cluster_to_two(DistanceMatrix(entries)).merges
         assert [set(m.first) | set(m.second) for m in merges] == [{0, 1}, {0, 1, 2}]
 
     def test_oracle_equivalence_random_instances(self):
@@ -248,7 +174,8 @@ class TestClusterToTwo:
         for _ in range(100):
             n = int(rng.integers(2, 8))
             dm = random_matrix(rng, n)
-            ca, merges = cluster_to_two_traced(dm)
+            ca = cluster_to_two(dm)
+            merges = ca.merges
             oracle_clusters, oracle_merges = oracle_merge_to_two(dm.entries, n)
             assert len(merges) == len(oracle_merges)
             for step, (a, b, link) in zip(merges, oracle_merges):
@@ -285,16 +212,17 @@ class TestClusterToTwo:
         rng = np.random.default_rng(256)
         for n in (8, 9, 16, 31, 32, 50, 64, 65, 100, 128, 150, 200, 255, 256, 256):
             dm = random_matrix(rng, n)
-            ca, merges = cluster_to_two_traced(dm)
+            ca = cluster_to_two(dm)
             labels = fcluster(
                 linkage(squareform(dm.entries, checks=False), method="average"),
                 t=2, criterion="maxclust",
             )
             assert ca.index_list == tuple(0 if v == labels[0] else 1 for v in labels)
             assert ca == cluster_to_two(dm)
-            for step in merges:
+            assert len(ca.merges) == n - 2
+            for step in ca.merges:
                 assert step.linkage == pytest.approx(
-                    average_linkage(dm, step.first, step.second), abs=1e-12
+                    oracle_linkage(dm.entries, step.first, step.second), abs=1e-12
                 )
 
     def test_determinism(self):

@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from fedswap.cli import main
 from fedswap.clients import DomainSpec, LocalConfig
 from fedswap.errors import ConfigInvalid, FedswapError, MismatchedSeeds
 from fedswap.harness import (
+    MAX_INPUT_DIM,
     ExperimentConfig,
     ablation_T,
     build_clients,
@@ -59,8 +62,9 @@ def tiny_config(**overrides):
 
 
 # JSON-shaped config values: each key gets a value of its own JSON type or
-# any nested value. Integers stay small on purpose: a large input_dim is
-# materialised as a shift tuple before any check looks at it.
+# any nested value. Integers stay small, except input_dim: it is checked
+# against MAX_INPUT_DIM before any shift tuple is built, so a huge one must be
+# rejected at once.
 _INTS = st.integers(-3, 64)
 _NUMBERS = st.floats() | _INTS
 _WORDS = st.sampled_from(("clustered", "fedavg_only", "fedprox", "random",
@@ -84,7 +88,8 @@ def _json_object(types):
 _CONFIG = _json_object({
     "rounds": _INTS, "aggregation_frequency": _INTS, "warmup_rounds": _INTS,
     "strategies": st.lists(_WORDS, max_size=3), "seeds": st.lists(_INTS, max_size=3),
-    "data_fraction": _NUMBERS, "task": _WORDS, "input_dim": _INTS,
+    "data_fraction": _NUMBERS, "task": _WORDS,
+    "input_dim": _INTS | st.integers(MAX_INPUT_DIM - 1, 10**18),
     "feature_dim": _INTS, "test_count": _INTS, "out_dir": st.text(max_size=3),
     "local": _json_object({"steps": _INTS, "learning_rate": _NUMBERS,
                            "batch_size": _INTS, "prox_mu": _NUMBERS}),
@@ -260,6 +265,24 @@ class TestRunExperiment:
         assert float(last[5]) == summaries[0]["final"]["avg_loss"]
         assert summaries[0]["final"]["round"] == cfg.rounds
 
+    def test_failed_rewrite_keeps_the_old_summary(self, tmp_path, monkeypatch):
+        cfg = tiny_config(seeds=(0,), strategies=("clustered",))
+        run_experiment(cfg, tmp_path)
+        summary = tmp_path / "clustered_T2_f1" / "seed_0" / "summary.json"
+        before = summary.read_bytes()
+        real_replace = os.replace
+
+        def replace_failing_on_summary(src, dst):
+            if os.path.basename(dst) == "summary.json":
+                raise OSError("interrupted")
+            real_replace(src, dst)
+
+        monkeypatch.setattr("fedswap.harness.os.replace", replace_failing_on_summary)
+        with pytest.raises(OSError, match="interrupted"):
+            run_experiment(tiny_config(seeds=(0,), strategies=("clustered",),
+                                       rounds=2), tmp_path)
+        assert summary.read_bytes() == before
+
 
 class TestCompareStrategies:
     def fake_summary(self, strategy, seed, avg, worst=None, freq=1, fraction=1.0):
@@ -412,6 +435,7 @@ class TestCli:
         # both used to get past the config and fail while writing a run
         {"test_count": 0},
         {"out_dir": "runs\u0000x"},
+        {"input_dim": 0},
     ])
     def test_malformed_config_is_one_line_error(self, tmp_path, capsys, data):
         cfg_path = tmp_path / "config.json"
@@ -435,6 +459,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite loss at step 4 on d0")
         assert err.count("\n") == 1
+
+    def test_huge_input_dim_fails_fast(self, tmp_path, capsys):
+        # rejected before a (10**9,)-long shift tuple is built
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"input_dim": 10**9}))
+        t0 = time.perf_counter()
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")])
+        elapsed = time.perf_counter() - t0
+        assert code == 2 and elapsed < 0.1
+        err = capsys.readouterr().err
+        assert err.startswith("error: input_dim") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:200],
+        lambda text: "{}",
+    ], ids=["cut_to_200_bytes", "not_a_summary"])
+    def test_compare_damaged_summary_is_one_line_error(self, tmp_path, capsys, damage):
+        run_experiment(tiny_config(seeds=(0,)), tmp_path)
+        summary = tmp_path / "clustered_T2_f1" / "seed_0" / "summary.json"
+        summary.write_text(damage(summary.read_text()))
+        assert main(["compare", "--in", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {summary}:") and err.count("\n") == 1
 
     def test_compare_empty_dir_fails(self, tmp_path, capsys):
         assert main(["compare", "--in", str(tmp_path)]) == 2

@@ -7,9 +7,14 @@ from fedswap.errors import DimensionMismatch, EmptyInput, ZeroNormVector
 from fedswap.params import (
     AggregationWeights,
     ParamVector,
-    cosine_distance,
+    cosine_distances,
     weighted_average,
 )
+
+
+def pair_distance(a, b):
+    """Cosine distance of one pair: the off-diagonal entry of cosine_distances."""
+    return cosine_distances((a, b))[0, 1]
 
 
 def vec(*values):
@@ -51,33 +56,33 @@ class TestParamVector:
 
 class TestCosineDistance:
     def test_identical_vectors(self):
-        assert cosine_distance(vec(1, 0), vec(1, 0)) == 0.0
+        assert pair_distance(vec(1, 0), vec(1, 0)) == 0.0
 
     def test_orthogonal_vectors(self):
-        assert cosine_distance(vec(1, 0), vec(0, 1)) == 1.0
+        assert pair_distance(vec(1, 0), vec(0, 1)) == 1.0
 
     def test_antiparallel_vectors(self):
-        assert cosine_distance(vec(1, 0), vec(-1, 0)) == 2.0
+        assert pair_distance(vec(1, 0), vec(-1, 0)) == 2.0
 
     def test_zero_norm_raises(self):
         with pytest.raises(ZeroNormVector):
-            cosine_distance(vec(0, 0), vec(1, 0))
+            pair_distance(vec(0, 0), vec(1, 0))
         with pytest.raises(ZeroNormVector):
-            cosine_distance(vec(1, 0), vec(0, 0))
+            pair_distance(vec(1, 0), vec(0, 0))
 
     def test_dim_mismatch_raises(self):
         with pytest.raises(DimensionMismatch):
-            cosine_distance(vec(1, 0), vec(1, 0, 0))
+            pair_distance(vec(1, 0), vec(1, 0, 0))
 
     @given(finite_vectors())
     def test_self_distance_is_zero(self, arr):
-        assert abs(cosine_distance(ParamVector(arr), ParamVector(arr))) <= 1e-12
+        assert abs(pair_distance(ParamVector(arr), ParamVector(arr))) <= 1e-12
 
     @given(finite_vectors(min_dim=4, max_dim=4), finite_vectors(min_dim=4, max_dim=4))
     def test_symmetry_and_range(self, a, b):
         pa, pb = ParamVector(a), ParamVector(b)
-        d = cosine_distance(pa, pb)
-        assert d == cosine_distance(pb, pa)
+        d = pair_distance(pa, pb)
+        assert d == pair_distance(pb, pa)
         assert 0.0 <= d <= 2.0
 
     @given(
@@ -89,8 +94,8 @@ class TestCosineDistance:
         if np.linalg.norm(b) <= 1e-6:
             b = b + 1.0
         pa, pb = ParamVector(a), ParamVector(b)
-        d0 = cosine_distance(pa, pb)
-        d1 = cosine_distance(ParamVector(c * a), pb)
+        d0 = pair_distance(pa, pb)
+        d1 = pair_distance(ParamVector(c * a), pb)
         assert abs(d0 - d1) <= 1e-9
 
     def test_scale_invariance_batch(self):
@@ -100,8 +105,8 @@ class TestCosineDistance:
             a = rng.normal(size=dim)
             b = rng.normal(size=dim)
             c = float(rng.uniform(0.01, 100.0))
-            d0 = cosine_distance(ParamVector(a), ParamVector(b))
-            d1 = cosine_distance(ParamVector(c * a), ParamVector(b))
+            d0 = pair_distance(ParamVector(a), ParamVector(b))
+            d1 = pair_distance(ParamVector(c * a), ParamVector(b))
             assert abs(d0 - d1) <= 1e-9
 
 
