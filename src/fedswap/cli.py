@@ -45,9 +45,8 @@ def _cmd_run(args) -> int:
     summaries = run_experiment(cfg)
     root = Path(cfg.out_dir)
     print(f"wrote {len(summaries)} run(s) under {root}")
-    comparison = root / "comparison.txt"
-    if comparison.exists():
-        print(comparison.read_text(), end="")
+    if len(cfg.strategies) > 1:
+        print((root / "comparison.txt").read_text(), end="")
     return 0
 
 

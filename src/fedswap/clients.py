@@ -4,7 +4,7 @@ Each client holds a synthetic domain dataset, a reference to the shared
 frozen backbone (a fixed random affine map plus tanh), and a flat linear
 decoder over the backbone features. Local training is plain mini-batch
 gradient descent on a convex loss, optionally with a proximal pull toward
-the latest global decoder.
+the decoder the round starts from: under fedprox, the latest global decoder.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidSpec, ManifestMismatch, NonFiniteLoss
+from .errors import ConfigInvalid, InvalidInput, NonFiniteLoss
 from .params import ParamVector
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "ClientState",
     "EvalResult",
     "generate_domain_dataset",
-    "decoder_loss",
     "decoder_loss_and_gradient",
     "local_train",
     "local_train_fedprox",
@@ -52,20 +51,20 @@ class DomainSpec:
     def __post_init__(self):
         object.__setattr__(self, "shift", tuple(float(v) for v in self.shift))
         if self.sample_count < 1:
-            raise InvalidSpec(f"{self.domain_id}: sample_count must be >= 1")
+            raise ConfigInvalid(f"{self.domain_id}: sample_count must be >= 1")
         if self.input_dim < 1:
-            raise InvalidSpec(f"{self.domain_id}: input_dim must be >= 1")
+            raise ConfigInvalid(f"{self.domain_id}: input_dim must be >= 1")
         if len(self.shift) != self.input_dim:
-            raise InvalidSpec(
+            raise ConfigInvalid(
                 f"{self.domain_id}: shift has length {len(self.shift)}, "
                 f"expected {self.input_dim}"
             )
         if not np.all(np.isfinite(self.shift + (self.concept_shift, self.label_noise))):
-            raise InvalidSpec(
+            raise ConfigInvalid(
                 f"{self.domain_id}: shift, concept_shift and label_noise must be finite"
             )
         if self.concept_shift < 0 or self.label_noise < 0:
-            raise InvalidSpec(f"{self.domain_id}: shift magnitudes must be >= 0")
+            raise ConfigInvalid(f"{self.domain_id}: shift magnitudes must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,13 +131,13 @@ def generate_domain_dataset(
     a prefix of the full one and the test split is unaffected.
     """
     if task not in TASKS:
-        raise InvalidSpec(f"unknown task {task!r}")
+        raise ConfigInvalid(f"unknown task {task!r}")
     if not 0.0 < train_fraction <= 1.0:
-        raise InvalidSpec(f"train_fraction must be in (0, 1], got {train_fraction}")
+        raise ConfigInvalid(f"train_fraction must be in (0, 1], got {train_fraction}")
     if test_count < 1:
-        raise InvalidSpec("test_count must be >= 1")
+        raise ConfigInvalid("test_count must be >= 1")
     if spec.input_dim != backbone.input_dim:
-        raise InvalidSpec(
+        raise ConfigInvalid(
             f"{spec.domain_id}: input_dim {spec.input_dim} does not match "
             f"backbone input_dim {backbone.input_dim}"
         )
@@ -188,11 +187,11 @@ class LocalConfig:
 
     def __post_init__(self):
         if self.steps < 0:
-            raise InvalidSpec("steps must be >= 0")
+            raise ConfigInvalid("steps must be >= 0")
         if not np.isfinite(self.learning_rate) or not np.isfinite(self.prox_mu):
-            raise InvalidSpec("learning_rate and prox_mu must be finite")
+            raise ConfigInvalid("learning_rate and prox_mu must be finite")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.prox_mu < 0:
-            raise InvalidSpec("invalid local training configuration")
+            raise ConfigInvalid("invalid local training configuration")
 
 
 @dataclass(eq=False)
@@ -234,23 +233,6 @@ def _mean_loss(s: np.ndarray, labels: np.ndarray, task: str) -> float:
     return float(np.mean(np.logaddexp(0.0, -labels * s)))
 
 
-def decoder_loss(
-    theta: np.ndarray,
-    features: np.ndarray,
-    labels: np.ndarray,
-    task: str,
-    anchor: Optional[np.ndarray] = None,
-    mu: float = 0.0,
-) -> float:
-    """Mean squared error (regression) or mean logistic loss (classification),
-    plus an optional proximal penalty (mu/2)*|theta - anchor|^2."""
-    loss = _mean_loss(_scores(theta, features), labels, task)
-    if mu > 0.0 and anchor is not None:
-        diff = theta - anchor
-        loss += 0.5 * mu * float(np.dot(diff, diff))
-    return loss
-
-
 def decoder_loss_and_gradient(
     theta: np.ndarray,
     features: np.ndarray,
@@ -259,8 +241,9 @@ def decoder_loss_and_gradient(
     anchor: Optional[np.ndarray] = None,
     mu: float = 0.0,
 ) -> tuple[float, np.ndarray]:
-    """decoder_loss and its exact gradient with respect to theta, from one
-    computation of the scores."""
+    """Mean squared error (regression) or mean logistic loss (classification),
+    plus an optional proximal penalty (mu/2)*|theta - anchor|^2, and its exact
+    gradient with respect to theta, from one computation of the scores."""
     s = _scores(theta, features)
     loss = _mean_loss(s, labels, task)
     batch = features.shape[0]
@@ -291,7 +274,7 @@ def _run_steps(
 ) -> ParamVector:
     expected = client.backbone.decoder_dim
     if decoder.dim != expected:
-        raise ManifestMismatch(
+        raise InvalidInput(
             f"decoder dim {decoder.dim} does not match the backbone's decoder dim "
             f"{expected}"
         )
@@ -329,16 +312,12 @@ def local_train(decoder: ParamVector, client: ClientState, derived_seed: int) ->
 
 
 def local_train_fedprox(
-    decoder: ParamVector,
-    client: ClientState,
-    global_anchor: ParamVector,
-    mu: float,
-    derived_seed: int,
+    decoder: ParamVector, client: ClientState, derived_seed: int
 ) -> ParamVector:
-    """Local training with an added proximal gradient term mu * (theta - anchor)."""
-    if mu < 0:
-        raise InvalidSpec("mu must be >= 0")
-    return _run_steps(decoder, client, derived_seed, global_anchor.values, mu)
+    """local_train plus FedProx's proximal gradient term mu * (theta - anchor),
+    with mu = client.config.prox_mu and the starting decoder as the anchor."""
+    return _run_steps(decoder, client, derived_seed, decoder.values,
+                      client.config.prox_mu)
 
 
 def evaluate(decoder: ParamVector, client: ClientState) -> EvalResult:

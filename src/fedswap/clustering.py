@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidAssignment, TooFewDecoders
+from .errors import InvalidInput
 from .params import ParamVector, cosine_distances
 
 __all__ = [
@@ -34,13 +34,13 @@ class DistanceMatrix:
     def __post_init__(self):
         arr = np.array(self.entries, dtype=np.float64, copy=True)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"distance matrix must be square, got {arr.shape}")
+            raise InvalidInput(f"distance matrix must be square, got {arr.shape}")
         if not np.array_equal(arr, arr.T):
-            raise ValueError("distance matrix must be symmetric")
+            raise InvalidInput("distance matrix must be symmetric")
         if np.any(np.diag(arr) != 0.0):
-            raise ValueError("distance matrix diagonal must be zero")
+            raise InvalidInput("distance matrix diagonal must be zero")
         if np.any(arr < 0.0) or np.any(arr > 2.0):
-            raise ValueError("distances must lie in [0, 2]")
+            raise InvalidInput("distances must lie in [0, 2]")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -71,11 +71,11 @@ class ClusterAssignment:
     def __post_init__(self):
         idx = tuple(int(v) for v in self.index_list)
         if len(idx) < 2:
-            raise InvalidAssignment("an assignment needs at least two decoders")
+            raise InvalidInput("an assignment needs at least two decoders")
         if any(v not in (0, 1) for v in idx):
-            raise InvalidAssignment("index list entries must be 0 or 1")
+            raise InvalidInput("index list entries must be 0 or 1")
         if all(v == 0 for v in idx) or all(v == 1 for v in idx):
-            raise InvalidAssignment("both clusters must be non-empty")
+            raise InvalidInput("both clusters must be non-empty")
         object.__setattr__(self, "index_list", idx)
 
     @property
@@ -101,7 +101,7 @@ class ClusterAssignment:
 def build_distance_matrix(decoders: Sequence[ParamVector]) -> DistanceMatrix:
     """Pairwise cosine-distance matrix over the uploaded decoders."""
     if len(decoders) < 2:
-        raise TooFewDecoders(f"need at least two decoders, got {len(decoders)}")
+        raise InvalidInput(f"need at least two decoders, got {len(decoders)}")
     return DistanceMatrix(cosine_distances(decoders))
 
 
@@ -121,7 +121,7 @@ def cluster_to_two(dm: DistanceMatrix) -> ClusterAssignment:
     """
     n = dm.n
     if n < 2:
-        raise TooFewDecoders(f"need at least two decoders, got {n}")
+        raise InvalidInput(f"need at least two decoders, got {n}")
     sums = dm.entries.copy()
     np.fill_diagonal(sums, np.inf)
     sizes = np.ones(n)

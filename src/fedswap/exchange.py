@@ -9,14 +9,14 @@ random plans are the ablation variants.
 
 from __future__ import annotations
 
-import logging
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .clustering import ClusterAssignment
-from .errors import InvalidAssignment
+from .errors import InvalidInput
 
 __all__ = [
     "ExchangePlan",
@@ -25,10 +25,8 @@ __all__ = [
     "build_random_plan",
 ]
 
-logger = logging.getLogger(__name__)
-
-# bounded rejection sampling: this many draws with the history constraint,
-# then this many more with only the self-derangement constraint
+# rejection sampling: this many draws with the history constraint, then
+# draws with only the self-derangement constraint until one meets it
 _ATTEMPTS_PER_PHASE = 32
 
 
@@ -42,7 +40,7 @@ class ExchangePlan:
         assignment = tuple(int(v) for v in self.assignment)
         n = len(assignment)
         if sorted(assignment) != list(range(n)):
-            raise InvalidAssignment("assignment must be a permutation of 0..n-1")
+            raise InvalidInput("assignment must be a permutation of 0..n-1")
         object.__setattr__(self, "assignment", assignment)
 
 
@@ -71,47 +69,37 @@ def build_clustered_plan(
     it just uploaded and, unless last is None (no exchange yet), no client
     receives the same decoder as in last, the previous exchange round's plan.
     If that history constraint is infeasible (e.g. two clients alternating)
-    it is dropped after a bounded number of attempts; the self-derangement
-    constraint is kept.
+    it is dropped after a bounded number of attempts. Draws then go on until
+    no client receives its own upload, which every split allows: only the
+    larger cluster serves its own clients, and with more than two clients it
+    has at least two members.
     """
     if not isinstance(ca, ClusterAssignment):
-        raise InvalidAssignment("ca must be a ClusterAssignment")
+        raise InvalidInput("ca must be a ClusterAssignment")
     n = ca.n
     if last is not None and len(last) != n:
-        raise InvalidAssignment(
+        raise InvalidInput(
             f"history length {len(last)} does not match client count {n}"
         )
     rng = np.random.default_rng(rng_seed)
     members = (list(ca.members_0), list(ca.members_1))
-
-    assignment = None
-    for attempt in range(2 * _ATTEMPTS_PER_PHASE):
+    for attempt in itertools.count():
         shuffled = tuple(
             [m[k] for k in rng.permutation(len(m))] for m in members
         )
         candidate = _cursor_walk(ca.index_list, shuffled)
-        assignment = candidate
         if any(candidate[i] == i for i in range(n)):
             continue
         enforce_history = last is not None and attempt < _ATTEMPTS_PER_PHASE
         if enforce_history and any(candidate[i] == last[i] for i in range(n)):
             continue
-        break
-    else:
-        # self-derangement is feasible for every valid two-cluster partition,
-        # so exhausting both phases means an extremely unlucky draw sequence
-        logger.warning(
-            "exchange constraints not satisfied after %d attempts; "
-            "a client keeps its own decoder",
-            2 * _ATTEMPTS_PER_PHASE,
-        )
-    return ExchangePlan(tuple(assignment))
+        return ExchangePlan(tuple(candidate))
 
 
 def build_round_robin_plan(n: int, round: int) -> ExchangePlan:
     """Cyclic shift by 1 + (round mod (n-1)); every client sees every other decoder."""
     if n < 2:
-        raise InvalidAssignment(f"round robin needs at least two clients, got {n}")
+        raise InvalidInput(f"round robin needs at least two clients, got {n}")
     k = 1 + (round % (n - 1))
     return ExchangePlan(tuple((i + k) % n for i in range(n)))
 
@@ -119,6 +107,6 @@ def build_round_robin_plan(n: int, round: int) -> ExchangePlan:
 def build_random_plan(n: int, rng_seed: int) -> ExchangePlan:
     """Uniformly random permutation; fixed points are permitted."""
     if n < 2:
-        raise InvalidAssignment(f"random exchange needs at least two clients, got {n}")
+        raise InvalidInput(f"random exchange needs at least two clients, got {n}")
     rng = np.random.default_rng(rng_seed)
     return ExchangePlan(tuple(int(v) for v in rng.permutation(n)))

@@ -30,7 +30,7 @@ from .clients import (
     LocalConfig,
     generate_domain_dataset,
 )
-from .errors import ConfigInvalid, MismatchedSeeds
+from .errors import ConfigInvalid
 from .server import (
     PURPOSES,
     STRATEGIES,
@@ -60,16 +60,17 @@ __all__ = [
 SUMMARY_NAME = "summary.json"
 SUMMARY_SCHEMA = "experiment-summary-v1"
 METRICS_NAME = "metrics.csv"
-# every workload and test uses 3 to 16; the cap rejects a runaway input_dim
-# before any (input_dim,)-long shift tuple or input matrix is built
-MAX_INPUT_DIM = 4096
+# Size caps, checked before any shift tuple, input matrix or feature matrix
+# is built, so a runaway size fails at once instead of allocating. Every
+# workload and test uses input_dim 3 to 16, feature_dim at most 32, at most
+# 2000 samples per domain and 500 test rows.
+MAX_DIM = 4096  # input_dim and feature_dim
+MAX_ROWS = 10**6  # sample_count of each domain, and test_count
 
 
-def _check_input_dim(input_dim: int) -> None:
-    if not 1 <= input_dim <= MAX_INPUT_DIM:
-        raise ConfigInvalid(
-            f"input_dim must be in [1, {MAX_INPUT_DIM}], got {input_dim}"
-        )
+def _check_size(name: str, value: int, cap: int) -> None:
+    if not 1 <= value <= cap:
+        raise ConfigInvalid(f"{name} must be in [1, {cap}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -94,23 +95,23 @@ class ExperimentConfig:
         object.__setattr__(self, "strategies", tuple(self.strategies))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "domains", tuple(self.domains))
-        _check_input_dim(self.input_dim)
+        _check_size("input_dim", self.input_dim, MAX_DIM)
+        _check_size("feature_dim", self.feature_dim, MAX_DIM)
+        _check_size("test_count", self.test_count, MAX_ROWS)
         if not self.seeds:
             raise ConfigInvalid("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigInvalid("duplicate seeds")
         if not self.strategies:
             raise ConfigInvalid("need at least one strategy")
+        if len(set(self.strategies)) != len(self.strategies):
+            raise ConfigInvalid(f"duplicate strategies in {list(self.strategies)}")
         if not 0.0 < self.data_fraction <= 1.0:
             raise ConfigInvalid(
                 f"data_fraction must be in (0, 1], got {self.data_fraction}"
             )
         if self.task not in TASKS:
             raise ConfigInvalid(f"unknown task {self.task!r}; expected one of {TASKS}")
-        if self.feature_dim < 1:
-            raise ConfigInvalid(f"feature_dim must be >= 1, got {self.feature_dim}")
-        if self.test_count < 1:
-            raise ConfigInvalid(f"test_count must be >= 1, got {self.test_count}")
         if "\0" in self.out_dir:
             raise ConfigInvalid("out_dir must not contain a null byte")
         if len(self.domains) < 2:
@@ -119,6 +120,7 @@ class ExperimentConfig:
         if len(set(ids)) != len(ids):
             raise ConfigInvalid(f"duplicate domain ids in {ids}")
         for d in self.domains:
+            _check_size(f"domain {d.domain_id} sample_count", d.sample_count, MAX_ROWS)
             if d.input_dim != self.input_dim:
                 raise ConfigInvalid(
                     f"domain {d.domain_id} input_dim {d.input_dim} != {self.input_dim}"
@@ -149,7 +151,7 @@ def default_experiment_config(**overrides) -> ExperimentConfig:
     """Four-domain setup: three well-resourced similar domains plus one
     under-resourced domain with the largest input and concept shift."""
     input_dim = overrides.pop("input_dim", 16)
-    _check_input_dim(input_dim)
+    _check_size("input_dim", input_dim, MAX_DIM)
 
     def spec(domain_id, count, shift, concept, noise=0.1):
         return DomainSpec(
@@ -174,19 +176,10 @@ def default_experiment_config(**overrides) -> ExperimentConfig:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
+    """The config as JSON-ready data; each domain's input_dim is the top-level one."""
     d = asdict(cfg)
-    d["strategies"] = list(cfg.strategies)
-    d["seeds"] = list(cfg.seeds)
-    d["domains"] = [
-        {
-            "domain_id": s.domain_id,
-            "sample_count": s.sample_count,
-            "shift": list(s.shift),
-            "concept_shift": s.concept_shift,
-            "label_noise": s.label_noise,
-        }
-        for s in cfg.domains
-    ]
+    for domain in d["domains"]:
+        del domain["input_dim"]
     return d
 
 
@@ -237,7 +230,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     _check_section("config", data, _TOP_TYPES)
     kwargs = dict(data)
     input_dim = kwargs.setdefault("input_dim", 16)
-    _check_input_dim(input_dim)
+    _check_size("input_dim", input_dim, MAX_DIM)
 
     if "local" in kwargs:
         _check_section("local", kwargs["local"], _LOCAL_TYPES)
@@ -425,13 +418,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> list[dict]:
     root.mkdir(parents=True, exist_ok=True)
     save_config(cfg, root / "config.json")
     summaries = _run_cells(cfg, root)
-    if len(set(cfg.strategies)) > 1:
+    if len(cfg.strategies) > 1:
         comparison = compare_strategies(summaries)
         write_comparison(comparison, root)
     return summaries
 
 
+# what compare_strategies reads of each summary, and of its "final" entry
+_COMPARED_KEYS = ("strategy", "seed", "rounds", "aggregation_frequency",
+                  "warmup_rounds", "data_fraction", "task", "domain_ids",
+                  "train_sizes", "final")
+_FINAL_METRICS = ("avg_loss", "std_loss", "worst_domain_loss")
+
+
 def collect_summaries(root) -> list[dict]:
+    """Every summary.json under root; raises ConfigInvalid naming the first
+    file that is not an experiment-summary-v1 object with every key that
+    compare_strategies reads."""
     paths = sorted(Path(root).rglob(SUMMARY_NAME))
     if not paths:
         raise ConfigInvalid(f"no {SUMMARY_NAME} files under {root}")
@@ -440,6 +443,12 @@ def collect_summaries(root) -> list[dict]:
         summary = _read_json(p)
         if not isinstance(summary, dict) or summary.get("schema") != SUMMARY_SCHEMA:
             raise ConfigInvalid(f"{p}: not an {SUMMARY_SCHEMA} file")
+        final = summary.get("final")
+        missing = [key for key in _COMPARED_KEYS if key not in summary]
+        missing += [f"final.{key}" for key in _FINAL_METRICS
+                    if not isinstance(final, dict) or key not in final]
+        if missing:
+            raise ConfigInvalid(f"{p}: missing keys {missing}")
         out.append(summary)
     return out
 
@@ -456,7 +465,7 @@ def _mean_finals(summaries: Sequence[dict]) -> dict:
     """Mean over seeds of the final average, std and worst-domain losses."""
     return {
         f"mean_{name}": float(np.mean([s["final"][name] for s in summaries]))
-        for name in ("avg_loss", "std_loss", "worst_domain_loss")
+        for name in _FINAL_METRICS
     }
 
 
@@ -484,7 +493,7 @@ def compare_strategies(summaries: Sequence[dict]) -> dict:
                  for key, rows in groups.items()}
     distinct = set(seed_sets.values())
     if len(distinct) > 1:
-        raise MismatchedSeeds(
+        raise ConfigInvalid(
             f"strategy groups ran different seed sets: "
             f"{ {k[0]: v for k, v in seed_sets.items()} }"
         )

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, ZeroNormVector
+from .errors import InvalidInput
 
 __all__ = [
     "ParamVector",
@@ -26,7 +26,7 @@ __all__ = [
 def _as_readonly_f64(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, copy=True)
     if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+        raise InvalidInput(f"{name} must be one-dimensional, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
 
@@ -40,9 +40,9 @@ class ParamVector:
     def __post_init__(self):
         arr = _as_readonly_f64(self.values, "values")
         if arr.size < 1:
-            raise ValueError("ParamVector must hold at least one entry")
+            raise InvalidInput("ParamVector must hold at least one entry")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("ParamVector entries must be finite")
+            raise InvalidInput("ParamVector entries must be finite")
         object.__setattr__(self, "values", arr)
 
     @property
@@ -64,21 +64,21 @@ class AggregationWeights:
     def __post_init__(self):
         arr = _as_readonly_f64(self.weights, "weights")
         if arr.size < 1:
-            raise EmptyInput("at least one weight is required")
+            raise InvalidInput("at least one weight is required")
         if np.any(arr < 0.0):
-            raise ValueError("weights must be non-negative")
+            raise InvalidInput("weights must be non-negative")
         total = float(arr.sum())
         if abs(total - 1.0) > self._SUM_TOL:
-            raise ValueError(f"weights must sum to 1 (got {total!r})")
+            raise InvalidInput(f"weights must sum to 1 (got {total!r})")
         object.__setattr__(self, "weights", arr)
 
     @classmethod
     def from_sizes(cls, sizes: Sequence[int]) -> "AggregationWeights":
         """Weights proportional to local dataset sizes: w_i = n_i / sum(n)."""
         if len(sizes) == 0:
-            raise EmptyInput("at least one dataset size is required")
+            raise InvalidInput("at least one dataset size is required")
         if any(s <= 0 for s in sizes):
-            raise ValueError("dataset sizes must be positive")
+            raise InvalidInput("dataset sizes must be positive")
         total = sum(sizes)
         return cls(np.array([s / total for s in sizes], dtype=np.float64))
 
@@ -89,11 +89,11 @@ class AggregationWeights:
 def _common_dim(decoders: Sequence[ParamVector]) -> int:
     """The one dim every decoder shares; raises for none or a mismatch."""
     if len(decoders) == 0:
-        raise EmptyInput("no decoders given")
+        raise InvalidInput("no decoders given")
     dim = decoders[0].dim
     for i, d in enumerate(decoders):
         if d.dim != dim:
-            raise DimensionMismatch(f"decoder {i} has dim {d.dim}, expected {dim}")
+            raise InvalidInput(f"decoder {i} has dim {d.dim}, expected {dim}")
     return dim
 
 
@@ -102,12 +102,12 @@ def cosine_distances(decoders: Sequence[ParamVector]) -> np.ndarray:
 
     One norm per decoder and one np.dot per pair, never a Gram product (it
     sums in another order), so each entry depends on its own pair alone.
-    Raises ZeroNormVector: a zero decoder signals a degenerate or untrained
+    Raises InvalidInput for a zero decoder: it signals a degenerate or untrained
     model and must not be hidden by a default value."""
     _common_dim(decoders)
     norms = [float(np.linalg.norm(d.values)) for d in decoders]
     if 0.0 in norms:
-        raise ZeroNormVector(f"decoder {norms.index(0.0)} has zero norm")
+        raise InvalidInput(f"decoder {norms.index(0.0)} has zero norm")
     out = np.zeros((len(decoders), len(decoders)))
     for i, j in itertools.combinations(range(len(decoders)), 2):
         cos = float(np.dot(decoders[i].values, decoders[j].values)) / (norms[i] * norms[j])
@@ -122,6 +122,6 @@ def weighted_average(
     """Elementwise weighted average sum_i w_i * g_i of same-dim decoders."""
     _common_dim(decoders)
     if len(decoders) != len(w):
-        raise DimensionMismatch(f"{len(decoders)} decoders but {len(w)} weights")
+        raise InvalidInput(f"{len(decoders)} decoders but {len(w)} weights")
     terms = (weight * dec.values for weight, dec in zip(w.weights, decoders))
     return ParamVector(sum(terms))

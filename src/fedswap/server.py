@@ -222,16 +222,10 @@ def run_round(
 def _train_all(clients: Sequence[ClientState], cfg: ServerConfig,
                purpose: str, r: int) -> list[ParamVector]:
     """Every client's upload after local training from its current decoder."""
-    proximal = STRATEGIES[cfg.strategy].proximal
-    uploads = []
-    for i, client in enumerate(clients):
-        seed = derive_seed(cfg.master_seed, PURPOSES[purpose], r, i)
-        start = client.decoder
-        uploads.append(
-            local_train_fedprox(start, client, start, client.config.prox_mu, seed)
-            if proximal else local_train(start, client, seed)
-        )
-    return uploads
+    train = local_train_fedprox if STRATEGIES[cfg.strategy].proximal else local_train
+    return [train(client.decoder, client,
+                  derive_seed(cfg.master_seed, PURPOSES[purpose], r, i))
+            for i, client in enumerate(clients)]
 
 
 def _redistribute(record: RoundRecord, clients: Sequence[ClientState],

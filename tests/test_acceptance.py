@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from fedswap.clients import decoder_loss, decoder_loss_and_gradient
+from fedswap.clients import decoder_loss_and_gradient
 from fedswap.clustering import ClusterAssignment, DistanceMatrix, cluster_to_two
 from fedswap.exchange import build_clustered_plan
 from fedswap.harness import (
@@ -24,6 +24,7 @@ from fedswap.harness import (
 from fedswap.params import ParamVector, cosine_distances
 from fedswap.server import AGGREGATE, schedule_decision
 from linkage_oracle import oracle_linkage, oracle_merge_to_two
+from loss_oracle import decoder_loss
 
 SEEDS = tuple(range(10))
 

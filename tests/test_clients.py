@@ -10,15 +10,15 @@ from fedswap.clients import (
     DomainSpec,
     FrozenBackbone,
     LocalConfig,
-    decoder_loss,
     decoder_loss_and_gradient,
     evaluate,
     generate_domain_dataset,
     local_train,
     local_train_fedprox,
 )
-from fedswap.errors import InvalidSpec, ManifestMismatch, NonFiniteLoss
+from fedswap.errors import ConfigInvalid, InvalidInput, NonFiniteLoss
 from fedswap.params import ParamVector
+from loss_oracle import decoder_loss
 
 INPUT_DIM = 6
 FEATURE_DIM = 8
@@ -68,19 +68,19 @@ def fd_gradient(theta, features, labels, task, anchor=None, mu=0.0, h=1e-6):
 
 class TestDomainSpec:
     def test_rejects_bad_fields(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigInvalid):
             spec(count=0)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigInvalid):
             DomainSpec("x", 10, 3, (0.0,), 0.1, 0.1)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigInvalid):
             spec(concept=-1.0)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigInvalid):
             spec(noise=-0.1)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigInvalid):
             spec(concept=float("nan"))
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigInvalid):
             spec(noise=float("inf"))
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigInvalid):
             spec(shift=float("nan"))
 
 
@@ -152,14 +152,14 @@ class TestGenerateDomainDataset:
 
     def test_rejects_bad_arguments(self):
         bb = backbone()
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigInvalid):
             generate_domain_dataset(spec(), bb, 1, 2, task="ranking")
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigInvalid):
             generate_domain_dataset(spec(), bb, 1, 2, train_fraction=0.0)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigInvalid):
             generate_domain_dataset(spec(), bb, 1, 2, test_count=0)
         other = FrozenBackbone.create(0, INPUT_DIM + 1, FEATURE_DIM)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigInvalid):
             generate_domain_dataset(spec(), other, 1, 2)
 
 
@@ -264,7 +264,7 @@ class TestLocalTrain:
 
     def test_dimension_checked_against_manifest(self):
         cl = client()
-        with pytest.raises(ManifestMismatch):
+        with pytest.raises(InvalidInput):
             local_train(ParamVector(np.zeros(FEATURE_DIM)), cl, 0)
 
     def test_divergence_raises_non_finite_loss(self):
@@ -283,26 +283,27 @@ class TestLocalTrain:
 
 class TestLocalTrainFedprox:
     def test_mu_zero_matches_plain_training(self):
-        cl = client()
+        local = LocalConfig(steps=5, learning_rate=0.05, batch_size=32, prox_mu=0.0)
         start = ParamVector(np.random.default_rng(4).normal(size=FEATURE_DIM + 1))
-        anchor = ParamVector(np.zeros(FEATURE_DIM + 1))
-        plain = local_train(start, cl, 13)
-        prox = local_train_fedprox(start, cl, anchor, 0.0, 13)
+        plain = local_train(start, client(local=local), 13)
+        prox = local_train_fedprox(start, client(local=local), 13)
         assert np.array_equal(plain.values, prox.values)
+        # mu is read from the client's config
+        pulled = client(local=replace(local, prox_mu=0.5))
+        assert not np.array_equal(
+            plain.values, local_train_fedprox(start, pulled, 13).values
+        )
 
     def test_huge_mu_pins_decoder_to_anchor(self):
-        cl = client(
-            local=LocalConfig(steps=200, learning_rate=1e-7, batch_size=10_000)
-        )
+        cl = client(local=LocalConfig(steps=200, learning_rate=1e-7,
+                                      batch_size=10_000, prox_mu=1e6))
         anchor = ParamVector(np.random.default_rng(5).normal(size=FEATURE_DIM + 1))
-        out = local_train_fedprox(anchor, cl, anchor, 1e6, 0)
+        out = local_train_fedprox(anchor, cl, 0)
         assert np.max(np.abs(out.values - anchor.values)) < 1e-3
 
     def test_negative_mu_rejected(self):
-        cl = client()
-        start = ParamVector(np.zeros(FEATURE_DIM + 1))
-        with pytest.raises(InvalidSpec):
-            local_train_fedprox(start, cl, start, -0.1, 0)
+        with pytest.raises(ConfigInvalid):
+            LocalConfig(steps=5, learning_rate=0.05, batch_size=32, prox_mu=-0.1)
 
 
 class TestEvaluate:

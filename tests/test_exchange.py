@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from fedswap import exchange
 from fedswap.clustering import ClusterAssignment
-from fedswap.errors import InvalidAssignment
+from fedswap.errors import InvalidInput
 from fedswap.exchange import (
     ExchangePlan,
     build_clustered_plan,
@@ -31,11 +32,11 @@ split_strategy = st.integers(0, 2**32 - 1).flatmap(
 
 class TestExchangePlanType:
     def test_rejects_non_permutation(self):
-        with pytest.raises(InvalidAssignment):
+        with pytest.raises(InvalidInput):
             ExchangePlan((0, 0, 1))
 
     def test_history_length_check(self):
-        with pytest.raises(InvalidAssignment):
+        with pytest.raises(InvalidInput):
             build_clustered_plan(assignment_of(4, [0, 1]), (1, 0), 0)
 
 
@@ -101,6 +102,15 @@ class TestClusteredPlan:
         # self-derangement is feasible for every split, singletons included
         assert all(plan.assignment[i] != i for i in range(n))
 
+    def test_no_self_delivery_once_history_attempts_run_out(self, monkeypatch):
+        # on this split half of all draws hand client 2 its own upload; the
+        # sampler must keep drawing instead of giving up after a bound
+        monkeypatch.setattr(exchange, "_ATTEMPTS_PER_PHASE", 1)
+        ca = assignment_of(3, [0])
+        for seed in range(200):
+            plan = build_clustered_plan(ca, None, seed)
+            assert all(plan.assignment[i] != i for i in range(3))
+
     def test_self_delivery_never_happens_even_with_singletons(self):
         # a singleton's decoder always crosses, and same-cluster leftovers
         # are deranged by rejection sampling
@@ -133,7 +143,7 @@ class TestRoundRobinPlan:
                 assert all(plan.assignment[i] != i for i in range(n))
 
     def test_too_few_clients(self):
-        with pytest.raises(InvalidAssignment):
+        with pytest.raises(InvalidInput):
             build_round_robin_plan(1, 0)
 
 

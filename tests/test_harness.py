@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from fedswap.cli import main
 from fedswap.clients import DomainSpec, LocalConfig
-from fedswap.errors import ConfigInvalid, FedswapError, MismatchedSeeds
+from fedswap.errors import ConfigInvalid, FedswapError
 from fedswap.harness import (
-    MAX_INPUT_DIM,
+    MAX_DIM,
+    MAX_ROWS,
     ExperimentConfig,
     ablation_T,
     build_clients,
@@ -62,10 +63,12 @@ def tiny_config(**overrides):
 
 
 # JSON-shaped config values: each key gets a value of its own JSON type or
-# any nested value. Integers stay small, except input_dim: it is checked
-# against MAX_INPUT_DIM before any shift tuple is built, so a huge one must be
-# rejected at once.
+# any nested value. Integers stay small, except the sizes: they are checked
+# against MAX_DIM and MAX_ROWS before anything that large is built, so a huge
+# one must be rejected at once.
 _INTS = st.integers(-3, 64)
+_DIMS = _INTS | st.integers(MAX_DIM - 1, 10**18)
+_ROWS = _INTS | st.integers(MAX_ROWS - 1, 10**18)
 _NUMBERS = st.floats() | _INTS
 _WORDS = st.sampled_from(("clustered", "fedavg_only", "fedprox", "random",
                           "round_robin", "regression", "classification", "d0"))
@@ -89,12 +92,12 @@ _CONFIG = _json_object({
     "rounds": _INTS, "aggregation_frequency": _INTS, "warmup_rounds": _INTS,
     "strategies": st.lists(_WORDS, max_size=3), "seeds": st.lists(_INTS, max_size=3),
     "data_fraction": _NUMBERS, "task": _WORDS,
-    "input_dim": _INTS | st.integers(MAX_INPUT_DIM - 1, 10**18),
-    "feature_dim": _INTS, "test_count": _INTS, "out_dir": st.text(max_size=3),
+    "input_dim": _DIMS, "feature_dim": _DIMS, "test_count": _ROWS,
+    "out_dir": st.text(max_size=3),
     "local": _json_object({"steps": _INTS, "learning_rate": _NUMBERS,
                            "batch_size": _INTS, "prox_mu": _NUMBERS}),
     "domains": st.lists(_json_object({
-        "domain_id": _WORDS | _INTS, "sample_count": _INTS,
+        "domain_id": _WORDS | _INTS, "sample_count": _ROWS,
         "shift": _NUMBERS | st.lists(_NUMBERS, max_size=3),
         "concept_shift": _NUMBERS, "label_noise": _NUMBERS,
     }), max_size=4),
@@ -333,7 +336,7 @@ class TestCompareStrategies:
             self.fake_summary("clustered", 1, 1.0),
             self.fake_summary("fedavg_only", 0, 2.0),
         ]
-        with pytest.raises(MismatchedSeeds):
+        with pytest.raises(ConfigInvalid, match="different seed sets"):
             compare_strategies(summaries)
 
     def test_differing_rounds_rejected(self):
@@ -436,6 +439,9 @@ class TestCli:
         {"test_count": 0},
         {"out_dir": "runs\u0000x"},
         {"input_dim": 0},
+        # used to run the clustered cell twice into one directory
+        {"strategies": ["clustered", "clustered", "fedavg_only"], "rounds": 2,
+         "seeds": [0]},
     ])
     def test_malformed_config_is_one_line_error(self, tmp_path, capsys, data):
         cfg_path = tmp_path / "config.json"
@@ -461,20 +467,31 @@ class TestCli:
         assert err.count("\n") == 1
 
     def test_huge_input_dim_fails_fast(self, tmp_path, capsys):
-        # rejected before a (10**9,)-long shift tuple is built
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({"input_dim": 10**9}))
-        t0 = time.perf_counter()
-        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")])
-        elapsed = time.perf_counter() - t0
-        assert code == 2 and elapsed < 0.1
-        err = capsys.readouterr().err
-        assert err.startswith("error: input_dim") and err.count("\n") == 1
+        # each is rejected before a shift tuple, an input matrix or a feature
+        # matrix of that size is built
+        two = [{"domain_id": "a", "sample_count": 10**15},
+               {"domain_id": "b", "sample_count": 10}]
+        for data, name in (
+            ({"input_dim": 10**9}, "input_dim"),
+            ({"feature_dim": 10**15}, "feature_dim"),
+            ({"test_count": 10**15}, "test_count"),
+            ({"domains": two}, "domain a sample_count"),
+        ):
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(json.dumps(data))
+            t0 = time.perf_counter()
+            code = main(["run", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "runs")])
+            elapsed = time.perf_counter() - t0
+            assert code == 2 and elapsed < 0.1, (name, elapsed)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {name} must be") and err.count("\n") == 1
 
     @pytest.mark.parametrize("damage", [
         lambda text: text[:200],
         lambda text: "{}",
-    ], ids=["cut_to_200_bytes", "not_a_summary"])
+        lambda text: json.dumps({"schema": "experiment-summary-v1"}),
+    ], ids=["cut_to_200_bytes", "not_a_summary", "v1_tag_only"])
     def test_compare_damaged_summary_is_one_line_error(self, tmp_path, capsys, damage):
         run_experiment(tiny_config(seeds=(0,)), tmp_path)
         summary = tmp_path / "clustered_T2_f1" / "seed_0" / "summary.json"
@@ -482,6 +499,19 @@ class TestCli:
         assert main(["compare", "--in", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {summary}:") and err.count("\n") == 1
+
+    def test_run_prints_only_its_own_comparison(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path)
+        out = str(tmp_path / "runs")
+        assert main(["run", "--config", str(cfg_path), "--out", out]) == 0
+        assert "mean_avg_loss" in capsys.readouterr().out
+        # a single-strategy run into the same directory compares nothing, so
+        # it must not print the comparison the first run left there
+        assert main(["run", "--config", str(cfg_path), "--strategy", "clustered",
+                     "--rounds", "4", "--out", out]) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("wrote 2 run(s)")
+        assert "mean_avg_loss" not in printed
 
     def test_compare_empty_dir_fails(self, tmp_path, capsys):
         assert main(["compare", "--in", str(tmp_path)]) == 2

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedswap.errors import DimensionMismatch, EmptyInput, ZeroNormVector
+from fedswap.errors import InvalidInput
 from fedswap.params import (
     AggregationWeights,
     ParamVector,
@@ -41,13 +41,13 @@ class TestParamVector:
             pv.values[0] = 2.0
 
     def test_rejects_empty_nan_and_2d(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput):
             ParamVector(np.array([]))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput):
             ParamVector(np.array([1.0, np.nan]))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput):
             ParamVector(np.array([1.0, np.inf]))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput):
             ParamVector(np.ones((2, 2)))
 
     def test_dim(self):
@@ -65,13 +65,13 @@ class TestCosineDistance:
         assert pair_distance(vec(1, 0), vec(-1, 0)) == 2.0
 
     def test_zero_norm_raises(self):
-        with pytest.raises(ZeroNormVector):
+        with pytest.raises(InvalidInput):
             pair_distance(vec(0, 0), vec(1, 0))
-        with pytest.raises(ZeroNormVector):
+        with pytest.raises(InvalidInput):
             pair_distance(vec(1, 0), vec(0, 0))
 
     def test_dim_mismatch_raises(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput):
             pair_distance(vec(1, 0), vec(1, 0, 0))
 
     @given(finite_vectors())
@@ -137,11 +137,11 @@ class TestWeightedAverage:
             assert np.array_equal(out.values, decoders[k].values)
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvalidInput):
             weighted_average([], AggregationWeights(np.array([1.0])))
 
     def test_dim_mismatch_raises(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidInput):
             weighted_average(
                 [vec(1, 0), vec(1, 0, 0)], AggregationWeights(np.array([0.5, 0.5]))
             )
@@ -169,12 +169,12 @@ class TestAggregationWeights:
             assert wi == ni / total
 
     def test_rejects_negative_and_bad_sum(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput):
             AggregationWeights(np.array([-0.1, 1.1]))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput):
             AggregationWeights(np.array([0.4, 0.4]))
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvalidInput):
             AggregationWeights.from_sizes([])
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInput):
             AggregationWeights.from_sizes([5, 0])
 
