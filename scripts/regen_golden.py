@@ -8,7 +8,9 @@ argument). tests/test_golden.py runs this script and compares its result with
 the committed file, so a change that alters any output byte fails the suite.
 
 The matrix: the default four-domain config at 10 rounds with seeds 0 and 1,
-for both tasks, all five strategies and an ablation over T = 1, 2, 5; plus one
+for both tasks, all five strategies and an ablation over T = 1, 2, 5; for both
+tasks, one clustered cell at data fraction 0.5 (seed 0, 10 rounds), so a
+training split that is a prefix of the drawn samples is covered; plus one
 clustered cell of 32 drawn domains of 500 samples each, at 6 rounds.
 
 summary.json is hashed without its "metadata" entry, which holds the
@@ -64,6 +66,11 @@ def write_matrix(root: Path) -> None:
         )
         run_experiment(cfg, out_dir=root / task / "run")
         ablation_T(cfg, T_VALUES, out_dir=root / task / "ablate_t")
+        half = default_experiment_config(
+            rounds=10, seeds=(0,), task=task, strategies=("clustered",),
+            data_fraction=0.5,
+        )
+        run_experiment(half, out_dir=root / task / "fraction")
     wide = ExperimentConfig(
         rounds=6, strategies=("clustered",), seeds=(0,), domains=wide_domains()
     )

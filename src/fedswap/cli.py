@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FedswapError
+from .errors import ConfigInvalid, FedswapError
 from .harness import (
     ablation_T,
     collect_summaries,
@@ -24,19 +24,17 @@ from .harness import (
 
 def _load(args) -> "ExperimentConfig":
     cfg = load_config(args.config) if args.config else default_experiment_config()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seeds"] = (args.seed,)
-    if getattr(args, "strategy", None) is not None:
-        overrides["strategies"] = (args.strategy,)
-    if getattr(args, "agg_frequency", None) is not None:
-        overrides["aggregation_frequency"] = args.agg_frequency
-    if getattr(args, "rounds", None) is not None:
-        overrides["rounds"] = args.rounds
-    if getattr(args, "data_fraction", None) is not None:
-        overrides["data_fraction"] = args.data_fraction
-    if getattr(args, "out", None) is not None:
-        overrides["out_dir"] = args.out
+    # --strategy and --agg-frequency belong to run only
+    strategy = getattr(args, "strategy", None)
+    overrides = {
+        "seeds": None if args.seed is None else (args.seed,),
+        "strategies": None if strategy is None else (strategy,),
+        "aggregation_frequency": getattr(args, "agg_frequency", None),
+        "rounds": args.rounds,
+        "data_fraction": args.data_fraction,
+        "out_dir": args.out,
+    }
+    overrides = {key: value for key, value in overrides.items() if value is not None}
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -62,9 +60,8 @@ def _cmd_ablate_t(args) -> int:
     try:
         t_values = [int(v) for v in args.t_values.split(",") if v.strip()]
     except ValueError:
-        print(f"error: --t-values must be comma-separated integers, "
-              f"got {args.t_values!r}", file=sys.stderr)
-        return 2
+        raise ConfigInvalid(f"--t-values must be comma-separated integers, "
+                            f"got {args.t_values!r}") from None
     cfg = _load(args)
     ablation_T(cfg, t_values)
     print((Path(cfg.out_dir) / "ablation_t.txt").read_text(), end="")
@@ -79,16 +76,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run an experiment from a JSON config")
-    run.add_argument("--config", help="path to a JSON experiment config")
-    run.add_argument("--seed", type=int, help="run a single seed")
-    run.add_argument("--out", help="output directory (overrides config)")
+    # the flags every command that runs cells shares
+    cells = argparse.ArgumentParser(add_help=False)
+    cells.add_argument("--config", help="path to a JSON experiment config")
+    cells.add_argument("--seed", type=int, help="run a single seed")
+    cells.add_argument("--out", help="output directory (overrides config)")
+    cells.add_argument("--rounds", type=int, help="protocol rounds R (multiple of T)")
+    cells.add_argument("--data-fraction", type=float, dest="data_fraction",
+                       help="fraction of each training split to keep, in (0, 1]")
+
+    run = sub.add_parser("run", parents=[cells],
+                         help="run an experiment from a JSON config")
     run.add_argument("--strategy", help="run a single strategy")
     run.add_argument("--agg-frequency", type=int, dest="agg_frequency",
                      help="aggregate every T rounds")
-    run.add_argument("--rounds", type=int, help="protocol rounds R (multiple of T)")
-    run.add_argument("--data-fraction", type=float, dest="data_fraction",
-                     help="fraction of each training split to keep, in (0, 1]")
     run.set_defaults(func=_cmd_run)
 
     comp = sub.add_parser("compare", help="aggregate summaries under a directory")
@@ -96,14 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="directory containing run outputs")
     comp.set_defaults(func=_cmd_compare)
 
-    abl = sub.add_parser("ablate-t", help="sweep the aggregation frequency")
-    abl.add_argument("--config", help="path to a JSON experiment config")
+    abl = sub.add_parser("ablate-t", parents=[cells],
+                         help="sweep the aggregation frequency")
     abl.add_argument("--t-values", dest="t_values", required=True,
                      help="comma-separated frequencies, e.g. 2,5,10,50")
-    abl.add_argument("--out", help="output directory (overrides config)")
-    abl.add_argument("--seed", type=int, help="run a single seed")
-    abl.add_argument("--rounds", type=int, help="protocol rounds R")
-    abl.add_argument("--data-fraction", type=float, dest="data_fraction")
     abl.set_defaults(func=_cmd_ablate_t)
     return parser
 

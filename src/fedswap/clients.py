@@ -1,10 +1,12 @@
 """Simulated cross-domain clients.
 
-Each client holds a synthetic domain dataset, a reference to the shared
-frozen backbone (a fixed random affine map plus tanh), and a flat linear
-decoder over the backbone features. Local training is plain mini-batch
-gradient descent on a convex loss, optionally with a proximal pull toward
-the decoder the round starts from: under fedprox, the latest global decoder.
+Each client holds the backbone features and labels of a synthetic domain
+dataset and a reference to the shared frozen backbone (a fixed random affine
+map plus tanh); it never changes once built. A decoder is a flat linear map
+over the backbone features; the round loop owns every client's. Local
+training is plain mini-batch gradient descent on a convex loss, optionally
+with a proximal pull toward the decoder the round starts from: under
+fedprox, the latest global decoder.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from .params import ParamVector
 __all__ = [
     "DomainSpec",
     "FrozenBackbone",
-    "DomainDataset",
     "LocalConfig",
     "ClientState",
     "EvalResult",
-    "generate_domain_dataset",
+    "make_client",
     "decoder_loss_and_gradient",
     "local_train",
     "local_train_fedprox",
@@ -94,88 +95,6 @@ class FrozenBackbone:
         return self.feature_dim + 1
 
 
-@dataclass(frozen=True, eq=False)
-class DomainDataset:
-    """Train/test splits for one domain, plus the generating head for oracles."""
-
-    task: str
-    train_x: np.ndarray
-    train_y: np.ndarray
-    test_x: np.ndarray
-    test_y: np.ndarray
-    true_head: np.ndarray
-
-    def __post_init__(self):
-        for name in ("train_x", "train_y", "test_x", "test_y", "true_head"):
-            getattr(self, name).setflags(write=False)
-
-    @property
-    def train_size(self) -> int:
-        return int(self.train_x.shape[0])
-
-
-def generate_domain_dataset(
-    spec: DomainSpec,
-    backbone: FrozenBackbone,
-    shared_concept_seed: int,
-    domain_seed: int,
-    *,
-    task: str = "regression",
-    test_count: int = 500,
-    train_fraction: float = 1.0,
-) -> DomainDataset:
-    """Draw one domain's data: x ~ N(shift, I), y from a perturbed shared head.
-
-    The full sample_count is always drawn and the train split keeps the first
-    round(sample_count * train_fraction) rows, so a reduced-fraction split is
-    a prefix of the full one and the test split is unaffected.
-    """
-    if task not in TASKS:
-        raise ConfigInvalid(f"unknown task {task!r}")
-    if not 0.0 < train_fraction <= 1.0:
-        raise ConfigInvalid(f"train_fraction must be in (0, 1], got {train_fraction}")
-    if test_count < 1:
-        raise ConfigInvalid("test_count must be >= 1")
-    if spec.input_dim != backbone.input_dim:
-        raise ConfigInvalid(
-            f"{spec.domain_id}: input_dim {spec.input_dim} does not match "
-            f"backbone input_dim {backbone.input_dim}"
-        )
-
-    concept_rng = np.random.default_rng(shared_concept_seed)
-    shared_head = concept_rng.normal(size=backbone.feature_dim)
-
-    rng = np.random.default_rng(domain_seed)
-    direction = rng.normal(size=backbone.feature_dim)
-    direction /= np.linalg.norm(direction)
-    true_head = shared_head + spec.concept_shift * direction
-
-    shift = np.asarray(spec.shift, dtype=np.float64)
-    train_x = rng.normal(loc=shift, scale=1.0, size=(spec.sample_count, spec.input_dim))
-    train_eps = rng.normal(0.0, spec.label_noise, size=spec.sample_count)
-    test_x = rng.normal(loc=shift, scale=1.0, size=(test_count, spec.input_dim))
-    test_eps = rng.normal(0.0, spec.label_noise, size=test_count)
-
-    def labels(x: np.ndarray, eps: np.ndarray) -> np.ndarray:
-        score = backbone.features(x) @ true_head + eps
-        if task == "classification":
-            return np.where(score >= 0.0, 1.0, -1.0)
-        return score
-
-    train_y = labels(train_x, train_eps)
-    test_y = labels(test_x, test_eps)
-
-    keep = max(1, int(round(spec.sample_count * train_fraction)))
-    return DomainDataset(
-        task=task,
-        train_x=train_x[:keep].copy(),
-        train_y=train_y[:keep].copy(),
-        test_x=test_x,
-        test_y=test_y,
-        true_head=true_head,
-    )
-
-
 @dataclass(frozen=True)
 class LocalConfig:
     """Per-round local training settings."""
@@ -194,27 +113,89 @@ class LocalConfig:
             raise ConfigInvalid("invalid local training configuration")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ClientState:
-    """One client: its domain data, cached backbone features, and current decoder."""
+    """One client, fixed once built: its domain, the backbone features and
+    labels of each split, and the head that generated them (the tests'
+    oracle). The decoder it trains belongs to the round loop."""
 
     domain: DomainSpec
-    data: DomainDataset
+    task: str
     backbone: FrozenBackbone
     config: LocalConfig
-    decoder: Optional[ParamVector] = None
-    features_train: np.ndarray = field(init=False, repr=False)
-    features_test: np.ndarray = field(init=False, repr=False)
+    features_train: np.ndarray = field(repr=False)
+    train_y: np.ndarray = field(repr=False)
+    features_test: np.ndarray = field(repr=False)
+    test_y: np.ndarray = field(repr=False)
+    true_head: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.features_train = self.backbone.features(self.data.train_x)
-        self.features_test = self.backbone.features(self.data.test_x)
-        self.features_train.setflags(write=False)
-        self.features_test.setflags(write=False)
+        for name in ("features_train", "train_y", "features_test", "test_y", "true_head"):
+            getattr(self, name).setflags(write=False)
 
     @property
     def train_size(self) -> int:
-        return self.data.train_size
+        return int(self.train_y.shape[0])
+
+
+def make_client(
+    spec: DomainSpec,
+    backbone: FrozenBackbone,
+    local: LocalConfig,
+    concept_seed: int,
+    domain_seed: int,
+    *,
+    task: str,
+    test_count: int,
+    train_fraction: float,
+) -> ClientState:
+    """Draw one domain's data, x ~ N(shift, I) with y from a perturbed shared
+    head, and build its client.
+
+    The full sample_count is always drawn and the train split keeps the first
+    round(sample_count * train_fraction) rows, so a reduced-fraction split is
+    a prefix of the full one and the test split is unaffected.
+    """
+    if task not in TASKS:
+        raise ConfigInvalid(f"unknown task {task!r}")
+    if not 0.0 < train_fraction <= 1.0:
+        raise ConfigInvalid(f"train_fraction must be in (0, 1], got {train_fraction}")
+    if test_count < 1:
+        raise ConfigInvalid("test_count must be >= 1")
+    if spec.input_dim != backbone.input_dim:
+        raise ConfigInvalid(
+            f"{spec.domain_id}: input_dim {spec.input_dim} does not match "
+            f"backbone input_dim {backbone.input_dim}"
+        )
+
+    concept_rng = np.random.default_rng(concept_seed)
+    shared_head = concept_rng.normal(size=backbone.feature_dim)
+
+    rng = np.random.default_rng(domain_seed)
+    direction = rng.normal(size=backbone.feature_dim)
+    direction /= np.linalg.norm(direction)
+    true_head = shared_head + spec.concept_shift * direction
+
+    shift = np.asarray(spec.shift, dtype=np.float64)
+    train_x = rng.normal(loc=shift, scale=1.0, size=(spec.sample_count, spec.input_dim))
+    train_eps = rng.normal(0.0, spec.label_noise, size=spec.sample_count)
+    test_x = rng.normal(loc=shift, scale=1.0, size=(test_count, spec.input_dim))
+    test_eps = rng.normal(0.0, spec.label_noise, size=test_count)
+
+    def split(x: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        features = backbone.features(x)
+        score = features @ true_head + eps
+        if task == "classification":
+            return features, np.where(score >= 0.0, 1.0, -1.0)
+        return features, score
+
+    # the prefix is cut after the labels: the rows of a matrix-vector product
+    # can change in the last bit with the row count
+    features_train, train_y = split(train_x, train_eps)
+    features_test, test_y = split(test_x, test_eps)
+    keep = max(1, int(round(spec.sample_count * train_fraction)))
+    return ClientState(spec, task, backbone, local, features_train[:keep].copy(),
+                       train_y[:keep].copy(), features_test, test_y, true_head)
 
 
 @dataclass(frozen=True)
@@ -281,8 +262,8 @@ def _run_steps(
     cfg = client.config
     n = client.train_size
     features = client.features_train
-    labels = client.data.train_y
-    task = client.data.task
+    labels = client.train_y
+    task = client.task
     rng = np.random.default_rng(seed)
     theta = decoder.values.copy()
     full_batch = cfg.batch_size >= n
@@ -323,9 +304,9 @@ def local_train_fedprox(
 def evaluate(decoder: ParamVector, client: ClientState) -> EvalResult:
     """Loss (and accuracy, for classification) on the client's test split."""
     s = _scores(decoder.values, client.features_test)
-    labels = client.data.test_y
-    loss = _mean_loss(s, labels, client.data.task)
-    if client.data.task != "classification":
+    labels = client.test_y
+    loss = _mean_loss(s, labels, client.task)
+    if client.task != "classification":
         return EvalResult(loss=loss)
     predicted = np.where(s >= 0.0, 1.0, -1.0)
     return EvalResult(loss=loss, accuracy=float(np.mean(predicted == labels)))

@@ -1,10 +1,11 @@
 """Experiment harness: configs, per-run metrics files, comparisons, ablations.
 
 A run cell is one (strategy, seed) simulation at a given data fraction and
-aggregation frequency. Each cell writes metrics.csv (one row per round,
-warm-up rows flagged) and then summary.json, so a new cell's summary.json
-appears only once the cell is complete. Comparison and ablation outputs aggregate final metrics
-over seeds, never across mismatched configurations. Every file is written
+aggregation frequency. Each cell removes its old summary.json, writes
+metrics.csv (one row per round, warm-up rows flagged) and then summary.json,
+so a summary.json appears only once the metrics.csv beside it is complete.
+Comparison and ablation outputs aggregate final metrics over seeds, never
+across mismatched configurations. Every file is written
 atomically (see _write_text).
 """
 
@@ -28,7 +29,7 @@ from .clients import (
     DomainSpec,
     FrozenBackbone,
     LocalConfig,
-    generate_domain_dataset,
+    make_client,
 )
 from .errors import ConfigInvalid
 from .server import (
@@ -196,7 +197,17 @@ _LOCAL_TYPES = {"steps": int, "learning_rate": _NUMBER, "batch_size": int,
 _DOMAIN_TYPES = {"domain_id": (str, int), "sample_count": int,
                  "shift": _NUMBER + _SEQUENCE, "concept_shift": _NUMBER,
                  "label_noise": _NUMBER}
-_ITEM_TYPES = {"strategies": str, "seeds": int, "domains": dict, "shift": _NUMBER}
+# what compare_strategies reads of each summary, and of its "final" entry,
+# where every key but avg_accuracy is required
+_SUMMARY_TYPES = {
+    "strategy": str, "seed": int, "rounds": int, "aggregation_frequency": int,
+    "warmup_rounds": int, "data_fraction": _NUMBER, "task": str,
+    "domain_ids": _SEQUENCE, "train_sizes": _SEQUENCE, "final": dict,
+}
+_FINAL_METRICS = ("avg_loss", "std_loss", "worst_domain_loss")
+_FINAL_TYPES = {**dict.fromkeys(_FINAL_METRICS, _NUMBER), "avg_accuracy": _NUMBER}
+_ITEM_TYPES = {"strategies": str, "seeds": int, "domains": dict, "shift": _NUMBER,
+               "domain_ids": str, "train_sizes": int}
 
 
 def _is_a(value, types) -> bool:
@@ -296,21 +307,19 @@ def build_clients(cfg: ExperimentConfig, master_seed: int) -> list[ClientState]:
         feature_dim=cfg.feature_dim,
     )
     concept_seed = derive_seed(master_seed, PURPOSES["concept"])
-    clients = []
-    for idx, spec in enumerate(cfg.domains):
-        data = generate_domain_dataset(
+    return [
+        make_client(
             spec,
             backbone,
+            cfg.local,
             concept_seed,
             derive_seed(master_seed, PURPOSES["domain"], idx),
             task=cfg.task,
             test_count=cfg.test_count,
             train_fraction=cfg.data_fraction,
         )
-        clients.append(
-            ClientState(domain=spec, data=data, backbone=backbone, config=cfg.local)
-        )
-    return clients
+        for idx, spec in enumerate(cfg.domains)
+    ]
 
 
 def _csv_header(domain_count: int, classification: bool) -> list[str]:
@@ -405,6 +414,7 @@ def _run_cells(cfg: ExperimentConfig, root: Path) -> list[dict]:
             trace, summary = run_cell(cfg, strategy, seed)
             cell = cell_dir(cfg, strategy, seed, root)
             cell.mkdir(parents=True, exist_ok=True)
+            (cell / SUMMARY_NAME).unlink(missing_ok=True)
             write_metrics_csv(trace, len(cfg.domains), cell / METRICS_NAME)
             _write_json(cell / SUMMARY_NAME, summary)
             summaries.append(summary)
@@ -424,17 +434,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> list[dict]:
     return summaries
 
 
-# what compare_strategies reads of each summary, and of its "final" entry
-_COMPARED_KEYS = ("strategy", "seed", "rounds", "aggregation_frequency",
-                  "warmup_rounds", "data_fraction", "task", "domain_ids",
-                  "train_sizes", "final")
-_FINAL_METRICS = ("avg_loss", "std_loss", "worst_domain_loss")
+def _known(data: dict, types: dict) -> dict:
+    return {key: value for key, value in data.items() if key in types}
 
 
 def collect_summaries(root) -> list[dict]:
     """Every summary.json under root; raises ConfigInvalid naming the first
-    file that is not an experiment-summary-v1 object with every key that
-    compare_strategies reads."""
+    file that is not an experiment-summary-v1 object holding every key that
+    compare_strategies reads, each with a value of the type it expects."""
     paths = sorted(Path(root).rglob(SUMMARY_NAME))
     if not paths:
         raise ConfigInvalid(f"no {SUMMARY_NAME} files under {root}")
@@ -443,12 +450,13 @@ def collect_summaries(root) -> list[dict]:
         summary = _read_json(p)
         if not isinstance(summary, dict) or summary.get("schema") != SUMMARY_SCHEMA:
             raise ConfigInvalid(f"{p}: not an {SUMMARY_SCHEMA} file")
-        final = summary.get("final")
-        missing = [key for key in _COMPARED_KEYS if key not in summary]
-        missing += [f"final.{key}" for key in _FINAL_METRICS
-                    if not isinstance(final, dict) or key not in final]
-        if missing:
-            raise ConfigInvalid(f"{p}: missing keys {missing}")
+        try:
+            _check_section("summary", _known(summary, _SUMMARY_TYPES),
+                           _SUMMARY_TYPES, tuple(_SUMMARY_TYPES))
+            _check_section("final", _known(summary["final"], _FINAL_TYPES),
+                           _FINAL_TYPES, _FINAL_METRICS)
+        except ConfigInvalid as exc:
+            raise ConfigInvalid(f"{p}: {exc}") from exc
         out.append(summary)
     return out
 
@@ -474,14 +482,9 @@ def compare_strategies(summaries: Sequence[dict]) -> dict:
     ranked by mean average loss; ties share the better rank."""
     if not summaries:
         raise ConfigInvalid("nothing to compare")
-    shared = {"rounds", "task", "warmup_rounds"}
-    for key in shared:
-        values = {json.dumps(s[key]) for s in summaries}
-        if len(values) > 1:
+    for key in ("rounds", "task", "warmup_rounds", "domain_ids"):
+        if len({json.dumps(s[key]) for s in summaries}) > 1:
             raise ConfigInvalid(f"refusing to compare runs with differing {key}")
-    ids = {tuple(s["domain_ids"]) for s in summaries}
-    if len(ids) > 1:
-        raise ConfigInvalid("refusing to compare runs with differing domains")
 
     groups: dict[tuple, list[dict]] = {}
     for s in summaries:

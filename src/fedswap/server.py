@@ -5,11 +5,15 @@ divisible by T it aggregates uploads into a global decoder via a weighted
 average; at every other round it redistributes them by the plan that the
 strategy's row in STRATEGIES builds. Only the clustered protocol clusters the
 uploads by cosine distance first.
+
+Clients and round records are immutable. run_simulation's locals hold the
+only state that changes: every client's current decoder, the last exchange
+plan and the trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,7 +39,6 @@ __all__ = [
     "WARMUP",
     "STRATEGIES",
     "ServerConfig",
-    "ServerState",
     "RoundRecord",
     "derive_seed",
     "schedule_decision",
@@ -102,30 +105,25 @@ class ServerConfig:
             raise ConfigInvalid(f"master_seed must be non-negative, got {self.master_seed}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoundRecord:
-    """One row of the simulation trace; metrics are filled after redistribution.
+    """One row of the simulation trace, built once the round's deliveries
+    are evaluated.
 
     Warm-up rows carry non-positive round indices and decision "warmup".
-    assignment is the two-cluster split behind a clustered exchange.
+    assignment is the two-cluster split behind a clustered exchange; it and
+    plan are None on every round that does not exchange.
     """
 
     round_index: int
     decision: str
     strategy_tag: str
-    assignment: Optional[tuple[int, ...]] = None
-    plan: Optional[tuple[int, ...]] = None
-    domain_losses: tuple[float, ...] = ()
-    domain_accuracies: Optional[tuple[float, ...]] = None
-    avg_loss: float = float("nan")
-    std_loss: float = float("nan")
-
-
-@dataclass
-class ServerState:
-    current_round: int = 0
-    last_plan: Optional[tuple[int, ...]] = None
-    trace: list[RoundRecord] = field(default_factory=list)
+    assignment: Optional[tuple[int, ...]]
+    plan: Optional[tuple[int, ...]]
+    domain_losses: tuple[float, ...]
+    domain_accuracies: Optional[tuple[float, ...]]
+    avg_loss: float
+    std_loss: float
 
 
 def schedule_decision(r: int, T: int) -> str:
@@ -139,7 +137,7 @@ def schedule_decision(r: int, T: int) -> str:
 class Strategy:
     """One row of STRATEGIES.
 
-    plan(cfg, state, uploads) builds an exchange round's ExchangePlan and
+    plan(cfg, r, last_plan, uploads) builds round r's ExchangePlan and
     returns it with the cluster assignment it was built from, if any; None
     means the strategy aggregates every round. proximal adds FedProx's pull
     toward the decoder a client starts the round with to local training.
@@ -151,19 +149,18 @@ class Strategy:
 
 # The builders look up the clustering and exchange functions in this module's
 # namespace at call time, so wrappers patched onto those names see every call.
-def _clustered_plan(cfg, state, uploads):
+def _clustered_plan(cfg, r, last_plan, uploads):
     ca = cluster_to_two(build_distance_matrix(uploads))
-    seed = derive_seed(cfg.master_seed, PURPOSES["exchange"], state.current_round)
-    plan = build_clustered_plan(ca, state.last_plan, seed)
-    return plan, ca.index_list
+    seed = derive_seed(cfg.master_seed, PURPOSES["exchange"], r)
+    return build_clustered_plan(ca, last_plan, seed), ca.index_list
 
 
-def _round_robin_plan(cfg, state, uploads):
-    return build_round_robin_plan(len(uploads), state.current_round), None
+def _round_robin_plan(cfg, r, last_plan, uploads):
+    return build_round_robin_plan(len(uploads), r), None
 
 
-def _random_plan(cfg, state, uploads):
-    seed = derive_seed(cfg.master_seed, PURPOSES["exchange"], state.current_round)
+def _random_plan(cfg, r, last_plan, uploads):
+    seed = derive_seed(cfg.master_seed, PURPOSES["exchange"], r)
     return build_random_plan(len(uploads), seed), None
 
 
@@ -176,30 +173,21 @@ STRATEGIES = {
 }
 
 
-def _aggregate(state: ServerState, uploads: Sequence[ParamVector],
-               weights: AggregationWeights, cfg: ServerConfig,
-               round_index: int, decision: str) -> list[ParamVector]:
-    """Deliver the uploads' weighted average to every client and append the
-    round's record (metrics unfilled) to state.trace."""
-    global_decoder = weighted_average(uploads, weights)
-    state.trace.append(RoundRecord(round_index, decision, cfg.strategy))
-    return [global_decoder] * len(uploads)
-
-
 def run_round(
-    state: ServerState,
+    r: int,
     uploads: Sequence[ParamVector],
     weights: AggregationWeights,
     cfg: ServerConfig,
-) -> list[ParamVector]:
-    """Process one protocol round's uploads; returns the per-client deliveries.
+    last_plan: Optional[tuple[int, ...]],
+) -> tuple[list[ParamVector], Optional[tuple[int, ...]], Optional[tuple[int, ...]]]:
+    """Process protocol round r's uploads; returns the per-client deliveries,
+    the cluster assignment and the exchange plan.
 
-    Appends a RoundRecord (metrics unfilled) to state.trace. On aggregation
-    every client receives the same weighted average; on exchange the
-    strategy's plan builder runs, client i receives uploads[plan.assignment[i]]
-    and the plan becomes state.last_plan.
+    On aggregation every client receives the same weighted average, and the
+    assignment and plan are None. On exchange the strategy's plan builder
+    runs with the previous exchange plan, last_plan, and client i receives
+    uploads[plan[i]].
     """
-    r = state.current_round
     n = len(uploads)
     if n != len(weights):
         raise ConfigInvalid(
@@ -208,38 +196,38 @@ def run_round(
     decision = schedule_decision(r, cfg.aggregation_frequency)
     try:
         if decision == AGGREGATE:
-            return _aggregate(state, uploads, weights, cfg, r, AGGREGATE)
-        plan, assignment = STRATEGIES[cfg.strategy].plan(cfg, state, uploads)
-        state.last_plan = plan.assignment
-        state.trace.append(RoundRecord(
-            r, EXCHANGE, cfg.strategy, assignment=assignment, plan=plan.assignment
-        ))
-        return [uploads[j] for j in plan.assignment]
+            return [weighted_average(uploads, weights)] * n, None, None
+        plan, assignment = STRATEGIES[cfg.strategy].plan(cfg, r, last_plan, uploads)
+        return [uploads[j] for j in plan.assignment], assignment, plan.assignment
     except FedswapError as exc:
         raise type(exc)(f"round {r}: {exc}") from exc
 
 
-def _train_all(clients: Sequence[ClientState], cfg: ServerConfig,
-               purpose: str, r: int) -> list[ParamVector]:
+def _train_all(decoders: Sequence[ParamVector], clients: Sequence[ClientState],
+               cfg: ServerConfig, purpose: str, r: int) -> list[ParamVector]:
     """Every client's upload after local training from its current decoder."""
     train = local_train_fedprox if STRATEGIES[cfg.strategy].proximal else local_train
-    return [train(client.decoder, client,
+    return [train(decoder, client,
                   derive_seed(cfg.master_seed, PURPOSES[purpose], r, i))
-            for i, client in enumerate(clients)]
+            for i, (decoder, client) in enumerate(zip(decoders, clients))]
 
 
-def _redistribute(record: RoundRecord, clients: Sequence[ClientState],
-                  deliveries: Sequence[ParamVector]) -> None:
-    """Hand client i deliveries[i] and fill the record's metrics from them."""
-    for client, decoder in zip(clients, deliveries):
-        client.decoder = decoder
+def _record(r: int, decision: str, cfg: ServerConfig,
+            clients: Sequence[ClientState], deliveries: Sequence[ParamVector],
+            assignment=None, plan=None) -> RoundRecord:
+    """The round's record, with the metrics of each client's delivery."""
     results = [evaluate(dec, cl) for dec, cl in zip(deliveries, clients)]
     losses = np.array([res.loss for res in results])
-    record.domain_losses = tuple(float(v) for v in losses)
-    record.avg_loss = float(np.mean(losses))
-    record.std_loss = float(np.std(losses))
+    accuracies = None
     if all(res.accuracy is not None for res in results):
-        record.domain_accuracies = tuple(float(res.accuracy) for res in results)
+        accuracies = tuple(float(res.accuracy) for res in results)
+    return RoundRecord(
+        r, decision, cfg.strategy, assignment, plan,
+        domain_losses=tuple(float(v) for v in losses),
+        domain_accuracies=accuracies,
+        avg_loss=float(np.mean(losses)),
+        std_loss=float(np.std(losses)),
+    )
 
 
 def run_simulation(
@@ -260,22 +248,21 @@ def run_simulation(
     dim = dims.pop()
 
     init_rng = np.random.default_rng(derive_seed(cfg.master_seed, PURPOSES["init"]))
-    initial = ParamVector(init_rng.normal(0.0, 0.1, size=dim))
-    for client in clients:
-        client.decoder = initial
-
+    decoders = [ParamVector(init_rng.normal(0.0, 0.1, size=dim))] * len(clients)
     weights = AggregationWeights.from_sizes([c.train_size for c in clients])
-    state = ServerState()
+    last_plan = None
+    trace = []
 
     for w in range(1, cfg.warmup_rounds + 1):
-        uploads = _train_all(clients, cfg, "warmup", w)
-        deliveries = _aggregate(state, uploads, weights, cfg,
-                                w - cfg.warmup_rounds, WARMUP)
-        _redistribute(state.trace[-1], clients, deliveries)
+        uploads = _train_all(decoders, clients, cfg, "warmup", w)
+        decoders = [weighted_average(uploads, weights)] * len(clients)
+        trace.append(_record(w - cfg.warmup_rounds, WARMUP, cfg, clients, decoders))
 
     for r in range(1, cfg.rounds + 1):
-        state.current_round = r
-        deliveries = run_round(state, _train_all(clients, cfg, "train", r), weights, cfg)
-        _redistribute(state.trace[-1], clients, deliveries)
+        uploads = _train_all(decoders, clients, cfg, "train", r)
+        decoders, assignment, plan = run_round(r, uploads, weights, cfg, last_plan)
+        decision = AGGREGATE if plan is None else EXCHANGE
+        trace.append(_record(r, decision, cfg, clients, decoders, assignment, plan))
+        last_plan = last_plan if plan is None else plan
 
-    return tuple(state.trace)
+    return tuple(trace)

@@ -201,7 +201,7 @@ def test_criterion_05_gradients_match_finite_differences(capsys):
         theta = rng.normal(size=dim)
         idx = rng.integers(0, client.train_size, size=24)
         fb = client.features_train[idx]
-        yb = client.data.train_y[idx]
+        yb = client.train_y[idx]
         task = "regression" if trial % 2 == 0 else "classification"
         labels = yb if task == "regression" else np.sign(yb - np.median(yb) + 1e-9)
         if trial % 3 == 0:

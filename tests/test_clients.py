@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedswap.clients import (
-    ClientState,
     DomainSpec,
     FrozenBackbone,
     LocalConfig,
     decoder_loss_and_gradient,
     evaluate,
-    generate_domain_dataset,
     local_train,
     local_train_fedprox,
+    make_client,
 )
 from fedswap.errors import ConfigInvalid, InvalidInput, NonFiniteLoss
 from fedswap.params import ParamVector
@@ -39,16 +38,19 @@ def backbone(seed=0):
     return FrozenBackbone.create(seed, INPUT_DIM, FEATURE_DIM)
 
 
-def client(task="regression", noise=0.1, count=200, local=None, seed=0):
-    bb = backbone(seed)
-    data = generate_domain_dataset(
-        spec(count=count, noise=noise), bb, 11, 22, task=task, test_count=100
+def dataset(domain, bb, concept_seed, domain_seed, *, task="regression",
+            test_count=500, train_fraction=1.0, local=None):
+    return make_client(
+        domain, bb, local or LocalConfig(), concept_seed, domain_seed,
+        task=task, test_count=test_count, train_fraction=train_fraction,
     )
-    return ClientState(
-        domain=spec(count=count, noise=noise),
-        data=data,
-        backbone=bb,
-        config=local or LocalConfig(steps=5, learning_rate=0.05, batch_size=32),
+
+
+def client(task="regression", noise=0.1, count=200, local=None, seed=0):
+    return dataset(
+        spec(count=count, noise=noise), backbone(seed), 11, 22, task=task,
+        test_count=100,
+        local=local or LocalConfig(steps=5, learning_rate=0.05, batch_size=32),
     )
 
 
@@ -102,65 +104,67 @@ class TestFrozenBackbone:
 
 
 class TestGenerateDomainDataset:
+    """The domain data make_client draws."""
+
     def test_deterministic(self):
         bb = backbone()
-        a = generate_domain_dataset(spec(), bb, 1, 2)
-        b = generate_domain_dataset(spec(), bb, 1, 2)
-        assert np.array_equal(a.train_x, b.train_x)
-        assert np.array_equal(a.train_y, b.train_y)
-        assert np.array_equal(a.test_x, b.test_x)
+        a = dataset(spec(), bb, 1, 2)
+        b = dataset(spec(), bb, 1, 2)
+        for name in ("features_train", "train_y", "features_test", "test_y"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_zero_concept_shift_shares_the_generating_head(self):
         bb = backbone()
-        a = generate_domain_dataset(spec(concept=0.0), bb, 7, 100)
-        b = generate_domain_dataset(spec(concept=0.0), bb, 7, 200)
+        a = dataset(spec(concept=0.0), bb, 7, 100)
+        b = dataset(spec(concept=0.0), bb, 7, 200)
         assert np.array_equal(a.true_head, b.true_head)
 
     def test_concept_shift_magnitude(self):
         bb = backbone()
-        base = generate_domain_dataset(spec(concept=0.0), bb, 7, 100)
-        moved = generate_domain_dataset(spec(concept=0.8), bb, 7, 100)
+        base = dataset(spec(concept=0.0), bb, 7, 100)
+        moved = dataset(spec(concept=0.8), bb, 7, 100)
         assert np.linalg.norm(moved.true_head - base.true_head) == pytest.approx(
             0.8, abs=1e-12
         )
 
     def test_fraction_keeps_prefix(self):
         bb = backbone()
-        full = generate_domain_dataset(spec(count=100), bb, 1, 2)
-        half = generate_domain_dataset(spec(count=100), bb, 1, 2, train_fraction=0.5)
+        full = dataset(spec(count=100), bb, 1, 2)
+        half = dataset(spec(count=100), bb, 1, 2, train_fraction=0.5)
         assert half.train_size == 50
-        assert np.array_equal(half.train_x, full.train_x[:50])
+        assert np.array_equal(half.features_train, full.features_train[:50])
         assert np.array_equal(half.train_y, full.train_y[:50])
-        assert np.array_equal(half.test_x, full.test_x)
+        assert np.array_equal(half.features_test, full.features_test)
+        assert np.array_equal(half.test_y, full.test_y)
 
     def test_tenth_fraction_size(self):
         bb = backbone()
-        small = generate_domain_dataset(spec(count=100), bb, 1, 2, train_fraction=0.1)
+        small = dataset(spec(count=100), bb, 1, 2, train_fraction=0.1)
         assert small.train_size == 10
 
     def test_classification_labels_are_signs(self):
         bb = backbone()
-        ds = generate_domain_dataset(spec(), bb, 1, 2, task="classification")
+        ds = dataset(spec(), bb, 1, 2, task="classification")
         assert set(np.unique(ds.train_y)) <= {-1.0, 1.0}
         assert set(np.unique(ds.test_y)) <= {-1.0, 1.0}
 
     def test_regression_labels_match_head_when_noiseless(self):
         bb = backbone()
-        ds = generate_domain_dataset(spec(noise=0.0), bb, 1, 2)
-        expected = bb.features(ds.train_x) @ ds.true_head
-        assert np.allclose(ds.train_y, expected, atol=1e-12)
+        ds = dataset(spec(noise=0.0), bb, 1, 2)
+        assert np.allclose(ds.train_y, ds.features_train @ ds.true_head, atol=1e-12)
+        assert np.allclose(ds.test_y, ds.features_test @ ds.true_head, atol=1e-12)
 
     def test_rejects_bad_arguments(self):
         bb = backbone()
         with pytest.raises(ConfigInvalid):
-            generate_domain_dataset(spec(), bb, 1, 2, task="ranking")
+            dataset(spec(), bb, 1, 2, task="ranking")
         with pytest.raises(ConfigInvalid):
-            generate_domain_dataset(spec(), bb, 1, 2, train_fraction=0.0)
+            dataset(spec(), bb, 1, 2, train_fraction=0.0)
         with pytest.raises(ConfigInvalid):
-            generate_domain_dataset(spec(), bb, 1, 2, test_count=0)
+            dataset(spec(), bb, 1, 2, test_count=0)
         other = FrozenBackbone.create(0, INPUT_DIM + 1, FEATURE_DIM)
         with pytest.raises(ConfigInvalid):
-            generate_domain_dataset(spec(), other, 1, 2)
+            dataset(spec(), other, 1, 2)
 
 
 class TestGradients:
@@ -172,7 +176,7 @@ class TestGradients:
             theta = rng.normal(size=FEATURE_DIM + 1)
             idx = rng.integers(0, cl.train_size, size=16)
             fb = cl.features_train[idx]
-            yb = cl.data.train_y[idx]
+            yb = cl.train_y[idx]
             loss, grad = decoder_loss_and_gradient(theta, fb, yb, task)
             assert loss == decoder_loss(theta, fb, yb, task)
             approx = fd_gradient(theta, fb, yb, task)
@@ -186,7 +190,7 @@ class TestGradients:
             theta = rng.normal(size=FEATURE_DIM + 1)
             anchor = rng.normal(size=FEATURE_DIM + 1)
             fb = cl.features_train[:16]
-            yb = cl.data.train_y[:16]
+            yb = cl.train_y[:16]
             loss, grad = decoder_loss_and_gradient(
                 theta, fb, yb, "regression", anchor, 0.7
             )
@@ -209,7 +213,7 @@ class TestLocalTrain:
         start = ParamVector(np.random.default_rng(1).normal(size=FEATURE_DIM + 1))
         out = local_train(start, cl, 0)
         _, grad = decoder_loss_and_gradient(
-            start.values, cl.features_train, cl.data.train_y, "regression"
+            start.values, cl.features_train, cl.train_y, "regression"
         )
         assert np.allclose(out.values, start.values - lr * grad, atol=1e-14)
 
@@ -227,16 +231,16 @@ class TestLocalTrain:
         )
         out = local_train(ParamVector(np.zeros(FEATURE_DIM + 1)), cl, 0)
         final = decoder_loss(
-            out.values, cl.features_train, cl.data.train_y, "regression"
+            out.values, cl.features_train, cl.train_y, "regression"
         )
         # the noiseless targets are realizable, so the least-squares optimum is 0
         coeffs, *_ = np.linalg.lstsq(
             np.hstack([cl.features_train, np.ones((cl.train_size, 1))]),
-            cl.data.train_y,
+            cl.train_y,
             rcond=None,
         )
         optimum = decoder_loss(
-            coeffs, cl.features_train, cl.data.train_y, "regression"
+            coeffs, cl.features_train, cl.train_y, "regression"
         )
         assert optimum < 1e-20
         assert final < 1e-6
@@ -248,7 +252,7 @@ class TestLocalTrain:
         for _ in range(30):
             losses.append(
                 decoder_loss(
-                    theta.values, cl.features_train, cl.data.train_y, "regression"
+                    theta.values, cl.features_train, cl.train_y, "regression"
                 )
             )
             theta = local_train(theta, cl, 0)
@@ -309,7 +313,7 @@ class TestLocalTrainFedprox:
 class TestEvaluate:
     def test_perfect_decoder_on_noiseless_data(self):
         cl = client(noise=0.0)
-        theta = np.concatenate([cl.data.true_head, [0.0]])
+        theta = np.concatenate([cl.true_head, [0.0]])
         result = evaluate(ParamVector(theta), cl)
         assert result.loss < 1e-9
         assert result.accuracy is None
@@ -320,10 +324,7 @@ class TestEvaluate:
         bb = replace(FrozenBackbone.create(1, INPUT_DIM, FEATURE_DIM),
                      bias=np.zeros(FEATURE_DIM))
         big = DomainSpec("d", 10, INPUT_DIM, (0.0,) * INPUT_DIM, 0.5, 0.0)
-        data = generate_domain_dataset(
-            big, bb, 3, 4, task="classification", test_count=1000
-        )
-        cl = ClientState(domain=big, data=data, backbone=bb, config=LocalConfig())
+        cl = dataset(big, bb, 3, 4, task="classification", test_count=1000)
         result = evaluate(ParamVector(np.zeros(FEATURE_DIM + 1)), cl)
         assert abs(result.accuracy - 0.5) <= 0.05
 

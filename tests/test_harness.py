@@ -197,7 +197,7 @@ class TestBuildClients:
         cfg = tiny_config()
         a = build_clients(cfg, master_seed=0)
         b = build_clients(cfg, master_seed=1)
-        assert not np.array_equal(a[0].data.train_x, b[0].data.train_x)
+        assert not np.array_equal(a[0].features_train, b[0].features_train)
 
 
 class TestRunExperiment:
@@ -268,11 +268,12 @@ class TestRunExperiment:
         assert float(last[5]) == summaries[0]["final"]["avg_loss"]
         assert summaries[0]["final"]["round"] == cfg.rounds
 
-    def test_failed_rewrite_keeps_the_old_summary(self, tmp_path, monkeypatch):
+    def test_interrupted_rerun_leaves_no_stale_summary(self, tmp_path, monkeypatch):
+        # the rerun's metrics.csv lands and its summary.json does not: the old
+        # summary.json must not be left beside a metrics.csv it does not describe
         cfg = tiny_config(seeds=(0,), strategies=("clustered",))
         run_experiment(cfg, tmp_path)
-        summary = tmp_path / "clustered_T2_f1" / "seed_0" / "summary.json"
-        before = summary.read_bytes()
+        cell = tmp_path / "clustered_T2_f1" / "seed_0"
         real_replace = os.replace
 
         def replace_failing_on_summary(src, dst):
@@ -284,7 +285,8 @@ class TestRunExperiment:
         with pytest.raises(OSError, match="interrupted"):
             run_experiment(tiny_config(seeds=(0,), strategies=("clustered",),
                                        rounds=2), tmp_path)
-        assert summary.read_bytes() == before
+        assert len((cell / "metrics.csv").read_text().splitlines()) == 1 + 2 + 2
+        assert not (cell / "summary.json").exists()
 
 
 class TestCompareStrategies:
@@ -344,6 +346,13 @@ class TestCompareStrategies:
         b = self.fake_summary("fedavg_only", 0, 2.0)
         b["rounds"] = 8
         with pytest.raises(ConfigInvalid):
+            compare_strategies([a, b])
+
+    def test_differing_domains_rejected(self):
+        a = self.fake_summary("clustered", 0, 1.0)
+        b = self.fake_summary("fedavg_only", 0, 2.0)
+        b["domain_ids"] = ["d0", "d2"]
+        with pytest.raises(ConfigInvalid, match="differing domain_ids"):
             compare_strategies([a, b])
 
     def test_single_group_rejected(self):
@@ -491,7 +500,11 @@ class TestCli:
         lambda text: text[:200],
         lambda text: "{}",
         lambda text: json.dumps({"schema": "experiment-summary-v1"}),
-    ], ids=["cut_to_200_bytes", "not_a_summary", "v1_tag_only"])
+        lambda text: json.dumps({**json.loads(text), "domain_ids": 5}),
+        lambda text: json.dumps(dict(s := json.loads(text),
+                                     final={**s["final"], "avg_loss": "0.5"})),
+    ], ids=["cut_to_200_bytes", "not_a_summary", "v1_tag_only",
+            "domain_ids_a_number", "final_avg_loss_a_string"])
     def test_compare_damaged_summary_is_one_line_error(self, tmp_path, capsys, damage):
         run_experiment(tiny_config(seeds=(0,)), tmp_path)
         summary = tmp_path / "clustered_T2_f1" / "seed_0" / "summary.json"

@@ -3,13 +3,12 @@ import pytest
 
 from fedswap import server
 from fedswap.clients import (
-    ClientState,
     DomainSpec,
     FrozenBackbone,
     LocalConfig,
     evaluate,
-    generate_domain_dataset,
     local_train,
+    make_client,
 )
 from fedswap.clustering import build_distance_matrix, cluster_to_two
 from fedswap.errors import ConfigInvalid, InvalidInput
@@ -20,9 +19,7 @@ from fedswap.server import (
     EXCHANGE,
     PURPOSES,
     WARMUP,
-    RoundRecord,
     ServerConfig,
-    ServerState,
     derive_seed,
     run_round,
     run_simulation,
@@ -49,16 +46,11 @@ def make_clients(n=3, master_seed=0, counts=(120, 120, 60), steps=3):
             concept_shift=0.2 + 0.4 * i,
             label_noise=0.05,
         )
-        data = generate_domain_dataset(
-            spec,
-            backbone,
-            concept,
+        clients.append(make_client(
+            spec, backbone, local, concept,
             derive_seed(master_seed, PURPOSES["domain"], i),
-            test_count=50,
-        )
-        clients.append(
-            ClientState(domain=spec, data=data, backbone=backbone, config=local)
-        )
+            task="regression", test_count=50, train_fraction=1.0,
+        ))
     return clients
 
 
@@ -133,39 +125,32 @@ class TestRunRound:
     def test_aggregate_round_delivers_identical_average(self):
         uploads = uploads_of(3)
         weights = AggregationWeights.from_sizes([10, 10, 20])
-        state = ServerState(current_round=2)
-        deliveries = run_round(state, uploads, weights, self.cfg())
+        deliveries, assignment, plan = run_round(2, uploads, weights, self.cfg(), None)
         expected = weighted_average(uploads, weights)
         assert len(deliveries) == 3
         for d in deliveries:
             assert np.array_equal(d.values, expected.values)
-        assert state.trace[-1].decision == AGGREGATE
+        assert assignment is None and plan is None
 
     def test_exchange_round_permutes_uploads(self):
         uploads = uploads_of(4)
         weights = AggregationWeights.from_sizes([1, 1, 1, 1])
-        state = ServerState(current_round=1)
-        deliveries = run_round(state, uploads, weights, self.cfg())
-        assert {id(d) for d in deliveries} == {id(u) for u in uploads}
-        record = state.trace[-1]
-        assert record.decision == EXCHANGE
-        assert sorted(record.plan) == [0, 1, 2, 3]
-        assert record.assignment is not None
-        assert state.last_plan == record.plan
+        deliveries, assignment, plan = run_round(1, uploads, weights, self.cfg(), None)
+        assert sorted(plan) == [0, 1, 2, 3]
+        assert all(d is uploads[j] for d, j in zip(deliveries, plan))
+        assert set(assignment) == {0, 1}
 
     def test_round_context_attached_to_errors(self):
         uploads = [ParamVector(np.zeros(3) + [1, 0, 0]), ParamVector(np.zeros(3))]
         weights = AggregationWeights.from_sizes([1, 1])
-        state = ServerState(current_round=1)
         with pytest.raises(InvalidInput, match="round 1:") as info:
-            run_round(state, uploads, weights, self.cfg())
+            run_round(1, uploads, weights, self.cfg(), None)
         assert str(info.value).count("round 1:") == 1
 
     def test_upload_count_checked_against_weights(self):
-        state = ServerState(current_round=1)
         with pytest.raises(ConfigInvalid):
             run_round(
-                state, uploads_of(3), AggregationWeights.from_sizes([1, 1]), self.cfg()
+                1, uploads_of(3), AggregationWeights.from_sizes([1, 1]), self.cfg(), None
             )
 
 
@@ -189,23 +174,23 @@ class TestRunSimulation:
                 float(np.mean(record.domain_losses)), abs=1e-12
             )
 
-    def test_final_round_leaves_identical_decoders(self):
-        cfg = ServerConfig(
-            rounds=4, aggregation_frequency=2, warmup_rounds=1, master_seed=5
-        )
-        clients = make_clients()
-        run_simulation(cfg, clients)
-        base = clients[0].decoder.values
-        for c in clients[1:]:
-            assert np.array_equal(c.decoder.values, base)
+    def test_exchange_rounds_record_plan_and_cluster(self, monkeypatch):
+        # each exchange's plan builder gets the plan of the exchange before it,
+        # across the aggregate round in between
+        history = []
 
-    def test_exchange_rounds_record_plan_and_cluster(self):
+        def recording(assignment, last, seed):
+            history.append(last)
+            return build_clustered_plan(assignment, last, seed)
+
+        monkeypatch.setattr(server, "build_clustered_plan", recording)
         cfg = ServerConfig(
-            rounds=2, aggregation_frequency=2, warmup_rounds=0, master_seed=5
+            rounds=4, aggregation_frequency=2, warmup_rounds=0, master_seed=5
         )
         trace = run_simulation(cfg, make_clients(n=4, counts=(80, 80, 80, 80)))
         exchange_rows = [r for r in trace if r.decision == EXCHANGE]
-        assert exchange_rows
+        assert len(exchange_rows) == 2
+        assert history == [None, exchange_rows[0].plan]
         for row in exchange_rows:
             assert sorted(row.plan) == [0, 1, 2, 3]
             assert set(row.assignment) == {0, 1}
@@ -260,8 +245,7 @@ class TestRunSimulation:
         cfg = ServerConfig(
             rounds=2, aggregation_frequency=2, warmup_rounds=1, master_seed=master
         )
-        clients = make_clients(master_seed=master)
-        trace = run_simulation(cfg, clients)
+        trace = run_simulation(cfg, make_clients(master_seed=master))
 
         replay = make_clients(master_seed=master)
         dim = FEATURE_DIM + 1
@@ -304,8 +288,6 @@ class TestRunSimulation:
             evaluate(global_decoder, replay[i]).loss for i in range(3)
         )
         assert trace[2].domain_losses == losses_r2
-        for c in clients:
-            assert np.array_equal(c.decoder.values, global_decoder.values)
 
 
 class TestStrategyDispatch:
