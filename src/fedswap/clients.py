@@ -6,13 +6,14 @@ map plus tanh); it never changes once built. A decoder is a flat linear map
 over the backbone features; the round loop owns every client's. Local
 training is plain mini-batch gradient descent on a convex loss, optionally
 with a proximal pull toward the decoder the round starts from: under
-fedprox, the latest global decoder.
+fedprox, the latest global decoder. One call trains a whole round, stepping
+clients with equal batch shapes together, bit for bit as if each trained alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -205,108 +206,138 @@ class EvalResult:
 
 
 def _scores(theta: np.ndarray, features: np.ndarray) -> np.ndarray:
-    return features @ theta[:-1] + theta[-1]
+    """Scores of one decoder (D,) on (n, F) features, or of k decoders (k, D)
+    each on its own (k, B, F) batch: one matrix-vector product per decoder."""
+    return np.matmul(features, theta[..., :-1, None])[..., 0] + theta[..., -1:]
 
 
-def _mean_loss(s: np.ndarray, labels: np.ndarray, task: str) -> float:
-    if task == "regression":
-        return float(np.mean((s - labels) ** 2))
-    return float(np.mean(np.logaddexp(0.0, -labels * s)))
+def _mean_loss(s: np.ndarray, labels: np.ndarray, task: str):
+    """Squared error or logistic loss, averaged over the last axis as sum / count."""
+    per_row = (s - labels) ** 2 if task == "regression" else np.logaddexp(0.0, -labels * s)
+    return per_row.sum(axis=-1) / s.shape[-1]
 
 
-def decoder_loss_and_gradient(
-    theta: np.ndarray,
-    features: np.ndarray,
-    labels: np.ndarray,
-    task: str,
-    anchor: Optional[np.ndarray] = None,
-    mu: float = 0.0,
-) -> tuple[float, np.ndarray]:
-    """Mean squared error (regression) or mean logistic loss (classification),
-    plus an optional proximal penalty (mu/2)*|theta - anchor|^2, and its exact
-    gradient with respect to theta, from one computation of the scores."""
-    s = _scores(theta, features)
+def decoder_loss_and_gradient(thetas: np.ndarray, features: np.ndarray, labels: np.ndarray,
+                              task: str, anchors: Optional[np.ndarray] = None,
+                              mu: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Mean squared error (regression) or mean logistic loss (classification)
+    of k decoders (k, D), each on its own batch of features (k, B, F) and
+    labels (k, B), plus an optional proximal penalty (mu/2)*|theta - anchor|^2;
+    returns the (k,) losses and their exact (k, D) gradients, from one
+    computation of the scores. Each client gets the operations it would get
+    alone (a matrix-vector product for the scores and the head gradient,
+    sum / count for each mean), so stacking reorders no sum."""
+    s = _scores(thetas, features)
     loss = _mean_loss(s, labels, task)
-    batch = features.shape[0]
+    batch = features.shape[1]
+    features_t = features.transpose(0, 2, 1)
+    grad = np.empty_like(thetas)
     if task == "regression":
         residual = s - labels
-        grad_w = (2.0 / batch) * (features.T @ residual)
-        grad_b = 2.0 * float(np.mean(residual))
+        grad[:, :-1] = (2.0 / batch) * np.matmul(features_t, residual[..., None])[..., 0]
+        grad[:, -1] = 2.0 * (residual.sum(axis=-1) / batch)
     else:
         # d/ds log(1 + exp(-y s)) = -y * sigmoid(-y s)
-        margin = labels * s
-        g = -labels * np.exp(-np.logaddexp(0.0, margin))
-        grad_w = (features.T @ g) / batch
-        grad_b = float(np.mean(g))
-    grad = np.concatenate([grad_w, [grad_b]])
-    if mu > 0.0 and anchor is not None:
-        diff = theta - anchor
-        loss += 0.5 * mu * float(np.dot(diff, diff))
+        g = -labels * np.exp(-np.logaddexp(0.0, labels * s))
+        grad[:, :-1] = np.matmul(features_t, g[..., None])[..., 0] / batch
+        grad[:, -1] = g.sum(axis=-1) / batch
+    if mu > 0.0 and anchors is not None:
+        diff = thetas - anchors
+        # this loss only feeds the finiteness check; one dot per client
+        # keeps it equal to a single client's
+        loss = loss + 0.5 * mu * np.array([np.dot(d, d) for d in diff])
         grad = grad + mu * diff
     return loss, grad
 
 
-def _run_steps(
-    decoder: ParamVector,
-    client: ClientState,
-    seed: int,
-    anchor: Optional[np.ndarray],
-    mu: float,
-) -> ParamVector:
-    expected = client.backbone.decoder_dim
-    if decoder.dim != expected:
-        raise InvalidInput(
-            f"decoder dim {decoder.dim} does not match the backbone's decoder dim "
-            f"{expected}"
-        )
-    cfg = client.config
-    n = client.train_size
-    features = client.features_train
-    labels = client.train_y
-    task = client.task
-    rng = np.random.default_rng(seed)
-    theta = decoder.values.copy()
-    full_batch = cfg.batch_size >= n
+def _train_group(clients: Sequence[ClientState], thetas: np.ndarray,
+                 seeds: Sequence[int], proximal: bool) -> np.ndarray:
+    """Steps clients that share a LocalConfig, task and batch shape together,
+    updating thetas (k, D) in place; returns the step at which each client's
+    loss was first non-finite, or -1. A diverged client keeps stepping: no
+    other client's numbers depend on it."""
+    cfg, task = clients[0].config, clients[0].task
+    draws = None
+    if cfg.batch_size >= clients[0].train_size:
+        batch = np.stack([c.features_train for c in clients])
+        labels = np.stack([c.train_y for c in clients])
+    else:
+        # one (steps, B) draw equals steps successive draws of B indices
+        draws = [np.random.default_rng(seed).integers(0, c.train_size,
+                                                      size=(cfg.steps, cfg.batch_size))
+                 for c, seed in zip(clients, seeds)]
+        # (steps, k, B), so that each step's labels are one contiguous block
+        step_labels = np.stack([c.train_y[idx] for c, idx in zip(clients, draws)], axis=1)
+        # one buffer, refilled each step
+        batch = np.empty((len(clients), cfg.batch_size, thetas.shape[1] - 1))
+    anchors, mu = (thetas.copy(), cfg.prox_mu) if proximal else (None, 0.0)
+    failed_at = np.full(len(clients), -1)
     for step in range(cfg.steps):
-        if full_batch:
-            fb, yb = features, labels
-        else:
-            idx = rng.integers(0, n, size=cfg.batch_size)
-            fb, yb = features[idx], labels[idx]
-        loss, grad = decoder_loss_and_gradient(theta, fb, yb, task, anchor, mu)
-        if not np.isfinite(loss):
-            raise NonFiniteLoss(
-                f"non-finite loss at step {step} on {client.domain.domain_id}; "
-                "reduce the learning rate"
-            )
-        theta -= cfg.learning_rate * grad
-    if not np.all(np.isfinite(theta)):
-        raise NonFiniteLoss(
-            f"training diverged on {client.domain.domain_id}; reduce the learning rate"
-        )
-    return ParamVector(theta)
+        if draws is not None:
+            for c, idx, out in zip(clients, draws, batch):
+                c.features_train.take(idx[step], axis=0, out=out, mode="clip")
+            labels = step_labels[step]
+        loss, grad = decoder_loss_and_gradient(thetas, batch, labels, task, anchors, mu)
+        failed_at[(failed_at < 0) & ~np.isfinite(loss)] = step
+        thetas -= cfg.learning_rate * grad
+    return failed_at
 
 
-def local_train(decoder: ParamVector, client: ClientState, derived_seed: int) -> ParamVector:
-    """Run the configured number of mini-batch gradient steps; backbone untouched."""
-    return _run_steps(decoder, client, derived_seed, None, 0.0)
+def _train_round(decoders: Sequence[ParamVector], clients: Sequence[ClientState],
+                 seeds: Sequence[int], proximal: bool) -> list[ParamVector]:
+    if not len(decoders) == len(clients) == len(seeds):
+        raise InvalidInput(
+            f"got {len(decoders)} decoders, {len(clients)} clients and {len(seeds)} seeds")
+    for decoder, client in zip(decoders, clients):
+        if decoder.dim != client.backbone.decoder_dim:
+            raise InvalidInput(f"decoder dim {decoder.dim} does not match the backbone's "
+                               f"decoder dim {client.backbone.decoder_dim}")
+    # clients whose batches have the same shape step together
+    groups: dict[tuple, list[int]] = {}
+    for i, c in enumerate(clients):
+        full_size = c.train_size if c.config.batch_size >= c.train_size else None
+        groups.setdefault((c.config, c.task, c.backbone.feature_dim, full_size), []).append(i)
+    thetas, failed_at = [None] * len(clients), [-1] * len(clients)
+    # a diverging client overflows before the checks below report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for members in groups.values():
+            stacked = np.stack([decoders[i].values for i in members])
+            steps = _train_group([clients[i] for i in members], stacked,
+                                 [seeds[i] for i in members], proximal)
+            for i, theta, step in zip(members, stacked, steps):
+                thetas[i], failed_at[i] = theta, step
+    # the lowest-index failure, as if the clients had trained one at a time
+    for client, theta, step in zip(clients, thetas, failed_at):
+        name = client.domain.domain_id
+        if step >= 0:
+            raise NonFiniteLoss(f"non-finite loss at step {step} on {name}; "
+                                "reduce the learning rate")
+        if not np.all(np.isfinite(theta)):
+            raise NonFiniteLoss(f"training diverged on {name}; reduce the learning rate")
+    return [ParamVector(theta) for theta in thetas]
 
 
-def local_train_fedprox(
-    decoder: ParamVector, client: ClientState, derived_seed: int
-) -> ParamVector:
+def local_train(decoders: Sequence[ParamVector], clients: Sequence[ClientState],
+                seeds: Sequence[int]) -> list[ParamVector]:
+    """One round of local training: each client runs its configured number
+    of mini-batch gradient steps from its decoder, drawing batches from its
+    derived seed; returns the uploads in client order. Backbones untouched."""
+    return _train_round(decoders, clients, seeds, proximal=False)
+
+
+def local_train_fedprox(decoders: Sequence[ParamVector], clients: Sequence[ClientState],
+                        seeds: Sequence[int]) -> list[ParamVector]:
     """local_train plus FedProx's proximal gradient term mu * (theta - anchor),
-    with mu = client.config.prox_mu and the starting decoder as the anchor."""
-    return _run_steps(decoder, client, derived_seed, decoder.values,
-                      client.config.prox_mu)
+    with mu = each client's config.prox_mu and its starting decoder as the anchor."""
+    return _train_round(decoders, clients, seeds, proximal=True)
 
 
 def evaluate(decoder: ParamVector, client: ClientState) -> EvalResult:
     """Loss (and accuracy, for classification) on the client's test split."""
     s = _scores(decoder.values, client.features_test)
     labels = client.test_y
-    loss = _mean_loss(s, labels, client.task)
+    loss = float(_mean_loss(s, labels, client.task))
     if client.task != "classification":
         return EvalResult(loss=loss)
-    predicted = np.where(s >= 0.0, 1.0, -1.0)
-    return EvalResult(loss=loss, accuracy=float(np.mean(predicted == labels)))
+    hits = np.count_nonzero(np.where(s >= 0.0, 1.0, -1.0) == labels)
+    return EvalResult(loss=loss, accuracy=hits / s.size)

@@ -569,6 +569,8 @@ def ablation_T(
     t_values = [int(t) for t in t_values]
     if not t_values:
         raise ConfigInvalid("need at least one T value")
+    if len(set(t_values)) != len(t_values):
+        raise ConfigInvalid(f"duplicate T values in {t_values}")
     # building every per-T config checks each T before any cell runs
     subs = [replace(cfg, strategies=("clustered",), aggregation_frequency=t)
             for t in t_values]

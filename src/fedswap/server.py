@@ -205,11 +205,10 @@ def run_round(
 
 def _train_all(decoders: Sequence[ParamVector], clients: Sequence[ClientState],
                cfg: ServerConfig, purpose: str, r: int) -> list[ParamVector]:
-    """Every client's upload after local training from its current decoder."""
+    """Every client's upload after local training, from one call for the round."""
     train = local_train_fedprox if STRATEGIES[cfg.strategy].proximal else local_train
-    return [train(decoder, client,
-                  derive_seed(cfg.master_seed, PURPOSES[purpose], r, i))
-            for i, (decoder, client) in enumerate(zip(decoders, clients))]
+    return train(decoders, clients, [derive_seed(cfg.master_seed, PURPOSES[purpose], r, i)
+                                     for i in range(len(clients))])
 
 
 def _record(r: int, decision: str, cfg: ServerConfig,

@@ -208,7 +208,11 @@ def test_criterion_05_gradients_match_finite_differences(capsys):
             anchor, mu = rng.normal(size=dim), float(rng.uniform(0.1, 2.0))
         else:
             anchor, mu = None, 0.0
-        _, grad = decoder_loss_and_gradient(theta, fb, labels, task, anchor, mu)
+        _, grads = decoder_loss_and_gradient(
+            theta[None], fb[None], labels[None], task,
+            None if anchor is None else anchor[None], mu,
+        )
+        grad = grads[0]
         h = 1e-6
         approx = np.zeros(dim)
         for k in range(dim):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from fedswap.clients import (
 from fedswap.errors import ConfigInvalid, InvalidInput, NonFiniteLoss
 from fedswap.params import ParamVector
 from loss_oracle import decoder_loss
+from train_oracle import oracle_local_train
 
 INPUT_DIM = 6
 FEATURE_DIM = 8
@@ -177,11 +179,11 @@ class TestGradients:
             idx = rng.integers(0, cl.train_size, size=16)
             fb = cl.features_train[idx]
             yb = cl.train_y[idx]
-            loss, grad = decoder_loss_and_gradient(theta, fb, yb, task)
-            assert loss == decoder_loss(theta, fb, yb, task)
+            loss, grad = decoder_loss_and_gradient(theta[None], fb[None], yb[None], task)
+            assert loss[0] == decoder_loss(theta, fb, yb, task)
             approx = fd_gradient(theta, fb, yb, task)
             denom = max(np.linalg.norm(approx), 1e-8)
-            assert np.linalg.norm(grad - approx) / denom < 1e-5
+            assert np.linalg.norm(grad[0] - approx) / denom < 1e-5
 
     def test_proximal_term_matches_finite_differences(self):
         cl = client()
@@ -192,36 +194,37 @@ class TestGradients:
             fb = cl.features_train[:16]
             yb = cl.train_y[:16]
             loss, grad = decoder_loss_and_gradient(
-                theta, fb, yb, "regression", anchor, 0.7
+                theta[None], fb[None], yb[None], "regression", anchor[None], 0.7
             )
-            assert loss == decoder_loss(theta, fb, yb, "regression", anchor, 0.7)
+            assert loss[0] == decoder_loss(theta, fb, yb, "regression", anchor, 0.7)
             approx = fd_gradient(theta, fb, yb, "regression", anchor, 0.7)
             denom = max(np.linalg.norm(approx), 1e-8)
-            assert np.linalg.norm(grad - approx) / denom < 1e-5
+            assert np.linalg.norm(grad[0] - approx) / denom < 1e-5
 
 
 class TestLocalTrain:
     def test_zero_steps_returns_decoder_unchanged(self):
         cl = client(local=LocalConfig(steps=0, learning_rate=0.05, batch_size=32))
         start = ParamVector(np.random.default_rng(0).normal(size=FEATURE_DIM + 1))
-        out = local_train(start, cl, 99)
+        [out] = local_train([start], [cl], [99])
         assert np.array_equal(out.values, start.values)
 
     def test_one_full_batch_step_is_exact_gradient_step(self):
         lr = 0.03
         cl = client(local=LocalConfig(steps=1, learning_rate=lr, batch_size=10_000))
         start = ParamVector(np.random.default_rng(1).normal(size=FEATURE_DIM + 1))
-        out = local_train(start, cl, 0)
+        [out] = local_train([start], [cl], [0])
         _, grad = decoder_loss_and_gradient(
-            start.values, cl.features_train, cl.train_y, "regression"
+            start.values[None], cl.features_train[None], cl.train_y[None], "regression"
         )
-        assert np.allclose(out.values, start.values - lr * grad, atol=1e-14)
+        assert np.allclose(out.values, start.values - lr * grad[0], atol=1e-14)
 
     def test_replay_is_bitwise_identical(self):
         cl = client()
         start = ParamVector(np.zeros(FEATURE_DIM + 1))
         assert np.array_equal(
-            local_train(start, cl, 7).values, local_train(start, cl, 7).values
+            local_train([start], [cl], [7])[0].values,
+            local_train([start], [cl], [7])[0].values,
         )
 
     def test_noiseless_task_trains_to_tiny_loss(self):
@@ -229,7 +232,7 @@ class TestLocalTrain:
             noise=0.0,
             local=LocalConfig(steps=4000, learning_rate=0.3, batch_size=10_000),
         )
-        out = local_train(ParamVector(np.zeros(FEATURE_DIM + 1)), cl, 0)
+        [out] = local_train([ParamVector(np.zeros(FEATURE_DIM + 1))], [cl], [0])
         final = decoder_loss(
             out.values, cl.features_train, cl.train_y, "regression"
         )
@@ -255,33 +258,33 @@ class TestLocalTrain:
                     theta.values, cl.features_train, cl.train_y, "regression"
                 )
             )
-            theta = local_train(theta, cl, 0)
+            [theta] = local_train([theta], [cl], [0])
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_backbone_untouched_by_training(self):
         cl = client()
         before_w = cl.backbone.weight.copy()
         before_b = cl.backbone.bias.copy()
-        local_train(ParamVector(np.zeros(FEATURE_DIM + 1)), cl, 0)
+        local_train([ParamVector(np.zeros(FEATURE_DIM + 1))], [cl], [0])
         assert np.array_equal(cl.backbone.weight, before_w)
         assert np.array_equal(cl.backbone.bias, before_b)
 
     def test_dimension_checked_against_manifest(self):
         cl = client()
         with pytest.raises(InvalidInput):
-            local_train(ParamVector(np.zeros(FEATURE_DIM)), cl, 0)
+            local_train([ParamVector(np.zeros(FEATURE_DIM))], [cl], [0])
 
     def test_divergence_raises_non_finite_loss(self):
         cl = client(local=LocalConfig(steps=400, learning_rate=50.0, batch_size=10_000))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteLoss):
-            local_train(ParamVector(np.ones(FEATURE_DIM + 1)), cl, 0)
+            local_train([ParamVector(np.ones(FEATURE_DIM + 1))], [cl], [0])
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_output_always_finite(self, seed):
         cl = client(local=LocalConfig(steps=3, learning_rate=0.05, batch_size=8))
         start = ParamVector(np.random.default_rng(seed).normal(size=FEATURE_DIM + 1))
-        out = local_train(start, cl, seed)
+        [out] = local_train([start], [cl], [seed])
         assert np.all(np.isfinite(out.values))
 
 
@@ -289,25 +292,115 @@ class TestLocalTrainFedprox:
     def test_mu_zero_matches_plain_training(self):
         local = LocalConfig(steps=5, learning_rate=0.05, batch_size=32, prox_mu=0.0)
         start = ParamVector(np.random.default_rng(4).normal(size=FEATURE_DIM + 1))
-        plain = local_train(start, client(local=local), 13)
-        prox = local_train_fedprox(start, client(local=local), 13)
+        [plain] = local_train([start], [client(local=local)], [13])
+        [prox] = local_train_fedprox([start], [client(local=local)], [13])
         assert np.array_equal(plain.values, prox.values)
         # mu is read from the client's config
         pulled = client(local=replace(local, prox_mu=0.5))
         assert not np.array_equal(
-            plain.values, local_train_fedprox(start, pulled, 13).values
+            plain.values, local_train_fedprox([start], [pulled], [13])[0].values
         )
 
     def test_huge_mu_pins_decoder_to_anchor(self):
         cl = client(local=LocalConfig(steps=200, learning_rate=1e-7,
                                       batch_size=10_000, prox_mu=1e6))
         anchor = ParamVector(np.random.default_rng(5).normal(size=FEATURE_DIM + 1))
-        out = local_train_fedprox(anchor, cl, 0)
+        [out] = local_train_fedprox([anchor], [cl], [0])
         assert np.max(np.abs(out.values - anchor.values)) < 1e-3
 
     def test_negative_mu_rejected(self):
         with pytest.raises(ConfigInvalid):
             LocalConfig(steps=5, learning_rate=0.05, batch_size=32, prox_mu=-0.1)
+
+
+# batch size 16 against train sizes below, at and above it
+BATCH = 16
+SIZES = (5, 16, 17, 40, 200)
+ONE_CONFIG = (LocalConfig(steps=4, learning_rate=0.05, batch_size=BATCH, prox_mu=0.3),)
+MIXED_CONFIGS = (
+    LocalConfig(steps=4, learning_rate=0.05, batch_size=BATCH, prox_mu=0.3),
+    LocalConfig(steps=3, learning_rate=0.1, batch_size=8, prox_mu=0.0),
+    LocalConfig(steps=0, learning_rate=0.05, batch_size=BATCH),
+)
+
+
+def round_of_clients(k, task, configs):
+    """k clients over one backbone, cycling through SIZES and configs; the
+    task "mixed" alternates regression and classification."""
+    bb = backbone()
+    tasks = ("regression", "classification") if task == "mixed" else (task,)
+    return [
+        dataset(spec(f"d{i}", count=SIZES[i % len(SIZES)], shift=0.1 * (i % 7),
+                     concept=0.2 + 0.1 * (i % 5)),
+                bb, 11, 100 + i, task=tasks[i % len(tasks)], test_count=10,
+                local=configs[i % len(configs)])
+        for i in range(k)
+    ]
+
+
+def oracle_failure(decoder, cl, seed):
+    """The oracle's divergence message for one client, or None."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            oracle_local_train(decoder, cl, seed)
+        except NonFiniteLoss as exc:
+            return str(exc)
+    return None
+
+
+class TestBatchedTraining:
+    @pytest.mark.parametrize("proximal", [False, True], ids=["plain", "fedprox"])
+    @pytest.mark.parametrize("configs", [ONE_CONFIG, MIXED_CONFIGS],
+                             ids=["one_config", "mixed_configs"])
+    @pytest.mark.parametrize("task", ["regression", "classification", "mixed"])
+    @pytest.mark.parametrize("k", [1, 2, 5, 64])
+    def test_uploads_equal_the_per_client_oracle(self, k, task, configs, proximal):
+        clients = round_of_clients(k, task, configs)
+        rng = np.random.default_rng(k)
+        decoders = [ParamVector(rng.normal(size=FEATURE_DIM + 1)) for _ in range(k)]
+        seeds = [int(s) for s in rng.integers(0, 2**62, size=k)]
+        train = local_train_fedprox if proximal else local_train
+        got = train(decoders, clients, seeds)
+        assert len(got) == k
+        for decoder, cl, seed, upload in zip(decoders, clients, seeds, got):
+            want = oracle_local_train(decoder, cl, seed, proximal)
+            assert upload.values.tobytes() == want.values.tobytes(), cl.domain.domain_id
+
+    def test_divergence_names_the_lowest_index_client(self):
+        # clients 1 and 2 share a config, so they step together; client 2
+        # starts far out and fails at an earlier step than client 1
+        wild = LocalConfig(steps=100, learning_rate=50.0, batch_size=10_000)
+        tame = LocalConfig(steps=100, learning_rate=0.05, batch_size=10_000)
+        bb = backbone()
+        clients = [dataset(spec(f"d{i}"), bb, 11, 22 + i, test_count=10, local=local)
+                   for i, local in enumerate((tame, wild, wild))]
+        decoders = [ParamVector(np.ones(FEATURE_DIM + 1) * scale) for scale in (1, 1, 1e100)]
+        expected = [oracle_failure(d, c, 0) for d, c in zip(decoders, clients)]
+        assert expected[0] is None
+        steps = [int(re.search(r"step (\d+) on", msg).group(1)) for msg in expected[1:]]
+        assert steps[1] < steps[0]
+        with pytest.raises(NonFiniteLoss) as info:
+            local_train(decoders, clients, [0, 0, 0])
+        assert str(info.value) == expected[1]
+
+    def test_end_of_loop_check_catches_a_non_finite_decoder(self):
+        # the one step's loss is finite, but its update overflows
+        cl = client(local=LocalConfig(steps=1, learning_rate=1e300, batch_size=10_000))
+        start = ParamVector(np.full(FEATURE_DIM + 1, 1e10))
+        loss, _ = decoder_loss_and_gradient(
+            start.values[None], cl.features_train[None], cl.train_y[None], "regression"
+        )
+        assert np.isfinite(loss[0])
+        expected = oracle_failure(start, cl, 0)
+        assert expected.startswith("training diverged on d0")
+        with pytest.raises(NonFiniteLoss) as info:
+            local_train([start], [cl], [0])
+        assert str(info.value) == expected
+
+    def test_list_lengths_must_agree(self):
+        cl = client()
+        with pytest.raises(InvalidInput):
+            local_train([ParamVector(np.zeros(FEATURE_DIM + 1))] * 2, [cl], [0])
 
 
 class TestEvaluate:

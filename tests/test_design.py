@@ -4,6 +4,7 @@ quietly undo."""
 import dataclasses
 import importlib
 import pkgutil
+from pathlib import Path
 
 import fedswap
 
@@ -26,3 +27,12 @@ def test_every_dataclass_is_frozen():
     assert {"ClientState", "RoundRecord", "ExperimentConfig"} <= {c.__name__ for c in classes}
     mutable = sorted(c.__qualname__ for c in classes if not c.__dataclass_params__.frozen)
     assert not mutable, f"mutable dataclasses: {mutable}"
+
+
+def test_no_reordered_sums():
+    # einsum and tensordot may sum in another order than the matrix-vector
+    # products and sum / count means that keep outputs byte-identical
+    sources = Path(fedswap.__file__).parent.glob("*.py")
+    offenders = sorted(p.name for p in sources
+                       if "einsum" in p.read_text() or "tensordot" in p.read_text())
+    assert not offenders, f"einsum or tensordot in {offenders}"

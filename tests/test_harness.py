@@ -540,6 +540,16 @@ class TestCli:
         assert "relative spread" in capsys.readouterr().out
         assert (tmp_path / "abl" / "ablation_t.json").exists()
 
+    def test_ablate_t_repeated_value_is_one_line_error(self, tmp_path, capsys):
+        # used to run the T=2 cell twice into one directory and write two rows
+        cfg_path = self.write_config(tmp_path)
+        out = tmp_path / "abl"
+        assert main(["ablate-t", "--config", str(cfg_path), "--t-values", "2,2",
+                     "--seed", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: duplicate T values") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_ablate_t_bad_values(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path)
         assert main(["ablate-t", "--config", str(cfg_path),

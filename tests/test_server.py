@@ -7,7 +7,6 @@ from fedswap.clients import (
     FrozenBackbone,
     LocalConfig,
     evaluate,
-    local_train,
     make_client,
 )
 from fedswap.clustering import build_distance_matrix, cluster_to_two
@@ -25,6 +24,7 @@ from fedswap.server import (
     run_simulation,
     schedule_decision,
 )
+from train_oracle import oracle_local_train
 
 INPUT_DIM = 6
 FEATURE_DIM = 8
@@ -239,8 +239,9 @@ class TestRunSimulation:
             run_simulation(cfg, make_clients()[:1])
 
     def test_manual_replay_of_seed_scheme(self):
-        """Re-derives the whole loop from the documented seed paths and
-        compares against run_simulation bitwise."""
+        """Re-derives the whole loop from the documented seed paths, training
+        each client alone through the per-client oracle, and compares against
+        run_simulation bitwise."""
         master = 21
         cfg = ServerConfig(
             rounds=2, aggregation_frequency=2, warmup_rounds=1, master_seed=master
@@ -255,7 +256,7 @@ class TestRunSimulation:
 
         # warm-up round
         ups = [
-            local_train(decoders[i], replay[i],
+            oracle_local_train(decoders[i], replay[i],
                         derive_seed(master, PURPOSES["warmup"], 1, i))
             for i in range(3)
         ]
@@ -264,7 +265,7 @@ class TestRunSimulation:
 
         # round 1: exchange
         ups = [
-            local_train(decoders[i], replay[i],
+            oracle_local_train(decoders[i], replay[i],
                         derive_seed(master, PURPOSES["train"], 1, i))
             for i in range(3)
         ]
@@ -279,7 +280,7 @@ class TestRunSimulation:
 
         # round 2: aggregate
         ups = [
-            local_train(decoders[i], replay[i],
+            oracle_local_train(decoders[i], replay[i],
                         derive_seed(master, PURPOSES["train"], 2, i))
             for i in range(3)
         ]
@@ -296,7 +297,7 @@ class TestStrategyDispatch:
         "cluster_to_two", "build_clustered_plan", "build_round_robin_plan",
         "build_random_plan",
     )
-    TRAINS = 15  # (1 warm-up + 4 protocol rounds) x 3 clients
+    TRAINS = 5  # 1 warm-up + 4 protocol rounds, one training call per round
     # at T=2, rounds 1 and 3 of 4 exchange
 
     @pytest.mark.parametrize("strategy, T, expected", [
