@@ -178,9 +178,12 @@ def make_client(
     true_head = shared_head + spec.concept_shift * direction
 
     shift = np.asarray(spec.shift, dtype=np.float64)
-    train_x = rng.normal(loc=shift, scale=1.0, size=(spec.sample_count, spec.input_dim))
+    # normal(loc=shift, scale=1.0) bit for bit, unscaled and added in place
+    train_x = rng.standard_normal((spec.sample_count, spec.input_dim))
+    train_x += shift
     train_eps = rng.normal(0.0, spec.label_noise, size=spec.sample_count)
-    test_x = rng.normal(loc=shift, scale=1.0, size=(test_count, spec.input_dim))
+    test_x = rng.standard_normal((test_count, spec.input_dim))
+    test_x += shift
     test_eps = rng.normal(0.0, spec.label_noise, size=test_count)
 
     def split(x: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,9 +246,9 @@ def decoder_loss_and_gradient(thetas: np.ndarray, features: np.ndarray, labels: 
         grad[:, -1] = g.sum(axis=-1) / batch
     if mu > 0.0 and anchors is not None:
         diff = thetas - anchors
-        # this loss only feeds the finiteness check; one dot per client
-        # keeps it equal to a single client's
-        loss = loss + 0.5 * mu * np.array([np.dot(d, d) for d in diff])
+        # this loss only feeds the finiteness check; vecdot is each client's
+        # own dot, so it equals a single client's
+        loss = loss + 0.5 * mu * np.vecdot(diff, diff)
         grad = grad + mu * diff
     return loss, grad
 

@@ -113,11 +113,13 @@ def cluster_to_two(dm: DistanceMatrix) -> ClusterAssignment:
     linkage are broken toward the lexicographically smallest pair of
     cluster representatives (each cluster's smallest member).
 
-    sums[a, b] is the total distance between the clusters held in slots a
-    and b, so a merge is one row add and one column add (Lance & Williams
-    1967). A cluster lives in the slot of its smallest member; the diagonal
-    and merged-away slots hold inf. The row-major argmin of the linkage is
-    then that tie-break.
+    sums[a, b] is the total distance between the clusters in slots a and b;
+    a merge adds row b into row a and mirrors row a into column a, which has
+    the column add's bits as dm is exactly symmetric (Lance & Williams 1967).
+    A cluster lives in the slot of its smallest member; the diagonal and
+    merged-away slots hold inf, so the row-major argmin of linkage = sums /
+    outer(sizes, sizes), kept across merges by dividing row a again, is that
+    tie-break.
     """
     n = dm.n
     if n < 2:
@@ -125,15 +127,16 @@ def cluster_to_two(dm: DistanceMatrix) -> ClusterAssignment:
     sums = dm.entries.copy()
     np.fill_diagonal(sums, np.inf)
     sizes = np.ones(n)
+    linkage = sums.copy()  # x / (1.0 * 1.0) == x
     members = [(i,) for i in range(n)]
     merges: list[MergeStep] = []
     for _ in range(n - 2):
-        linkage = sums / np.outer(sizes, sizes)
         a, b = divmod(int(np.argmin(linkage)), n)
         merges.append(MergeStep(members[a], members[b], float(linkage[a, b])))
         members[a] = tuple(sorted(members[a] + members[b]))
         sizes[a] += sizes[b]
         sums[a] += sums[b]
-        sums[:, a] += sums[:, b]
-        sums[b] = sums[:, b] = np.inf
+        sums[:, a] = sums[a]
+        sums[b] = sums[:, b] = linkage[b] = linkage[:, b] = np.inf
+        linkage[a] = linkage[:, a] = sums[a] / (sizes[a] * sizes)
     return ClusterAssignment.from_members(n, members[0], merges)

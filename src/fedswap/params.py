@@ -7,7 +7,6 @@ from different clients are directly comparable coordinate by coordinate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -100,20 +99,29 @@ def _common_dim(decoders: Sequence[ParamVector]) -> int:
 def cosine_distances(decoders: Sequence[ParamVector]) -> np.ndarray:
     """Symmetric matrix of pairwise cosine distances 1 - (a.b)/(|a||b|), in [0, 2].
 
-    One norm per decoder and one np.dot per pair, never a Gram product (it
-    sums in another order), so each entry depends on its own pair alone.
-    Raises InvalidInput for a zero decoder: it signals a degenerate or untrained
-    model and must not be hidden by a default value."""
+    Norms are sqrt(vecdot(u, u)); row i is one vecdot of the later decoders with
+    decoder i. Each pair gets the bits of its own np.dot, unlike a Gram product
+    or an axis norm, which sum in another order. Raises InvalidInput for a zero
+    or non-finite norm (a degenerate model must not be hidden by a default
+    value) and for a non-finite cosine (an overflowing dot)."""
     _common_dim(decoders)
-    norms = [float(np.linalg.norm(d.values)) for d in decoders]
-    if 0.0 in norms:
-        raise InvalidInput(f"decoder {norms.index(0.0)} has zero norm")
-    out = np.zeros((len(decoders), len(decoders)))
-    for i, j in itertools.combinations(range(len(decoders)), 2):
-        cos = float(np.dot(decoders[i].values, decoders[j].values)) / (norms[i] * norms[j])
-        # clamp rounding excursions so the result stays in [0, 2] exactly
-        out[i, j] = out[j, i] = 1.0 - min(1.0, max(-1.0, cos))
-    return out
+    u = np.stack([d.values for d in decoders])
+    cos = np.zeros((len(u), len(u)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.vecdot(u, u))
+        usable = np.isfinite(norms) & (norms > 0.0)
+        if not usable.all():
+            i = int(np.argmin(usable))
+            raise InvalidInput(f"decoder {i} has norm {norms[i]}, not a finite non-zero one")
+        for i in range(len(u) - 1):
+            cos[i, i + 1:] = np.vecdot(u[i + 1:], u[i]) / (norms[i] * norms[i + 1:])
+    finite = np.isfinite(cos)
+    if not finite.all():
+        i, j = divmod(int(np.argmin(finite)), len(u))
+        raise InvalidInput(f"decoders {i} and {j} have a non-finite cosine")
+    # clamp rounding excursions so the result stays in [0, 2] exactly
+    upper = np.triu(1.0 - np.clip(cos, -1.0, 1.0), k=1)
+    return upper + upper.T
 
 
 def weighted_average(

@@ -62,9 +62,10 @@ def derive_seed(master_seed: int, *path: int) -> int:
     function of master_seed and the (purpose, round, client) path.
     """
     entries = [int(master_seed)] + [int(p) for p in path]
-    if any(e < 0 for e in entries):
-        raise ConfigInvalid(f"seed path entries must be non-negative, got {entries}")
-    ss = np.random.SeedSequence(entries)
+    if not all(0 <= e < 2**32 for e in entries):
+        raise ConfigInvalid(f"seed path entries must lie in [0, 2**32), got {entries}")
+    # the uint32 words SeedSequence would coerce each entry to, without the coercion
+    ss = np.random.SeedSequence(np.array(entries, dtype=np.uint32))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -101,8 +102,8 @@ class ServerConfig:
             )
         if self.warmup_rounds < 0:
             raise ConfigInvalid(f"warmup_rounds must be >= 0, got {self.warmup_rounds}")
-        if self.master_seed < 0:
-            raise ConfigInvalid(f"master_seed must be non-negative, got {self.master_seed}")
+        if not 0 <= self.master_seed < 2**32:
+            raise ConfigInvalid(f"master_seed must lie in [0, 2**32), got {self.master_seed}")
 
 
 @dataclass(frozen=True)

@@ -156,6 +156,20 @@ class TestGenerateDomainDataset:
         assert np.allclose(ds.train_y, ds.features_train @ ds.true_head, atol=1e-12)
         assert np.allclose(ds.test_y, ds.features_test @ ds.true_head, atol=1e-12)
 
+    def test_inputs_equal_the_scaled_normal_draws(self):
+        # standard_normal + shift is bit for bit normal(loc=shift, scale=1.0)
+        bb = backbone()
+        domain = replace(spec(count=300), shift=(0.3, -1.2, 2.5, 0.0, 7.1, -0.01))
+        ds = dataset(domain, bb, 1, 2, test_count=70)
+        rng = np.random.default_rng(2)
+        rng.normal(size=FEATURE_DIM)  # the concept direction
+        shift = np.array(domain.shift)
+        train_x = rng.normal(loc=shift, scale=1.0, size=(300, INPUT_DIM))
+        rng.normal(0.0, domain.label_noise, size=300)
+        test_x = rng.normal(loc=shift, scale=1.0, size=(70, INPUT_DIM))
+        assert ds.features_train.tobytes() == bb.features(train_x).tobytes()
+        assert ds.features_test.tobytes() == bb.features(test_x).tobytes()
+
     def test_rejects_bad_arguments(self):
         bb = backbone()
         with pytest.raises(ConfigInvalid):

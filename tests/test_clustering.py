@@ -11,7 +11,8 @@ from fedswap.clustering import (
 )
 from fedswap.errors import InvalidInput
 from fedswap.params import ParamVector, cosine_distances
-from linkage_oracle import oracle_linkage, oracle_merge_to_two
+from distance_oracle import oracle_cosine_distances
+from linkage_oracle import oracle_full_recompute, oracle_linkage, oracle_merge_to_two
 
 
 def vec(*values):
@@ -27,6 +28,31 @@ def random_matrix(rng, n):
     iu = np.triu_indices(n, k=1)
     m[iu] = rng.uniform(0.01, 2.0, size=len(iu[0]))
     return DistanceMatrix(m + m.T)
+
+
+def oracle_instances(seed, count):
+    """Upload matrices, n in [2, 129] and dim in [1, 69]: a third of the rows
+    exact, scaled or antiparallel copies of others; every third instance
+    small integers, so many distances tie; overall scales from 1e-3 to 1e3."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n, dim = int(rng.integers(2, 130)), int(rng.integers(1, 70))
+        if k % 3 == 2:
+            values = rng.integers(-1, 2, size=(n, dim)).astype(np.float64)
+            values[~values.any(axis=1), 0] = 1.0
+        else:
+            values = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3)
+        for i in rng.choice(n, size=n // 3, replace=False):
+            scale = rng.choice([1.0, 2.0, rng.uniform(0.01, 100.0)])
+            values[i] = rng.choice([-1.0, 1.0]) * scale * values[rng.integers(n)]
+        yield values
+
+
+def assert_merges_equal_the_full_recompute(dm):
+    ca = cluster_to_two(dm)
+    members_0, merges = oracle_full_recompute(dm.entries)
+    assert ca.members_0 == members_0
+    assert [(m.first, m.second, m.linkage) for m in ca.merges] == merges
 
 
 class TestDistanceMatrix:
@@ -90,6 +116,28 @@ class TestDistanceMatrix:
             expected = np.clip(cdist(values, values, "cosine"), 0.0, 2.0)
             np.fill_diagonal(expected, 0.0)
             assert np.max(np.abs(dm.entries - expected)) <= 1e-12
+
+
+class TestBitwiseOracles:
+    """The whole-array kernels against the loops they replaced. A last-bit
+    change in a distance reaches the golden digests only if it flips a
+    merge; these compare every entry and every merge exactly."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_distances_and_merges_equal_the_replaced_loops(self, seed):
+        for values in oracle_instances(seed, 50):
+            dm = build_distance_matrix([ParamVector(v) for v in values])
+            assert dm.entries.tobytes() == oracle_cosine_distances(values).tobytes()
+            assert_merges_equal_the_full_recompute(dm)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_tie_heavy_merges_equal_the_full_recompute(self, seed):
+        # entries from {0, 0.5, 1, 1.5, 2}: most argmins are ties
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(50):
+            n = int(rng.integers(2, 130))
+            m = np.triu(rng.integers(0, 5, size=(n, n)) / 2.0, k=1)
+            assert_merges_equal_the_full_recompute(DistanceMatrix(m + m.T))
 
 
 class TestClusterAssignment:

@@ -428,6 +428,15 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_seed_beyond_uint32_is_one_line_error(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path)
+        out = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg_path), "--seed", "4294967296",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: master_seed must lie in") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("data", [
         {"domains": [{"domain_id": "a"}, {"domain_id": "b", "sample_count": 10}]},
         {"rounds": "40"},

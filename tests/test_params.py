@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,25 @@ class TestCosineDistance:
     def test_dim_mismatch_raises(self):
         with pytest.raises(InvalidInput):
             pair_distance(vec(1, 0), vec(1, 0, 0))
+
+    def test_overflowing_norm_names_the_decoder(self):
+        # equal decoders used to come out at distance 2.0, with numpy warnings
+        big = ParamVector(np.full(3, 1e160))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput,
+                               match=r"^decoder 1 has norm inf, not a finite non-zero one$"):
+                cosine_distances([vec(1, 2, 3), big, big])
+
+    def test_overflowing_dot_names_the_pair(self):
+        # both norms are finite, but the pair's dot overflows
+        a = vec(6.104282793167473e153, 9.965903859473683e153, 6.571742944683598e153)
+        b = vec(6.104282793167471e153, 9.965903859473681e153, 6.571742944683602e153)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput,
+                               match=r"^decoders 1 and 2 have a non-finite cosine$"):
+                cosine_distances([vec(1, 2, 3), a, b])
 
     @given(finite_vectors())
     def test_self_distance_is_zero(self, arr):

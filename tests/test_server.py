@@ -65,11 +65,23 @@ class TestDeriveSeed:
         assert derive_seed(5, 1, 2) != derive_seed(5, 2, 1)
         assert derive_seed(5, 1) != derive_seed(6, 1)
 
-    def test_rejects_negative_entries(self):
-        with pytest.raises(ConfigInvalid):
-            derive_seed(-1)
-        with pytest.raises(ConfigInvalid):
-            derive_seed(3, -2)
+    def test_rejects_entries_outside_uint32(self):
+        for path in ((-1,), (3, -2), (2**32,), (3, 1, 2**32)):
+            with pytest.raises(ConfigInvalid, match=r"\[0, 2\*\*32\)"):
+                derive_seed(*path)
+
+    def test_equals_seed_sequence_of_the_int_list(self):
+        # the uint32 array is the state SeedSequence coerces the ints to
+        rng = np.random.default_rng(2024)
+        paths = [(0,), (2**32 - 1,), (0, 0, 0, 0), (2**32 - 1, 6, 2**32 - 1, 0)]
+        for k in range(10_000):
+            words = rng.integers(0, 2**32, size=int(rng.integers(1, 5)))
+            if k % 3 == 0:  # the edges of the range
+                words = (words % 2) * (2**32 - 1)
+            paths.append(tuple(int(v) for v in words))
+        for path in paths:
+            expected = np.random.SeedSequence(list(path)).generate_state(1, np.uint64)[0]
+            assert derive_seed(*path) == int(expected), path
 
 
 class TestServerConfig:
@@ -88,9 +100,11 @@ class TestServerConfig:
             ServerConfig(rounds=4, aggregation_frequency=2, strategy="fedprox")
         ServerConfig(rounds=4, aggregation_frequency=1, strategy="fedprox")
 
-    def test_rejects_negative_seed_and_warmup(self):
-        with pytest.raises(ConfigInvalid):
-            ServerConfig(rounds=2, aggregation_frequency=1, master_seed=-1)
+    def test_rejects_out_of_range_seed_and_negative_warmup(self):
+        for seed in (-1, 2**32):
+            with pytest.raises(ConfigInvalid, match="^master_seed must lie in"):
+                ServerConfig(rounds=2, aggregation_frequency=1, master_seed=seed)
+        ServerConfig(rounds=2, aggregation_frequency=1, master_seed=2**32 - 1)
         with pytest.raises(ConfigInvalid):
             ServerConfig(rounds=2, aggregation_frequency=1, warmup_rounds=-1)
 
