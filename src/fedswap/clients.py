@@ -254,7 +254,7 @@ def decoder_loss_and_gradient(thetas: np.ndarray, features: np.ndarray, labels: 
 
 
 def _train_group(clients: Sequence[ClientState], thetas: np.ndarray,
-                 seeds: Sequence[int], proximal: bool) -> np.ndarray:
+                 rngs: Sequence[np.random.Generator], proximal: bool) -> np.ndarray:
     """Steps clients that share a LocalConfig, task and batch shape together,
     updating thetas (k, D) in place; returns the step at which each client's
     loss was first non-finite, or -1. A diverged client keeps stepping: no
@@ -266,9 +266,8 @@ def _train_group(clients: Sequence[ClientState], thetas: np.ndarray,
         labels = np.stack([c.train_y for c in clients])
     else:
         # one (steps, B) draw equals steps successive draws of B indices
-        draws = [np.random.default_rng(seed).integers(0, c.train_size,
-                                                      size=(cfg.steps, cfg.batch_size))
-                 for c, seed in zip(clients, seeds)]
+        draws = [rng.integers(0, c.train_size, size=(cfg.steps, cfg.batch_size))
+                 for c, rng in zip(clients, rngs)]
         # (steps, k, B), so that each step's labels are one contiguous block
         step_labels = np.stack([c.train_y[idx] for c, idx in zip(clients, draws)], axis=1)
         # one buffer, refilled each step
@@ -287,10 +286,10 @@ def _train_group(clients: Sequence[ClientState], thetas: np.ndarray,
 
 
 def _train_round(decoders: Sequence[ParamVector], clients: Sequence[ClientState],
-                 seeds: Sequence[int], proximal: bool) -> list[ParamVector]:
-    if not len(decoders) == len(clients) == len(seeds):
+                 rngs: Sequence[np.random.Generator], proximal: bool) -> list[ParamVector]:
+    if not len(decoders) == len(clients) == len(rngs):
         raise InvalidInput(
-            f"got {len(decoders)} decoders, {len(clients)} clients and {len(seeds)} seeds")
+            f"got {len(decoders)} decoders, {len(clients)} clients and {len(rngs)} generators")
     for decoder, client in zip(decoders, clients):
         if decoder.dim != client.backbone.decoder_dim:
             raise InvalidInput(f"decoder dim {decoder.dim} does not match the backbone's "
@@ -306,7 +305,7 @@ def _train_round(decoders: Sequence[ParamVector], clients: Sequence[ClientState]
         for members in groups.values():
             stacked = np.stack([decoders[i].values for i in members])
             steps = _train_group([clients[i] for i in members], stacked,
-                                 [seeds[i] for i in members], proximal)
+                                 [rngs[i] for i in members], proximal)
             for i, theta, step in zip(members, stacked, steps):
                 thetas[i], failed_at[i] = theta, step
     # the lowest-index failure, as if the clients had trained one at a time
@@ -321,18 +320,18 @@ def _train_round(decoders: Sequence[ParamVector], clients: Sequence[ClientState]
 
 
 def local_train(decoders: Sequence[ParamVector], clients: Sequence[ClientState],
-                seeds: Sequence[int]) -> list[ParamVector]:
+                rngs: Sequence[np.random.Generator]) -> list[ParamVector]:
     """One round of local training: each client runs its configured number
     of mini-batch gradient steps from its decoder, drawing batches from its
-    derived seed; returns the uploads in client order. Backbones untouched."""
-    return _train_round(decoders, clients, seeds, proximal=False)
+    own generator; returns the uploads in client order. Backbones untouched."""
+    return _train_round(decoders, clients, rngs, proximal=False)
 
 
 def local_train_fedprox(decoders: Sequence[ParamVector], clients: Sequence[ClientState],
-                        seeds: Sequence[int]) -> list[ParamVector]:
+                        rngs: Sequence[np.random.Generator]) -> list[ParamVector]:
     """local_train plus FedProx's proximal gradient term mu * (theta - anchor),
     with mu = each client's config.prox_mu and its starting decoder as the anchor."""
-    return _train_round(decoders, clients, seeds, proximal=True)
+    return _train_round(decoders, clients, rngs, proximal=True)
 
 
 def evaluate(decoder: ParamVector, client: ClientState) -> EvalResult:

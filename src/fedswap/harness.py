@@ -300,26 +300,14 @@ def save_config(cfg: ExperimentConfig, path) -> None:
 
 
 def build_clients(cfg: ExperimentConfig, master_seed: int) -> list[ClientState]:
-    """Deterministic client construction: backbone, shared concept, domain data."""
-    backbone = FrozenBackbone.create(
-        derive_seed(master_seed, PURPOSES["backbone"]),
-        input_dim=cfg.input_dim,
-        feature_dim=cfg.feature_dim,
-    )
-    concept_seed = derive_seed(master_seed, PURPOSES["concept"])
-    return [
-        make_client(
-            spec,
-            backbone,
-            cfg.local,
-            concept_seed,
-            derive_seed(master_seed, PURPOSES["domain"], idx),
-            task=cfg.task,
-            test_count=cfg.test_count,
-            train_fraction=cfg.data_fraction,
-        )
-        for idx, spec in enumerate(cfg.domains)
-    ]
+    """Deterministic clients from two bulk seed derivations: backbone and concept, domains."""
+    backbone_seed, concept_seed = derive_seed(
+        master_seed, np.array([PURPOSES["backbone"], PURPOSES["concept"]])).tolist()
+    domain_seeds = derive_seed(master_seed, PURPOSES["domain"], np.arange(len(cfg.domains)))
+    backbone = FrozenBackbone.create(backbone_seed, cfg.input_dim, cfg.feature_dim)
+    return [make_client(spec, backbone, cfg.local, concept_seed, domain_seed, task=cfg.task,
+                        test_count=cfg.test_count, train_fraction=cfg.data_fraction)
+            for spec, domain_seed in zip(cfg.domains, domain_seeds.tolist())]
 
 
 def _csv_header(domain_count: int, classification: bool) -> list[str]:

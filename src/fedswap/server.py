@@ -25,7 +25,7 @@ from .clients import (
     local_train_fedprox,
 )
 from .clustering import build_distance_matrix, cluster_to_two
-from .errors import ConfigInvalid, FedswapError
+from .errors import ConfigInvalid, FedswapError, InvalidInput
 from .exchange import (
     build_clustered_plan,
     build_random_plan,
@@ -54,19 +54,71 @@ WARMUP = "warmup"
 PURPOSES = {"init": 0, "concept": 1, "domain": 2, "backbone": 3,
             "train": 4, "exchange": 5, "warmup": 6}
 
+# SeedSequence's hash (numpy/random/bit_generator.pyx). Its running multipliers do
+# not depend on the data: hashmix k xors with _HASH_A[k], multiplies by _HASH_A[k + 1].
+_MASK32, _MAX_PATH = 2**32 - 1, 64
+_HASH_A, _HASH_B = (np.array([c * pow(m, k, 2**32) % 2**32 for k in range(n)], np.uint32)
+                    for c, m, n in ((0x43B0D7E5, 0x931E8875, 4 * _MAX_PATH + 1),
+                                    (0x8B51F9DD, 0x58F38DED, 2 * _MAX_PATH + 1)))
+# the k of word s mixed into pool word d; column s of the first four rows is unused
+_MIX_K = np.array([[4 + 3 * s + d - (d > s) if s < 4 else 4 * s + d for d in range(4)]
+                   for s in range(_MAX_PATH)])
+_MIX_XOR, _MIX_MUL, _CYCLE = _HASH_A[_MIX_K], _HASH_A[_MIX_K + 1], np.arange(2 * _MAX_PATH) % 4
 
-def derive_seed(master_seed: int, *path: int) -> int:
-    """Stable per-purpose seed: SeedSequence entropy [master, *path].
 
-    Every random draw in a simulation flows through here, so a run is a pure
-    function of master_seed and the (purpose, round, client) path.
-    """
-    entries = [int(master_seed)] + [int(p) for p in path]
-    if not all(0 <= e < 2**32 for e in entries):
-        raise ConfigInvalid(f"seed path entries must lie in [0, 2**32), got {entries}")
-    # the uint32 words SeedSequence would coerce each entry to, without the coercion
-    ss = np.random.SeedSequence(np.array(entries, dtype=np.uint32))
-    return int(ss.generate_state(1, np.uint64)[0])
+def _seed_sequence_state(entropy: np.ndarray, n: int) -> np.ndarray:
+    """SeedSequence(row).generate_state(n, np.uint32) for every row of the
+    (m, L >= 4) uint32 entropy, as wrapping uint32 arithmetic over all rows."""
+    def hashmix(v, xor, mul):
+        v = (v ^ xor) * mul
+        return v ^ (v >> 16)
+
+    pool = hashmix(entropy[:, :4], _HASH_A[:4], _HASH_A[1:5])
+    # each pool word into the other three, then each later entry into all four
+    for s, (xor, mul) in enumerate(zip(_MIX_XOR[:entropy.shape[1]], _MIX_MUL)):
+        word = hashmix((pool if s < 4 else entropy)[:, s:s + 1], xor, mul)
+        mixed = pool * np.uint32(0xCA01F9DD) - word * np.uint32(0x4973F715)
+        mixed ^= mixed >> 16
+        if s < 4:  # a pool word is mixed into the other three, not into itself
+            mixed[:, s] = pool[:, s]
+        pool = mixed
+    return hashmix(pool.take(_CYCLE[:n], 1), _HASH_B[:n], _HASH_B[1:n + 1])
+
+
+def derive_seed(master_seed, *path, words: int = 1):
+    """SeedSequence([master_seed, *path]).generate_state(words, np.uint64), an int for a
+    scalar path; integer array entries broadcast, hashed in one pass into a uint64 array of
+    their shape (last axis: words, if > 1). Every random draw flows from here. SeedSequence
+    hashes missing pool words as zeros, so derive_seed(m, p) == derive_seed(m, p, 0, 0):
+    purposes do not collide only because each PURPOSES tag has one path length."""
+    entries = (master_seed, *path)
+    if len(entries) > _MAX_PATH:
+        raise ConfigInvalid(f"seed paths hold at most {_MAX_PATH} entries, got {len(entries)}")
+    for a in map(np.asarray, entries):
+        bad = (a < 0) | (a > _MASK32) if a.dtype.kind in "iu" else np.ones(a.shape, bool)
+        if bad.any():
+            raise ConfigInvalid(f"seed entries must be ints in [0, 2**32), got {a[bad][0]}")
+    shape = np.broadcast_shapes(*map(np.shape, entries))
+    entropy = np.zeros((*shape, max(4, len(entries))), np.uint32)  # padded with zero words
+    for i, e in enumerate(entries):
+        entropy[..., i] = e
+    state = _seed_sequence_state(entropy.reshape(-1, entropy.shape[-1]), 2 * words)
+    # each uint64 is a little-endian pair of uint32 words, as numpy assembles it
+    seeds = state[:, ::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << 32
+    seeds = seeds.reshape(shape + ((words,) if words > 1 else ()))
+    return int(seeds) if seeds.ndim == 0 else seeds
+
+
+@dataclass(frozen=True)
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """default_rng(seed)'s PCG64 state: derive_seed(seed & _MASK32, seed >> 32, words=4)."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise InvalidInput(f"pre-hashed PCG64 words, not {n_words} {np.dtype(dtype)}")
+        return np.ascontiguousarray(self.words)  # PCG64 reads the raw buffer
 
 
 @dataclass(frozen=True)
@@ -138,8 +190,8 @@ def schedule_decision(r: int, T: int) -> str:
 class Strategy:
     """One row of STRATEGIES.
 
-    plan(cfg, r, last_plan, uploads) builds round r's ExchangePlan and
-    returns it with the cluster assignment it was built from, if any; None
+    plan(r, seed, last_plan, uploads) builds round r's ExchangePlan from its
+    exchange seed and returns it with its cluster assignment, if any; None
     means the strategy aggregates every round. proximal adds FedProx's pull
     toward the decoder a client starts the round with to local training.
     """
@@ -150,25 +202,17 @@ class Strategy:
 
 # The builders look up the clustering and exchange functions in this module's
 # namespace at call time, so wrappers patched onto those names see every call.
-def _clustered_plan(cfg, r, last_plan, uploads):
+def _clustered_plan(r, seed, last_plan, uploads):
     ca = cluster_to_two(build_distance_matrix(uploads))
-    seed = derive_seed(cfg.master_seed, PURPOSES["exchange"], r)
     return build_clustered_plan(ca, last_plan, seed), ca.index_list
-
-
-def _round_robin_plan(cfg, r, last_plan, uploads):
-    return build_round_robin_plan(len(uploads), r), None
-
-
-def _random_plan(cfg, r, last_plan, uploads):
-    seed = derive_seed(cfg.master_seed, PURPOSES["exchange"], r)
-    return build_random_plan(len(uploads), seed), None
 
 
 STRATEGIES = {
     "clustered": Strategy(_clustered_plan),
-    "round_robin": Strategy(_round_robin_plan),
-    "random": Strategy(_random_plan),
+    "round_robin": Strategy(lambda r, seed, last_plan, uploads:
+                            (build_round_robin_plan(len(uploads), r), None)),
+    "random": Strategy(lambda r, seed, last_plan, uploads:
+                       (build_random_plan(len(uploads), seed), None)),
     "fedavg_only": Strategy(None),
     "fedprox": Strategy(None, proximal=True),
 }
@@ -180,14 +224,15 @@ def run_round(
     weights: AggregationWeights,
     cfg: ServerConfig,
     last_plan: Optional[tuple[int, ...]],
+    seed: int,
 ) -> tuple[list[ParamVector], Optional[tuple[int, ...]], Optional[tuple[int, ...]]]:
     """Process protocol round r's uploads; returns the per-client deliveries,
     the cluster assignment and the exchange plan.
 
     On aggregation every client receives the same weighted average, and the
     assignment and plan are None. On exchange the strategy's plan builder
-    runs with the previous exchange plan, last_plan, and client i receives
-    uploads[plan[i]].
+    runs with the previous exchange plan, last_plan, and the exchange seed;
+    client i receives uploads[plan[i]].
     """
     n = len(uploads)
     if n != len(weights):
@@ -198,18 +243,19 @@ def run_round(
     try:
         if decision == AGGREGATE:
             return [weighted_average(uploads, weights)] * n, None, None
-        plan, assignment = STRATEGIES[cfg.strategy].plan(cfg, r, last_plan, uploads)
+        plan, assignment = STRATEGIES[cfg.strategy].plan(r, seed, last_plan, uploads)
         return [uploads[j] for j in plan.assignment], assignment, plan.assignment
     except FedswapError as exc:
         raise type(exc)(f"round {r}: {exc}") from exc
 
 
 def _train_all(decoders: Sequence[ParamVector], clients: Sequence[ClientState],
-               cfg: ServerConfig, purpose: str, r: int) -> list[ParamVector]:
-    """Every client's upload after local training, from one call for the round."""
+               cfg: ServerConfig, words: np.ndarray) -> list[ParamVector]:
+    """Every client's upload after local training, from one call for the round,
+    with client i's generator built from its pre-hashed state words[i]."""
     train = local_train_fedprox if STRATEGIES[cfg.strategy].proximal else local_train
-    return train(decoders, clients, [derive_seed(cfg.master_seed, PURPOSES[purpose], r, i)
-                                     for i in range(len(clients))])
+    return train(decoders, clients,
+                 [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words])
 
 
 def _record(r: int, decision: str, cfg: ServerConfig,
@@ -247,20 +293,27 @@ def run_simulation(
         raise ConfigInvalid(f"clients disagree on decoder dimension: {sorted(dims)}")
     dim = dims.pop()
 
-    init_rng = np.random.default_rng(derive_seed(cfg.master_seed, PURPOSES["init"]))
+    master, W, ids = cfg.master_seed, cfg.warmup_rounds, np.arange(len(clients))
+    init_rng = np.random.default_rng(derive_seed(master, PURPOSES["init"]))
     decoders = [ParamVector(init_rng.normal(0.0, 0.1, size=dim))] * len(clients)
     weights = AggregationWeights.from_sizes([c.train_size for c in clients])
     last_plan = None
     trace = []
+    # the cell's seeds, one call per purpose; each round builds its generators from words
+    seeds = np.concatenate([
+        derive_seed(master, PURPOSES["warmup"], np.arange(1, W + 1)[:, None], ids),
+        derive_seed(master, PURPOSES["train"], np.arange(1, cfg.rounds + 1)[:, None], ids)])
+    words = derive_seed(seeds & _MASK32, seeds >> 32, words=4)
+    exchange = derive_seed(master, PURPOSES["exchange"], np.arange(1, cfg.rounds + 1)).tolist()
 
-    for w in range(1, cfg.warmup_rounds + 1):
-        uploads = _train_all(decoders, clients, cfg, "warmup", w)
+    for w in range(1, W + 1):
+        uploads = _train_all(decoders, clients, cfg, words[w - 1])
         decoders = [weighted_average(uploads, weights)] * len(clients)
-        trace.append(_record(w - cfg.warmup_rounds, WARMUP, cfg, clients, decoders))
+        trace.append(_record(w - W, WARMUP, cfg, clients, decoders))
 
-    for r in range(1, cfg.rounds + 1):
-        uploads = _train_all(decoders, clients, cfg, "train", r)
-        decoders, assignment, plan = run_round(r, uploads, weights, cfg, last_plan)
+    for r, seed in enumerate(exchange, 1):
+        uploads = _train_all(decoders, clients, cfg, words[W + r - 1])
+        decoders, assignment, plan = run_round(r, uploads, weights, cfg, last_plan, seed)
         decision = AGGREGATE if plan is None else EXCHANGE
         trace.append(_record(r, decision, cfg, clients, decoders, assignment, plan))
         last_plan = last_plan if plan is None else plan

@@ -56,6 +56,11 @@ def client(task="regression", noise=0.1, count=200, local=None, seed=0):
     )
 
 
+def rngs(*seeds):
+    """One round's generators, one per client, as default_rng of each seed."""
+    return [np.random.default_rng(seed) for seed in seeds]
+
+
 def fd_gradient(theta, features, labels, task, anchor=None, mu=0.0, h=1e-6):
     grad = np.zeros_like(theta)
     for k in range(theta.size):
@@ -220,14 +225,14 @@ class TestLocalTrain:
     def test_zero_steps_returns_decoder_unchanged(self):
         cl = client(local=LocalConfig(steps=0, learning_rate=0.05, batch_size=32))
         start = ParamVector(np.random.default_rng(0).normal(size=FEATURE_DIM + 1))
-        [out] = local_train([start], [cl], [99])
+        [out] = local_train([start], [cl], rngs(99))
         assert np.array_equal(out.values, start.values)
 
     def test_one_full_batch_step_is_exact_gradient_step(self):
         lr = 0.03
         cl = client(local=LocalConfig(steps=1, learning_rate=lr, batch_size=10_000))
         start = ParamVector(np.random.default_rng(1).normal(size=FEATURE_DIM + 1))
-        [out] = local_train([start], [cl], [0])
+        [out] = local_train([start], [cl], rngs(0))
         _, grad = decoder_loss_and_gradient(
             start.values[None], cl.features_train[None], cl.train_y[None], "regression"
         )
@@ -237,8 +242,8 @@ class TestLocalTrain:
         cl = client()
         start = ParamVector(np.zeros(FEATURE_DIM + 1))
         assert np.array_equal(
-            local_train([start], [cl], [7])[0].values,
-            local_train([start], [cl], [7])[0].values,
+            local_train([start], [cl], rngs(7))[0].values,
+            local_train([start], [cl], rngs(7))[0].values,
         )
 
     def test_noiseless_task_trains_to_tiny_loss(self):
@@ -246,7 +251,7 @@ class TestLocalTrain:
             noise=0.0,
             local=LocalConfig(steps=4000, learning_rate=0.3, batch_size=10_000),
         )
-        [out] = local_train([ParamVector(np.zeros(FEATURE_DIM + 1))], [cl], [0])
+        [out] = local_train([ParamVector(np.zeros(FEATURE_DIM + 1))], [cl], rngs(0))
         final = decoder_loss(
             out.values, cl.features_train, cl.train_y, "regression"
         )
@@ -272,33 +277,33 @@ class TestLocalTrain:
                     theta.values, cl.features_train, cl.train_y, "regression"
                 )
             )
-            [theta] = local_train([theta], [cl], [0])
+            [theta] = local_train([theta], [cl], rngs(0))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_backbone_untouched_by_training(self):
         cl = client()
         before_w = cl.backbone.weight.copy()
         before_b = cl.backbone.bias.copy()
-        local_train([ParamVector(np.zeros(FEATURE_DIM + 1))], [cl], [0])
+        local_train([ParamVector(np.zeros(FEATURE_DIM + 1))], [cl], rngs(0))
         assert np.array_equal(cl.backbone.weight, before_w)
         assert np.array_equal(cl.backbone.bias, before_b)
 
     def test_dimension_checked_against_manifest(self):
         cl = client()
         with pytest.raises(InvalidInput):
-            local_train([ParamVector(np.zeros(FEATURE_DIM))], [cl], [0])
+            local_train([ParamVector(np.zeros(FEATURE_DIM))], [cl], rngs(0))
 
     def test_divergence_raises_non_finite_loss(self):
         cl = client(local=LocalConfig(steps=400, learning_rate=50.0, batch_size=10_000))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteLoss):
-            local_train([ParamVector(np.ones(FEATURE_DIM + 1))], [cl], [0])
+            local_train([ParamVector(np.ones(FEATURE_DIM + 1))], [cl], rngs(0))
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_output_always_finite(self, seed):
         cl = client(local=LocalConfig(steps=3, learning_rate=0.05, batch_size=8))
         start = ParamVector(np.random.default_rng(seed).normal(size=FEATURE_DIM + 1))
-        [out] = local_train([start], [cl], [seed])
+        [out] = local_train([start], [cl], rngs(seed))
         assert np.all(np.isfinite(out.values))
 
 
@@ -306,20 +311,20 @@ class TestLocalTrainFedprox:
     def test_mu_zero_matches_plain_training(self):
         local = LocalConfig(steps=5, learning_rate=0.05, batch_size=32, prox_mu=0.0)
         start = ParamVector(np.random.default_rng(4).normal(size=FEATURE_DIM + 1))
-        [plain] = local_train([start], [client(local=local)], [13])
-        [prox] = local_train_fedprox([start], [client(local=local)], [13])
+        [plain] = local_train([start], [client(local=local)], rngs(13))
+        [prox] = local_train_fedprox([start], [client(local=local)], rngs(13))
         assert np.array_equal(plain.values, prox.values)
         # mu is read from the client's config
         pulled = client(local=replace(local, prox_mu=0.5))
         assert not np.array_equal(
-            plain.values, local_train_fedprox([start], [pulled], [13])[0].values
+            plain.values, local_train_fedprox([start], [pulled], rngs(13))[0].values
         )
 
     def test_huge_mu_pins_decoder_to_anchor(self):
         cl = client(local=LocalConfig(steps=200, learning_rate=1e-7,
                                       batch_size=10_000, prox_mu=1e6))
         anchor = ParamVector(np.random.default_rng(5).normal(size=FEATURE_DIM + 1))
-        [out] = local_train_fedprox([anchor], [cl], [0])
+        [out] = local_train_fedprox([anchor], [cl], rngs(0))
         assert np.max(np.abs(out.values - anchor.values)) < 1e-3
 
     def test_negative_mu_rejected(self):
@@ -374,7 +379,7 @@ class TestBatchedTraining:
         decoders = [ParamVector(rng.normal(size=FEATURE_DIM + 1)) for _ in range(k)]
         seeds = [int(s) for s in rng.integers(0, 2**62, size=k)]
         train = local_train_fedprox if proximal else local_train
-        got = train(decoders, clients, seeds)
+        got = train(decoders, clients, rngs(*seeds))
         assert len(got) == k
         for decoder, cl, seed, upload in zip(decoders, clients, seeds, got):
             want = oracle_local_train(decoder, cl, seed, proximal)
@@ -394,7 +399,7 @@ class TestBatchedTraining:
         steps = [int(re.search(r"step (\d+) on", msg).group(1)) for msg in expected[1:]]
         assert steps[1] < steps[0]
         with pytest.raises(NonFiniteLoss) as info:
-            local_train(decoders, clients, [0, 0, 0])
+            local_train(decoders, clients, rngs(0, 0, 0))
         assert str(info.value) == expected[1]
 
     def test_end_of_loop_check_catches_a_non_finite_decoder(self):
@@ -408,13 +413,13 @@ class TestBatchedTraining:
         expected = oracle_failure(start, cl, 0)
         assert expected.startswith("training diverged on d0")
         with pytest.raises(NonFiniteLoss) as info:
-            local_train([start], [cl], [0])
+            local_train([start], [cl], rngs(0))
         assert str(info.value) == expected
 
     def test_list_lengths_must_agree(self):
         cl = client()
         with pytest.raises(InvalidInput):
-            local_train([ParamVector(np.zeros(FEATURE_DIM + 1))] * 2, [cl], [0])
+            local_train([ParamVector(np.zeros(FEATURE_DIM + 1))] * 2, [cl], rngs(0))
 
 
 class TestEvaluate:

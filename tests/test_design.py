@@ -54,3 +54,15 @@ def test_no_axis_norms():
                                    or any(k.arg == "axis" for k in node.keywords)):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, f"linalg.norm with an axis at {sorted(offenders)}"
+
+
+def test_no_seed_sequence_calls():
+    # derive_seed is the one implementation of SeedSequence's hash, in bulk;
+    # a SeedSequence built per client-round costs more than the draw it seeds
+    offenders = []
+    for path in Path(fedswap.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "SeedSequence" in (
+                    getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"SeedSequence built at {sorted(offenders)}"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedswap import server
+from fedswap import harness, server
 from fedswap.clients import (
     DomainSpec,
     FrozenBackbone,
@@ -69,19 +69,131 @@ class TestDeriveSeed:
         for path in ((-1,), (3, -2), (2**32,), (3, 1, 2**32)):
             with pytest.raises(ConfigInvalid, match=r"\[0, 2\*\*32\)"):
                 derive_seed(*path)
+        # non-integers are not truncated, and ints past 64 bits do not overflow
+        for path in ((5, 1.9), (5, True), (5, np.True_), (5, float("nan")),
+                     (np.float64(3.0),), (5, np.array([1.0, 2.0])), (5, np.array([True])),
+                     (2**63,), (5, 2**64), (5, -2**70), (5, 1, 2**100)):
+            with pytest.raises(ConfigInvalid, match=r"\[0, 2\*\*32\)") as info:
+                derive_seed(*path)
+            assert "\n" not in str(info.value)
+        # an array entry names its first bad element, not the whole array
+        rounds = np.arange(1000)
+        rounds[[7, 9]] = [-5, 2**32]
+        with pytest.raises(ConfigInvalid, match=r"got -5$"):
+            derive_seed(5, 4, rounds)
+        with pytest.raises(ConfigInvalid, match="at most 64 entries"):
+            derive_seed(*range(65))
 
     def test_equals_seed_sequence_of_the_int_list(self):
-        # the uint32 array is the state SeedSequence coerces the ints to
+        # 100k paths of lengths 1-6, 9 and 16, hashed in bulk, against numpy's
+        # own SeedSequence path by path; a third use only the edges of the range
         rng = np.random.default_rng(2024)
-        paths = [(0,), (2**32 - 1,), (0, 0, 0, 0), (2**32 - 1, 6, 2**32 - 1, 0)]
-        for k in range(10_000):
-            words = rng.integers(0, 2**32, size=int(rng.integers(1, 5)))
-            if k % 3 == 0:  # the edges of the range
-                words = (words % 2) * (2**32 - 1)
-            paths.append(tuple(int(v) for v in words))
-        for path in paths:
-            expected = np.random.SeedSequence(list(path)).generate_state(1, np.uint64)[0]
+        checked = 0
+        for length, count in ((1, 20_000), (2, 20_000), (3, 20_000), (4, 20_000),
+                              (5, 8_000), (6, 6_000), (9, 4_000), (16, 2_000)):
+            words = rng.integers(0, 2**32, size=(count, length))
+            words[::3] = (words[::3] % 2) * (2**32 - 1)
+            got = derive_seed(*words.T)
+            assert got.shape == (count,) and got.dtype == np.uint64
+            for path, seed in zip(words.tolist(), got.tolist()):
+                expected = np.random.SeedSequence(path).generate_state(1, np.uint64)[0]
+                assert seed == int(expected), path
+            checked += count
+        assert checked >= 100_000
+
+    def test_scalar_and_broadcast_shapes(self):
+        # a (rounds, clients) grid as run_simulation derives it, and scalar paths
+        R, n = 50, 100
+        grid = derive_seed(7, PURPOSES["train"], np.arange(1, R + 1)[:, None], np.arange(n))
+        assert grid.shape == (R, n) and grid.dtype == np.uint64
+        for (r, i), seed in np.ndenumerate(grid):
+            path = [7, PURPOSES["train"], r + 1, i]
+            assert seed == np.random.SeedSequence(path).generate_state(1, np.uint64)[0]
+        scalar = derive_seed(7, PURPOSES["train"], 3, 5)
+        assert type(scalar) is int and scalar == int(grid[2, 5])
+        assert derive_seed(np.uint32(7), np.int64(4), np.array(3), 5) == scalar
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            path = rng.integers(0, 2**32, size=int(rng.integers(1, 6))).tolist()
+            expected = np.random.SeedSequence(path).generate_state(1, np.uint64)[0]
             assert derive_seed(*path) == int(expected), path
+        # words > 1 adds a last axis: generate_state(words, np.uint64) of each path
+        words = derive_seed(7, np.arange(3), words=4)
+        assert words.shape == (3, 4)
+        for p in range(3):
+            expected = np.random.SeedSequence([7, p]).generate_state(4, np.uint64)
+            assert words[p].tolist() == expected.tolist()
+
+    def test_short_paths_equal_their_zero_padding(self):
+        # why every PURPOSES tag must keep one path length
+        assert derive_seed(9, 5) == derive_seed(9, 5, 0) == derive_seed(9, 5, 0, 0)
+        assert derive_seed(9, 5, 3) == derive_seed(9, 5, 3, 0)
+        assert derive_seed(9, 5, 3, 0) != derive_seed(9, 5, 3, 0, 0)
+
+
+class TestRoundGenerators:
+    """Each client-round's generator is PCG64 seeded with state words that
+    derive_seed pre-hashed in bulk; it must draw as default_rng(seed)."""
+
+    @staticmethod
+    def generator(words):
+        # as run_simulation builds a round's generators
+        return np.random.Generator(np.random.PCG64(server._StateWords(words)))
+
+    def test_draws_equal_default_rng(self):
+        rng = np.random.default_rng(31)
+        edges = np.array([0, 1, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)
+        seeds = np.concatenate([edges, rng.integers(0, 2**64, size=10_000, dtype=np.uint64)])
+        words = derive_seed(seeds & 0xFFFFFFFF, seeds >> 32, words=4)
+        shapes = [(), (7,), (10, 32), (3, 4, 5)]
+        for k, (seed, w) in enumerate(zip(seeds.tolist(), words)):
+            high, shape = int(rng.integers(1, 2**40)), shapes[k % len(shapes)]
+            got = self.generator(w).integers(0, high, size=shape)
+            want = np.random.default_rng(seed).integers(0, high, size=shape)
+            assert np.array_equal(got, want), seed
+        # a strided view of the words seeds the same generator
+        strided = np.repeat(words[3], 2)[::2]
+        assert not strided.flags.c_contiguous
+        assert self.generator(strided).integers(0, 100, size=8).tolist() == \
+            np.random.default_rng(2**32).integers(0, 100, size=8).tolist()
+
+    def test_state_words_serve_only_pcg64(self):
+        stub = server._StateWords(np.arange(4, dtype=np.uint64))
+        assert stub.generate_state(4, np.uint64).tolist() == [0, 1, 2, 3]
+        for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64), (1, np.uint32)):
+            with pytest.raises(InvalidInput):
+                stub.generate_state(n_words, dtype)
+        for bit_generator in (np.random.MT19937, np.random.SFC64):
+            with pytest.raises(InvalidInput):
+                bit_generator(stub)
+
+
+class TestSeedPaths:
+    @pytest.mark.parametrize("strategy", ["clustered", "fedprox"])
+    def test_one_length_per_purpose_and_distinct_seeds(self, strategy, monkeypatch):
+        # SeedSequence pads short paths with zeros, so a purpose derived at two
+        # path lengths could repeat another path's seed
+        calls = []
+
+        def recording(master_seed, *path, words=1):
+            seeds = derive_seed(master_seed, *path, words=words)
+            calls.append((path, words, seeds))
+            return seeds
+
+        monkeypatch.setattr(server, "derive_seed", recording)
+        monkeypatch.setattr(harness, "derive_seed", recording)
+        harness.run_cell(harness.default_experiment_config(), strategy, 0)
+        # bulk derivation: two calls build the clients, five run the cell
+        assert len(calls) == 7
+        lengths, seeds = {}, []
+        for path, words, out in calls:
+            if words == 1:  # words=4 pre-hashes generator states from seeds
+                for tag in np.unique(path[0]).tolist():
+                    lengths.setdefault(tag, set()).add(1 + len(path))
+                seeds += np.ravel(out).tolist()
+        assert set(lengths) == set(PURPOSES.values())
+        assert all(len(found) == 1 for found in lengths.values()), lengths
+        assert len(set(seeds)) == len(seeds)
 
 
 class TestServerConfig:
@@ -136,10 +248,15 @@ class TestRunRound:
             rounds=4, aggregation_frequency=T, strategy=strategy, master_seed=7
         )
 
+    @staticmethod
+    def seed(r):
+        # the exchange seed run_simulation hands round r
+        return derive_seed(7, PURPOSES["exchange"], r)
+
     def test_aggregate_round_delivers_identical_average(self):
         uploads = uploads_of(3)
         weights = AggregationWeights.from_sizes([10, 10, 20])
-        deliveries, assignment, plan = run_round(2, uploads, weights, self.cfg(), None)
+        deliveries, assignment, plan = run_round(2, uploads, weights, self.cfg(), None, self.seed(2))
         expected = weighted_average(uploads, weights)
         assert len(deliveries) == 3
         for d in deliveries:
@@ -149,7 +266,8 @@ class TestRunRound:
     def test_exchange_round_permutes_uploads(self):
         uploads = uploads_of(4)
         weights = AggregationWeights.from_sizes([1, 1, 1, 1])
-        deliveries, assignment, plan = run_round(1, uploads, weights, self.cfg(), None)
+        deliveries, assignment, plan = run_round(1, uploads, weights, self.cfg(), None,
+                                               self.seed(1))
         assert sorted(plan) == [0, 1, 2, 3]
         assert all(d is uploads[j] for d, j in zip(deliveries, plan))
         assert set(assignment) == {0, 1}
@@ -158,13 +276,14 @@ class TestRunRound:
         uploads = [ParamVector(np.zeros(3) + [1, 0, 0]), ParamVector(np.zeros(3))]
         weights = AggregationWeights.from_sizes([1, 1])
         with pytest.raises(InvalidInput, match="round 1:") as info:
-            run_round(1, uploads, weights, self.cfg(), None)
+            run_round(1, uploads, weights, self.cfg(), None, self.seed(1))
         assert str(info.value).count("round 1:") == 1
 
     def test_upload_count_checked_against_weights(self):
         with pytest.raises(ConfigInvalid):
             run_round(
-                1, uploads_of(3), AggregationWeights.from_sizes([1, 1]), self.cfg(), None
+                1, uploads_of(3), AggregationWeights.from_sizes([1, 1]), self.cfg(), None,
+                self.seed(1),
             )
 
 
