@@ -10,20 +10,24 @@ The parent commit's files are exported with ``git archive`` into
 <scratch>/parent, a plain directory of committed files, as the benchmark
 itself checks a commit out; a worktree would register itself in the
 repository's metadata and outlive an interrupted run. The change is this
-checkout's working tree, or the files of --change REV exported beside the
-parent. For every workload and seed the two sides run
+checkout's working tree. For every workload and seed the two sides run
 ``python3 perfbench/run.py`` back to back, and the side that runs first
 alternates from pair to pair, so that a drift in host speed favours neither.
 
 The file holds every pair's metrics with perfbench's stamp line, and per
 metric each side's median and quartiles, the change's wins (pairs in which it
 was strictly better, in the direction BENCHMARK.json gives) and the median
-of its per-pair relative change.
+of its per-pair relative change. perfbench stamps the HEAD it finds in .git,
+which is neither side here (the export has no .git, and the working tree may
+differ from its HEAD), so each stamp's git_sha is replaced by that side's
+revision: the parent's SHA, or the working tree's HEAD plus a hash of
+``git diff HEAD`` when the tree has changes.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import statistics
@@ -46,6 +50,16 @@ def export(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
     return sha
+
+
+def working_tree_rev() -> str:
+    """HEAD's SHA, plus "+diff:" and a hash of `git diff HEAD` if the tree differs."""
+    def git(*args) -> bytes:
+        return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+    head = git("rev-parse", "HEAD").decode().strip()
+    diff = git("diff", "HEAD", "--binary")
+    return f"{head}+diff:{hashlib.sha256(diff).hexdigest()[:12]}" if diff else head
 
 
 def parse_output(stdout: str) -> dict:
@@ -79,8 +93,9 @@ def perfbench_runner(dirs: dict, seconds: float, trace: int):
     return run
 
 
-def run_pairs(run, workloads, seeds) -> list[dict]:
-    """One pair per workload and seed; even pairs run the parent first."""
+def run_pairs(run, workloads, seeds, revs: dict) -> list[dict]:
+    """One pair per workload and seed; even pairs run the parent first.
+    Each side's stamp names its revision, revs[side]."""
     pairs = []
     for workload in workloads:
         for seed in seeds:
@@ -90,7 +105,7 @@ def run_pairs(run, workloads, seeds) -> list[dict]:
                 out = run(side, workload, seed)
                 result = out["result"]
                 pair[side] = {
-                    "stamp": out["stamp"], "info": out["info"],
+                    "stamp": {**out["stamp"], "git_sha": revs[side]}, "info": out["info"],
                     "correct": result["correct"], "attempted": result["attempted"],
                     "failed": result["failed"],
                     "metrics": {k: v["value"] for k, v in result["metrics"].items()},
@@ -143,7 +158,7 @@ def write_bench(path: Path, pr: int, revs: dict, args: dict, pairs: list[dict],
         "pr": pr,
         "revs": revs,
         "args": args,
-        "stamp": pairs[0]["parent"]["stamp"],
+        "stamp": pairs[0]["change"]["stamp"],
         "summary": summarize(pairs, better),
         "pairs": pairs,
     }
@@ -155,24 +170,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--parent", required=True, help="the parent commit")
-    parser.add_argument("--change", help="a commit to run instead of the working tree")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--scratch", type=Path, required=True,
                         help="a new directory for the exported commits")
-    parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json at the root")
     args = parser.parse_args(argv)
 
     dirs = {"parent": args.scratch / "parent", "change": ROOT}
-    revs = {"parent": export(args.parent, dirs["parent"]), "change": "working tree"}
-    if args.change:
-        dirs["change"] = args.scratch / "change"
-        revs["change"] = export(args.change, dirs["change"])
+    revs = {"parent": export(args.parent, dirs["parent"]), "change": working_tree_rev()}
     run = perfbench_runner(dirs, args.seconds, args.trace)
-    pairs = run_pairs(run, args.workload, args.seeds)
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    pairs = run_pairs(run, args.workload, args.seeds, revs)
+    out = ROOT / f"BENCH_{args.pr}.json"
     settings = {"workloads": args.workload, "seeds": args.seeds,
                 "seconds": args.seconds, "trace": args.trace}
     data = write_bench(out, args.pr, revs, settings, pairs, directions(ROOT / "BENCHMARK.json"))

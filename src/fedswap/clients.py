@@ -143,15 +143,15 @@ def make_client(
     spec: DomainSpec,
     backbone: FrozenBackbone,
     local: LocalConfig,
-    concept_seed: int,
+    shared_head: np.ndarray,
     domain_seed: int,
     *,
     task: str,
     test_count: int,
     train_fraction: float,
 ) -> ClientState:
-    """Draw one domain's data, x ~ N(shift, I) with y from a perturbed shared
-    head, and build its client.
+    """Draw one domain's data, x ~ N(shift, I) with y from the shared head
+    perturbed by concept_shift in a random direction, and build its client.
 
     The full sample_count is always drawn and the train split keeps the first
     round(sample_count * train_fraction) rows, so a reduced-fraction split is
@@ -168,9 +168,8 @@ def make_client(
             f"{spec.domain_id}: input_dim {spec.input_dim} does not match "
             f"backbone input_dim {backbone.input_dim}"
         )
-
-    concept_rng = np.random.default_rng(concept_seed)
-    shared_head = concept_rng.normal(size=backbone.feature_dim)
+    if np.shape(shared_head) != (backbone.feature_dim,):
+        raise ConfigInvalid(f"shared_head must have shape ({backbone.feature_dim},)")
 
     rng = np.random.default_rng(domain_seed)
     direction = rng.normal(size=backbone.feature_dim)

@@ -300,14 +300,32 @@ def save_config(cfg: ExperimentConfig, path) -> None:
 
 
 def build_clients(cfg: ExperimentConfig, master_seed: int) -> list[ClientState]:
-    """Deterministic clients from two bulk seed derivations: backbone and concept, domains."""
-    backbone_seed, concept_seed = derive_seed(
-        master_seed, np.array([PURPOSES["backbone"], PURPOSES["concept"]])).tolist()
-    domain_seeds = derive_seed(master_seed, PURPOSES["domain"], np.arange(len(cfg.domains)))
-    backbone = FrozenBackbone.create(backbone_seed, cfg.input_dim, cfg.feature_dim)
-    return [make_client(spec, backbone, cfg.local, concept_seed, domain_seed, task=cfg.task,
-                        test_count=cfg.test_count, train_fraction=cfg.data_fraction)
-            for spec, domain_seed in zip(cfg.domains, domain_seeds.tolist())]
+    """Deterministic client construction: backbone, shared concept, domain data."""
+    n = len(cfg.domains)
+    # one bulk derivation; backbone and concept at (tag, 0), which zero padding
+    # makes equal to (tag,)
+    tags = [PURPOSES["backbone"], PURPOSES["concept"]] + [PURPOSES["domain"]] * n
+    backbone_seed, concept_seed, *domain_seeds = derive_seed(
+        master_seed, np.array(tags), np.array([0, 0, *range(n)])).tolist()
+    backbone = FrozenBackbone.create(
+        backbone_seed,
+        input_dim=cfg.input_dim,
+        feature_dim=cfg.feature_dim,
+    )
+    shared_head = np.random.default_rng(concept_seed).normal(size=cfg.feature_dim)
+    return [
+        make_client(
+            spec,
+            backbone,
+            cfg.local,
+            shared_head,
+            domain_seed,
+            task=cfg.task,
+            test_count=cfg.test_count,
+            train_fraction=cfg.data_fraction,
+        )
+        for spec, domain_seed in zip(cfg.domains, domain_seeds)
+    ]
 
 
 def _csv_header(domain_count: int, classification: bool) -> list[str]:

@@ -104,7 +104,7 @@ def derive_seed(master_seed, *path, words: int = 1):
         entropy[..., i] = e
     state = _seed_sequence_state(entropy.reshape(-1, entropy.shape[-1]), 2 * words)
     # each uint64 is a little-endian pair of uint32 words, as numpy assembles it
-    seeds = state[:, ::2].astype(np.uint64) | state[:, 1::2].astype(np.uint64) << 32
+    seeds = state.astype("<u4", copy=False).view("<u8")
     seeds = seeds.reshape(shape + ((words,) if words > 1 else ()))
     return int(seeds) if seeds.ndim == 0 else seeds
 
@@ -207,12 +207,18 @@ def _clustered_plan(r, seed, last_plan, uploads):
     return build_clustered_plan(ca, last_plan, seed), ca.index_list
 
 
+def _round_robin_plan(r, seed, last_plan, uploads):
+    return build_round_robin_plan(len(uploads), r), None
+
+
+def _random_plan(r, seed, last_plan, uploads):
+    return build_random_plan(len(uploads), seed), None
+
+
 STRATEGIES = {
     "clustered": Strategy(_clustered_plan),
-    "round_robin": Strategy(lambda r, seed, last_plan, uploads:
-                            (build_round_robin_plan(len(uploads), r), None)),
-    "random": Strategy(lambda r, seed, last_plan, uploads:
-                       (build_random_plan(len(uploads), seed), None)),
+    "round_robin": Strategy(_round_robin_plan),
+    "random": Strategy(_random_plan),
     "fedavg_only": Strategy(None),
     "fedprox": Strategy(None, proximal=True),
 }
@@ -293,27 +299,29 @@ def run_simulation(
         raise ConfigInvalid(f"clients disagree on decoder dimension: {sorted(dims)}")
     dim = dims.pop()
 
-    master, W, ids = cfg.master_seed, cfg.warmup_rounds, np.arange(len(clients))
-    init_rng = np.random.default_rng(derive_seed(master, PURPOSES["init"]))
+    init_rng = np.random.default_rng(derive_seed(cfg.master_seed, PURPOSES["init"]))
     decoders = [ParamVector(init_rng.normal(0.0, 0.1, size=dim))] * len(clients)
     weights = AggregationWeights.from_sizes([c.train_size for c in clients])
     last_plan = None
     trace = []
-    # the cell's seeds, one call per purpose; each round builds its generators from words
-    seeds = np.concatenate([
-        derive_seed(master, PURPOSES["warmup"], np.arange(1, W + 1)[:, None], ids),
-        derive_seed(master, PURPOSES["train"], np.arange(1, cfg.rounds + 1)[:, None], ids)])
+    # every client-round's generator words, hashed for the whole cell in two bulk
+    # calls; each round builds its generators from its own rows when it runs
+    tags = np.repeat([PURPOSES["warmup"], PURPOSES["train"]], [cfg.warmup_rounds, cfg.rounds])
+    rounds = np.concatenate([np.arange(1, cfg.warmup_rounds + 1), np.arange(1, cfg.rounds + 1)])
+    seeds = derive_seed(cfg.master_seed, tags[:, None], rounds[:, None], np.arange(len(clients)))
     words = derive_seed(seeds & _MASK32, seeds >> 32, words=4)
-    exchange = derive_seed(master, PURPOSES["exchange"], np.arange(1, cfg.rounds + 1)).tolist()
+    exchange_seeds = derive_seed(cfg.master_seed, PURPOSES["exchange"],
+                                 np.arange(1, cfg.rounds + 1)).tolist()
 
-    for w in range(1, W + 1):
+    for w in range(1, cfg.warmup_rounds + 1):
         uploads = _train_all(decoders, clients, cfg, words[w - 1])
         decoders = [weighted_average(uploads, weights)] * len(clients)
-        trace.append(_record(w - W, WARMUP, cfg, clients, decoders))
+        trace.append(_record(w - cfg.warmup_rounds, WARMUP, cfg, clients, decoders))
 
-    for r, seed in enumerate(exchange, 1):
-        uploads = _train_all(decoders, clients, cfg, words[W + r - 1])
-        decoders, assignment, plan = run_round(r, uploads, weights, cfg, last_plan, seed)
+    for r in range(1, cfg.rounds + 1):
+        uploads = _train_all(decoders, clients, cfg, words[cfg.warmup_rounds + r - 1])
+        decoders, assignment, plan = run_round(r, uploads, weights, cfg, last_plan,
+                                               exchange_seeds[r - 1])
         decision = AGGREGATE if plan is None else EXCHANGE
         trace.append(_record(r, decision, cfg, clients, decoders, assignment, plan))
         last_plan = last_plan if plan is None else plan

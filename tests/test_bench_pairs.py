@@ -47,14 +47,15 @@ def test_bench_file_shape(tmp_path):
         return bench_pairs.parse_output(fake_output(side, workload, seed))
 
     seeds = [1, 2, 3, 4]
-    pairs = bench_pairs.run_pairs(run, ["wide64", "paper4"], seeds)
+    revs = {"parent": "abc", "change": "def+diff:0123"}
+    pairs = bench_pairs.run_pairs(run, ["wide64", "paper4"], seeds, revs)
     better = {"cell_s": "lower", "client_rounds_per_s": "higher"}
     path = tmp_path / "BENCH_3.json"
-    data = bench_pairs.write_bench(path, 3, {"parent": "abc", "change": "working tree"},
-                                   {"seeds": seeds}, pairs, better)
+    data = bench_pairs.write_bench(path, 3, revs, {"seeds": seeds}, pairs, better)
     assert json.loads(path.read_text()) == data
     assert set(data) == {"pr", "revs", "args", "stamp", "summary", "pairs"}
-    assert data["stamp"] == STAMP
+    # perfbench's stamp, with the git_sha of the side that ran
+    assert data["stamp"] == {**STAMP, "git_sha": "def+diff:0123"}
 
     # every pair runs both sides back to back, the first side alternating
     assert len(pairs) == 8 and len(calls) == 16
@@ -65,6 +66,7 @@ def test_bench_file_shape(tmp_path):
             entry = pair[side]
             assert set(entry) == {"stamp", "info", "correct", "attempted", "failed", "metrics"}
             assert entry["info"]["side"] == side and entry["failed"] == 0
+            assert entry["stamp"] == {**STAMP, "git_sha": revs[side]}
 
     for workload in ("wide64", "paper4"):
         summary = data["summary"][workload]

@@ -42,8 +42,9 @@ def backbone(seed=0):
 
 def dataset(domain, bb, concept_seed, domain_seed, *, task="regression",
             test_count=500, train_fraction=1.0, local=None):
+    shared_head = np.random.default_rng(concept_seed).normal(size=bb.feature_dim)
     return make_client(
-        domain, bb, local or LocalConfig(), concept_seed, domain_seed,
+        domain, bb, local or LocalConfig(), shared_head, domain_seed,
         task=task, test_count=test_count, train_fraction=train_fraction,
     )
 

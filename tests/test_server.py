@@ -34,7 +34,8 @@ def make_clients(n=3, master_seed=0, counts=(120, 120, 60), steps=3):
     backbone = FrozenBackbone.create(
         derive_seed(master_seed, PURPOSES["backbone"]), INPUT_DIM, FEATURE_DIM
     )
-    concept = derive_seed(master_seed, PURPOSES["concept"])
+    concept = np.random.default_rng(derive_seed(master_seed, PURPOSES["concept"]))
+    shared_head = concept.normal(size=FEATURE_DIM)
     local = LocalConfig(steps=steps, learning_rate=0.05, batch_size=16)
     clients = []
     for i in range(n):
@@ -47,7 +48,7 @@ def make_clients(n=3, master_seed=0, counts=(120, 120, 60), steps=3):
             label_noise=0.05,
         )
         clients.append(make_client(
-            spec, backbone, local, concept,
+            spec, backbone, local, shared_head,
             derive_seed(master_seed, PURPOSES["domain"], i),
             task="regression", test_count=50, train_fraction=1.0,
         ))
@@ -183,8 +184,8 @@ class TestSeedPaths:
         monkeypatch.setattr(server, "derive_seed", recording)
         monkeypatch.setattr(harness, "derive_seed", recording)
         harness.run_cell(harness.default_experiment_config(), strategy, 0)
-        # bulk derivation: two calls build the clients, five run the cell
-        assert len(calls) == 7
+        # bulk derivation: one call builds the clients, four run the cell
+        assert len(calls) == 5
         lengths, seeds = {}, []
         for path, words, out in calls:
             if words == 1:  # words=4 pre-hashes generator states from seeds
