@@ -197,8 +197,10 @@ def make_client(
     features_train, train_y = split(train_x, train_eps)
     features_test, test_y = split(test_x, test_eps)
     keep = max(1, int(round(spec.sample_count * train_fraction)))
-    return ClientState(spec, task, backbone, local, features_train[:keep].copy(),
-                       train_y[:keep].copy(), features_test, test_y, true_head)
+    if keep < spec.sample_count:  # copied, so as not to keep the full draw alive
+        features_train, train_y = features_train[:keep].copy(), train_y[:keep].copy()
+    return ClientState(spec, task, backbone, local, features_train, train_y,
+                       features_test, test_y, true_head)
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,8 @@ class TestGenerateDomainDataset:
         assert np.array_equal(half.train_y, full.train_y[:50])
         assert np.array_equal(half.features_test, full.features_test)
         assert np.array_equal(half.test_y, full.test_y)
+        # the reduced split owns its rows and does not keep the full draw alive
+        assert half.features_train.base is None and half.train_y.base is None
 
     def test_tenth_fraction_size(self):
         bb = backbone()
@@ -187,6 +189,9 @@ class TestGenerateDomainDataset:
         other = FrozenBackbone.create(0, INPUT_DIM + 1, FEATURE_DIM)
         with pytest.raises(ConfigInvalid):
             dataset(spec(), other, 1, 2)
+        with pytest.raises(ConfigInvalid, match="^shared_head must have shape"):
+            make_client(spec(), bb, LocalConfig(), np.zeros(FEATURE_DIM + 1), 2,
+                        task="regression", test_count=10, train_fraction=1.0)
 
 
 class TestGradients:
