@@ -88,7 +88,8 @@ class FrozenBackbone:
         return cls(input_dim=input_dim, feature_dim=feature_dim, weight=weight, bias=bias)
 
     def features(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(x @ self.weight + self.bias)
+        out = x @ self.weight  # biased and squashed in place, without temporaries
+        return np.tanh(np.add(out, self.bias, out=out), out=out)
 
     @property
     def decoder_dim(self) -> int:
