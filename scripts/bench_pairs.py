@@ -20,8 +20,9 @@ was strictly better, in the direction BENCHMARK.json gives) and the median
 of its per-pair relative change. perfbench stamps the HEAD it finds in .git,
 which is neither side here (the export has no .git, and the working tree may
 differ from its HEAD), so each stamp's git_sha is replaced by that side's
-revision: the parent's SHA, or the working tree's HEAD plus a hash of
-``git diff HEAD`` when the tree has changes.
+revision: the parent's SHA, or the working tree's HEAD plus a hash of its
+changes (``git diff HEAD`` and every untracked, non-ignored file) when it has
+any.
 """
 
 from __future__ import annotations
@@ -53,13 +54,22 @@ def export(rev: str, dest: Path) -> str:
 
 
 def working_tree_rev() -> str:
-    """HEAD's SHA, plus "+diff:" and a hash of `git diff HEAD` if the tree differs."""
+    """HEAD's SHA, plus "+diff:" and a hash of `git diff HEAD` and of the path
+    and contents of every untracked, non-ignored file, if there are any."""
     def git(*args) -> bytes:
         return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
 
     head = git("rev-parse", "HEAD").decode().strip()
     diff = git("diff", "HEAD", "--binary")
-    return f"{head}+diff:{hashlib.sha256(diff).hexdigest()[:12]}" if diff else head
+    untracked = sorted(filter(None, git("ls-files", "--others", "--exclude-standard",
+                                        "-z").split(b"\0")))
+    if not diff and not untracked:
+        return head
+    digest = hashlib.sha256(diff)
+    for path in untracked:
+        contents = (ROOT / path.decode()).read_bytes()
+        digest.update(b"\0%s\0%d\0%s" % (path, len(contents), contents))
+    return f"{head}+diff:{digest.hexdigest()[:12]}"
 
 
 def parse_output(stdout: str) -> dict:

@@ -2,12 +2,15 @@
 
 Each client holds the backbone features and labels of a synthetic domain
 dataset and a reference to the shared frozen backbone (a fixed random affine
-map plus tanh); it never changes once built. A decoder is a flat linear map
-over the backbone features; the round loop owns every client's. Local
-training is plain mini-batch gradient descent on a convex loss, optionally
-with a proximal pull toward the decoder the round starts from: under
-fedprox, the latest global decoder. One call trains a whole round, stepping
-clients with equal batch shapes together, bit for bit as if each trained alone.
+map plus tanh); it never changes once built. make_clients draws every
+client's data into one block per split, and each client's arrays are
+read-only views of its rows. A decoder is a flat linear map over the backbone
+features; the round loop owns every client's, as the rows of one (n, D)
+array. Local training is plain mini-batch gradient descent on a convex loss,
+optionally with a proximal pull toward the decoder the round starts from:
+under fedprox, the latest global decoder. One call trains a whole round,
+stepping clients with equal batch shapes together, and one call evaluates
+it, bit for bit as if each client trained and was scored alone.
 """
 
 from __future__ import annotations
@@ -18,15 +21,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigInvalid, InvalidInput, NonFiniteLoss
-from .params import ParamVector
 
 __all__ = [
     "DomainSpec",
     "FrozenBackbone",
     "LocalConfig",
     "ClientState",
-    "EvalResult",
-    "make_client",
+    "Clients",
+    "make_clients",
     "decoder_loss_and_gradient",
     "local_train",
     "local_train_fedprox",
@@ -87,8 +89,9 @@ class FrozenBackbone:
         bias.setflags(write=False)
         return cls(input_dim=input_dim, feature_dim=feature_dim, weight=weight, bias=bias)
 
-    def features(self, x: np.ndarray) -> np.ndarray:
-        out = x @ self.weight  # biased and squashed in place, without temporaries
+    def features(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """tanh(x @ W + b), written into out when it is given."""
+        out = np.matmul(x, self.weight, out=out)  # biased and squashed in place
         return np.tanh(np.add(out, self.bias, out=out), out=out)
 
     @property
@@ -140,85 +143,163 @@ class ClientState:
         return int(self.train_y.shape[0])
 
 
-def make_client(
-    spec: DomainSpec,
+@dataclass(frozen=True, eq=False)
+class Clients:
+    """A simulation's clients, in order, and their data as one block per split.
+
+    features_train (N, F) and train_y (N,) hold every train split, client i's
+    in rows starts[i] to starts[i + 1]; features_test (n, test_count, F) and
+    test_y (n, test_count) hold one test split per client. Indexing and
+    iteration give the ClientStates, whose arrays are views of these rows.
+    groups holds the index arrays of the clients that training steps
+    together: one LocalConfig and task, and one batch shape. tasks pairs each
+    task with the rows of its clients."""
+
+    members: tuple[ClientState, ...]
+    features_train: np.ndarray = field(repr=False)
+    train_y: np.ndarray = field(repr=False)
+    features_test: np.ndarray = field(repr=False)
+    test_y: np.ndarray = field(repr=False)
+    starts: np.ndarray = field(repr=False)
+    groups: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    tasks: tuple[tuple[str, object], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("features_train", "train_y", "features_test", "test_y", "starts"):
+            getattr(self, name).setflags(write=False)
+        groups: dict[tuple, list[int]] = {}
+        tasks: dict[str, list[int]] = {}
+        for i, c in enumerate(self.members):
+            full_size = c.train_size if c.config.batch_size >= c.train_size else None
+            groups.setdefault((c.config, c.task, full_size), []).append(i)
+            tasks.setdefault(c.task, []).append(i)
+        object.__setattr__(self, "groups", tuple(map(np.array, groups.values())))
+        # a task all clients share takes every row, without an indexed copy
+        object.__setattr__(self, "tasks", tuple(
+            (task, slice(None) if len(rows) == len(self) else np.array(rows))
+            for task, rows in tasks.items()))
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __getitem__(self, i):
+        return self.members[i]
+
+    def __iter__(self):
+        return iter(self.members)
+
+
+def _inputs(rng: np.random.Generator, count: int, shift: np.ndarray) -> np.ndarray:
+    """count rows of normal(loc=shift, scale=1.0) bit for bit, unscaled and
+    shifted in place."""
+    x = rng.standard_normal((count, shift.size))
+    x += shift
+    return x
+
+
+def _labels(features: np.ndarray, head: np.ndarray, eps: np.ndarray, task: str) -> np.ndarray:
+    score = features @ head + eps
+    return np.where(score >= 0.0, 1.0, -1.0) if task == "classification" else score
+
+
+def make_clients(
+    specs: Sequence[DomainSpec],
     backbone: FrozenBackbone,
-    local: LocalConfig,
     shared_head: np.ndarray,
-    domain_seed: int,
+    domain_seeds: Sequence[int],
     *,
-    task: str,
+    configs: Sequence[LocalConfig],
+    tasks: Sequence[str],
     test_count: int,
     train_fraction: float,
-) -> ClientState:
-    """Draw one domain's data, x ~ N(shift, I) with y from the shared head
-    perturbed by concept_shift in a random direction, and build its client.
+) -> Clients:
+    """Draw each domain's data, x ~ N(shift, I) with y from the shared head
+    perturbed by concept_shift in a random direction, from its own seed, and
+    build the clients over one block per split; client i takes specs[i],
+    domain_seeds[i], configs[i] and tasks[i].
 
     The full sample_count is always drawn and the train split keeps the first
     round(sample_count * train_fraction) rows, so a reduced-fraction split is
-    a prefix of the full one and the test split is unaffected.
+    a prefix of the full one and the test split is unaffected. Features are
+    computed straight into the blocks; only a reduced split's full draw passes
+    through a temporary, so no second copy of the data is ever resident.
     """
-    if task not in TASKS:
-        raise ConfigInvalid(f"unknown task {task!r}")
+    n = len(specs)
+    if n < 1 or not n == len(domain_seeds) == len(configs) == len(tasks):
+        raise ConfigInvalid(f"got {n} domains, {len(domain_seeds)} seeds, "
+                            f"{len(configs)} configs and {len(tasks)} tasks")
+    for task in tasks:
+        if task not in TASKS:
+            raise ConfigInvalid(f"unknown task {task!r}")
     if not 0.0 < train_fraction <= 1.0:
         raise ConfigInvalid(f"train_fraction must be in (0, 1], got {train_fraction}")
     if test_count < 1:
         raise ConfigInvalid("test_count must be >= 1")
-    if spec.input_dim != backbone.input_dim:
-        raise ConfigInvalid(
-            f"{spec.domain_id}: input_dim {spec.input_dim} does not match "
-            f"backbone input_dim {backbone.input_dim}"
-        )
+    for spec in specs:
+        if spec.input_dim != backbone.input_dim:
+            raise ConfigInvalid(
+                f"{spec.domain_id}: input_dim {spec.input_dim} does not match "
+                f"backbone input_dim {backbone.input_dim}"
+            )
     if np.shape(shared_head) != (backbone.feature_dim,):
         raise ConfigInvalid(f"shared_head must have shape ({backbone.feature_dim},)")
 
-    rng = np.random.default_rng(domain_seed)
-    direction = rng.normal(size=backbone.feature_dim)
-    direction /= np.linalg.norm(direction)
-    true_head = shared_head + spec.concept_shift * direction
+    sizes = [max(1, int(round(spec.sample_count * train_fraction))) for spec in specs]
+    starts = np.cumsum([0, *sizes])
+    dim, split = backbone.feature_dim, starts[-1]
+    # one allocation holds both blocks, the train rows then the test rows: with
+    # two, malloc handed both back to the system when a cell ended, and every
+    # cell faulted its data's pages in afresh (about 900 faults on wide64)
+    features, labels = np.empty((split + n * test_count, dim)), np.empty(split + n * test_count)
+    features_train, train_y = features[:split], labels[:split]
+    features_test = features[split:].reshape(n, test_count, dim)
+    test_y = labels[split:].reshape(n, test_count)
+    members = []
+    for i, (spec, seed, local, task) in enumerate(zip(specs, domain_seeds, configs, tasks)):
+        rng = np.random.default_rng(seed)
+        direction = rng.normal(size=dim)
+        direction /= np.linalg.norm(direction)
+        true_head = shared_head + spec.concept_shift * direction
 
-    shift = np.asarray(spec.shift, dtype=np.float64)
-    # normal(loc=shift, scale=1.0) bit for bit, unscaled and added in place
-    train_x = rng.standard_normal((spec.sample_count, spec.input_dim))
-    train_x += shift
-    train_eps = rng.normal(0.0, spec.label_noise, size=spec.sample_count)
-    test_x = rng.standard_normal((test_count, spec.input_dim))
-    test_x += shift
-    test_eps = rng.normal(0.0, spec.label_noise, size=test_count)
-
-    def split(x: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        features = backbone.features(x)
-        score = features @ true_head + eps
-        if task == "classification":
-            return features, np.where(score >= 0.0, 1.0, -1.0)
-        return features, score
-
-    # the prefix is cut after the labels: the rows of a matrix-vector product
-    # can change in the last bit with the row count
-    features_train, train_y = split(train_x, train_eps)
-    features_test, test_y = split(test_x, test_eps)
-    keep = max(1, int(round(spec.sample_count * train_fraction)))
-    if keep < spec.sample_count:  # copied, so as not to keep the full draw alive
-        features_train, train_y = features_train[:keep].copy(), train_y[:keep].copy()
-    return ClientState(spec, task, backbone, local, features_train, train_y,
-                       features_test, test_y, true_head)
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    loss: float
-    accuracy: Optional[float] = None
+        # each split's inputs are dropped once its features are in the block;
+        # the prefix is cut after the labels, since the rows of a matrix-vector
+        # product can change in the last bit with the row count
+        shift = np.asarray(spec.shift, dtype=np.float64)
+        rows = slice(starts[i], starts[i + 1])
+        whole = sizes[i] == spec.sample_count
+        full = backbone.features(_inputs(rng, spec.sample_count, shift),
+                                 out=features_train[rows] if whole else None)
+        train_eps = rng.normal(0.0, spec.label_noise, size=spec.sample_count)
+        train_y[rows] = _labels(full, true_head, train_eps, task)[:sizes[i]]
+        if not whole:
+            features_train[rows] = full[:sizes[i]]
+        backbone.features(_inputs(rng, test_count, shift), out=features_test[i])
+        test_eps = rng.normal(0.0, spec.label_noise, size=test_count)
+        test_y[i] = _labels(features_test[i], true_head, test_eps, task)
+        members.append(ClientState(spec, task, backbone, local, features_train[rows],
+                                   train_y[rows], features_test[i], test_y[i], true_head))
+    features.setflags(write=False)
+    labels.setflags(write=False)
+    return Clients(tuple(members), features_train, train_y, features_test, test_y, starts)
 
 
 def _scores(theta: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Scores of one decoder (D,) on (n, F) features, or of k decoders (k, D)
-    each on its own (k, B, F) batch: one matrix-vector product per decoder."""
-    return np.matmul(features, theta[..., :-1, None])[..., 0] + theta[..., -1:]
+    """Scores of k decoders (k, D), each on its own (k, B, F) batch: one
+    matrix-vector product per decoder, then the bias added in place."""
+    s = np.matmul(features, theta[..., :-1, None])[..., 0]
+    s += theta[..., -1:]
+    return s
 
 
 def _mean_loss(s: np.ndarray, labels: np.ndarray, task: str):
-    """Squared error or logistic loss, averaged over the last axis as sum / count."""
-    per_row = (s - labels) ** 2 if task == "regression" else np.logaddexp(0.0, -labels * s)
+    """Squared error or logistic loss, averaged over the last axis as sum / count.
+    The per-row losses share one buffer: a round's evaluation has one per test row."""
+    if task == "regression":
+        per_row = s - labels
+        per_row *= per_row
+    else:  # log(1 + e^(-ys)); -(ys) is (-y)s exactly
+        per_row = labels * s
+        np.logaddexp(0.0, np.negative(per_row, out=per_row), out=per_row)
     return per_row.sum(axis=-1) / s.shape[-1]
 
 
@@ -255,93 +336,99 @@ def decoder_loss_and_gradient(thetas: np.ndarray, features: np.ndarray, labels: 
     return loss, grad
 
 
-def _train_group(clients: Sequence[ClientState], thetas: np.ndarray,
+def _train_group(clients: Clients, members: np.ndarray, thetas: np.ndarray,
                  rngs: Sequence[np.random.Generator], proximal: bool) -> np.ndarray:
-    """Steps clients that share a LocalConfig, task and batch shape together,
-    updating thetas (k, D) in place; returns the step at which each client's
-    loss was first non-finite, or -1. A diverged client keeps stepping: no
-    other client's numbers depend on it."""
-    cfg, task = clients[0].config, clients[0].task
-    draws = None
-    if cfg.batch_size >= clients[0].train_size:
-        batch = np.stack([c.features_train for c in clients])
-        labels = np.stack([c.train_y for c in clients])
+    """Steps one group of clients together, updating their decoders thetas
+    (k, D) in place; returns the step at which each client's loss was first
+    non-finite, or -1. A diverged client keeps stepping: no other client's
+    numbers depend on it. Each client's batch indices are offset by its
+    first row in the train block."""
+    first = clients[members[0]]
+    cfg, task, size = first.config, first.task, first.train_size
+    if cfg.batch_size >= size:  # every step takes each client's whole split
+        rows = np.tile(np.arange(size), (cfg.steps, len(members), 1))
     else:
         # one (steps, B) draw equals steps successive draws of B indices
-        draws = [rng.integers(0, c.train_size, size=(cfg.steps, cfg.batch_size))
-                 for c, rng in zip(clients, rngs)]
-        # (steps, k, B), so that each step's labels are one contiguous block
-        step_labels = np.stack([c.train_y[idx] for c, idx in zip(clients, draws)], axis=1)
-        # one buffer, refilled each step
-        batch = np.empty((len(clients), cfg.batch_size, thetas.shape[1] - 1))
+        rows = np.stack([rngs[i].integers(0, clients[i].train_size,
+                                          size=(cfg.steps, cfg.batch_size))
+                         for i in members], axis=1)
+    # (steps, k, B) block rows, so that each step's batches are one take
+    rows += clients.starts[members, None]
+    step_labels = clients.train_y.take(rows)
+    # one buffer, refilled each step
+    batch = np.empty((len(members), rows.shape[2], clients.features_train.shape[1]))
     anchors, mu = (thetas.copy(), cfg.prox_mu) if proximal else (None, 0.0)
-    failed_at = np.full(len(clients), -1)
+    failed_at = np.full(len(members), -1)
     for step in range(cfg.steps):
-        if draws is not None:
-            for c, idx, out in zip(clients, draws, batch):
-                c.features_train.take(idx[step], axis=0, out=out, mode="clip")
-            labels = step_labels[step]
-        loss, grad = decoder_loss_and_gradient(thetas, batch, labels, task, anchors, mu)
+        clients.features_train.take(rows[step], axis=0, out=batch, mode="clip")
+        loss, grad = decoder_loss_and_gradient(thetas, batch, step_labels[step], task,
+                                               anchors, mu)
         failed_at[(failed_at < 0) & ~np.isfinite(loss)] = step
         thetas -= cfg.learning_rate * grad
     return failed_at
 
 
-def _train_round(decoders: Sequence[ParamVector], clients: Sequence[ClientState],
-                 rngs: Sequence[np.random.Generator], proximal: bool) -> list[ParamVector]:
-    if not len(decoders) == len(clients) == len(rngs):
-        raise InvalidInput(
-            f"got {len(decoders)} decoders, {len(clients)} clients and {len(rngs)} generators")
-    for decoder, client in zip(decoders, clients):
-        if decoder.dim != client.backbone.decoder_dim:
-            raise InvalidInput(f"decoder dim {decoder.dim} does not match the backbone's "
-                               f"decoder dim {client.backbone.decoder_dim}")
-    # clients whose batches have the same shape step together
-    groups: dict[tuple, list[int]] = {}
-    for i, c in enumerate(clients):
-        full_size = c.train_size if c.config.batch_size >= c.train_size else None
-        groups.setdefault((c.config, c.task, c.backbone.feature_dim, full_size), []).append(i)
-    thetas, failed_at = [None] * len(clients), [-1] * len(clients)
+def _check_decoders(decoders: np.ndarray, clients: Clients) -> None:
+    shape = (len(clients), clients[0].backbone.decoder_dim)
+    if np.shape(decoders) != shape:
+        raise InvalidInput(f"decoders have shape {np.shape(decoders)}, expected {shape}: "
+                           "one row of the backbone's decoder dim per client")
+
+
+def _train_round(decoders: np.ndarray, clients: Clients,
+                 rngs: Sequence[np.random.Generator], proximal: bool) -> np.ndarray:
+    _check_decoders(decoders, clients)
+    if len(rngs) != len(clients):
+        raise InvalidInput(f"got {len(clients)} clients and {len(rngs)} generators")
+    uploads = np.empty(decoders.shape)
+    failed_at = np.empty(len(clients), dtype=int)
     # a diverging client overflows before the checks below report it
     with np.errstate(over="ignore", invalid="ignore"):
-        for members in groups.values():
-            stacked = np.stack([decoders[i].values for i in members])
-            steps = _train_group([clients[i] for i in members], stacked,
-                                 [rngs[i] for i in members], proximal)
-            for i, theta, step in zip(members, stacked, steps):
-                thetas[i], failed_at[i] = theta, step
+        for members in clients.groups:
+            thetas = decoders[members]
+            failed_at[members] = _train_group(clients, members, thetas, rngs, proximal)
+            uploads[members] = thetas
     # the lowest-index failure, as if the clients had trained one at a time
-    for client, theta, step in zip(clients, thetas, failed_at):
-        name = client.domain.domain_id
-        if step >= 0:
-            raise NonFiniteLoss(f"non-finite loss at step {step} on {name}; "
+    bad = (failed_at >= 0) | ~np.isfinite(uploads).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        name = clients[i].domain.domain_id
+        if failed_at[i] >= 0:
+            raise NonFiniteLoss(f"non-finite loss at step {failed_at[i]} on {name}; "
                                 "reduce the learning rate")
-        if not np.all(np.isfinite(theta)):
-            raise NonFiniteLoss(f"training diverged on {name}; reduce the learning rate")
-    return [ParamVector(theta) for theta in thetas]
+        raise NonFiniteLoss(f"training diverged on {name}; reduce the learning rate")
+    uploads.setflags(write=False)
+    return uploads
 
 
-def local_train(decoders: Sequence[ParamVector], clients: Sequence[ClientState],
-                rngs: Sequence[np.random.Generator]) -> list[ParamVector]:
+def local_train(decoders: np.ndarray, clients: Clients,
+                rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """One round of local training: each client runs its configured number
-    of mini-batch gradient steps from its decoder, drawing batches from its
-    own generator; returns the uploads in client order. Backbones untouched."""
+    of mini-batch gradient steps from its row of decoders (n, D), drawing
+    batches from its own generator; returns the uploads as a read-only
+    (n, D) array in client order. Backbones untouched."""
     return _train_round(decoders, clients, rngs, proximal=False)
 
 
-def local_train_fedprox(decoders: Sequence[ParamVector], clients: Sequence[ClientState],
-                        rngs: Sequence[np.random.Generator]) -> list[ParamVector]:
+def local_train_fedprox(decoders: np.ndarray, clients: Clients,
+                        rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """local_train plus FedProx's proximal gradient term mu * (theta - anchor),
     with mu = each client's config.prox_mu and its starting decoder as the anchor."""
     return _train_round(decoders, clients, rngs, proximal=True)
 
 
-def evaluate(decoder: ParamVector, client: ClientState) -> EvalResult:
-    """Loss (and accuracy, for classification) on the client's test split."""
-    s = _scores(decoder.values, client.features_test)
-    labels = client.test_y
-    loss = float(_mean_loss(s, labels, client.task))
-    if client.task != "classification":
-        return EvalResult(loss=loss)
-    hits = np.count_nonzero(np.where(s >= 0.0, 1.0, -1.0) == labels)
-    return EvalResult(loss=loss, accuracy=hits / s.size)
+def evaluate(decoders: np.ndarray, clients: Clients
+             ) -> tuple[tuple[float, ...], Optional[tuple[float, ...]]]:
+    """Each client's loss on its test split under its row of decoders (n, D),
+    from one stacked product, and each one's accuracy if every client
+    classifies, else None."""
+    _check_decoders(decoders, clients)
+    s = _scores(decoders, clients.features_test)
+    labels = clients.test_y
+    losses = np.empty(len(clients))
+    for task, rows in clients.tasks:
+        losses[rows] = _mean_loss(s[rows], labels[rows], task)
+    if any(task != "classification" for task, _ in clients.tasks):
+        return tuple(losses.tolist()), None
+    hits = np.count_nonzero(np.where(s >= 0.0, 1.0, -1.0) == labels, axis=-1)
+    return tuple(losses.tolist()), tuple((hits / s.shape[-1]).tolist())

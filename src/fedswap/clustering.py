@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInput
-from .params import ParamVector, cosine_distances
+from .params import cosine_distances
 
 __all__ = [
     "DistanceMatrix",
@@ -98,8 +98,9 @@ class ClusterAssignment:
         return cls(tuple(0 if i in zero else 1 for i in range(n)), tuple(merges))
 
 
-def build_distance_matrix(decoders: Sequence[ParamVector]) -> DistanceMatrix:
-    """Pairwise cosine-distance matrix over the uploaded decoders."""
+def build_distance_matrix(decoders: np.ndarray) -> DistanceMatrix:
+    """Pairwise cosine-distance matrix over the uploaded decoders, the rows of
+    one (n, D) array."""
     if len(decoders) < 2:
         raise InvalidInput(f"need at least two decoders, got {len(decoders)}")
     return DistanceMatrix(cosine_distances(decoders))

@@ -61,7 +61,7 @@ def _cursor_walk(
 
 
 def build_clustered_plan(
-    ca: ClusterAssignment, last: Optional[tuple[int, ...]], rng_seed: int
+    ca: ClusterAssignment, last: Optional[tuple[int, ...]], rng: np.random.Generator
 ) -> ExchangePlan:
     """Distance-clustered exchange: in-cluster shuffle plus cross-cluster walk.
 
@@ -72,7 +72,7 @@ def build_clustered_plan(
     it is dropped after a bounded number of attempts. Draws then go on until
     no client receives its own upload, which every split allows: only the
     larger cluster serves its own clients, and with more than two clients it
-    has at least two members.
+    has at least two members. The shuffles are drawn from rng.
     """
     if not isinstance(ca, ClusterAssignment):
         raise InvalidInput("ca must be a ClusterAssignment")
@@ -81,7 +81,6 @@ def build_clustered_plan(
         raise InvalidInput(
             f"history length {len(last)} does not match client count {n}"
         )
-    rng = np.random.default_rng(rng_seed)
     members = (list(ca.members_0), list(ca.members_1))
     for attempt in itertools.count():
         shuffled = tuple(
@@ -104,9 +103,8 @@ def build_round_robin_plan(n: int, round: int) -> ExchangePlan:
     return ExchangePlan(tuple((i + k) % n for i in range(n)))
 
 
-def build_random_plan(n: int, rng_seed: int) -> ExchangePlan:
-    """Uniformly random permutation; fixed points are permitted."""
+def build_random_plan(n: int, rng: np.random.Generator) -> ExchangePlan:
+    """Uniformly random permutation drawn from rng; fixed points are permitted."""
     if n < 2:
         raise InvalidInput(f"random exchange needs at least two clients, got {n}")
-    rng = np.random.default_rng(rng_seed)
     return ExchangePlan(tuple(int(v) for v in rng.permutation(n)))

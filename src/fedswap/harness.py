@@ -25,11 +25,11 @@ import numpy as np
 
 from .clients import (
     TASKS,
-    ClientState,
     DomainSpec,
     FrozenBackbone,
+    Clients,
     LocalConfig,
-    make_client,
+    make_clients,
 )
 from .errors import ConfigInvalid
 from .server import (
@@ -299,7 +299,7 @@ def save_config(cfg: ExperimentConfig, path) -> None:
     _write_json(path, config_to_dict(cfg))
 
 
-def build_clients(cfg: ExperimentConfig, master_seed: int) -> list[ClientState]:
+def build_clients(cfg: ExperimentConfig, master_seed: int) -> Clients:
     """Deterministic client construction: backbone, shared concept, domain data."""
     n = len(cfg.domains)
     # one bulk derivation; backbone and concept at (tag, 0), which zero padding
@@ -313,19 +313,9 @@ def build_clients(cfg: ExperimentConfig, master_seed: int) -> list[ClientState]:
         feature_dim=cfg.feature_dim,
     )
     shared_head = np.random.default_rng(concept_seed).normal(size=cfg.feature_dim)
-    return [
-        make_client(
-            spec,
-            backbone,
-            cfg.local,
-            shared_head,
-            domain_seed,
-            task=cfg.task,
-            test_count=cfg.test_count,
-            train_fraction=cfg.data_fraction,
-        )
-        for spec, domain_seed in zip(cfg.domains, domain_seeds)
-    ]
+    return make_clients(cfg.domains, backbone, shared_head, domain_seeds,
+                        configs=[cfg.local] * n, tasks=[cfg.task] * n,
+                        test_count=cfg.test_count, train_fraction=cfg.data_fraction)
 
 
 def _csv_header(domain_count: int, classification: bool) -> list[str]:
@@ -360,7 +350,7 @@ def _summarize(
     cfg: ExperimentConfig,
     strategy: str,
     seed: int,
-    clients: Sequence[ClientState],
+    clients: Clients,
     trace: Sequence[RoundRecord],
 ) -> dict:
     final = trace[-1]

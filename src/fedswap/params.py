@@ -1,8 +1,8 @@
-"""Flat decoder parameter vectors, the cosine-distance kernel, and weighted aggregation.
+"""Decoder arrays, the cosine-distance kernel, and weighted aggregation.
 
-Every decoder in a simulation is represented as one float64 vector with the
-layout the shared backbone fixes (the linear head, then its bias), so vectors
-from different clients are directly comparable coordinate by coordinate.
+A round's decoders are one (n, D) float64 array, row i client i's, each row
+with the layout the shared backbone fixes (the linear head, then its bias),
+so rows are directly comparable coordinate by coordinate.
 """
 
 from __future__ import annotations
@@ -15,55 +15,37 @@ import numpy as np
 from .errors import InvalidInput
 
 __all__ = [
-    "ParamVector",
     "AggregationWeights",
+    "checked_vector",
     "cosine_distances",
     "weighted_average",
 ]
 
 
-def _as_readonly_f64(values, name: str) -> np.ndarray:
+def checked_vector(values, name: str) -> np.ndarray:
+    """A read-only float64 copy of values, a decoder or weights; raises
+    InvalidInput unless it is one-dimensional, non-empty and finite."""
     arr = np.array(values, dtype=np.float64, copy=True)
     if arr.ndim != 1:
         raise InvalidInput(f"{name} must be one-dimensional, got shape {arr.shape}")
+    if arr.size < 1:
+        raise InvalidInput(f"{name} must hold at least one entry")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInput(f"{name} entries must be finite")
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True, eq=False)
-class ParamVector:
-    """An immutable flat decoder: float64 values, the head's weights then its bias."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_readonly_f64(self.values, "values")
-        if arr.size < 1:
-            raise InvalidInput("ParamVector must hold at least one entry")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInput("ParamVector entries must be finite")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.size)
-
-    def __repr__(self) -> str:  # avoid dumping long arrays
-        return f"ParamVector(dim={self.dim})"
-
-
-@dataclass(frozen=True, eq=False)
 class AggregationWeights:
-    """Per-client aggregation weights; non-negative and summing to one."""
+    """Per-client aggregation weights; finite, non-negative and summing to one."""
 
     weights: np.ndarray
 
     _SUM_TOL = 1e-9
 
     def __post_init__(self):
-        arr = _as_readonly_f64(self.weights, "weights")
-        if arr.size < 1:
-            raise InvalidInput("at least one weight is required")
+        arr = checked_vector(self.weights, "weights")
         if np.any(arr < 0.0):
             raise InvalidInput("weights must be non-negative")
         total = float(arr.sum())
@@ -85,27 +67,25 @@ class AggregationWeights:
         return int(self.weights.size)
 
 
-def _common_dim(decoders: Sequence[ParamVector]) -> int:
-    """The one dim every decoder shares; raises for none or a mismatch."""
-    if len(decoders) == 0:
-        raise InvalidInput("no decoders given")
-    dim = decoders[0].dim
-    for i, d in enumerate(decoders):
-        if d.dim != dim:
-            raise InvalidInput(f"decoder {i} has dim {d.dim}, expected {dim}")
-    return dim
+def _rows(decoders) -> np.ndarray:
+    """decoders as an (n, D) array with n, D >= 1; raises InvalidInput otherwise."""
+    u = np.asarray(decoders)
+    if u.ndim != 2 or 0 in u.shape:
+        raise InvalidInput(f"decoders must be an (n, D) array with n, D >= 1, "
+                           f"got shape {u.shape}")
+    return u
 
 
-def cosine_distances(decoders: Sequence[ParamVector]) -> np.ndarray:
-    """Symmetric matrix of pairwise cosine distances 1 - (a.b)/(|a||b|), in [0, 2].
+def cosine_distances(decoders: np.ndarray) -> np.ndarray:
+    """Symmetric matrix of pairwise cosine distances 1 - (a.b)/(|a||b|), in [0, 2],
+    between the rows of decoders (n, D).
 
     Norms are sqrt(vecdot(u, u)); row i is one vecdot of the later decoders with
     decoder i. Each pair gets the bits of its own np.dot, unlike a Gram product
     or an axis norm, which sum in another order. Raises InvalidInput for a zero
     or non-finite norm (a degenerate model must not be hidden by a default
     value) and for a non-finite cosine (an overflowing dot)."""
-    _common_dim(decoders)
-    u = np.stack([d.values for d in decoders])
+    u = _rows(decoders)
     cos = np.zeros((len(u), len(u)))
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(np.vecdot(u, u))
@@ -124,12 +104,13 @@ def cosine_distances(decoders: Sequence[ParamVector]) -> np.ndarray:
     return upper + upper.T
 
 
-def weighted_average(
-    decoders: Sequence[ParamVector], w: AggregationWeights
-) -> ParamVector:
-    """Elementwise weighted average sum_i w_i * g_i of same-dim decoders."""
-    _common_dim(decoders)
-    if len(decoders) != len(w):
-        raise InvalidInput(f"{len(decoders)} decoders but {len(w)} weights")
-    terms = (weight * dec.values for weight, dec in zip(w.weights, decoders))
-    return ParamVector(sum(terms))
+def weighted_average(decoders: np.ndarray, w: AggregationWeights) -> np.ndarray:
+    """Elementwise weighted average sum_i w_i * g_i of the rows of decoders
+    (n, D), as a read-only (D,) array; raises InvalidInput if it is not finite.
+    The rows are summed one at a time in client order: np.add.reduce pairs
+    them in another order when D = 1."""
+    u = _rows(decoders)
+    if len(u) != len(w):
+        raise InvalidInput(f"{len(u)} decoders but {len(w)} weights")
+    return checked_vector(sum(weight * row for weight, row in zip(w.weights, u)),
+                          "aggregated decoder")

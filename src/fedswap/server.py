@@ -7,23 +7,18 @@ strategy's row in STRATEGIES builds. Only the clustered protocol clusters the
 uploads by cosine distance first.
 
 Clients and round records are immutable. run_simulation's locals hold the
-only state that changes: every client's current decoder, the last exchange
-plan and the trace.
+only state that changes: every client's current decoder, as the rows of one
+read-only (n, D) array, the last exchange plan and the trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .clients import (
-    ClientState,
-    evaluate,
-    local_train,
-    local_train_fedprox,
-)
+from .clients import Clients, evaluate, local_train, local_train_fedprox
 from .clustering import build_distance_matrix, cluster_to_two
 from .errors import ConfigInvalid, FedswapError, InvalidInput
 from .exchange import (
@@ -31,7 +26,7 @@ from .exchange import (
     build_random_plan,
     build_round_robin_plan,
 )
-from .params import AggregationWeights, ParamVector, weighted_average
+from .params import AggregationWeights, checked_vector, weighted_average
 
 __all__ = [
     "AGGREGATE",
@@ -121,6 +116,11 @@ class _StateWords(np.random.bit_generator.ISeedSequence):
         return np.ascontiguousarray(self.words)  # PCG64 reads the raw buffer
 
 
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """default_rng(seed) for the state words derive_seed pre-hashed from seed."""
+    return np.random.Generator(np.random.PCG64(_StateWords(words)))
+
+
 @dataclass(frozen=True)
 class ServerConfig:
     """Protocol settings for one simulation."""
@@ -190,8 +190,8 @@ def schedule_decision(r: int, T: int) -> str:
 class Strategy:
     """One row of STRATEGIES.
 
-    plan(r, seed, last_plan, uploads) builds round r's ExchangePlan from its
-    exchange seed and returns it with its cluster assignment, if any; None
+    plan(r, rng, last_plan, uploads) builds round r's ExchangePlan from its
+    exchange generator and returns it with its cluster assignment, if any; None
     means the strategy aggregates every round. proximal adds FedProx's pull
     toward the decoder a client starts the round with to local training.
     """
@@ -202,17 +202,17 @@ class Strategy:
 
 # The builders look up the clustering and exchange functions in this module's
 # namespace at call time, so wrappers patched onto those names see every call.
-def _clustered_plan(r, seed, last_plan, uploads):
+def _clustered_plan(r, rng, last_plan, uploads):
     ca = cluster_to_two(build_distance_matrix(uploads))
-    return build_clustered_plan(ca, last_plan, seed), ca.index_list
+    return build_clustered_plan(ca, last_plan, rng), ca.index_list
 
 
-def _round_robin_plan(r, seed, last_plan, uploads):
+def _round_robin_plan(r, rng, last_plan, uploads):
     return build_round_robin_plan(len(uploads), r), None
 
 
-def _random_plan(r, seed, last_plan, uploads):
-    return build_random_plan(len(uploads), seed), None
+def _random_plan(r, rng, last_plan, uploads):
+    return build_random_plan(len(uploads), rng), None
 
 
 STRATEGIES = {
@@ -226,19 +226,20 @@ STRATEGIES = {
 
 def run_round(
     r: int,
-    uploads: Sequence[ParamVector],
+    uploads: np.ndarray,
     weights: AggregationWeights,
     cfg: ServerConfig,
     last_plan: Optional[tuple[int, ...]],
-    seed: int,
-) -> tuple[list[ParamVector], Optional[tuple[int, ...]], Optional[tuple[int, ...]]]:
-    """Process protocol round r's uploads; returns the per-client deliveries,
-    the cluster assignment and the exchange plan.
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, Optional[tuple[int, ...]], Optional[tuple[int, ...]]]:
+    """Process protocol round r's uploads (n, D); returns the deliveries as a
+    read-only (n, D) array, row i client i's, the cluster assignment and the
+    exchange plan.
 
-    On aggregation every client receives the same weighted average, and the
+    On aggregation every row is one weighted average, broadcast, and the
     assignment and plan are None. On exchange the strategy's plan builder
-    runs with the previous exchange plan, last_plan, and the exchange seed;
-    client i receives uploads[plan[i]].
+    runs with the previous exchange plan, last_plan, and the round's exchange
+    generator; client i receives uploads[plan[i]].
     """
     n = len(uploads)
     if n != len(weights):
@@ -248,43 +249,37 @@ def run_round(
     decision = schedule_decision(r, cfg.aggregation_frequency)
     try:
         if decision == AGGREGATE:
-            return [weighted_average(uploads, weights)] * n, None, None
-        plan, assignment = STRATEGIES[cfg.strategy].plan(r, seed, last_plan, uploads)
-        return [uploads[j] for j in plan.assignment], assignment, plan.assignment
+            return np.broadcast_to(weighted_average(uploads, weights), uploads.shape), None, None
+        plan, assignment = STRATEGIES[cfg.strategy].plan(r, rng, last_plan, uploads)
+        deliveries = uploads.take(plan.assignment, axis=0)
+        deliveries.setflags(write=False)
+        return deliveries, assignment, plan.assignment
     except FedswapError as exc:
         raise type(exc)(f"round {r}: {exc}") from exc
 
 
-def _train_all(decoders: Sequence[ParamVector], clients: Sequence[ClientState],
-               cfg: ServerConfig, words: np.ndarray) -> list[ParamVector]:
+def _train_all(decoders: np.ndarray, clients: Clients, cfg: ServerConfig,
+               words: np.ndarray) -> np.ndarray:
     """Every client's upload after local training, from one call for the round,
     with client i's generator built from its pre-hashed state words[i]."""
     train = local_train_fedprox if STRATEGIES[cfg.strategy].proximal else local_train
-    return train(decoders, clients,
-                 [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words])
+    return train(decoders, clients, [_generator(w) for w in words])
 
 
-def _record(r: int, decision: str, cfg: ServerConfig,
-            clients: Sequence[ClientState], deliveries: Sequence[ParamVector],
-            assignment=None, plan=None) -> RoundRecord:
+def _record(r: int, decision: str, cfg: ServerConfig, clients: Clients,
+            deliveries: np.ndarray, assignment=None, plan=None) -> RoundRecord:
     """The round's record, with the metrics of each client's delivery."""
-    results = [evaluate(dec, cl) for dec, cl in zip(deliveries, clients)]
-    losses = np.array([res.loss for res in results])
-    accuracies = None
-    if all(res.accuracy is not None for res in results):
-        accuracies = tuple(float(res.accuracy) for res in results)
+    losses, accuracies = evaluate(deliveries, clients)
     return RoundRecord(
         r, decision, cfg.strategy, assignment, plan,
-        domain_losses=tuple(float(v) for v in losses),
+        domain_losses=losses,
         domain_accuracies=accuracies,
         avg_loss=float(np.mean(losses)),
         std_loss=float(np.std(losses)),
     )
 
 
-def run_simulation(
-    cfg: ServerConfig, clients: Sequence[ClientState]
-) -> tuple[RoundRecord, ...]:
+def run_simulation(cfg: ServerConfig, clients: Clients) -> tuple[RoundRecord, ...]:
     """Warm-up then R protocol rounds; returns the trace.
 
     Every client starts from one shared randomly initialized decoder. Each
@@ -292,36 +287,36 @@ def run_simulation(
     with identical decoders. Protocol rounds follow the schedule branch.
     The whole trace is a pure function of cfg.master_seed.
     """
-    if len(clients) < 2:
-        raise ConfigInvalid(f"need at least 2 clients, got {len(clients)}")
-    dims = {c.backbone.decoder_dim for c in clients}
-    if len(dims) != 1:
-        raise ConfigInvalid(f"clients disagree on decoder dimension: {sorted(dims)}")
-    dim = dims.pop()
-
+    n = len(clients)
+    if n < 2:
+        raise ConfigInvalid(f"need at least 2 clients, got {n}")
     init_rng = np.random.default_rng(derive_seed(cfg.master_seed, PURPOSES["init"]))
-    decoders = [ParamVector(init_rng.normal(0.0, 0.1, size=dim))] * len(clients)
+    dim = clients[0].backbone.decoder_dim
+    init = checked_vector(init_rng.normal(0.0, 0.1, size=dim), "initial decoder")
+    decoders = np.broadcast_to(init, (n, dim))
     weights = AggregationWeights.from_sizes([c.train_size for c in clients])
     last_plan = None
     trace = []
-    # every client-round's generator words, hashed for the whole cell in two bulk
-    # calls; each round builds its generators from its own rows when it runs
-    tags = np.repeat([PURPOSES["warmup"], PURPOSES["train"]], [cfg.warmup_rounds, cfg.rounds])
-    rounds = np.concatenate([np.arange(1, cfg.warmup_rounds + 1), np.arange(1, cfg.rounds + 1)])
-    seeds = derive_seed(cfg.master_seed, tags[:, None], rounds[:, None], np.arange(len(clients)))
+    # every client-round's and exchange round's generator words, hashed for the
+    # whole cell in bulk; each round builds its generators when it runs
+    W, R = cfg.warmup_rounds, cfg.rounds
+    tags = np.repeat([PURPOSES["warmup"], PURPOSES["train"]], [W, R])
+    rounds = np.concatenate([np.arange(1, W + 1), np.arange(1, R + 1)])
+    seeds = np.concatenate([
+        derive_seed(cfg.master_seed, tags[:, None], rounds[:, None], np.arange(n)).ravel(),
+        derive_seed(cfg.master_seed, PURPOSES["exchange"], np.arange(1, R + 1))])
     words = derive_seed(seeds & _MASK32, seeds >> 32, words=4)
-    exchange_seeds = derive_seed(cfg.master_seed, PURPOSES["exchange"],
-                                 np.arange(1, cfg.rounds + 1)).tolist()
+    train_words, exchange_words = words[:-R].reshape(W + R, n, 4), words[-R:]
 
-    for w in range(1, cfg.warmup_rounds + 1):
-        uploads = _train_all(decoders, clients, cfg, words[w - 1])
-        decoders = [weighted_average(uploads, weights)] * len(clients)
-        trace.append(_record(w - cfg.warmup_rounds, WARMUP, cfg, clients, decoders))
+    for w in range(1, W + 1):
+        uploads = _train_all(decoders, clients, cfg, train_words[w - 1])
+        decoders = np.broadcast_to(weighted_average(uploads, weights), uploads.shape)
+        trace.append(_record(w - W, WARMUP, cfg, clients, decoders))
 
-    for r in range(1, cfg.rounds + 1):
-        uploads = _train_all(decoders, clients, cfg, words[cfg.warmup_rounds + r - 1])
+    for r in range(1, R + 1):
+        uploads = _train_all(decoders, clients, cfg, train_words[W + r - 1])
         decoders, assignment, plan = run_round(r, uploads, weights, cfg, last_plan,
-                                               exchange_seeds[r - 1])
+                                               _generator(exchange_words[r - 1]))
         decision = AGGREGATE if plan is None else EXCHANGE
         trace.append(_record(r, decision, cfg, clients, decoders, assignment, plan))
         last_plan = last_plan if plan is None else plan

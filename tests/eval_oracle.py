@@ -1,0 +1,28 @@
+"""Reference evaluation: one client at a time, as each round was scored
+before one stacked call evaluated all of its clients. It calls nothing in
+fedswap.clients, so comparing the stacked evaluate with it bit for bit
+checks that stacking changed no number."""
+
+import numpy as np
+
+
+def oracle_evaluate(decoder, client):
+    """(loss, accuracy) of one decoder (D,) on the client's test split; the
+    accuracy is None for regression."""
+    s = np.matmul(client.features_test, decoder[:-1, None])[..., 0] + decoder[-1:]
+    labels = client.test_y
+    if client.task == "regression":
+        per_row = (s - labels) ** 2
+    else:
+        per_row = np.logaddexp(0.0, -labels * s)
+    loss = float(per_row.sum(axis=-1) / s.shape[-1])
+    if client.task != "classification":
+        return loss, None
+    hits = np.count_nonzero(np.where(s >= 0.0, 1.0, -1.0) == labels)
+    return loss, hits / s.size
+
+
+def oracle_evaluate_round(deliveries, clients):
+    """The per-client loop over a round: each client's (loss, accuracy)
+    under its row of deliveries."""
+    return [oracle_evaluate(decoder, client) for decoder, client in zip(deliveries, clients)]

@@ -3,6 +3,7 @@ and the shape of the BENCH file it writes."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -89,3 +90,39 @@ def test_directions_come_from_the_benchmark():
     assert better["cell_s"] == "lower"
     assert better["client_rounds_per_s"] == "higher"
     assert better["server.derive_seed_s"] == "lower"
+
+
+def test_working_tree_stamp_covers_untracked_files(tmp_path, monkeypatch):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    git("init", "-q")
+    (tmp_path / ".gitignore").write_text("ignored.txt\n")
+    (tmp_path / "kept.py").write_text("x = 1\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "first")
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    head = bench_pairs.working_tree_rev()
+    assert len(head) == 40 and "+" not in head
+
+    # an ignored file is not part of the change
+    (tmp_path / "ignored.txt").write_text("build output\n")
+    assert bench_pairs.working_tree_rev() == head
+
+    # a new, untracked file is, and so are its contents and its name
+    (tmp_path / "new_oracle.py").write_text("y = 2\n")
+    first = bench_pairs.working_tree_rev()
+    assert first.startswith(head + "+diff:")
+    (tmp_path / "new_oracle.py").write_text("y = 3\n")
+    second = bench_pairs.working_tree_rev()
+    (tmp_path / "new_oracle.py").rename(tmp_path / "renamed_oracle.py")
+    third = bench_pairs.working_tree_rev()
+    assert len({first, second, third}) == 3
+
+    # a tracked edit changes the stamp as before, with or without the new file
+    (tmp_path / "renamed_oracle.py").unlink()
+    assert bench_pairs.working_tree_rev() == head
+    (tmp_path / "kept.py").write_text("x = 2\n")
+    edited = bench_pairs.working_tree_rev()
+    assert edited.startswith(head + "+diff:") and edited not in (first, second, third)

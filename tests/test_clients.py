@@ -14,10 +14,10 @@ from fedswap.clients import (
     evaluate,
     local_train,
     local_train_fedprox,
-    make_client,
+    make_clients,
 )
 from fedswap.errors import ConfigInvalid, InvalidInput, NonFiniteLoss
-from fedswap.params import ParamVector
+from eval_oracle import oracle_evaluate
 from loss_oracle import decoder_loss
 from train_oracle import oracle_local_train
 
@@ -40,21 +40,41 @@ def backbone(seed=0):
     return FrozenBackbone.create(seed, INPUT_DIM, FEATURE_DIM)
 
 
+def population(domains, bb, concept_seed, domain_seeds, *, tasks, locals_,
+               test_count=500, train_fraction=1.0):
+    """Clients over one block per split, client i from domains[i],
+    domain_seeds[i], tasks[i] and locals_[i]."""
+    shared_head = np.random.default_rng(concept_seed).normal(size=bb.feature_dim)
+    return make_clients(
+        domains, bb, shared_head, domain_seeds, configs=locals_, tasks=tasks,
+        test_count=test_count, train_fraction=train_fraction,
+    )
+
+
 def dataset(domain, bb, concept_seed, domain_seed, *, task="regression",
             test_count=500, train_fraction=1.0, local=None):
-    shared_head = np.random.default_rng(concept_seed).normal(size=bb.feature_dim)
-    return make_client(
-        domain, bb, local or LocalConfig(), shared_head, domain_seed,
-        task=task, test_count=test_count, train_fraction=train_fraction,
-    )
+    """The only client of a one-client population."""
+    return population(
+        [domain], bb, concept_seed, [domain_seed], tasks=[task],
+        locals_=[local or LocalConfig()], test_count=test_count,
+        train_fraction=train_fraction,
+    )[0]
 
 
 def client(task="regression", noise=0.1, count=200, local=None, seed=0):
-    return dataset(
-        spec(count=count, noise=noise), backbone(seed), 11, 22, task=task,
+    """A one-client population, as local_train and evaluate take it."""
+    return population(
+        [spec(count=count, noise=noise)], backbone(seed), 11, [22], tasks=[task],
+        locals_=[local or LocalConfig(steps=5, learning_rate=0.05, batch_size=32)],
         test_count=100,
-        local=local or LocalConfig(steps=5, learning_rate=0.05, batch_size=32),
     )
+
+
+def decoder(seed=None, fill=None):
+    """One decoder row, (1, D): normal draws from seed, or every entry fill."""
+    if fill is not None:
+        return np.full((1, FEATURE_DIM + 1), float(fill))
+    return np.random.default_rng(seed).normal(size=(1, FEATURE_DIM + 1))
 
 
 def rngs(*seeds):
@@ -112,7 +132,7 @@ class TestFrozenBackbone:
 
 
 class TestGenerateDomainDataset:
-    """The domain data make_client draws."""
+    """The domain data make_clients draws."""
 
     def test_deterministic(self):
         bb = backbone()
@@ -144,8 +164,10 @@ class TestGenerateDomainDataset:
         assert np.array_equal(half.train_y, full.train_y[:50])
         assert np.array_equal(half.features_test, full.features_test)
         assert np.array_equal(half.test_y, full.test_y)
-        # the reduced split owns its rows and does not keep the full draw alive
-        assert half.features_train.base is None and half.train_y.base is None
+        # the reduced split is a view of the clients' one allocation (its 50
+        # kept rows, then the 500 test rows), not of the full draw
+        assert half.features_train.base.shape == (50 + 500, FEATURE_DIM)
+        assert half.train_y.base.shape == (50 + 500,)
 
     def test_tenth_fraction_size(self):
         bb = backbone()
@@ -190,14 +212,19 @@ class TestGenerateDomainDataset:
         with pytest.raises(ConfigInvalid):
             dataset(spec(), other, 1, 2)
         with pytest.raises(ConfigInvalid, match="^shared_head must have shape"):
-            make_client(spec(), bb, LocalConfig(), np.zeros(FEATURE_DIM + 1), 2,
-                        task="regression", test_count=10, train_fraction=1.0)
+            make_clients([spec()], bb, np.zeros(FEATURE_DIM + 1), [2],
+                         configs=[LocalConfig()], tasks=["regression"], test_count=10,
+                         train_fraction=1.0)
+        with pytest.raises(ConfigInvalid, match="^got 2 domains, 1 seeds"):
+            make_clients([spec(), spec("d1")], bb, np.zeros(FEATURE_DIM), [2],
+                         configs=[LocalConfig()] * 2, tasks=["regression"] * 2,
+                         test_count=10, train_fraction=1.0)
 
 
 class TestGradients:
     @pytest.mark.parametrize("task", ["regression", "classification"])
     def test_matches_finite_differences(self, task):
-        cl = client(task=task)
+        cl = client(task=task)[0]
         rng = np.random.default_rng(17)
         for trial in range(50):
             theta = rng.normal(size=FEATURE_DIM + 1)
@@ -211,7 +238,7 @@ class TestGradients:
             assert np.linalg.norm(grad[0] - approx) / denom < 1e-5
 
     def test_proximal_term_matches_finite_differences(self):
-        cl = client()
+        cl = client()[0]
         rng = np.random.default_rng(23)
         for trial in range(20):
             theta = rng.normal(size=FEATURE_DIM + 1)
@@ -230,26 +257,26 @@ class TestGradients:
 class TestLocalTrain:
     def test_zero_steps_returns_decoder_unchanged(self):
         cl = client(local=LocalConfig(steps=0, learning_rate=0.05, batch_size=32))
-        start = ParamVector(np.random.default_rng(0).normal(size=FEATURE_DIM + 1))
-        [out] = local_train([start], [cl], rngs(99))
-        assert np.array_equal(out.values, start.values)
+        start = decoder(0)
+        out = local_train(start, cl, rngs(99))
+        assert np.array_equal(out, start)
+        assert out.shape == start.shape and not out.flags.writeable
 
     def test_one_full_batch_step_is_exact_gradient_step(self):
         lr = 0.03
         cl = client(local=LocalConfig(steps=1, learning_rate=lr, batch_size=10_000))
-        start = ParamVector(np.random.default_rng(1).normal(size=FEATURE_DIM + 1))
-        [out] = local_train([start], [cl], rngs(0))
+        start = decoder(1)
+        out = local_train(start, cl, rngs(0))
         _, grad = decoder_loss_and_gradient(
-            start.values[None], cl.features_train[None], cl.train_y[None], "regression"
+            start, cl[0].features_train[None], cl[0].train_y[None], "regression"
         )
-        assert np.allclose(out.values, start.values - lr * grad[0], atol=1e-14)
+        assert np.allclose(out, start - lr * grad, atol=1e-14)
 
     def test_replay_is_bitwise_identical(self):
         cl = client()
-        start = ParamVector(np.zeros(FEATURE_DIM + 1))
+        start = decoder(fill=0.0)
         assert np.array_equal(
-            local_train([start], [cl], rngs(7))[0].values,
-            local_train([start], [cl], rngs(7))[0].values,
+            local_train(start, cl, rngs(7)), local_train(start, cl, rngs(7)),
         )
 
     def test_noiseless_task_trains_to_tiny_loss(self):
@@ -257,81 +284,75 @@ class TestLocalTrain:
             noise=0.0,
             local=LocalConfig(steps=4000, learning_rate=0.3, batch_size=10_000),
         )
-        [out] = local_train([ParamVector(np.zeros(FEATURE_DIM + 1))], [cl], rngs(0))
-        final = decoder_loss(
-            out.values, cl.features_train, cl.train_y, "regression"
-        )
+        [out] = local_train(decoder(fill=0.0), cl, rngs(0))
+        c = cl[0]
+        final = decoder_loss(out, c.features_train, c.train_y, "regression")
         # the noiseless targets are realizable, so the least-squares optimum is 0
         coeffs, *_ = np.linalg.lstsq(
-            np.hstack([cl.features_train, np.ones((cl.train_size, 1))]),
-            cl.train_y,
+            np.hstack([c.features_train, np.ones((c.train_size, 1))]),
+            c.train_y,
             rcond=None,
         )
-        optimum = decoder_loss(
-            coeffs, cl.features_train, cl.train_y, "regression"
-        )
+        optimum = decoder_loss(coeffs, c.features_train, c.train_y, "regression")
         assert optimum < 1e-20
         assert final < 1e-6
 
     def test_full_batch_loss_is_non_increasing(self):
         cl = client(local=LocalConfig(steps=1, learning_rate=0.05, batch_size=10_000))
-        theta = ParamVector(np.random.default_rng(2).normal(size=FEATURE_DIM + 1))
+        theta = decoder(2)
         losses = []
         for _ in range(30):
             losses.append(
-                decoder_loss(
-                    theta.values, cl.features_train, cl.train_y, "regression"
-                )
+                decoder_loss(theta[0], cl[0].features_train, cl[0].train_y, "regression")
             )
-            [theta] = local_train([theta], [cl], rngs(0))
+            theta = local_train(theta, cl, rngs(0))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_backbone_untouched_by_training(self):
         cl = client()
-        before_w = cl.backbone.weight.copy()
-        before_b = cl.backbone.bias.copy()
-        local_train([ParamVector(np.zeros(FEATURE_DIM + 1))], [cl], rngs(0))
-        assert np.array_equal(cl.backbone.weight, before_w)
-        assert np.array_equal(cl.backbone.bias, before_b)
+        before_w = cl[0].backbone.weight.copy()
+        before_b = cl[0].backbone.bias.copy()
+        local_train(decoder(fill=0.0), cl, rngs(0))
+        assert np.array_equal(cl[0].backbone.weight, before_w)
+        assert np.array_equal(cl[0].backbone.bias, before_b)
 
     def test_dimension_checked_against_manifest(self):
         cl = client()
-        with pytest.raises(InvalidInput):
-            local_train([ParamVector(np.zeros(FEATURE_DIM))], [cl], rngs(0))
+        for bad in (np.zeros((1, FEATURE_DIM)), np.zeros(FEATURE_DIM + 1),
+                    np.zeros((2, FEATURE_DIM + 1))):
+            with pytest.raises(InvalidInput, match=r"expected \(1, 9\)"):
+                local_train(bad, cl, rngs(0))
 
     def test_divergence_raises_non_finite_loss(self):
         cl = client(local=LocalConfig(steps=400, learning_rate=50.0, batch_size=10_000))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteLoss):
-            local_train([ParamVector(np.ones(FEATURE_DIM + 1))], [cl], rngs(0))
+            local_train(decoder(fill=1.0), cl, rngs(0))
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_output_always_finite(self, seed):
         cl = client(local=LocalConfig(steps=3, learning_rate=0.05, batch_size=8))
-        start = ParamVector(np.random.default_rng(seed).normal(size=FEATURE_DIM + 1))
-        [out] = local_train([start], [cl], rngs(seed))
-        assert np.all(np.isfinite(out.values))
+        out = local_train(decoder(seed), cl, rngs(seed))
+        assert np.all(np.isfinite(out))
 
 
 class TestLocalTrainFedprox:
     def test_mu_zero_matches_plain_training(self):
         local = LocalConfig(steps=5, learning_rate=0.05, batch_size=32, prox_mu=0.0)
-        start = ParamVector(np.random.default_rng(4).normal(size=FEATURE_DIM + 1))
-        [plain] = local_train([start], [client(local=local)], rngs(13))
-        [prox] = local_train_fedprox([start], [client(local=local)], rngs(13))
-        assert np.array_equal(plain.values, prox.values)
+        start = decoder(4)
+        plain = local_train(start, client(local=local), rngs(13))
+        prox = local_train_fedprox(start, client(local=local), rngs(13))
+        assert np.array_equal(plain, prox)
         # mu is read from the client's config
         pulled = client(local=replace(local, prox_mu=0.5))
-        assert not np.array_equal(
-            plain.values, local_train_fedprox([start], [pulled], rngs(13))[0].values
-        )
+        assert not np.array_equal(plain, local_train_fedprox(start, pulled, rngs(13)))
 
     def test_huge_mu_pins_decoder_to_anchor(self):
         cl = client(local=LocalConfig(steps=200, learning_rate=1e-7,
                                       batch_size=10_000, prox_mu=1e6))
-        anchor = ParamVector(np.random.default_rng(5).normal(size=FEATURE_DIM + 1))
-        [out] = local_train_fedprox([anchor], [cl], rngs(0))
-        assert np.max(np.abs(out.values - anchor.values)) < 1e-3
+        anchor = decoder(5)
+        out = local_train_fedprox(anchor, cl, rngs(0))
+        assert np.max(np.abs(out - anchor)) < 1e-3
 
     def test_negative_mu_rejected(self):
         with pytest.raises(ConfigInvalid):
@@ -349,18 +370,18 @@ MIXED_CONFIGS = (
 )
 
 
-def round_of_clients(k, task, configs):
+def round_of_clients(k, task, configs, train_fraction=1.0):
     """k clients over one backbone, cycling through SIZES and configs; the
     task "mixed" alternates regression and classification."""
-    bb = backbone()
     tasks = ("regression", "classification") if task == "mixed" else (task,)
-    return [
-        dataset(spec(f"d{i}", count=SIZES[i % len(SIZES)], shift=0.1 * (i % 7),
-                     concept=0.2 + 0.1 * (i % 5)),
-                bb, 11, 100 + i, task=tasks[i % len(tasks)], test_count=10,
-                local=configs[i % len(configs)])
-        for i in range(k)
-    ]
+    return population(
+        [spec(f"d{i}", count=SIZES[i % len(SIZES)], shift=0.1 * (i % 7),
+              concept=0.2 + 0.1 * (i % 5)) for i in range(k)],
+        backbone(), 11, [100 + i for i in range(k)],
+        tasks=[tasks[i % len(tasks)] for i in range(k)],
+        locals_=[configs[i % len(configs)] for i in range(k)],
+        test_count=10, train_fraction=train_fraction,
+    )
 
 
 def oracle_failure(decoder, cl, seed):
@@ -382,24 +403,24 @@ class TestBatchedTraining:
     def test_uploads_equal_the_per_client_oracle(self, k, task, configs, proximal):
         clients = round_of_clients(k, task, configs)
         rng = np.random.default_rng(k)
-        decoders = [ParamVector(rng.normal(size=FEATURE_DIM + 1)) for _ in range(k)]
+        decoders = rng.normal(size=(k, FEATURE_DIM + 1))
         seeds = [int(s) for s in rng.integers(0, 2**62, size=k)]
         train = local_train_fedprox if proximal else local_train
         got = train(decoders, clients, rngs(*seeds))
-        assert len(got) == k
+        assert got.shape == (k, FEATURE_DIM + 1)
         for decoder, cl, seed, upload in zip(decoders, clients, seeds, got):
             want = oracle_local_train(decoder, cl, seed, proximal)
-            assert upload.values.tobytes() == want.values.tobytes(), cl.domain.domain_id
+            assert upload.tobytes() == want.tobytes(), cl.domain.domain_id
 
     def test_divergence_names_the_lowest_index_client(self):
         # clients 1 and 2 share a config, so they step together; client 2
         # starts far out and fails at an earlier step than client 1
         wild = LocalConfig(steps=100, learning_rate=50.0, batch_size=10_000)
         tame = LocalConfig(steps=100, learning_rate=0.05, batch_size=10_000)
-        bb = backbone()
-        clients = [dataset(spec(f"d{i}"), bb, 11, 22 + i, test_count=10, local=local)
-                   for i, local in enumerate((tame, wild, wild))]
-        decoders = [ParamVector(np.ones(FEATURE_DIM + 1) * scale) for scale in (1, 1, 1e100)]
+        clients = population([spec(f"d{i}") for i in range(3)], backbone(), 11, [22, 23, 24],
+                             tasks=["regression"] * 3, locals_=[tame, wild, wild],
+                             test_count=10)
+        decoders = np.ones((3, FEATURE_DIM + 1)) * np.array([[1], [1], [1e100]])
         expected = [oracle_failure(d, c, 0) for d, c in zip(decoders, clients)]
         assert expected[0] is None
         steps = [int(re.search(r"step (\d+) on", msg).group(1)) for msg in expected[1:]]
@@ -411,30 +432,44 @@ class TestBatchedTraining:
     def test_end_of_loop_check_catches_a_non_finite_decoder(self):
         # the one step's loss is finite, but its update overflows
         cl = client(local=LocalConfig(steps=1, learning_rate=1e300, batch_size=10_000))
-        start = ParamVector(np.full(FEATURE_DIM + 1, 1e10))
+        start = decoder(fill=1e10)
         loss, _ = decoder_loss_and_gradient(
-            start.values[None], cl.features_train[None], cl.train_y[None], "regression"
+            start, cl[0].features_train[None], cl[0].train_y[None], "regression"
         )
         assert np.isfinite(loss[0])
-        expected = oracle_failure(start, cl, 0)
+        expected = oracle_failure(start[0], cl[0], 0)
         assert expected.startswith("training diverged on d0")
         with pytest.raises(NonFiniteLoss) as info:
-            local_train([start], [cl], rngs(0))
+            local_train(start, cl, rngs(0))
         assert str(info.value) == expected
 
     def test_list_lengths_must_agree(self):
         cl = client()
         with pytest.raises(InvalidInput):
-            local_train([ParamVector(np.zeros(FEATURE_DIM + 1))] * 2, [cl], rngs(0))
+            local_train(decoder(fill=0.0), cl, rngs(0, 1))
+        with pytest.raises(InvalidInput):
+            local_train(np.zeros((2, FEATURE_DIM + 1)), cl, rngs(0))
+
+    def test_reduced_fraction_equals_the_per_client_oracle(self):
+        # ragged prefixes of the draws, gathered from one block by offset
+        clients = round_of_clients(10, "mixed", MIXED_CONFIGS, train_fraction=0.5)
+        assert [c.train_size for c in clients][:5] == [2, 8, 8, 20, 100]
+        rng = np.random.default_rng(3)
+        decoders = rng.normal(size=(10, FEATURE_DIM + 1))
+        seeds = [int(s) for s in rng.integers(0, 2**62, size=10)]
+        got = local_train_fedprox(decoders, clients, rngs(*seeds))
+        for decoder, cl, seed, upload in zip(decoders, clients, seeds, got):
+            want = oracle_local_train(decoder, cl, seed, proximal=True)
+            assert upload.tobytes() == want.tobytes(), cl.domain.domain_id
 
 
 class TestEvaluate:
     def test_perfect_decoder_on_noiseless_data(self):
         cl = client(noise=0.0)
-        theta = np.concatenate([cl.true_head, [0.0]])
-        result = evaluate(ParamVector(theta), cl)
-        assert result.loss < 1e-9
-        assert result.accuracy is None
+        theta = np.concatenate([cl[0].true_head, [0.0]])
+        losses, accuracies = evaluate(theta[None], cl)
+        assert losses[0] < 1e-9
+        assert accuracies is None
 
     def test_constant_zero_decoder_near_chance_accuracy(self):
         # bias-free backbone on centered inputs makes the score distribution
@@ -442,18 +477,38 @@ class TestEvaluate:
         bb = replace(FrozenBackbone.create(1, INPUT_DIM, FEATURE_DIM),
                      bias=np.zeros(FEATURE_DIM))
         big = DomainSpec("d", 10, INPUT_DIM, (0.0,) * INPUT_DIM, 0.5, 0.0)
-        cl = dataset(big, bb, 3, 4, task="classification", test_count=1000)
-        result = evaluate(ParamVector(np.zeros(FEATURE_DIM + 1)), cl)
-        assert abs(result.accuracy - 0.5) <= 0.05
+        cl = population([big], bb, 3, [4], tasks=["classification"],
+                        locals_=[LocalConfig()], test_count=1000)
+        _, accuracies = evaluate(decoder(fill=0.0), cl)
+        assert abs(accuracies[0] - 0.5) <= 0.05
 
     def test_classification_reports_accuracy(self):
         cl = client(task="classification")
-        result = evaluate(ParamVector(np.zeros(FEATURE_DIM + 1)), cl)
-        assert result.accuracy is not None
-        assert 0.0 <= result.accuracy <= 1.0
+        _, accuracies = evaluate(decoder(fill=0.0), cl)
+        assert accuracies is not None
+        assert 0.0 <= accuracies[0] <= 1.0
 
     def test_repeat_evaluation_identical(self):
         cl = client()
-        theta = ParamVector(np.random.default_rng(6).normal(size=FEATURE_DIM + 1))
+        theta = decoder(6)
         assert evaluate(theta, cl) == evaluate(theta, cl)
 
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    @pytest.mark.parametrize("task", ["regression", "classification", "mixed"])
+    def test_stacked_scores_equal_the_per_client_oracle(self, task, fraction):
+        clients = round_of_clients(12, task, MIXED_CONFIGS, train_fraction=fraction)
+        rng = np.random.default_rng(12)
+        decoders = rng.normal(size=(12, FEATURE_DIM + 1))
+        for deliveries in (decoders, np.broadcast_to(decoders[3], decoders.shape)):
+            losses, accuracies = evaluate(deliveries, clients)
+            want = [oracle_evaluate(d, c) for d, c in zip(deliveries, clients)]
+            assert losses == tuple(loss for loss, _ in want)
+            if task == "classification":
+                assert accuracies == tuple(acc for _, acc in want)
+            else:
+                assert accuracies is None
+
+    def test_decoder_shape_checked(self):
+        cl = client()
+        with pytest.raises(InvalidInput, match=r"expected \(1, 9\)"):
+            evaluate(np.zeros(FEATURE_DIM + 1), cl)

@@ -10,13 +10,16 @@ from fedswap.clustering import (
     cluster_to_two,
 )
 from fedswap.errors import InvalidInput
-from fedswap.params import ParamVector
 from distance_oracle import oracle_cosine_distances
 from linkage_oracle import oracle_full_recompute, oracle_linkage, oracle_merge_to_two
 
 
 def vec(*values):
-    return ParamVector(np.array(values, dtype=np.float64))
+    return np.array(values, dtype=np.float64)
+
+
+def rows(*vectors):
+    return np.stack(vectors)
 
 
 def matrix(entries):
@@ -57,25 +60,25 @@ def assert_merges_equal_the_full_recompute(dm):
 
 class TestDistanceMatrix:
     def test_orthogonal_pair(self):
-        dm = build_distance_matrix([vec(1, 0), vec(0, 1)])
+        dm = build_distance_matrix(rows(vec(1, 0), vec(0, 1)))
         assert np.array_equal(dm.entries, [[0, 1], [1, 0]])
 
     def test_duplicate_plus_orthogonal(self):
-        dm = build_distance_matrix([vec(1, 0), vec(1, 0), vec(0, 1)])
+        dm = build_distance_matrix(rows(vec(1, 0), vec(1, 0), vec(0, 1)))
         assert dm.entries[0, 1] == 0.0
         assert dm.entries[0, 2] == 1.0
 
     def test_diagonal_entry_value(self):
-        dm = build_distance_matrix([vec(1, 0), vec(1, 1)])
+        dm = build_distance_matrix(rows(vec(1, 0), vec(1, 1)))
         assert dm.entries[0, 1] == pytest.approx(1 - 1 / np.sqrt(2), abs=1e-12)
 
     def test_zero_norm_reports_offending_index(self):
         with pytest.raises(InvalidInput, match="decoder 1"):
-            build_distance_matrix([vec(1, 0), vec(0, 0)])
+            build_distance_matrix(rows(vec(1, 0), vec(0, 0)))
 
     def test_too_few(self):
         with pytest.raises(InvalidInput):
-            build_distance_matrix([vec(1, 0)])
+            build_distance_matrix(rows(vec(1, 0)))
 
     def test_validation_rejects_asymmetry_and_bad_range(self):
         with pytest.raises(InvalidInput):
@@ -98,7 +101,7 @@ class TestDistanceMatrix:
             for k in rng.choice(n, size=n // 3, replace=False):
                 sign = rng.choice([-1.0, 1.0])
                 values[k] = sign * rng.uniform(0.01, 100.0) * values[rng.integers(n)]
-            dm = build_distance_matrix([ParamVector(v) for v in values])
+            dm = build_distance_matrix(values)
             expected = np.clip(cdist(values, values, "cosine"), 0.0, 2.0)
             np.fill_diagonal(expected, 0.0)
             assert np.max(np.abs(dm.entries - expected)) <= 1e-12
@@ -112,7 +115,7 @@ class TestBitwiseOracles:
     @pytest.mark.parametrize("seed", range(6))
     def test_distances_and_merges_equal_the_replaced_loops(self, seed):
         for values in oracle_instances(seed, 50):
-            dm = build_distance_matrix([ParamVector(v) for v in values])
+            dm = build_distance_matrix(values)
             assert dm.entries.tobytes() == oracle_cosine_distances(values).tobytes()
             assert_merges_equal_the_full_recompute(dm)
 
@@ -124,7 +127,7 @@ class TestBitwiseOracles:
         n, dim = shape
         rng = np.random.default_rng(seed)
         values = np.stack([rng.normal(size=dim) for _ in range(n)])
-        dm = build_distance_matrix([ParamVector(v) for v in values])
+        dm = build_distance_matrix(values)
         assert dm.entries.tobytes() == oracle_cosine_distances(values).tobytes()
 
     @pytest.mark.parametrize("seed", range(2))
@@ -168,7 +171,7 @@ class TestClusterToTwo:
         assert ca.members_1 == (2,)
 
     def test_two_tight_direction_groups(self):
-        decoders = [vec(1, 0), vec(1, 0.01), vec(0, 1), vec(0.01, 1)]
+        decoders = rows(vec(1, 0), vec(1, 0.01), vec(0, 1), vec(0.01, 1))
         dm = build_distance_matrix(decoders)
         ca = cluster_to_two(dm)
         assert ca.members_0 == (0, 1)

@@ -15,6 +15,10 @@ from fedswap.exchange import (
 )
 
 
+def rng(seed):
+    return np.random.default_rng(seed)
+
+
 def assignment_of(n, members_0):
     return ClusterAssignment.from_members(n, members_0)
 
@@ -37,18 +41,18 @@ class TestExchangePlanType:
 
     def test_history_length_check(self):
         with pytest.raises(InvalidInput):
-            build_clustered_plan(assignment_of(4, [0, 1]), (1, 0), 0)
+            build_clustered_plan(assignment_of(4, [0, 1]), (1, 0), rng(0))
 
 
 class TestClusteredPlan:
     def test_two_clients_forced_swap(self):
-        plan = build_clustered_plan(assignment_of(2, [0]), None, 0)
+        plan = build_clustered_plan(assignment_of(2, [0]), None, rng(0))
         assert plan.assignment == (1, 0)
 
     def test_equal_clusters_all_cross(self):
         ca = assignment_of(4, [0, 1])
         for seed in range(40):
-            plan = build_clustered_plan(ca, None, seed)
+            plan = build_clustered_plan(ca, None, rng(seed))
             assert sorted(plan.assignment) == [0, 1, 2, 3]
             assert cross_count(ca, plan) == 4
             assert all(plan.assignment[i] != i for i in range(4))
@@ -56,7 +60,7 @@ class TestClusteredPlan:
     def test_three_one_split_exactly_two_cross(self):
         ca = assignment_of(4, [0, 1, 2])
         for seed in range(40):
-            plan = build_clustered_plan(ca, None, seed)
+            plan = build_clustered_plan(ca, None, rng(seed))
             # the walk reaches client 0 first, so it consumes the lone
             # cluster-1 decoder; client 3 draws from cluster 0
             assert plan.assignment[0] == 3
@@ -67,15 +71,15 @@ class TestClusteredPlan:
 
     def test_deterministic_given_seed(self):
         ca = assignment_of(7, [0, 2, 4])
-        assert build_clustered_plan(ca, None, 123).assignment == build_clustered_plan(
-            ca, None, 123
+        assert build_clustered_plan(ca, None, rng(123)).assignment == build_clustered_plan(
+            ca, None, rng(123)
         ).assignment
 
     def test_history_positionwise_avoidance(self):
         ca = assignment_of(4, [0, 1])
-        prev = build_clustered_plan(ca, None, 9)
+        prev = build_clustered_plan(ca, None, rng(9))
         for seed in range(30):
-            nxt = build_clustered_plan(ca, prev.assignment, seed)
+            nxt = build_clustered_plan(ca, prev.assignment, rng(seed))
             assert all(
                 nxt.assignment[i] != prev.assignment[i] for i in range(4)
             )
@@ -84,7 +88,7 @@ class TestClusteredPlan:
         # two singleton clusters admit only one derangement, so the history
         # constraint cannot be honored and must be dropped
         ca = assignment_of(2, [0])
-        plan = build_clustered_plan(ca, (1, 0), 5)
+        plan = build_clustered_plan(ca, (1, 0), rng(5))
         assert plan.assignment == (1, 0)
 
     @given(split_strategy)
@@ -95,7 +99,7 @@ class TestClusteredPlan:
         size_0 = int(rng.integers(1, n))
         members_0 = sorted(rng.choice(n, size=size_0, replace=False).tolist())
         ca = assignment_of(n, members_0)
-        plan = build_clustered_plan(ca, None, int(rng.integers(2**32)))
+        plan = build_clustered_plan(ca, None, np.random.default_rng(int(rng.integers(2**32))))
         assert sorted(plan.assignment) == list(range(n))
         small = min(len(ca.members_0), len(ca.members_1))
         assert cross_count(ca, plan) == 2 * small
@@ -108,7 +112,7 @@ class TestClusteredPlan:
         monkeypatch.setattr(exchange, "_ATTEMPTS_PER_PHASE", 1)
         ca = assignment_of(3, [0])
         for seed in range(200):
-            plan = build_clustered_plan(ca, None, seed)
+            plan = build_clustered_plan(ca, None, rng(seed))
             assert all(plan.assignment[i] != i for i in range(3))
 
     def test_self_delivery_never_happens_even_with_singletons(self):
@@ -116,7 +120,7 @@ class TestClusteredPlan:
         # are deranged by rejection sampling
         for seed in range(200):
             ca = assignment_of(5, [0, 1, 2, 3])
-            plan = build_clustered_plan(ca, None, seed)
+            plan = build_clustered_plan(ca, None, rng(seed))
             assert all(plan.assignment[i] != i for i in range(5))
 
 
@@ -150,18 +154,19 @@ class TestRoundRobinPlan:
 class TestRandomPlan:
     def test_two_clients_outcome_set(self):
         for seed in range(20):
-            plan = build_random_plan(2, seed)
+            plan = build_random_plan(2, rng(seed))
             assert plan.assignment in ((0, 1), (1, 0))
 
     def test_seeded_determinism(self):
-        assert build_random_plan(6, 42).assignment == build_random_plan(6, 42).assignment
+        assert (build_random_plan(6, rng(42)).assignment
+                == build_random_plan(6, rng(42)).assignment)
 
     def test_positionwise_uniformity(self):
         n = 5
         trials = 10_000
         counts = np.zeros((n, n), dtype=np.int64)
         for seed in range(trials):
-            plan = build_random_plan(n, seed)
+            plan = build_random_plan(n, rng(seed))
             for i, d in enumerate(plan.assignment):
                 counts[i, d] += 1
         for i in range(n):
@@ -170,5 +175,5 @@ class TestRandomPlan:
 
     def test_bijection(self):
         for seed in range(50):
-            plan = build_random_plan(7, seed)
+            plan = build_random_plan(7, rng(seed))
             assert sorted(plan.assignment) == list(range(7))

@@ -199,6 +199,35 @@ class TestBuildClients:
         b = build_clients(cfg, master_seed=1)
         assert not np.array_equal(a[0].features_train, b[0].features_train)
 
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    def test_clients_are_views_of_one_block_per_split(self, fraction):
+        # every client's data lives in one array per split, and both splits'
+        # features (and both splits' labels) in one allocation; a client
+        # holding a copy would double the resident data
+        clients = build_clients(tiny_config(data_fraction=fraction), master_seed=0)
+        blocks = {"features_train": clients.features_train, "train_y": clients.train_y,
+                  "features_test": clients.features_test, "test_y": clients.test_y}
+        assert clients.features_train.shape == (sum(c.train_size for c in clients), 6)
+        assert clients.features_test.shape == (len(clients), 40, 6)
+        for block in blocks.values():
+            assert not block.flags.owndata and not block.flags.writeable
+            assert not block.base.flags.writeable
+        assert clients.features_train.base is clients.features_test.base
+        assert clients.train_y.base is clients.test_y.base
+        row = 0
+        for i, c in enumerate(clients):
+            for name, block in blocks.items():
+                view = getattr(c, name)
+                assert np.shares_memory(view, block), (i, name)
+                assert view.base is block.base and not view.flags.owndata
+                assert not view.flags.writeable
+                for j, other in enumerate(clients):
+                    if j != i:
+                        assert not np.shares_memory(view, getattr(other, name))
+            assert np.array_equal(c.features_train, clients.features_train[row:][:c.train_size])
+            assert np.array_equal(c.features_test, clients.features_test[i])
+            row += c.train_size
+
 
 class TestRunExperiment:
     def test_cell_files_and_comparison(self, tmp_path):

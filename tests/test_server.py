@@ -2,17 +2,12 @@ import numpy as np
 import pytest
 
 from fedswap import harness, server
-from fedswap.clients import (
-    DomainSpec,
-    FrozenBackbone,
-    LocalConfig,
-    evaluate,
-    make_client,
-)
+from fedswap.clients import DomainSpec, FrozenBackbone, LocalConfig
+from fedswap.clients import make_clients as draw_clients
 from fedswap.clustering import build_distance_matrix, cluster_to_two
 from fedswap.errors import ConfigInvalid, InvalidInput
-from fedswap.exchange import build_clustered_plan
-from fedswap.params import AggregationWeights, ParamVector, weighted_average
+from fedswap.exchange import build_clustered_plan, build_random_plan
+from fedswap.params import AggregationWeights, weighted_average
 from fedswap.server import (
     AGGREGATE,
     EXCHANGE,
@@ -24,6 +19,7 @@ from fedswap.server import (
     run_simulation,
     schedule_decision,
 )
+from eval_oracle import oracle_evaluate, oracle_evaluate_round
 from train_oracle import oracle_local_train
 
 INPUT_DIM = 6
@@ -37,9 +33,8 @@ def make_clients(n=3, master_seed=0, counts=(120, 120, 60), steps=3):
     concept = np.random.default_rng(derive_seed(master_seed, PURPOSES["concept"]))
     shared_head = concept.normal(size=FEATURE_DIM)
     local = LocalConfig(steps=steps, learning_rate=0.05, batch_size=16)
-    clients = []
-    for i in range(n):
-        spec = DomainSpec(
+    specs = [
+        DomainSpec(
             domain_id=f"d{i}",
             sample_count=counts[i % len(counts)],
             input_dim=INPUT_DIM,
@@ -47,17 +42,17 @@ def make_clients(n=3, master_seed=0, counts=(120, 120, 60), steps=3):
             concept_shift=0.2 + 0.4 * i,
             label_noise=0.05,
         )
-        clients.append(make_client(
-            spec, backbone, local, shared_head,
-            derive_seed(master_seed, PURPOSES["domain"], i),
-            task="regression", test_count=50, train_fraction=1.0,
-        ))
-    return clients
+        for i in range(n)
+    ]
+    return draw_clients(
+        specs, backbone, shared_head,
+        [derive_seed(master_seed, PURPOSES["domain"], i) for i in range(n)],
+        configs=[local] * n, tasks=["regression"] * n, test_count=50, train_fraction=1.0,
+    )
 
 
 def uploads_of(n=4, seed=0):
-    rng = np.random.default_rng(seed)
-    return [ParamVector(rng.normal(size=5)) for _ in range(n)]
+    return np.random.default_rng(seed).normal(size=(n, 5))
 
 
 class TestDeriveSeed:
@@ -168,6 +163,28 @@ class TestRoundGenerators:
             with pytest.raises(InvalidInput):
                 bit_generator(stub)
 
+    @pytest.mark.parametrize("strategy", ["clustered", "random"])
+    def test_exchange_plans_equal_default_rng_plans(self, strategy, monkeypatch):
+        # each exchange round's generator comes from words hashed in the cell's
+        # bulk call; its plan must be the one default_rng(exchange seed) builds
+        builder = {"clustered": build_clustered_plan, "random": build_random_plan}[strategy]
+        calls = []
+
+        def recording(*args):
+            plan = builder(*args)
+            calls.append((args[:-1], plan))
+            return plan
+
+        monkeypatch.setattr(server, builder.__name__, recording)
+        cfg = ServerConfig(rounds=12, aggregation_frequency=3, strategy=strategy,
+                           warmup_rounds=1, master_seed=17)
+        trace = run_simulation(cfg, make_clients(n=7, counts=(40, 90, 25)))
+        rounds = [row.round_index for row in trace if row.decision == EXCHANGE]
+        assert len(rounds) == len(calls) == 8
+        for r, (args, plan) in zip(rounds, calls):
+            seed = derive_seed(17, PURPOSES["exchange"], r)
+            assert builder(*args, np.random.default_rng(seed)) == plan
+
 
 class TestSeedPaths:
     @pytest.mark.parametrize("strategy", ["clustered", "fedprox"])
@@ -250,41 +267,42 @@ class TestRunRound:
         )
 
     @staticmethod
-    def seed(r):
-        # the exchange seed run_simulation hands round r
-        return derive_seed(7, PURPOSES["exchange"], r)
+    def rng(r):
+        # a generator as run_simulation hands round r: default_rng of its exchange seed
+        return np.random.default_rng(derive_seed(7, PURPOSES["exchange"], r))
 
     def test_aggregate_round_delivers_identical_average(self):
         uploads = uploads_of(3)
         weights = AggregationWeights.from_sizes([10, 10, 20])
-        deliveries, assignment, plan = run_round(2, uploads, weights, self.cfg(), None, self.seed(2))
+        deliveries, assignment, plan = run_round(2, uploads, weights, self.cfg(), None, self.rng(2))
         expected = weighted_average(uploads, weights)
-        assert len(deliveries) == 3
+        assert deliveries.shape == (3, 5) and not deliveries.flags.writeable
         for d in deliveries:
-            assert np.array_equal(d.values, expected.values)
+            assert np.array_equal(d, expected)
         assert assignment is None and plan is None
 
     def test_exchange_round_permutes_uploads(self):
         uploads = uploads_of(4)
         weights = AggregationWeights.from_sizes([1, 1, 1, 1])
         deliveries, assignment, plan = run_round(1, uploads, weights, self.cfg(), None,
-                                               self.seed(1))
+                                               self.rng(1))
         assert sorted(plan) == [0, 1, 2, 3]
-        assert all(d is uploads[j] for d, j in zip(deliveries, plan))
+        assert deliveries.shape == (4, 5) and not deliveries.flags.writeable
+        assert all(np.array_equal(d, uploads[j]) for d, j in zip(deliveries, plan))
         assert set(assignment) == {0, 1}
 
     def test_round_context_attached_to_errors(self):
-        uploads = [ParamVector(np.zeros(3) + [1, 0, 0]), ParamVector(np.zeros(3))]
+        uploads = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         weights = AggregationWeights.from_sizes([1, 1])
         with pytest.raises(InvalidInput, match="round 1:") as info:
-            run_round(1, uploads, weights, self.cfg(), None, self.seed(1))
+            run_round(1, uploads, weights, self.cfg(), None, self.rng(1))
         assert str(info.value).count("round 1:") == 1
 
     def test_upload_count_checked_against_weights(self):
         with pytest.raises(ConfigInvalid):
             run_round(
                 1, uploads_of(3), AggregationWeights.from_sizes([1, 1]), self.cfg(), None,
-                self.seed(1),
+                self.rng(1),
             )
 
 
@@ -313,9 +331,9 @@ class TestRunSimulation:
         # across the aggregate round in between
         history = []
 
-        def recording(assignment, last, seed):
+        def recording(assignment, last, rng):
             history.append(last)
-            return build_clustered_plan(assignment, last, seed)
+            return build_clustered_plan(assignment, last, rng)
 
         monkeypatch.setattr(server, "build_clustered_plan", recording)
         cfg = ServerConfig(
@@ -385,44 +403,82 @@ class TestRunSimulation:
         replay = make_clients(master_seed=master)
         dim = FEATURE_DIM + 1
         rng = np.random.default_rng(derive_seed(master, PURPOSES["init"]))
-        decoders = [ParamVector(rng.normal(0.0, 0.1, size=dim))] * 3
+        decoders = [rng.normal(0.0, 0.1, size=dim)] * 3
         weights = AggregationWeights.from_sizes([c.train_size for c in replay])
 
         # warm-up round
-        ups = [
+        ups = np.stack([
             oracle_local_train(decoders[i], replay[i],
                         derive_seed(master, PURPOSES["warmup"], 1, i))
             for i in range(3)
-        ]
+        ])
         global_decoder = weighted_average(ups, weights)
         decoders = [global_decoder] * 3
 
         # round 1: exchange
-        ups = [
+        ups = np.stack([
             oracle_local_train(decoders[i], replay[i],
                         derive_seed(master, PURPOSES["train"], 1, i))
             for i in range(3)
-        ]
+        ])
         ca = cluster_to_two(build_distance_matrix(ups))
         plan = build_clustered_plan(
-            ca, None, derive_seed(master, PURPOSES["exchange"], 1)
+            ca, None, np.random.default_rng(derive_seed(master, PURPOSES["exchange"], 1))
         )
         decoders = [ups[plan.assignment[i]] for i in range(3)]
-        losses_r1 = tuple(evaluate(decoders[i], replay[i]).loss for i in range(3))
+        losses_r1 = tuple(oracle_evaluate(decoders[i], replay[i])[0] for i in range(3))
         assert trace[1].plan == plan.assignment
         assert trace[1].domain_losses == losses_r1
 
         # round 2: aggregate
-        ups = [
+        ups = np.stack([
             oracle_local_train(decoders[i], replay[i],
                         derive_seed(master, PURPOSES["train"], 2, i))
             for i in range(3)
-        ]
+        ])
         global_decoder = weighted_average(ups, weights)
         losses_r2 = tuple(
-            evaluate(global_decoder, replay[i]).loss for i in range(3)
+            oracle_evaluate(global_decoder, replay[i])[0] for i in range(3)
         )
         assert trace[2].domain_losses == losses_r2
+
+
+class TestEvaluationOracle:
+    """The round's one stacked evaluate call against the per-client loop it
+    replaced, on every round of a run: warm-up and aggregation rounds deliver
+    one broadcast row, exchange rounds a permutation of the uploads."""
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_every_round_equals_the_per_client_oracle(self, task, fraction, monkeypatch):
+        calls = []
+
+        def recording(deliveries, clients):
+            result = server_evaluate(deliveries, clients)
+            calls.append((deliveries, clients, result))
+            return result
+
+        server_evaluate = server.evaluate
+        monkeypatch.setattr(server, "evaluate", recording)
+        domains = tuple(DomainSpec(f"r{i}", count, 4, (0.2 * i,) * 4, 0.3 + 0.2 * i, 0.1)
+                        for i, count in enumerate((9, 40, 23, 300, 17, 64)))
+        cfg = harness.ExperimentConfig(
+            rounds=6, aggregation_frequency=3, warmup_rounds=2, seeds=(5,), task=task,
+            input_dim=4, feature_dim=6, test_count=30, data_fraction=fraction,
+            local=LocalConfig(steps=3, batch_size=16), domains=domains,
+        )
+        trace, _ = harness.run_cell(cfg, "clustered", 5)
+        assert len(calls) == len(trace) == 8
+        broadcast = 0
+        for (deliveries, clients, (losses, accuracies)), row in zip(calls, trace):
+            want = oracle_evaluate_round(deliveries, clients)
+            assert losses == row.domain_losses == tuple(loss for loss, _ in want)
+            if task == "classification":
+                assert accuracies == row.domain_accuracies == tuple(acc for _, acc in want)
+            else:
+                assert accuracies is None
+            broadcast += deliveries.strides[0] == 0
+        assert broadcast == 4  # two warm-up rounds, two aggregations
 
 
 class TestStrategyDispatch:

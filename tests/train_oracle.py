@@ -7,7 +7,6 @@ bit checks that stacking clients changed no number."""
 import numpy as np
 
 from fedswap.errors import InvalidInput, NonFiniteLoss
-from fedswap.params import ParamVector
 
 
 def _loss_and_gradient(theta, features, labels, task, anchor, mu):
@@ -32,17 +31,17 @@ def _loss_and_gradient(theta, features, labels, task, anchor, mu):
 
 
 def oracle_local_train(decoder, client, seed, proximal=False):
-    """The client's upload after its configured steps from decoder, drawing
+    """The client's upload after its configured steps from decoder (D,), drawing
     one batch of indices per step from default_rng(seed); with proximal,
     FedProx's pull toward the starting decoder at the client's prox_mu."""
     expected = client.backbone.decoder_dim
-    if decoder.dim != expected:
-        raise InvalidInput(f"decoder dim {decoder.dim} does not match {expected}")
+    if decoder.shape != (expected,):
+        raise InvalidInput(f"decoder shape {decoder.shape} does not match ({expected},)")
     cfg = client.config
     n = client.train_size
-    anchor, mu = (decoder.values, cfg.prox_mu) if proximal else (None, 0.0)
+    anchor, mu = (decoder, cfg.prox_mu) if proximal else (None, 0.0)
     rng = np.random.default_rng(seed)
-    theta = decoder.values.copy()
+    theta = decoder.copy()
     for step in range(cfg.steps):
         if cfg.batch_size >= n:
             fb, yb = client.features_train, client.train_y
@@ -60,4 +59,4 @@ def oracle_local_train(decoder, client, seed, proximal=False):
         raise NonFiniteLoss(
             f"training diverged on {client.domain.domain_id}; reduce the learning rate"
         )
-    return ParamVector(theta)
+    return theta
