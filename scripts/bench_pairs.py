@@ -16,13 +16,17 @@ alternates from pair to pair, so that a drift in host speed favours neither.
 
 The file holds every pair's metrics with perfbench's stamp line, and per
 metric each side's median and quartiles, the change's wins (pairs in which it
-was strictly better, in the direction BENCHMARK.json gives) and the median
-of its per-pair relative change. perfbench stamps the HEAD it finds in .git,
-which is neither side here (the export has no .git, and the working tree may
-differ from its HEAD), so each stamp's git_sha is replaced by that side's
-revision: the parent's SHA, or the working tree's HEAD plus a hash of its
-changes (``git diff HEAD`` and every untracked, non-ignored file) when it has
-any.
+was strictly better, in the direction BENCHMARK.json gives) and the median of
+its per-pair relative change. Each end-to-end metric is also checked against
+its bound in BENCHMARK.json: within_bound says the change's median is worse
+than the parent's by at most the bound, relative to the parent's; unresolved
+says the parent's relative interquartile range exceeds the bound and not
+every change run beats every parent run, so the pairs cannot tell. perfbench
+stamps the HEAD it finds in .git, which is neither side here (the export has
+no .git, and the working tree may differ from its HEAD), so each stamp's
+git_sha is replaced by that side's revision: the parent's SHA, or the working
+tree's HEAD plus a hash of its changes (``git diff HEAD`` and every
+untracked, non-ignored file) when it has any.
 """
 
 from __future__ import annotations
@@ -130,8 +134,23 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict) -> dict:
-    """Per workload and metric: each side's quartiles, wins and median change."""
+def bound_check(parent: list[float], change: list[float], sign: float, bound: float) -> dict:
+    """The bound flags of one metric, sign -1.0 if lower is better, else 1.0."""
+    p, c = _quartiles(parent), _quartiles(change)
+    scale = abs(p["median"]) or 1.0
+    relative_iqr = (p["q3"] - p["q1"]) / scale
+    all_beat = min(sign * v for v in change) > max(sign * v for v in parent)
+    return {
+        "bound": bound,
+        "parent_relative_iqr": relative_iqr,
+        "within_bound": sign * (p["median"] - c["median"]) / scale <= bound,
+        "unresolved": relative_iqr > bound and not all_beat,
+    }
+
+
+def summarize(pairs: list[dict], better: dict, bounds: dict) -> dict:
+    """Per workload and metric: each side's quartiles, wins and median change,
+    and the bound flags of every metric that bounds holds."""
     summary: dict = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         mine = [p for p in pairs if p["workload"] == workload]
@@ -149,6 +168,9 @@ def summarize(pairs: list[dict], better: dict) -> dict:
                 "pairs": len(mine),
                 "median_relative_change": statistics.median(changes) if changes else None,
             }
+            if name in bounds:
+                rows[name].update(bound_check(values["parent"], values["change"], sign,
+                                              bounds[name]))
         summary[workload] = {
             "failed": sum(p[side]["failed"] for p in mine for side in SIDES),
             "metrics": rows,
@@ -162,14 +184,19 @@ def directions(benchmark: Path) -> dict:
     return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
 
+def bounds(benchmark: Path) -> dict:
+    """End-to-end metric name -> its relative bound, from BENCHMARK.json."""
+    return {m["name"]: m["bound"] for m in json.loads(benchmark.read_text())["end_to_end"]}
+
+
 def write_bench(path: Path, pr: int, revs: dict, args: dict, pairs: list[dict],
-                better: dict) -> dict:
+                better: dict, bounds: dict) -> dict:
     data = {
         "pr": pr,
         "revs": revs,
         "args": args,
         "stamp": pairs[0]["change"]["stamp"],
-        "summary": summarize(pairs, better),
+        "summary": summarize(pairs, better, bounds),
         "pairs": pairs,
     }
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
@@ -195,12 +222,18 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.pr}.json"
     settings = {"workloads": args.workload, "seeds": args.seeds,
                 "seconds": args.seconds, "trace": args.trace}
-    data = write_bench(out, args.pr, revs, settings, pairs, directions(ROOT / "BENCHMARK.json"))
+    benchmark = ROOT / "BENCHMARK.json"
+    data = write_bench(out, args.pr, revs, settings, pairs, directions(benchmark),
+                       bounds(benchmark))
     for workload, entry in data["summary"].items():
         for name, row in entry["metrics"].items():
+            flags = ""
+            if "bound" in row:
+                flags = " within_bound" if row["within_bound"] else " out_of_bound"
+                flags += " unresolved" if row["unresolved"] else ""
             print(f"{workload} {name}: parent {row['parent']['median']:.6g} "
                   f"change {row['change']['median']:.6g} "
-                  f"wins {row['change_wins']}/{row['pairs']}")
+                  f"wins {row['change_wins']}/{row['pairs']}{flags}")
     return 0
 
 

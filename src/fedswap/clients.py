@@ -1,16 +1,17 @@
 """Simulated cross-domain clients.
 
-Each client holds the backbone features and labels of a synthetic domain
-dataset and a reference to the shared frozen backbone (a fixed random affine
-map plus tanh); it never changes once built. make_clients draws every
-client's data into one block per split, and each client's arrays are
-read-only views of its rows. A decoder is a flat linear map over the backbone
-features; the round loop owns every client's, as the rows of one (n, D)
-array. Local training is plain mini-batch gradient descent on a convex loss,
-optionally with a proximal pull toward the decoder the round starts from:
-under fedprox, the latest global decoder. One call trains a whole round,
-stepping clients with equal batch shapes together, and one call evaluates
-it, bit for bit as if each client trained and was scored alone.
+Each client has the backbone features and labels of a synthetic domain
+dataset; all of them share the frozen backbone (a fixed random affine map
+plus tanh), the task and the local training settings. One Clients value holds
+the whole population and never changes once built: make_clients draws every
+client's data into one read-only block per split. A decoder is a flat linear
+map over the backbone features; the round loop owns every client's, as the
+rows of one (n, D) array. Local training is plain mini-batch gradient descent
+on a convex loss, optionally with a proximal pull toward the decoder the
+round starts from: under fedprox, the latest global decoder. One call trains
+a whole round, stepping clients with equal batch shapes together, and one
+call evaluates it, bit for bit as if each client trained and was scored
+alone.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "DomainSpec",
     "FrozenBackbone",
     "LocalConfig",
-    "ClientState",
     "Clients",
     "make_clients",
     "decoder_loss_and_gradient",
@@ -39,6 +39,9 @@ TASKS = ("regression", "classification")
 
 # standard deviation of the backbone's feature biases
 _BACKBONE_BIAS_SCALE = 0.2
+# cap on local steps per round, checked before a round's (steps, clients,
+# batch) index block is built; every workload and test takes at most 4000
+MAX_STEPS = 10**5
 
 
 @dataclass(frozen=True)
@@ -110,8 +113,8 @@ class LocalConfig:
     prox_mu: float = 0.01
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ConfigInvalid("steps must be >= 0")
+        if not 0 <= self.steps <= MAX_STEPS:
+            raise ConfigInvalid(f"steps must be in [0, {MAX_STEPS}], got {self.steps}")
         if not np.isfinite(self.learning_rate) or not np.isfinite(self.prox_mu):
             raise ConfigInvalid("learning_rate and prox_mu must be finite")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.prox_mu < 0:
@@ -119,74 +122,41 @@ class LocalConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class ClientState:
-    """One client, fixed once built: its domain, the backbone features and
-    labels of each split, and the head that generated them (the tests'
-    oracle). The decoder it trains belongs to the round loop."""
-
-    domain: DomainSpec
-    task: str
-    backbone: FrozenBackbone
-    config: LocalConfig
-    features_train: np.ndarray = field(repr=False)
-    train_y: np.ndarray = field(repr=False)
-    features_test: np.ndarray = field(repr=False)
-    test_y: np.ndarray = field(repr=False)
-    true_head: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        for name in ("features_train", "train_y", "features_test", "test_y", "true_head"):
-            getattr(self, name).setflags(write=False)
-
-    @property
-    def train_size(self) -> int:
-        return int(self.train_y.shape[0])
-
-
-@dataclass(frozen=True, eq=False)
 class Clients:
     """A simulation's clients, in order, and their data as one block per split.
 
-    features_train (N, F) and train_y (N,) hold every train split, client i's
-    in rows starts[i] to starts[i + 1]; features_test (n, test_count, F) and
-    test_y (n, test_count) hold one test split per client. Indexing and
-    iteration give the ClientStates, whose arrays are views of these rows.
-    groups holds the index arrays of the clients that training steps
-    together: one LocalConfig and task, and one batch shape. tasks pairs each
-    task with the rows of its clients."""
+    Client i draws its data from domains[i]; every client trains on task
+    with config over backbone. features_train (N, F) and train_y (N,) hold
+    every train split, client i's in rows starts[i] to starts[i + 1];
+    features_test (n, test_count, F) and test_y (n, test_count) hold one test
+    split per client. groups holds the index arrays of the clients that
+    training steps together, those of one batch shape: each full-batch train
+    size is a group, and the mini-batch clients are one."""
 
-    members: tuple[ClientState, ...]
+    domains: tuple[DomainSpec, ...]
+    task: str
+    config: LocalConfig
+    backbone: FrozenBackbone
     features_train: np.ndarray = field(repr=False)
     train_y: np.ndarray = field(repr=False)
     features_test: np.ndarray = field(repr=False)
     test_y: np.ndarray = field(repr=False)
     starts: np.ndarray = field(repr=False)
+    train_sizes: tuple[int, ...] = field(init=False, repr=False)
     groups: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    tasks: tuple[tuple[str, object], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("features_train", "train_y", "features_test", "test_y", "starts"):
             getattr(self, name).setflags(write=False)
-        groups: dict[tuple, list[int]] = {}
-        tasks: dict[str, list[int]] = {}
-        for i, c in enumerate(self.members):
-            full_size = c.train_size if c.config.batch_size >= c.train_size else None
-            groups.setdefault((c.config, c.task, full_size), []).append(i)
-            tasks.setdefault(c.task, []).append(i)
+        sizes = tuple(np.diff(self.starts).tolist())
+        groups: dict[Optional[int], list[int]] = {}
+        for i, size in enumerate(sizes):
+            groups.setdefault(size if self.config.batch_size >= size else None, []).append(i)
+        object.__setattr__(self, "train_sizes", sizes)
         object.__setattr__(self, "groups", tuple(map(np.array, groups.values())))
-        # a task all clients share takes every row, without an indexed copy
-        object.__setattr__(self, "tasks", tuple(
-            (task, slice(None) if len(rows) == len(self) else np.array(rows))
-            for task, rows in tasks.items()))
 
     def __len__(self) -> int:
-        return len(self.members)
-
-    def __getitem__(self, i):
-        return self.members[i]
-
-    def __iter__(self):
-        return iter(self.members)
+        return len(self.domains)
 
 
 def _inputs(rng: np.random.Generator, count: int, shift: np.ndarray) -> np.ndarray:
@@ -208,15 +178,15 @@ def make_clients(
     shared_head: np.ndarray,
     domain_seeds: Sequence[int],
     *,
-    configs: Sequence[LocalConfig],
-    tasks: Sequence[str],
+    config: LocalConfig,
+    task: str,
     test_count: int,
     train_fraction: float,
 ) -> Clients:
     """Draw each domain's data, x ~ N(shift, I) with y from the shared head
     perturbed by concept_shift in a random direction, from its own seed, and
-    build the clients over one block per split; client i takes specs[i],
-    domain_seeds[i], configs[i] and tasks[i].
+    build the clients over one block per split; client i takes specs[i] and
+    domain_seeds[i], and all of them train on task with config.
 
     The full sample_count is always drawn and the train split keeps the first
     round(sample_count * train_fraction) rows, so a reduced-fraction split is
@@ -225,12 +195,10 @@ def make_clients(
     through a temporary, so no second copy of the data is ever resident.
     """
     n = len(specs)
-    if n < 1 or not n == len(domain_seeds) == len(configs) == len(tasks):
-        raise ConfigInvalid(f"got {n} domains, {len(domain_seeds)} seeds, "
-                            f"{len(configs)} configs and {len(tasks)} tasks")
-    for task in tasks:
-        if task not in TASKS:
-            raise ConfigInvalid(f"unknown task {task!r}")
+    if n < 1 or n != len(domain_seeds):
+        raise ConfigInvalid(f"got {n} domains and {len(domain_seeds)} seeds")
+    if task not in TASKS:
+        raise ConfigInvalid(f"unknown task {task!r}")
     if not 0.0 < train_fraction <= 1.0:
         raise ConfigInvalid(f"train_fraction must be in (0, 1], got {train_fraction}")
     if test_count < 1:
@@ -254,8 +222,7 @@ def make_clients(
     features_train, train_y = features[:split], labels[:split]
     features_test = features[split:].reshape(n, test_count, dim)
     test_y = labels[split:].reshape(n, test_count)
-    members = []
-    for i, (spec, seed, local, task) in enumerate(zip(specs, domain_seeds, configs, tasks)):
+    for i, (spec, seed) in enumerate(zip(specs, domain_seeds)):
         rng = np.random.default_rng(seed)
         direction = rng.normal(size=dim)
         direction /= np.linalg.norm(direction)
@@ -276,11 +243,10 @@ def make_clients(
         backbone.features(_inputs(rng, test_count, shift), out=features_test[i])
         test_eps = rng.normal(0.0, spec.label_noise, size=test_count)
         test_y[i] = _labels(features_test[i], true_head, test_eps, task)
-        members.append(ClientState(spec, task, backbone, local, features_train[rows],
-                                   train_y[rows], features_test[i], test_y[i], true_head))
     features.setflags(write=False)
     labels.setflags(write=False)
-    return Clients(tuple(members), features_train, train_y, features_test, test_y, starts)
+    return Clients(tuple(specs), task, config, backbone, features_train, train_y,
+                   features_test, test_y, starts)
 
 
 def _scores(theta: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -343,13 +309,12 @@ def _train_group(clients: Clients, members: np.ndarray, thetas: np.ndarray,
     non-finite, or -1. A diverged client keeps stepping: no other client's
     numbers depend on it. Each client's batch indices are offset by its
     first row in the train block."""
-    first = clients[members[0]]
-    cfg, task, size = first.config, first.task, first.train_size
+    cfg, size = clients.config, clients.train_sizes[members[0]]
     if cfg.batch_size >= size:  # every step takes each client's whole split
         rows = np.tile(np.arange(size), (cfg.steps, len(members), 1))
     else:
         # one (steps, B) draw equals steps successive draws of B indices
-        rows = np.stack([rngs[i].integers(0, clients[i].train_size,
+        rows = np.stack([rngs[i].integers(0, clients.train_sizes[i],
                                           size=(cfg.steps, cfg.batch_size))
                          for i in members], axis=1)
     # (steps, k, B) block rows, so that each step's batches are one take
@@ -361,15 +326,15 @@ def _train_group(clients: Clients, members: np.ndarray, thetas: np.ndarray,
     failed_at = np.full(len(members), -1)
     for step in range(cfg.steps):
         clients.features_train.take(rows[step], axis=0, out=batch, mode="clip")
-        loss, grad = decoder_loss_and_gradient(thetas, batch, step_labels[step], task,
-                                               anchors, mu)
+        loss, grad = decoder_loss_and_gradient(thetas, batch, step_labels[step],
+                                               clients.task, anchors, mu)
         failed_at[(failed_at < 0) & ~np.isfinite(loss)] = step
         thetas -= cfg.learning_rate * grad
     return failed_at
 
 
 def _check_decoders(decoders: np.ndarray, clients: Clients) -> None:
-    shape = (len(clients), clients[0].backbone.decoder_dim)
+    shape = (len(clients), clients.backbone.decoder_dim)
     if np.shape(decoders) != shape:
         raise InvalidInput(f"decoders have shape {np.shape(decoders)}, expected {shape}: "
                            "one row of the backbone's decoder dim per client")
@@ -392,7 +357,7 @@ def _train_round(decoders: np.ndarray, clients: Clients,
     bad = (failed_at >= 0) | ~np.isfinite(uploads).all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
-        name = clients[i].domain.domain_id
+        name = clients.domains[i].domain_id
         if failed_at[i] >= 0:
             raise NonFiniteLoss(f"non-finite loss at step {failed_at[i]} on {name}; "
                                 "reduce the learning rate")
@@ -413,22 +378,19 @@ def local_train(decoders: np.ndarray, clients: Clients,
 def local_train_fedprox(decoders: np.ndarray, clients: Clients,
                         rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """local_train plus FedProx's proximal gradient term mu * (theta - anchor),
-    with mu = each client's config.prox_mu and its starting decoder as the anchor."""
+    with mu = the clients' config.prox_mu and each one's starting decoder as the anchor."""
     return _train_round(decoders, clients, rngs, proximal=True)
 
 
 def evaluate(decoders: np.ndarray, clients: Clients
              ) -> tuple[tuple[float, ...], Optional[tuple[float, ...]]]:
     """Each client's loss on its test split under its row of decoders (n, D),
-    from one stacked product, and each one's accuracy if every client
-    classifies, else None."""
+    from one stacked product, and each one's accuracy if the clients
+    classify, else None."""
     _check_decoders(decoders, clients)
     s = _scores(decoders, clients.features_test)
-    labels = clients.test_y
-    losses = np.empty(len(clients))
-    for task, rows in clients.tasks:
-        losses[rows] = _mean_loss(s[rows], labels[rows], task)
-    if any(task != "classification" for task, _ in clients.tasks):
-        return tuple(losses.tolist()), None
-    hits = np.count_nonzero(np.where(s >= 0.0, 1.0, -1.0) == labels, axis=-1)
-    return tuple(losses.tolist()), tuple((hits / s.shape[-1]).tolist())
+    losses = tuple(_mean_loss(s, clients.test_y, clients.task).tolist())
+    if clients.task != "classification":
+        return losses, None
+    hits = np.count_nonzero(np.where(s >= 0.0, 1.0, -1.0) == clients.test_y, axis=-1)
+    return losses, tuple((hits / s.shape[-1]).tolist())

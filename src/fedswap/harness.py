@@ -314,7 +314,7 @@ def build_clients(cfg: ExperimentConfig, master_seed: int) -> Clients:
     )
     shared_head = np.random.default_rng(concept_seed).normal(size=cfg.feature_dim)
     return make_clients(cfg.domains, backbone, shared_head, domain_seeds,
-                        configs=[cfg.local] * n, tasks=[cfg.task] * n,
+                        config=cfg.local, task=cfg.task,
                         test_count=cfg.test_count, train_fraction=cfg.data_fraction)
 
 
@@ -365,15 +365,15 @@ def _summarize(
         "warmup_rounds": cfg.warmup_rounds,
         "data_fraction": cfg.data_fraction,
         "task": cfg.task,
-        "domain_ids": [c.domain.domain_id for c in clients],
-        "sample_counts": [c.domain.sample_count for c in clients],
-        "train_sizes": [c.train_size for c in clients],
+        "domain_ids": [d.domain_id for d in clients.domains],
+        "sample_counts": [d.sample_count for d in clients.domains],
+        "train_sizes": list(clients.train_sizes),
         "final": {
             "round": final.round_index,
             "avg_loss": final.avg_loss,
             "std_loss": final.std_loss,
             "domain_losses": losses,
-            "worst_domain": clients[worst].domain.domain_id,
+            "worst_domain": clients.domains[worst].domain_id,
             "worst_domain_loss": losses[worst],
         },
         "metadata": {"generated_at": datetime.now(timezone.utc).isoformat()},

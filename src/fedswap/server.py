@@ -44,6 +44,10 @@ __all__ = [
 AGGREGATE = "aggregate"
 EXCHANGE = "exchange"
 WARMUP = "warmup"
+# cap on rounds and on warmup_rounds, checked before the cell's bulk seed table
+# of (warmup_rounds + rounds) x clients entries is built; every workload and
+# test runs at most 100 rounds
+MAX_ROUNDS = 10**5
 
 # seed-derivation purpose tags; changing a value changes every stream derived from it
 PURPOSES = {"init": 0, "concept": 1, "domain": 2, "backbone": 3,
@@ -132,8 +136,8 @@ class ServerConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ConfigInvalid(f"rounds must be >= 1, got {self.rounds}")
+        if not 1 <= self.rounds <= MAX_ROUNDS:
+            raise ConfigInvalid(f"rounds must be in [1, {MAX_ROUNDS}], got {self.rounds}")
         if self.aggregation_frequency < 1:
             raise ConfigInvalid(
                 f"aggregation_frequency must be >= 1, got {self.aggregation_frequency}"
@@ -152,8 +156,10 @@ class ServerConfig:
                 f"strategy {self.strategy!r} aggregates every round; "
                 f"set aggregation_frequency=1"
             )
-        if self.warmup_rounds < 0:
-            raise ConfigInvalid(f"warmup_rounds must be >= 0, got {self.warmup_rounds}")
+        if not 0 <= self.warmup_rounds <= MAX_ROUNDS:
+            raise ConfigInvalid(
+                f"warmup_rounds must be in [0, {MAX_ROUNDS}], got {self.warmup_rounds}"
+            )
         if not 0 <= self.master_seed < 2**32:
             raise ConfigInvalid(f"master_seed must lie in [0, 2**32), got {self.master_seed}")
 
@@ -291,10 +297,10 @@ def run_simulation(cfg: ServerConfig, clients: Clients) -> tuple[RoundRecord, ..
     if n < 2:
         raise ConfigInvalid(f"need at least 2 clients, got {n}")
     init_rng = np.random.default_rng(derive_seed(cfg.master_seed, PURPOSES["init"]))
-    dim = clients[0].backbone.decoder_dim
+    dim = clients.backbone.decoder_dim
     init = checked_vector(init_rng.normal(0.0, 0.1, size=dim), "initial decoder")
     decoders = np.broadcast_to(init, (n, dim))
-    weights = AggregationWeights.from_sizes([c.train_size for c in clients])
+    weights = AggregationWeights.from_sizes(clients.train_sizes)
     last_plan = None
     trace = []
     # every client-round's and exchange round's generator words, hashed for the

@@ -6,17 +6,17 @@ checks that stacking changed no number."""
 import numpy as np
 
 
-def oracle_evaluate(decoder, client):
-    """(loss, accuracy) of one decoder (D,) on the client's test split; the
-    accuracy is None for regression."""
-    s = np.matmul(client.features_test, decoder[:-1, None])[..., 0] + decoder[-1:]
-    labels = client.test_y
-    if client.task == "regression":
+def oracle_evaluate(decoder, clients, i):
+    """(loss, accuracy) of one decoder (D,) on client i's test split, row i of
+    the clients' test block; the accuracy is None for regression."""
+    s = np.matmul(clients.features_test[i], decoder[:-1, None])[..., 0] + decoder[-1:]
+    labels = clients.test_y[i]
+    if clients.task == "regression":
         per_row = (s - labels) ** 2
     else:
         per_row = np.logaddexp(0.0, -labels * s)
     loss = float(per_row.sum(axis=-1) / s.shape[-1])
-    if client.task != "classification":
+    if clients.task != "classification":
         return loss, None
     hits = np.count_nonzero(np.where(s >= 0.0, 1.0, -1.0) == labels)
     return loss, hits / s.size
@@ -25,4 +25,4 @@ def oracle_evaluate(decoder, client):
 def oracle_evaluate_round(deliveries, clients):
     """The per-client loop over a round: each client's (loss, accuracy)
     under its row of deliveries."""
-    return [oracle_evaluate(decoder, client) for decoder, client in zip(deliveries, clients)]
+    return [oracle_evaluate(decoder, clients, i) for i, decoder in enumerate(deliveries)]

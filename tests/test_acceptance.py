@@ -187,15 +187,16 @@ def test_criterion_04_schedule_correctness(capsys):
 
 def test_criterion_05_gradients_match_finite_differences(capsys):
     cfg = default_experiment_config()
-    client = build_clients(cfg, master_seed=0)[0]
+    clients = build_clients(cfg, master_seed=0)
+    first = slice(clients.starts[0], clients.starts[1])
     rng = np.random.default_rng(1005)
     dim = cfg.feature_dim + 1
     worst = 0.0
     for trial in range(50):
         theta = rng.normal(size=dim)
-        idx = rng.integers(0, client.train_size, size=24)
-        fb = client.features_train[idx]
-        yb = client.train_y[idx]
+        idx = rng.integers(0, clients.train_sizes[0], size=24)
+        fb = clients.features_train[first][idx]
+        yb = clients.train_y[first][idx]
         task = "regression" if trial % 2 == 0 else "classification"
         labels = yb if task == "regression" else np.sign(yb - np.median(yb) + 1e-9)
         if trial % 3 == 0:
@@ -261,7 +262,7 @@ def test_criterion_08_scarce_data_support(capsys, cells):
         cfg = default_experiment_config(
             seeds=(0,), strategies=("clustered",), data_fraction=fraction
         )
-        sizes[fraction] = [c.train_size for c in build_clients(cfg, 0)]
+        sizes[fraction] = list(build_clients(cfg, 0).train_sizes)
     assert sizes[1.0] == [2000, 2000, 2000, 500]
     assert sizes[0.5] == [1000, 1000, 1000, 250]
     assert sizes[0.1] == [200, 200, 200, 50]

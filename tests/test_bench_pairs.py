@@ -17,12 +17,19 @@ STAMP = {"git_sha": None, "nproc": 2, "python": "3.11", "numpy": "2.4"}
 
 
 def fake_output(side, workload, seed):
-    # the change is 10% faster, except on seed 3, and never fails
+    # the change is 10% faster, except on seed 3, and never fails; it takes
+    # 10% more memory; setup_s swings threefold from seed to seed, and on
+    # paper4 the change's is a tenth of the parent's
     cell_s = 0.5 + 0.01 * seed
     if side == "change" and seed != 3:
         cell_s *= 0.9
+    setup_s = 0.1 if seed % 2 else 0.3
+    if side == "change" and workload == "paper4":
+        setup_s *= 0.1
     metrics = {"cell_s": {"value": cell_s, "unit": "s"},
-               "client_rounds_per_s": {"value": 1.0 / cell_s, "unit": "1/s"}}
+               "client_rounds_per_s": {"value": 1.0 / cell_s, "unit": "1/s"},
+               "peak_rss_mb": {"value": 44.0 if side == "change" else 40.0, "unit": "MB"},
+               "setup_s": {"value": setup_s, "unit": "s"}}
     return "\n".join([
         "some progress line",
         json.dumps({"stamp": STAMP}),
@@ -52,7 +59,7 @@ def test_bench_file_shape(tmp_path):
     pairs = bench_pairs.run_pairs(run, ["wide64", "paper4"], seeds, revs)
     better = {"cell_s": "lower", "client_rounds_per_s": "higher"}
     path = tmp_path / "BENCH_3.json"
-    data = bench_pairs.write_bench(path, 3, revs, {"seeds": seeds}, pairs, better)
+    data = bench_pairs.write_bench(path, 3, revs, {"seeds": seeds}, pairs, better, {})
     assert json.loads(path.read_text()) == data
     assert set(data) == {"pr", "revs", "args", "stamp", "summary", "pairs"}
     # perfbench's stamp, with the git_sha of the side that ran
@@ -126,3 +133,42 @@ def test_working_tree_stamp_covers_untracked_files(tmp_path, monkeypatch):
     (tmp_path / "kept.py").write_text("x = 2\n")
     edited = bench_pairs.working_tree_rev()
     assert edited.startswith(head + "+diff:") and edited not in (first, second, third)
+
+
+def test_bound_flags():
+    def run(side, workload, seed):
+        return bench_pairs.parse_output(fake_output(side, workload, seed))
+
+    pairs = bench_pairs.run_pairs(run, ["wide64", "paper4"], [1, 2, 3, 4],
+                                  {"parent": "abc", "change": "def"})
+    better = bench_pairs.directions(SCRIPT.parents[1] / "BENCHMARK.json")
+    bounds = {"cell_s": 0.2, "client_rounds_per_s": 0.2, "peak_rss_mb": 0.05,
+              "setup_s": 0.25}
+    summary = bench_pairs.summarize(pairs, better, bounds)
+
+    def flags(workload, name):
+        row = summary[workload]["metrics"][name]
+        assert row["bound"] == bounds[name]
+        return row["within_bound"], row["unresolved"]
+
+    for workload in ("wide64", "paper4"):
+        # faster and quieter than the bound: in bound, resolved, in either direction
+        assert flags(workload, "cell_s") == (True, False)
+        assert flags(workload, "client_rounds_per_s") == (True, False)
+        # 10% more memory against a 5% bound, with no spread to blame
+        assert flags(workload, "peak_rss_mb") == (False, False)
+        assert summary[workload]["metrics"]["peak_rss_mb"]["parent_relative_iqr"] == 0.0
+    # the parent's setup_s spreads 0.1 to 0.3 (relative IQR 1.0 > 0.25): level
+    # runs cannot tell, but a change whose every run beats every parent run can
+    assert summary["wide64"]["metrics"]["setup_s"]["parent_relative_iqr"] == pytest.approx(1.0)
+    assert flags("wide64", "setup_s") == (True, True)
+    assert flags("paper4", "setup_s") == (True, False)
+    # a metric without a bound gets no flags
+    lone = bench_pairs.summarize(pairs, better, {})["wide64"]["metrics"]["cell_s"]
+    assert "within_bound" not in lone and "unresolved" not in lone
+
+
+def test_bounds_come_from_the_benchmark():
+    bounds = bench_pairs.bounds(SCRIPT.parents[1] / "BENCHMARK.json")
+    assert bounds == {"cell_s": 0.2, "client_rounds_per_s": 0.2, "peak_rss_mb": 0.05,
+                      "setup_s": 0.25}

@@ -40,32 +40,50 @@ def backbone(seed=0):
     return FrozenBackbone.create(seed, INPUT_DIM, FEATURE_DIM)
 
 
-def population(domains, bb, concept_seed, domain_seeds, *, tasks, locals_,
+def shared_head_of(concept_seed):
+    return np.random.default_rng(concept_seed).normal(size=FEATURE_DIM)
+
+
+def population(domains, bb, concept_seed, domain_seeds, *, task, local,
                test_count=500, train_fraction=1.0):
-    """Clients over one block per split, client i from domains[i],
-    domain_seeds[i], tasks[i] and locals_[i]."""
-    shared_head = np.random.default_rng(concept_seed).normal(size=bb.feature_dim)
+    """Clients over one block per split, client i from domains[i] and
+    domain_seeds[i], all training on task with local."""
     return make_clients(
-        domains, bb, shared_head, domain_seeds, configs=locals_, tasks=tasks,
+        domains, bb, shared_head_of(concept_seed), domain_seeds, config=local, task=task,
         test_count=test_count, train_fraction=train_fraction,
     )
 
 
 def dataset(domain, bb, concept_seed, domain_seed, *, task="regression",
             test_count=500, train_fraction=1.0, local=None):
-    """The only client of a one-client population."""
+    """A one-client population: its blocks are that client's splits, the
+    test block with a leading axis of one."""
     return population(
-        [domain], bb, concept_seed, [domain_seed], tasks=[task],
-        locals_=[local or LocalConfig()], test_count=test_count,
+        [domain], bb, concept_seed, [domain_seed], task=task,
+        local=local or LocalConfig(), test_count=test_count,
         train_fraction=train_fraction,
-    )[0]
+    )
+
+
+def generating_head(domain, concept_seed, domain_seed):
+    """The head behind a domain's labels, replayed: the shared head moved by
+    concept_shift along the unit vector of d, the first normal(size=F) draw
+    of default_rng(domain_seed)."""
+    d = np.random.default_rng(domain_seed).normal(size=FEATURE_DIM)
+    return shared_head_of(concept_seed) + domain.concept_shift * (d / np.linalg.norm(d))
+
+
+def assert_noiseless_labels_follow(ds, head):
+    assert np.allclose(ds.train_y, ds.features_train @ head, atol=1e-12)
+    assert np.allclose(ds.test_y, ds.features_test @ head, atol=1e-12)
 
 
 def client(task="regression", noise=0.1, count=200, local=None, seed=0):
-    """A one-client population, as local_train and evaluate take it."""
+    """A one-client population, as local_train and evaluate take it, drawn
+    from spec(count=count, noise=noise) with concept seed 11 and domain seed 22."""
     return population(
-        [spec(count=count, noise=noise)], backbone(seed), 11, [22], tasks=[task],
-        locals_=[local or LocalConfig(steps=5, learning_rate=0.05, batch_size=32)],
+        [spec(count=count, noise=noise)], backbone(seed), 11, [22], task=task,
+        local=local or LocalConfig(steps=5, learning_rate=0.05, batch_size=32),
         test_count=100,
     )
 
@@ -143,23 +161,28 @@ class TestGenerateDomainDataset:
 
     def test_zero_concept_shift_shares_the_generating_head(self):
         bb = backbone()
-        a = dataset(spec(concept=0.0), bb, 7, 100)
-        b = dataset(spec(concept=0.0), bb, 7, 200)
-        assert np.array_equal(a.true_head, b.true_head)
+        domain = spec(concept=0.0, noise=0.0)
+        a_head = generating_head(domain, 7, 100)
+        b_head = generating_head(domain, 7, 200)
+        assert np.array_equal(a_head, b_head)
+        # the replayed heads are the ones that labelled the data
+        assert_noiseless_labels_follow(dataset(domain, bb, 7, 100), a_head)
+        assert_noiseless_labels_follow(dataset(domain, bb, 7, 200), b_head)
 
     def test_concept_shift_magnitude(self):
         bb = backbone()
-        base = dataset(spec(concept=0.0), bb, 7, 100)
-        moved = dataset(spec(concept=0.8), bb, 7, 100)
-        assert np.linalg.norm(moved.true_head - base.true_head) == pytest.approx(
-            0.8, abs=1e-12
-        )
+        base, moved = spec(concept=0.0, noise=0.0), spec(concept=0.8, noise=0.0)
+        base_head = generating_head(base, 7, 100)
+        moved_head = generating_head(moved, 7, 100)
+        assert np.linalg.norm(moved_head - base_head) == pytest.approx(0.8, abs=1e-12)
+        assert_noiseless_labels_follow(dataset(base, bb, 7, 100), base_head)
+        assert_noiseless_labels_follow(dataset(moved, bb, 7, 100), moved_head)
 
     def test_fraction_keeps_prefix(self):
         bb = backbone()
         full = dataset(spec(count=100), bb, 1, 2)
         half = dataset(spec(count=100), bb, 1, 2, train_fraction=0.5)
-        assert half.train_size == 50
+        assert half.train_sizes == (50,)
         assert np.array_equal(half.features_train, full.features_train[:50])
         assert np.array_equal(half.train_y, full.train_y[:50])
         assert np.array_equal(half.features_test, full.features_test)
@@ -172,7 +195,7 @@ class TestGenerateDomainDataset:
     def test_tenth_fraction_size(self):
         bb = backbone()
         small = dataset(spec(count=100), bb, 1, 2, train_fraction=0.1)
-        assert small.train_size == 10
+        assert small.train_sizes == (10,)
 
     def test_classification_labels_are_signs(self):
         bb = backbone()
@@ -182,9 +205,8 @@ class TestGenerateDomainDataset:
 
     def test_regression_labels_match_head_when_noiseless(self):
         bb = backbone()
-        ds = dataset(spec(noise=0.0), bb, 1, 2)
-        assert np.allclose(ds.train_y, ds.features_train @ ds.true_head, atol=1e-12)
-        assert np.allclose(ds.test_y, ds.features_test @ ds.true_head, atol=1e-12)
+        domain = spec(noise=0.0)
+        assert_noiseless_labels_follow(dataset(domain, bb, 1, 2), generating_head(domain, 1, 2))
 
     def test_inputs_equal_the_scaled_normal_draws(self):
         # standard_normal + shift is bit for bit normal(loc=shift, scale=1.0)
@@ -198,7 +220,7 @@ class TestGenerateDomainDataset:
         rng.normal(0.0, domain.label_noise, size=300)
         test_x = rng.normal(loc=shift, scale=1.0, size=(70, INPUT_DIM))
         assert ds.features_train.tobytes() == bb.features(train_x).tobytes()
-        assert ds.features_test.tobytes() == bb.features(test_x).tobytes()
+        assert ds.features_test[0].tobytes() == bb.features(test_x).tobytes()
 
     def test_rejects_bad_arguments(self):
         bb = backbone()
@@ -213,22 +235,22 @@ class TestGenerateDomainDataset:
             dataset(spec(), other, 1, 2)
         with pytest.raises(ConfigInvalid, match="^shared_head must have shape"):
             make_clients([spec()], bb, np.zeros(FEATURE_DIM + 1), [2],
-                         configs=[LocalConfig()], tasks=["regression"], test_count=10,
+                         config=LocalConfig(), task="regression", test_count=10,
                          train_fraction=1.0)
-        with pytest.raises(ConfigInvalid, match="^got 2 domains, 1 seeds"):
+        with pytest.raises(ConfigInvalid, match="^got 2 domains and 1 seeds"):
             make_clients([spec(), spec("d1")], bb, np.zeros(FEATURE_DIM), [2],
-                         configs=[LocalConfig()] * 2, tasks=["regression"] * 2,
+                         config=LocalConfig(), task="regression",
                          test_count=10, train_fraction=1.0)
 
 
 class TestGradients:
     @pytest.mark.parametrize("task", ["regression", "classification"])
     def test_matches_finite_differences(self, task):
-        cl = client(task=task)[0]
+        cl = client(task=task)
         rng = np.random.default_rng(17)
         for trial in range(50):
             theta = rng.normal(size=FEATURE_DIM + 1)
-            idx = rng.integers(0, cl.train_size, size=16)
+            idx = rng.integers(0, cl.train_sizes[0], size=16)
             fb = cl.features_train[idx]
             yb = cl.train_y[idx]
             loss, grad = decoder_loss_and_gradient(theta[None], fb[None], yb[None], task)
@@ -238,7 +260,7 @@ class TestGradients:
             assert np.linalg.norm(grad[0] - approx) / denom < 1e-5
 
     def test_proximal_term_matches_finite_differences(self):
-        cl = client()[0]
+        cl = client()
         rng = np.random.default_rng(23)
         for trial in range(20):
             theta = rng.normal(size=FEATURE_DIM + 1)
@@ -268,7 +290,7 @@ class TestLocalTrain:
         start = decoder(1)
         out = local_train(start, cl, rngs(0))
         _, grad = decoder_loss_and_gradient(
-            start, cl[0].features_train[None], cl[0].train_y[None], "regression"
+            start, cl.features_train[None], cl.train_y[None], "regression"
         )
         assert np.allclose(out, start - lr * grad, atol=1e-14)
 
@@ -285,15 +307,14 @@ class TestLocalTrain:
             local=LocalConfig(steps=4000, learning_rate=0.3, batch_size=10_000),
         )
         [out] = local_train(decoder(fill=0.0), cl, rngs(0))
-        c = cl[0]
-        final = decoder_loss(out, c.features_train, c.train_y, "regression")
+        final = decoder_loss(out, cl.features_train, cl.train_y, "regression")
         # the noiseless targets are realizable, so the least-squares optimum is 0
         coeffs, *_ = np.linalg.lstsq(
-            np.hstack([c.features_train, np.ones((c.train_size, 1))]),
-            c.train_y,
+            np.hstack([cl.features_train, np.ones((cl.train_sizes[0], 1))]),
+            cl.train_y,
             rcond=None,
         )
-        optimum = decoder_loss(coeffs, c.features_train, c.train_y, "regression")
+        optimum = decoder_loss(coeffs, cl.features_train, cl.train_y, "regression")
         assert optimum < 1e-20
         assert final < 1e-6
 
@@ -303,18 +324,18 @@ class TestLocalTrain:
         losses = []
         for _ in range(30):
             losses.append(
-                decoder_loss(theta[0], cl[0].features_train, cl[0].train_y, "regression")
+                decoder_loss(theta[0], cl.features_train, cl.train_y, "regression")
             )
             theta = local_train(theta, cl, rngs(0))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_backbone_untouched_by_training(self):
         cl = client()
-        before_w = cl[0].backbone.weight.copy()
-        before_b = cl[0].backbone.bias.copy()
+        before_w = cl.backbone.weight.copy()
+        before_b = cl.backbone.bias.copy()
         local_train(decoder(fill=0.0), cl, rngs(0))
-        assert np.array_equal(cl[0].backbone.weight, before_w)
-        assert np.array_equal(cl[0].backbone.bias, before_b)
+        assert np.array_equal(cl.backbone.weight, before_w)
+        assert np.array_equal(cl.backbone.bias, before_b)
 
     def test_dimension_checked_against_manifest(self):
         cl = client()
@@ -370,25 +391,33 @@ MIXED_CONFIGS = (
 )
 
 
-def round_of_clients(k, task, configs, train_fraction=1.0):
-    """k clients over one backbone, cycling through SIZES and configs; the
-    task "mixed" alternates regression and classification."""
-    tasks = ("regression", "classification") if task == "mixed" else (task,)
+TASK_MIXES = {"regression": ("regression",), "classification": ("classification",),
+              "mixed": ("regression", "classification")}
+
+
+def round_of_clients(k, task, local, train_fraction=1.0):
+    """k clients over one backbone, cycling through SIZES, all training on
+    task with local."""
     return population(
         [spec(f"d{i}", count=SIZES[i % len(SIZES)], shift=0.1 * (i % 7),
               concept=0.2 + 0.1 * (i % 5)) for i in range(k)],
-        backbone(), 11, [100 + i for i in range(k)],
-        tasks=[tasks[i % len(tasks)] for i in range(k)],
-        locals_=[configs[i % len(configs)] for i in range(k)],
+        backbone(), 11, [100 + i for i in range(k)], task=task, local=local,
         test_count=10, train_fraction=train_fraction,
     )
 
 
-def oracle_failure(decoder, cl, seed):
-    """The oracle's divergence message for one client, or None."""
+def rounds_of_clients(k, task, configs, train_fraction=1.0):
+    """One population of k clients per config and task; the task "mixed"
+    takes regression and classification in turn."""
+    return [round_of_clients(k, one, local, train_fraction)
+            for local in configs for one in TASK_MIXES[task]]
+
+
+def oracle_failure(decoder, clients, i, seed):
+    """The oracle's divergence message for client i, or None."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            oracle_local_train(decoder, cl, seed)
+            oracle_local_train(decoder, clients, i, seed)
         except NonFiniteLoss as exc:
             return str(exc)
     return None
@@ -401,27 +430,40 @@ class TestBatchedTraining:
     @pytest.mark.parametrize("task", ["regression", "classification", "mixed"])
     @pytest.mark.parametrize("k", [1, 2, 5, 64])
     def test_uploads_equal_the_per_client_oracle(self, k, task, configs, proximal):
-        clients = round_of_clients(k, task, configs)
-        rng = np.random.default_rng(k)
-        decoders = rng.normal(size=(k, FEATURE_DIM + 1))
-        seeds = [int(s) for s in rng.integers(0, 2**62, size=k)]
-        train = local_train_fedprox if proximal else local_train
-        got = train(decoders, clients, rngs(*seeds))
-        assert got.shape == (k, FEATURE_DIM + 1)
-        for decoder, cl, seed, upload in zip(decoders, clients, seeds, got):
-            want = oracle_local_train(decoder, cl, seed, proximal)
-            assert upload.tobytes() == want.tobytes(), cl.domain.domain_id
+        for clients in rounds_of_clients(k, task, configs):
+            rng = np.random.default_rng(k)
+            decoders = rng.normal(size=(k, FEATURE_DIM + 1))
+            seeds = [int(s) for s in rng.integers(0, 2**62, size=k)]
+            train = local_train_fedprox if proximal else local_train
+            got = train(decoders, clients, rngs(*seeds))
+            assert got.shape == (k, FEATURE_DIM + 1)
+            for i, (decoder, seed, upload) in enumerate(zip(decoders, seeds, got)):
+                want = oracle_local_train(decoder, clients, i, seed, proximal)
+                assert upload.tobytes() == want.tobytes(), (clients.config, clients.task, i)
+
+    def test_groups_are_batch_shapes_in_first_member_order(self):
+        # batch 16 over sizes 5, 16, 17, 40, 200, twice: 5 and 16 are
+        # full-batch sizes, 17, 40 and 200 mini-batch
+        clients = round_of_clients(10, "regression", ONE_CONFIG[0])
+        groups = [g.tolist() for g in clients.groups]
+        assert groups == [[0, 5], [1, 6], [2, 3, 4, 7, 8, 9]]
+        assert sorted(i for g in groups for i in g) == list(range(10))
+        assert [g[0] for g in groups] == sorted(g[0] for g in groups)
+        for g in groups[:2]:
+            assert len({clients.train_sizes[i] for i in g}) == 1
+            assert clients.train_sizes[g[0]] <= BATCH
+        assert all(clients.train_sizes[i] > BATCH for i in groups[2])
 
     def test_divergence_names_the_lowest_index_client(self):
-        # clients 1 and 2 share a config, so they step together; client 2
-        # starts far out and fails at an earlier step than client 1
-        wild = LocalConfig(steps=100, learning_rate=50.0, batch_size=10_000)
-        tame = LocalConfig(steps=100, learning_rate=0.05, batch_size=10_000)
-        clients = population([spec(f"d{i}") for i in range(3)], backbone(), 11, [22, 23, 24],
-                             tasks=["regression"] * 3, locals_=[tame, wild, wild],
+        # one group steps all three together; the larger the input shift, the
+        # sooner a client's loss overflows, so client 2 fails before client 1
+        local = LocalConfig(steps=300, learning_rate=1.0, batch_size=10_000)
+        clients = population([spec(f"d{i}", shift=shift) for i, shift in enumerate((0, 1, 3))],
+                             backbone(), 11, [22, 23, 24], task="regression", local=local,
                              test_count=10)
-        decoders = np.ones((3, FEATURE_DIM + 1)) * np.array([[1], [1], [1e100]])
-        expected = [oracle_failure(d, c, 0) for d, c in zip(decoders, clients)]
+        assert [g.tolist() for g in clients.groups] == [[0, 1, 2]]
+        decoders = np.ones((3, FEATURE_DIM + 1))
+        expected = [oracle_failure(d, clients, i, 0) for i, d in enumerate(decoders)]
         assert expected[0] is None
         steps = [int(re.search(r"step (\d+) on", msg).group(1)) for msg in expected[1:]]
         assert steps[1] < steps[0]
@@ -434,10 +476,10 @@ class TestBatchedTraining:
         cl = client(local=LocalConfig(steps=1, learning_rate=1e300, batch_size=10_000))
         start = decoder(fill=1e10)
         loss, _ = decoder_loss_and_gradient(
-            start, cl[0].features_train[None], cl[0].train_y[None], "regression"
+            start, cl.features_train[None], cl.train_y[None], "regression"
         )
         assert np.isfinite(loss[0])
-        expected = oracle_failure(start[0], cl[0], 0)
+        expected = oracle_failure(start[0], cl, 0, 0)
         assert expected.startswith("training diverged on d0")
         with pytest.raises(NonFiniteLoss) as info:
             local_train(start, cl, rngs(0))
@@ -452,21 +494,21 @@ class TestBatchedTraining:
 
     def test_reduced_fraction_equals_the_per_client_oracle(self):
         # ragged prefixes of the draws, gathered from one block by offset
-        clients = round_of_clients(10, "mixed", MIXED_CONFIGS, train_fraction=0.5)
-        assert [c.train_size for c in clients][:5] == [2, 8, 8, 20, 100]
-        rng = np.random.default_rng(3)
-        decoders = rng.normal(size=(10, FEATURE_DIM + 1))
-        seeds = [int(s) for s in rng.integers(0, 2**62, size=10)]
-        got = local_train_fedprox(decoders, clients, rngs(*seeds))
-        for decoder, cl, seed, upload in zip(decoders, clients, seeds, got):
-            want = oracle_local_train(decoder, cl, seed, proximal=True)
-            assert upload.tobytes() == want.tobytes(), cl.domain.domain_id
+        for clients in rounds_of_clients(10, "mixed", MIXED_CONFIGS, train_fraction=0.5):
+            assert clients.train_sizes[:5] == (2, 8, 8, 20, 100)
+            rng = np.random.default_rng(3)
+            decoders = rng.normal(size=(10, FEATURE_DIM + 1))
+            seeds = [int(s) for s in rng.integers(0, 2**62, size=10)]
+            got = local_train_fedprox(decoders, clients, rngs(*seeds))
+            for i, (decoder, seed, upload) in enumerate(zip(decoders, seeds, got)):
+                want = oracle_local_train(decoder, clients, i, seed, proximal=True)
+                assert upload.tobytes() == want.tobytes(), (clients.config, clients.task, i)
 
 
 class TestEvaluate:
     def test_perfect_decoder_on_noiseless_data(self):
         cl = client(noise=0.0)
-        theta = np.concatenate([cl[0].true_head, [0.0]])
+        theta = np.concatenate([generating_head(spec(noise=0.0), 11, 22), [0.0]])
         losses, accuracies = evaluate(theta[None], cl)
         assert losses[0] < 1e-9
         assert accuracies is None
@@ -477,8 +519,8 @@ class TestEvaluate:
         bb = replace(FrozenBackbone.create(1, INPUT_DIM, FEATURE_DIM),
                      bias=np.zeros(FEATURE_DIM))
         big = DomainSpec("d", 10, INPUT_DIM, (0.0,) * INPUT_DIM, 0.5, 0.0)
-        cl = population([big], bb, 3, [4], tasks=["classification"],
-                        locals_=[LocalConfig()], test_count=1000)
+        cl = population([big], bb, 3, [4], task="classification",
+                        local=LocalConfig(), test_count=1000)
         _, accuracies = evaluate(decoder(fill=0.0), cl)
         assert abs(accuracies[0] - 0.5) <= 0.05
 
@@ -494,14 +536,14 @@ class TestEvaluate:
         assert evaluate(theta, cl) == evaluate(theta, cl)
 
     @pytest.mark.parametrize("fraction", [1.0, 0.5])
-    @pytest.mark.parametrize("task", ["regression", "classification", "mixed"])
+    @pytest.mark.parametrize("task", ["regression", "classification"])
     def test_stacked_scores_equal_the_per_client_oracle(self, task, fraction):
-        clients = round_of_clients(12, task, MIXED_CONFIGS, train_fraction=fraction)
+        clients = round_of_clients(12, task, MIXED_CONFIGS[0], train_fraction=fraction)
         rng = np.random.default_rng(12)
         decoders = rng.normal(size=(12, FEATURE_DIM + 1))
         for deliveries in (decoders, np.broadcast_to(decoders[3], decoders.shape)):
             losses, accuracies = evaluate(deliveries, clients)
-            want = [oracle_evaluate(d, c) for d, c in zip(deliveries, clients)]
+            want = [oracle_evaluate(d, clients, i) for i, d in enumerate(deliveries)]
             assert losses == tuple(loss for loss, _ in want)
             if task == "classification":
                 assert accuracies == tuple(acc for _, acc in want)

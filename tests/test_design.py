@@ -25,7 +25,7 @@ def test_every_dataclass_is_frozen():
     # clients and round records are values; the round loop's locals are the
     # simulator's only mutable state
     classes = package_dataclasses()
-    assert {"ClientState", "RoundRecord", "ExperimentConfig"} <= {c.__name__ for c in classes}
+    assert {"Clients", "RoundRecord", "ExperimentConfig"} <= {c.__name__ for c in classes}
     mutable = sorted(c.__qualname__ for c in classes if not c.__dataclass_params__.frozen)
     assert not mutable, f"mutable dataclasses: {mutable}"
 

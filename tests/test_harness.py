@@ -190,43 +190,35 @@ class TestBuildClients:
         cfg = tiny_config(data_fraction=0.5)
         clients = build_clients(cfg, master_seed=0)
         assert len(clients) == 3
-        assert all(c.backbone is clients[0].backbone for c in clients)
-        assert [c.train_size for c in clients] == [50, 50, 20]
+        assert clients.domains == cfg.domains
+        assert (clients.backbone.input_dim, clients.backbone.feature_dim) == (
+            cfg.input_dim, cfg.feature_dim)
+        assert (clients.task, clients.config) == (cfg.task, cfg.local)
+        assert clients.train_sizes == (50, 50, 20)
+        assert clients.starts.tolist() == [0, 50, 100, 120]
 
     def test_different_seeds_different_data(self):
         cfg = tiny_config()
         a = build_clients(cfg, master_seed=0)
         b = build_clients(cfg, master_seed=1)
-        assert not np.array_equal(a[0].features_train, b[0].features_train)
+        first = slice(a.starts[0], a.starts[1])
+        assert not np.array_equal(a.features_train[first], b.features_train[first])
 
     @pytest.mark.parametrize("fraction", [1.0, 0.5])
     def test_clients_are_views_of_one_block_per_split(self, fraction):
         # every client's data lives in one array per split, and both splits'
-        # features (and both splits' labels) in one allocation; a client
-        # holding a copy would double the resident data
+        # features (and both splits' labels) in one allocation; a second copy
+        # would double the resident data
         clients = build_clients(tiny_config(data_fraction=fraction), master_seed=0)
         blocks = {"features_train": clients.features_train, "train_y": clients.train_y,
                   "features_test": clients.features_test, "test_y": clients.test_y}
-        assert clients.features_train.shape == (sum(c.train_size for c in clients), 6)
+        assert clients.features_train.shape == (sum(clients.train_sizes), 6)
         assert clients.features_test.shape == (len(clients), 40, 6)
         for block in blocks.values():
             assert not block.flags.owndata and not block.flags.writeable
             assert not block.base.flags.writeable
         assert clients.features_train.base is clients.features_test.base
         assert clients.train_y.base is clients.test_y.base
-        row = 0
-        for i, c in enumerate(clients):
-            for name, block in blocks.items():
-                view = getattr(c, name)
-                assert np.shares_memory(view, block), (i, name)
-                assert view.base is block.base and not view.flags.owndata
-                assert not view.flags.writeable
-                for j, other in enumerate(clients):
-                    if j != i:
-                        assert not np.shares_memory(view, getattr(other, name))
-            assert np.array_equal(c.features_train, clients.features_train[row:][:c.train_size])
-            assert np.array_equal(c.features_test, clients.features_test[i])
-            row += c.train_size
 
 
 class TestRunExperiment:
@@ -533,6 +525,24 @@ class TestCli:
             assert code == 2 and elapsed < 0.1, (name, elapsed)
             err = capsys.readouterr().err
             assert err.startswith(f"error: {name} must be") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags, data, name", [
+        (["--rounds", str(10**15), "--agg-frequency", "1", "--strategy", "fedavg_only"], {},
+         "rounds"),
+        ([], {"rounds": 10**15}, "rounds"),
+        ([], {"warmup_rounds": 10**15}, "warmup_rounds"),
+        ([], {"local": {"steps": 10**15}}, "steps"),
+    ], ids=["rounds_flag", "rounds", "warmup_rounds", "local_steps"])
+    def test_huge_protocol_length_is_one_line_error(self, tmp_path, capsys, flags, data, name):
+        # each is rejected before the cell's seed table or a round's batch
+        # indices of that length are built
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(data))
+        out = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be in [") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("damage", [
         lambda text: text[:200],

@@ -47,7 +47,7 @@ def make_clients(n=3, master_seed=0, counts=(120, 120, 60), steps=3):
     return draw_clients(
         specs, backbone, shared_head,
         [derive_seed(master_seed, PURPOSES["domain"], i) for i in range(n)],
-        configs=[local] * n, tasks=["regression"] * n, test_count=50, train_fraction=1.0,
+        config=local, task="regression", test_count=50, train_fraction=1.0,
     )
 
 
@@ -388,7 +388,7 @@ class TestRunSimulation:
     def test_too_few_clients_rejected(self):
         cfg = ServerConfig(rounds=2, aggregation_frequency=1)
         with pytest.raises(ConfigInvalid):
-            run_simulation(cfg, make_clients()[:1])
+            run_simulation(cfg, make_clients(n=1))
 
     def test_manual_replay_of_seed_scheme(self):
         """Re-derives the whole loop from the documented seed paths, training
@@ -404,12 +404,12 @@ class TestRunSimulation:
         dim = FEATURE_DIM + 1
         rng = np.random.default_rng(derive_seed(master, PURPOSES["init"]))
         decoders = [rng.normal(0.0, 0.1, size=dim)] * 3
-        weights = AggregationWeights.from_sizes([c.train_size for c in replay])
+        weights = AggregationWeights.from_sizes(replay.train_sizes)
 
         # warm-up round
         ups = np.stack([
-            oracle_local_train(decoders[i], replay[i],
-                        derive_seed(master, PURPOSES["warmup"], 1, i))
+            oracle_local_train(decoders[i], replay, i,
+                               derive_seed(master, PURPOSES["warmup"], 1, i))
             for i in range(3)
         ])
         global_decoder = weighted_average(ups, weights)
@@ -417,8 +417,8 @@ class TestRunSimulation:
 
         # round 1: exchange
         ups = np.stack([
-            oracle_local_train(decoders[i], replay[i],
-                        derive_seed(master, PURPOSES["train"], 1, i))
+            oracle_local_train(decoders[i], replay, i,
+                               derive_seed(master, PURPOSES["train"], 1, i))
             for i in range(3)
         ])
         ca = cluster_to_two(build_distance_matrix(ups))
@@ -426,19 +426,19 @@ class TestRunSimulation:
             ca, None, np.random.default_rng(derive_seed(master, PURPOSES["exchange"], 1))
         )
         decoders = [ups[plan.assignment[i]] for i in range(3)]
-        losses_r1 = tuple(oracle_evaluate(decoders[i], replay[i])[0] for i in range(3))
+        losses_r1 = tuple(oracle_evaluate(decoders[i], replay, i)[0] for i in range(3))
         assert trace[1].plan == plan.assignment
         assert trace[1].domain_losses == losses_r1
 
         # round 2: aggregate
         ups = np.stack([
-            oracle_local_train(decoders[i], replay[i],
-                        derive_seed(master, PURPOSES["train"], 2, i))
+            oracle_local_train(decoders[i], replay, i,
+                               derive_seed(master, PURPOSES["train"], 2, i))
             for i in range(3)
         ])
         global_decoder = weighted_average(ups, weights)
         losses_r2 = tuple(
-            oracle_evaluate(global_decoder, replay[i])[0] for i in range(3)
+            oracle_evaluate(global_decoder, replay, i)[0] for i in range(3)
         )
         assert trace[2].domain_losses == losses_r2
 

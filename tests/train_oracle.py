@@ -30,33 +30,34 @@ def _loss_and_gradient(theta, features, labels, task, anchor, mu):
     return loss, grad
 
 
-def oracle_local_train(decoder, client, seed, proximal=False):
-    """The client's upload after its configured steps from decoder (D,), drawing
+def oracle_local_train(decoder, clients, i, seed, proximal=False):
+    """Client i's upload after its configured steps from decoder (D,), drawing
     one batch of indices per step from default_rng(seed); with proximal,
-    FedProx's pull toward the starting decoder at the client's prox_mu."""
-    expected = client.backbone.decoder_dim
+    FedProx's pull toward the starting decoder at the clients' prox_mu. Its
+    train split is rows starts[i] to starts[i + 1] of the clients' block."""
+    expected = clients.backbone.decoder_dim
     if decoder.shape != (expected,):
         raise InvalidInput(f"decoder shape {decoder.shape} does not match ({expected},)")
-    cfg = client.config
-    n = client.train_size
+    cfg = clients.config
+    rows = slice(clients.starts[i], clients.starts[i + 1])
+    features, labels = clients.features_train[rows], clients.train_y[rows]
+    n = labels.shape[0]
+    name = clients.domains[i].domain_id
     anchor, mu = (decoder, cfg.prox_mu) if proximal else (None, 0.0)
     rng = np.random.default_rng(seed)
     theta = decoder.copy()
     for step in range(cfg.steps):
         if cfg.batch_size >= n:
-            fb, yb = client.features_train, client.train_y
+            fb, yb = features, labels
         else:
             idx = rng.integers(0, n, size=cfg.batch_size)
-            fb, yb = client.features_train[idx], client.train_y[idx]
-        loss, grad = _loss_and_gradient(theta, fb, yb, client.task, anchor, mu)
+            fb, yb = features[idx], labels[idx]
+        loss, grad = _loss_and_gradient(theta, fb, yb, clients.task, anchor, mu)
         if not np.isfinite(loss):
             raise NonFiniteLoss(
-                f"non-finite loss at step {step} on {client.domain.domain_id}; "
-                "reduce the learning rate"
+                f"non-finite loss at step {step} on {name}; reduce the learning rate"
             )
         theta -= cfg.learning_rate * grad
     if not np.all(np.isfinite(theta)):
-        raise NonFiniteLoss(
-            f"training diverged on {client.domain.domain_id}; reduce the learning rate"
-        )
+        raise NonFiniteLoss(f"training diverged on {name}; reduce the learning rate")
     return theta
