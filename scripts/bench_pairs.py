@@ -17,7 +17,9 @@ alternates from pair to pair, so that a drift in host speed favours neither.
 The file holds every pair's metrics with perfbench's stamp line, and per
 metric each side's median and quartiles, the change's wins (pairs in which it
 was strictly better, in the direction BENCHMARK.json gives) and the median of
-its per-pair relative change. Each end-to-end metric is also checked against
+its per-pair relative change. Per workload it counts each side's failed and
+attempted operations, and failed_share_rose says the change's failed share
+is above the parent's. Each end-to-end metric is also checked against
 its bound in BENCHMARK.json: within_bound says the change's median is worse
 than the parent's by at most the bound, relative to the parent's; unresolved
 says the parent's relative interquartile range exceeds the bound and not
@@ -149,8 +151,10 @@ def bound_check(parent: list[float], change: list[float], sign: float, bound: fl
 
 
 def summarize(pairs: list[dict], better: dict, bounds: dict) -> dict:
-    """Per workload and metric: each side's quartiles, wins and median change,
-    and the bound flags of every metric that bounds holds."""
+    """Per workload: each side's failed and attempted operations, and whether
+    the change's failed share is above the parent's; per metric, each side's
+    quartiles, wins and median change, and the bound flags of every metric
+    that bounds holds."""
     summary: dict = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         mine = [p for p in pairs if p["workload"] == workload]
@@ -171,11 +175,36 @@ def summarize(pairs: list[dict], better: dict, bounds: dict) -> dict:
             if name in bounds:
                 rows[name].update(bound_check(values["parent"], values["change"], sign,
                                               bounds[name]))
+        counts = {key: {side: sum(p[side][key] for p in mine) for side in SIDES}
+                  for key in ("failed", "attempted")}
+        share = {side: counts["failed"][side] / counts["attempted"][side]
+                 if counts["attempted"][side] else 0.0 for side in SIDES}
         summary[workload] = {
-            "failed": sum(p[side]["failed"] for p in mine for side in SIDES),
+            **counts,
+            "failed_share_rose": share["change"] > share["parent"],
             "metrics": rows,
         }
     return summary
+
+
+def summary_lines(summary: dict) -> list[str]:
+    """The printout: per workload, each side's failures and the
+    failed_share_rose flag, then each metric's medians, wins and bound flags."""
+    lines = []
+    for workload, entry in summary.items():
+        failed, attempted = entry["failed"], entry["attempted"]
+        lines.append(f"{workload} failed: parent {failed['parent']}/{attempted['parent']} "
+                     f"change {failed['change']}/{attempted['change']}"
+                     + (" failed_share_rose" if entry["failed_share_rose"] else ""))
+        for name, row in entry["metrics"].items():
+            flags = ""
+            if "bound" in row:
+                flags = " within_bound" if row["within_bound"] else " out_of_bound"
+                flags += " unresolved" if row["unresolved"] else ""
+            lines.append(f"{workload} {name}: parent {row['parent']['median']:.6g} "
+                         f"change {row['change']['median']:.6g} "
+                         f"wins {row['change_wins']}/{row['pairs']}{flags}")
+    return lines
 
 
 def directions(benchmark: Path) -> dict:
@@ -225,15 +254,7 @@ def main(argv=None) -> int:
     benchmark = ROOT / "BENCHMARK.json"
     data = write_bench(out, args.pr, revs, settings, pairs, directions(benchmark),
                        bounds(benchmark))
-    for workload, entry in data["summary"].items():
-        for name, row in entry["metrics"].items():
-            flags = ""
-            if "bound" in row:
-                flags = " within_bound" if row["within_bound"] else " out_of_bound"
-                flags += " unresolved" if row["unresolved"] else ""
-            print(f"{workload} {name}: parent {row['parent']['median']:.6g} "
-                  f"change {row['change']['median']:.6g} "
-                  f"wins {row['change_wins']}/{row['pairs']}{flags}")
+    print("\n".join(summary_lines(data["summary"])))
     return 0
 
 

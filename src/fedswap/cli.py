@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import ConfigInvalid, FedswapError
 from .harness import (
+    ExperimentConfig,
     ablation_T,
     collect_summaries,
     compare_strategies,
@@ -22,7 +23,7 @@ from .harness import (
 )
 
 
-def _load(args) -> "ExperimentConfig":
+def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else default_experiment_config()
     # --strategy and --agg-frequency belong to run only
     strategy = getattr(args, "strategy", None)
@@ -112,8 +113,8 @@ def main(argv=None) -> int:
         # numpy's own warnings would only add lines to that one-line error
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except (FedswapError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FedswapError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -1,10 +1,9 @@
 """Decoder-to-client delivery plans for exchange rounds.
 
-The clustered plan shuffles each cluster's decoders, then walks the clients
-in original index order handing each one the next unconsumed decoder from
-the opposite cluster; once the smaller cluster is exhausted, remaining
-clients draw from their own shuffled cluster. Round-robin and uniformly
-random plans are the ablation variants.
+The clustered plan shuffles each cluster's decoders; the larger cluster's
+first |smaller| clients receive the smaller cluster's, and every other client
+the larger cluster's. Round-robin and uniformly random plans are the ablation
+variants.
 """
 
 from __future__ import annotations
@@ -44,35 +43,21 @@ class ExchangePlan:
         object.__setattr__(self, "assignment", assignment)
 
 
-def _cursor_walk(
-    index_list: tuple[int, ...],
-    shuffled: tuple[list[int], list[int]],
-) -> list[int]:
-    # one consumption cursor per shuffled cluster list; clients draw from the
-    # opposite cluster until it is exhausted, then from their own
-    cursors = [0, 0]
-    assignment = []
-    for cluster in index_list:
-        other = 1 - cluster
-        source = other if cursors[other] < len(shuffled[other]) else cluster
-        assignment.append(shuffled[source][cursors[source]])
-        cursors[source] += 1
-    return assignment
-
-
 def build_clustered_plan(
     ca: ClusterAssignment, last: Optional[tuple[int, ...]], rng: np.random.Generator
 ) -> ExchangePlan:
-    """Distance-clustered exchange: in-cluster shuffle plus cross-cluster walk.
+    """Distance-clustered exchange: in-cluster shuffles delivered across clusters.
 
-    The shuffles are rejection-sampled so that no client receives the decoder
-    it just uploaded and, unless last is None (no exchange yet), no client
-    receives the same decoder as in last, the previous exchange round's plan.
-    If that history constraint is infeasible (e.g. two clients alternating)
-    it is dropped after a bounded number of attempts. Draws then go on until
-    no client receives its own upload, which every split allows: only the
-    larger cluster serves its own clients, and with more than two clients it
-    has at least two members. The shuffles are drawn from rng.
+    Clients receive decoders in index order: the larger cluster's first
+    |smaller| clients the smaller cluster's, all others the larger cluster's.
+    The shuffles, drawn from rng, are rejection-sampled so that no client
+    receives the decoder it just uploaded and, unless last is None (no
+    exchange yet), no client receives the same decoder as in last, the
+    previous exchange round's plan. If that history constraint is infeasible
+    (e.g. two clients alternating) it is dropped after a bounded number of
+    attempts. Draws then go on until no client receives its own upload, which
+    every split allows: only the larger cluster serves its own clients, and
+    with more than two clients it has at least two members.
     """
     if not isinstance(ca, ClusterAssignment):
         raise InvalidInput("ca must be a ClusterAssignment")
@@ -81,18 +66,22 @@ def build_clustered_plan(
         raise InvalidInput(
             f"history length {len(last)} does not match client count {n}"
         )
-    members = (list(ca.members_0), list(ca.members_1))
+    clients = np.arange(n)
+    members = (np.array(ca.members_0), np.array(ca.members_1))
+    big = int(len(members[1]) > len(members[0]))
+    # receivers[c]: the clients that receive cluster c's decoders
+    crossing = members[big][:len(members[1 - big])]
+    receivers = {1 - big: crossing, big: np.delete(clients, crossing)}
+    plan = np.empty(n, dtype=np.intp)
     for attempt in itertools.count():
-        shuffled = tuple(
-            [m[k] for k in rng.permutation(len(m))] for m in members
-        )
-        candidate = _cursor_walk(ca.index_list, shuffled)
-        if any(candidate[i] == i for i in range(n)):
+        for c in (0, 1):
+            plan[receivers[c]] = members[c][rng.permutation(len(members[c]))]
+        if (plan == clients).any():
             continue
         enforce_history = last is not None and attempt < _ATTEMPTS_PER_PHASE
-        if enforce_history and any(candidate[i] == last[i] for i in range(n)):
+        if enforce_history and (plan == last).any():
             continue
-        return ExchangePlan(tuple(candidate))
+        return ExchangePlan(plan)
 
 
 def build_round_robin_plan(n: int, round: int) -> ExchangePlan:
@@ -107,4 +96,4 @@ def build_random_plan(n: int, rng: np.random.Generator) -> ExchangePlan:
     """Uniformly random permutation drawn from rng; fixed points are permitted."""
     if n < 2:
         raise InvalidInput(f"random exchange needs at least two clients, got {n}")
-    return ExchangePlan(tuple(int(v) for v in rng.permutation(n)))
+    return ExchangePlan(rng.permutation(n))

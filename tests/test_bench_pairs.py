@@ -16,10 +16,10 @@ spec.loader.exec_module(bench_pairs)
 STAMP = {"git_sha": None, "nproc": 2, "python": "3.11", "numpy": "2.4"}
 
 
-def fake_output(side, workload, seed):
-    # the change is 10% faster, except on seed 3, and never fails; it takes
-    # 10% more memory; setup_s swings threefold from seed to seed, and on
-    # paper4 the change's is a tenth of the parent's
+def fake_output(side, workload, seed, failed=0):
+    # the change is 10% faster, except on seed 3; it takes 10% more memory;
+    # setup_s swings threefold from seed to seed, and on paper4 the change's
+    # is a tenth of the parent's
     cell_s = 0.5 + 0.01 * seed
     if side == "change" and seed != 3:
         cell_s *= 0.9
@@ -34,7 +34,8 @@ def fake_output(side, workload, seed):
         "some progress line",
         json.dumps({"stamp": STAMP}),
         json.dumps({"info": {"reference_digest_matches": True, "side": side}}),
-        json.dumps({"correct": True, "attempted": 4, "failed": 0, "metrics": metrics}),
+        json.dumps({"correct": True, "attempted": 4 + seed, "failed": failed,
+                    "metrics": metrics}),
     ])
 
 
@@ -78,7 +79,10 @@ def test_bench_file_shape(tmp_path):
 
     for workload in ("wide64", "paper4"):
         summary = data["summary"][workload]
-        assert summary["failed"] == 0
+        # seeds 1-4 attempt 5, 6, 7 and 8 operations on each side
+        assert summary["failed"] == {"parent": 0, "change": 0}
+        assert summary["attempted"] == {"parent": 26, "change": 26}
+        assert summary["failed_share_rose"] is False
         for name in ("cell_s", "client_rounds_per_s"):
             row = summary["metrics"][name]
             assert row["better"] == better[name]
@@ -166,6 +170,28 @@ def test_bound_flags():
     # a metric without a bound gets no flags
     lone = bench_pairs.summarize(pairs, better, {})["wide64"]["metrics"]["cell_s"]
     assert "within_bound" not in lone and "unresolved" not in lone
+
+
+def test_failures_are_counted_per_side():
+    # on wide64 the parent fails 1 of 26 operations and the change 2; on
+    # paper4 the change fails 1 and the parent 2
+    worse = {"wide64": "change", "paper4": "parent"}
+
+    def run(side, workload, seed):
+        failed = (2 if side == worse[workload] else 1) if seed == 2 else 0
+        return bench_pairs.parse_output(fake_output(side, workload, seed, failed))
+
+    pairs = bench_pairs.run_pairs(run, ["wide64", "paper4"], [1, 2, 3, 4],
+                                  {"parent": "abc", "change": "def"})
+    summary = bench_pairs.summarize(pairs, {}, {})
+    assert summary["wide64"]["failed"] == {"parent": 1, "change": 2}
+    assert summary["paper4"]["failed"] == {"parent": 2, "change": 1}
+    assert summary["wide64"]["attempted"] == {"parent": 26, "change": 26}
+    assert summary["wide64"]["failed_share_rose"] is True
+    assert summary["paper4"]["failed_share_rose"] is False
+    lines = bench_pairs.summary_lines(summary)
+    assert "wide64 failed: parent 1/26 change 2/26 failed_share_rose" in lines
+    assert "paper4 failed: parent 2/26 change 1/26" in lines
 
 
 def test_bounds_come_from_the_benchmark():

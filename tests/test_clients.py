@@ -120,6 +120,8 @@ class TestDomainSpec:
             spec(count=0)
         with pytest.raises(ConfigInvalid):
             DomainSpec("x", 10, 3, (0.0,), 0.1, 0.1)
+        with pytest.raises(ConfigInvalid, match="^x: input_dim must be >= 1$"):
+            DomainSpec("x", 10, 0, (), 0.1, 0.1)
         with pytest.raises(ConfigInvalid):
             spec(concept=-1.0)
         with pytest.raises(ConfigInvalid):

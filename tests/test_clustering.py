@@ -79,6 +79,8 @@ class TestDistanceMatrix:
     def test_too_few(self):
         with pytest.raises(InvalidInput):
             build_distance_matrix(rows(vec(1, 0)))
+        with pytest.raises(InvalidInput, match="^need at least two decoders, got 1$"):
+            cluster_to_two(matrix([[0.0]]))
 
     def test_validation_rejects_asymmetry_and_bad_range(self):
         with pytest.raises(InvalidInput):
@@ -87,6 +89,10 @@ class TestDistanceMatrix:
             matrix([[0, 3], [3, 0]])
         with pytest.raises(InvalidInput):
             matrix([[0.5, 1], [1, 0]])
+        with pytest.raises(InvalidInput, match=r"must be square, got \(2, 3\)"):
+            matrix([[0, 1, 1], [1, 0, 1]])
+        with pytest.raises(InvalidInput, match=r"must be square, got \(4,\)"):
+            matrix([0, 1, 1, 0])
 
     def test_scipy_cdist_oracle(self):
         # an independent formula: scipy's cosine cdist, clipped to [0, 2],

@@ -13,6 +13,7 @@ from fedswap.exchange import (
     build_random_plan,
     build_round_robin_plan,
 )
+from exchange_oracle import oracle_clustered_plan
 
 
 def rng(seed):
@@ -21,6 +22,12 @@ def rng(seed):
 
 def assignment_of(n, members_0):
     return ClusterAssignment.from_members(n, members_0)
+
+
+def random_members_0(meta, n):
+    """A random non-empty proper subset of range(n), drawn from meta."""
+    members_0 = np.flatnonzero(meta.integers(0, 2, size=n))
+    return members_0 if 0 < len(members_0) < n else [int(meta.integers(n))]
 
 
 def cross_count(ca, plan):
@@ -43,6 +50,10 @@ class TestExchangePlanType:
         with pytest.raises(InvalidInput):
             build_clustered_plan(assignment_of(4, [0, 1]), (1, 0), rng(0))
 
+    def test_rejects_a_non_assignment(self):
+        with pytest.raises(InvalidInput, match="^ca must be a ClusterAssignment$"):
+            build_clustered_plan((0, 0, 1, 1), None, rng(0))
+
 
 class TestClusteredPlan:
     def test_two_clients_forced_swap(self):
@@ -61,8 +72,8 @@ class TestClusteredPlan:
         ca = assignment_of(4, [0, 1, 2])
         for seed in range(40):
             plan = build_clustered_plan(ca, None, rng(seed))
-            # the walk reaches client 0 first, so it consumes the lone
-            # cluster-1 decoder; client 3 draws from cluster 0
+            # the larger cluster's first client receives the lone cluster-1
+            # decoder; every other client, client 3 included, cluster 0's
             assert plan.assignment[0] == 3
             assert plan.assignment[3] in (0, 1, 2)
             assert plan.assignment[1] in (0, 1, 2)
@@ -105,6 +116,43 @@ class TestClusteredPlan:
         assert cross_count(ca, plan) == 2 * small
         # self-derangement is feasible for every split, singletons included
         assert all(plan.assignment[i] != i for i in range(n))
+
+    def test_matches_the_cursor_walk_oracle(self):
+        # the delivery rule gives the plans of the per-attempt cursor walk it
+        # replaced, from the same draws; n from 2 to 128, with random,
+        # singleton and equal splits, and no history, the plan of an earlier
+        # round on the same split, or the plan of another split
+        meta = np.random.default_rng(2024)
+        seen = set()
+        for case in range(2016):
+            n = int(meta.integers(2, 9 if case % 2 else 129))
+            kind = ("random", "singleton", "equal")[case % 3]
+            if kind == "random":
+                members_0 = random_members_0(meta, n)
+            elif kind == "singleton":
+                lone = [int(meta.integers(n))]
+                members_0 = lone if meta.integers(2) else np.delete(np.arange(n), lone)
+            else:
+                n -= n % 2
+                members_0 = meta.permutation(n)[: n // 2]
+            ca = assignment_of(n, members_0)
+            history = ("none", "same split", "other split")[case // 3 % 3]
+            last = None
+            if history != "none":
+                source = ca if history == "same split" else assignment_of(
+                    n, random_members_0(meta, n))
+                last = oracle_clustered_plan(source, None, rng(int(meta.integers(2**32))))
+                last = last.assignment
+            seed = int(meta.integers(2**32))
+            mine, theirs = rng(seed), rng(seed)
+            assert build_clustered_plan(ca, last, mine) == oracle_clustered_plan(ca, last, theirs)
+            # the same random draws, not only the same plan
+            assert mine.bit_generator.state == theirs.bit_generator.state
+            small = min(len(ca.members_0), len(ca.members_1))
+            seen.add((n == 2, small == 1, 2 * small == n, history))
+        for history in ("none", "same split", "other split"):
+            assert {(True, True, True, history), (False, True, False, history),
+                    (False, False, True, history), (False, False, False, history)} <= seen
 
     def test_no_self_delivery_once_history_attempts_run_out(self, monkeypatch):
         # on this split half of all draws hand client 2 its own upload; the
@@ -177,3 +225,8 @@ class TestRandomPlan:
         for seed in range(50):
             plan = build_random_plan(7, rng(seed))
             assert sorted(plan.assignment) == list(range(7))
+
+    def test_too_few_clients(self):
+        with pytest.raises(InvalidInput,
+                           match="^random exchange needs at least two clients, got 1$"):
+            build_random_plan(1, rng(0))

@@ -1,13 +1,18 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import time
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedswap import cli
 from fedswap.cli import main
 from fedswap.clients import DomainSpec, LocalConfig
 from fedswap.errors import ConfigInvalid, FedswapError
@@ -17,6 +22,7 @@ from fedswap.harness import (
     ExperimentConfig,
     ablation_T,
     build_clients,
+    collect_summaries,
     compare_strategies,
     config_from_dict,
     config_to_dict,
@@ -131,6 +137,11 @@ class TestExperimentConfig:
             tiny_config(domains=tiny_domains()[:1])
         with pytest.raises(ConfigInvalid):
             tiny_config(rounds=5)
+        with pytest.raises(ConfigInvalid, match=r"duplicate domain ids in \['d0', 'd1', 'd0'\]"):
+            tiny_config(domains=tiny_domains()[:2] + tiny_domains()[:1])
+        narrow = DomainSpec("d9", 50, INPUT_DIM - 1, (0.0,) * (INPUT_DIM - 1), 0.1, 0.1)
+        with pytest.raises(ConfigInvalid, match=f"domain d9 input_dim {INPUT_DIM - 1} != {INPUT_DIM}"):
+            tiny_config(domains=tiny_domains() + (narrow,))
 
     def test_pure_aggregation_strategies_run_at_t1(self):
         cfg = tiny_config()
@@ -379,6 +390,19 @@ class TestCompareStrategies:
     def test_single_group_rejected(self):
         with pytest.raises(ConfigInvalid):
             compare_strategies([self.fake_summary("clustered", 0, 1.0)])
+        with pytest.raises(ConfigInvalid, match="^nothing to compare$"):
+            compare_strategies([])
+
+    def test_classification_runs_report_mean_accuracy(self, tmp_path):
+        run_experiment(tiny_config(task="classification"), tmp_path)
+        summaries = collect_summaries(tmp_path)
+        table = compare_strategies(summaries)
+        assert len(table["entries"]) == 2
+        for entry in table["entries"]:
+            mine = [s for s in summaries if s["strategy"] == entry["strategy"]]
+            accuracies = [s["final"]["avg_accuracy"] for s in mine]
+            assert len(accuracies) == 2 and all(0.0 <= a <= 1.0 for a in accuracies)
+            assert entry["mean_avg_accuracy"] == float(np.mean(accuracies))
 
     def test_fraction_distinguishes_groups(self):
         summaries = [
@@ -404,6 +428,11 @@ class TestAblationT:
     def test_divisibility_enforced(self, tmp_path):
         with pytest.raises(ConfigInvalid):
             ablation_T(tiny_config(), [3], tmp_path)
+
+    def test_no_t_values_rejected(self, tmp_path):
+        with pytest.raises(ConfigInvalid, match="^need at least one T value$"):
+            ablation_T(tiny_config(), [], tmp_path)
+        assert not list(tmp_path.iterdir())
 
     def test_emits_table_and_runs(self, tmp_path):
         cfg = tiny_config(seeds=(0,), strategies=("clustered",))
@@ -573,6 +602,44 @@ class TestCli:
         printed = capsys.readouterr().out
         assert printed.startswith("wrote 2 run(s)")
         assert "mean_avg_loss" not in printed
+
+    def test_oversized_blocks_are_one_line_error(self, tmp_path):
+        # every size is within its cap, but the two domains' feature block is
+        # (2001000, 4096) float64, 61 GiB; the child's address space is capped
+        # so that numpy refuses the allocation at once, whatever the host's
+        # overcommit policy; never run this config without that cap
+        config = {"feature_dim": 4096, "rounds": 2, "aggregation_frequency": 2,
+                  "seeds": [0], "strategies": ["clustered"],
+                  "domains": [{"domain_id": "a", "sample_count": 10**6},
+                              {"domain_id": "b", "sample_count": 10**6}]}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                 "from fedswap.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", child, "run", "--config", str(cfg_path),
+                               "--out", str(tmp_path / "runs")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: Unable to allocate 61.1 GiB")
+        assert done.stderr.count("\n") == 1
+        assert not list(tmp_path.rglob("summary.json"))
+
+    def test_memory_error_without_a_message(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "run_experiment", exhausted)
+        assert main(["run", "--out", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+
+    def test_annotations_resolve(self):
+        assert typing.get_type_hints(cli._load) == {"return": ExperimentConfig}
 
     def test_compare_empty_dir_fails(self, tmp_path, capsys):
         assert main(["compare", "--in", str(tmp_path)]) == 2
