@@ -9,7 +9,7 @@ variants.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -31,9 +31,11 @@ _ATTEMPTS_PER_PHASE = 32
 
 @dataclass(frozen=True)
 class ExchangePlan:
-    """assignment[i] is the decoder index delivered to client i; a permutation."""
+    """assignment[i] is the decoder index delivered to client i; a permutation.
+    clusters, the split (merges included) behind a clustered plan, is not compared."""
 
     assignment: tuple[int, ...]
+    clusters: Optional[ClusterAssignment] = field(default=None, compare=False)
 
     def __post_init__(self):
         assignment = tuple(int(v) for v in self.assignment)
@@ -81,7 +83,7 @@ def build_clustered_plan(
         enforce_history = last is not None and attempt < _ATTEMPTS_PER_PHASE
         if enforce_history and (plan == last).any():
             continue
-        return ExchangePlan(plan)
+        return ExchangePlan(plan, ca)
 
 
 def build_round_robin_plan(n: int, round: int) -> ExchangePlan:

@@ -11,11 +11,13 @@ atomically (see _write_text).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import os
 import reprlib
+import tempfile
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -271,13 +273,23 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def _write_text(path, text: str) -> None:
-    """Write text to a sibling <name>.tmp, then rename it over path: an
-    interrupted process leaves the old file or the new one, never a part.
-    No fsync, so this does not guard against a power loss."""
+    """Write text to a sibling temporary file of its own, <name>.<random>.tmp,
+    then rename it over path: an interrupted process or a second writer of
+    path leaves the old file or a whole new one, never a part. No fsync, so
+    this does not guard against a power loss."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)  # open()'s mode; mkstemp makes 0600
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _write_json(path, data) -> None:

@@ -6,9 +6,9 @@ average; at every other round it redistributes them by the plan that the
 strategy's row in STRATEGIES builds. Only the clustered protocol clusters the
 uploads by cosine distance first.
 
-Clients and round records are immutable. run_simulation's locals hold the
-only state that changes: every client's current decoder, as the rows of one
-read-only (n, D) array, the last exchange plan and the trace.
+Clients, round outcomes and round records are immutable. run_simulation's
+locals hold the only state that changes: every client's current decoder, as
+the rows of one read-only (n, D) array, the last exchange plan and the trace.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .clients import Clients, evaluate, local_train, local_train_fedprox
 from .clustering import build_distance_matrix, cluster_to_two
 from .errors import ConfigInvalid, FedswapError, InvalidInput
 from .exchange import (
+    ExchangePlan,
     build_clustered_plan,
     build_random_plan,
     build_round_robin_plan,
@@ -34,6 +35,7 @@ __all__ = [
     "WARMUP",
     "STRATEGIES",
     "ServerConfig",
+    "RoundOutcome",
     "RoundRecord",
     "derive_seed",
     "schedule_decision",
@@ -166,12 +168,12 @@ class ServerConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One row of the simulation trace, built once the round's deliveries
-    are evaluated.
+    """One row of the simulation trace, built from a RoundOutcome once its
+    deliveries are evaluated.
 
     Warm-up rows carry non-positive round indices and decision "warmup".
-    assignment is the two-cluster split behind a clustered exchange; it and
-    plan are None on every round that does not exchange.
+    plan is an exchange round's delivery tuple and assignment the index list of
+    the two-cluster split behind a clustered one; each is None where absent.
     """
 
     round_index: int
@@ -197,9 +199,9 @@ class Strategy:
     """One row of STRATEGIES.
 
     plan(r, rng, last_plan, uploads) builds round r's ExchangePlan from its
-    exchange generator and returns it with its cluster assignment, if any; None
-    means the strategy aggregates every round. proximal adds FedProx's pull
-    toward the decoder a client starts the round with to local training.
+    exchange generator; None means the strategy aggregates every round.
+    proximal adds FedProx's pull toward the decoder a client starts the round
+    with to local training.
     """
 
     plan: Optional[Callable]
@@ -209,16 +211,15 @@ class Strategy:
 # The builders look up the clustering and exchange functions in this module's
 # namespace at call time, so wrappers patched onto those names see every call.
 def _clustered_plan(r, rng, last_plan, uploads):
-    ca = cluster_to_two(build_distance_matrix(uploads))
-    return build_clustered_plan(ca, last_plan, rng), ca.index_list
+    return build_clustered_plan(cluster_to_two(build_distance_matrix(uploads)), last_plan, rng)
 
 
 def _round_robin_plan(r, rng, last_plan, uploads):
-    return build_round_robin_plan(len(uploads), r), None
+    return build_round_robin_plan(len(uploads), r)
 
 
 def _random_plan(r, rng, last_plan, uploads):
-    return build_random_plan(len(uploads), rng), None
+    return build_random_plan(len(uploads), rng)
 
 
 STRATEGIES = {
@@ -230,68 +231,58 @@ STRATEGIES = {
 }
 
 
+@dataclass(frozen=True, eq=False)
+class RoundOutcome:
+    """What one round decided and delivered: deliveries is the read-only
+    (n, D) array, row i client i's; plan is the exchange plan, None unless the
+    decision is EXCHANGE."""
+
+    decision: str
+    deliveries: np.ndarray
+    plan: Optional[ExchangePlan] = None
+
+
 def run_round(
     r: int,
     uploads: np.ndarray,
     weights: AggregationWeights,
     cfg: ServerConfig,
     last_plan: Optional[tuple[int, ...]],
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, Optional[tuple[int, ...]], Optional[tuple[int, ...]]]:
-    """Process protocol round r's uploads (n, D); returns the deliveries as a
-    read-only (n, D) array, row i client i's, the cluster assignment and the
-    exchange plan.
+    rng: Optional[np.random.Generator],
+) -> RoundOutcome:
+    """Process round r's uploads (n, D); rounds r < 1 are warm-up rounds.
 
-    On aggregation every row is one weighted average, broadcast, and the
-    assignment and plan are None. On exchange the strategy's plan builder
-    runs with the previous exchange plan, last_plan, and the round's exchange
-    generator; client i receives uploads[plan[i]].
+    Every decision but EXCHANGE broadcasts one weighted average to all rows.
+    An exchange runs the strategy's plan builder with the previous exchange
+    plan, last_plan, and the round's exchange generator, rng (None in
+    warm-up); client i receives uploads[plan.assignment[i]].
     """
     n = len(uploads)
     if n != len(weights):
         raise ConfigInvalid(
             f"round {r}: got {n} uploads for {len(weights)} aggregation weights"
         )
-    decision = schedule_decision(r, cfg.aggregation_frequency)
+    decision = WARMUP if r < 1 else schedule_decision(r, cfg.aggregation_frequency)
     try:
-        if decision == AGGREGATE:
-            return np.broadcast_to(weighted_average(uploads, weights), uploads.shape), None, None
-        plan, assignment = STRATEGIES[cfg.strategy].plan(r, rng, last_plan, uploads)
+        if decision != EXCHANGE:
+            return RoundOutcome(decision, np.broadcast_to(weighted_average(uploads, weights),
+                                                          uploads.shape))
+        plan = STRATEGIES[cfg.strategy].plan(r, rng, last_plan, uploads)
         deliveries = uploads.take(plan.assignment, axis=0)
         deliveries.setflags(write=False)
-        return deliveries, assignment, plan.assignment
+        return RoundOutcome(decision, deliveries, plan)
     except FedswapError as exc:
         raise type(exc)(f"round {r}: {exc}") from exc
-
-
-def _train_all(decoders: np.ndarray, clients: Clients, cfg: ServerConfig,
-               words: np.ndarray) -> np.ndarray:
-    """Every client's upload after local training, from one call for the round,
-    with client i's generator built from its pre-hashed state words[i]."""
-    train = local_train_fedprox if STRATEGIES[cfg.strategy].proximal else local_train
-    return train(decoders, clients, [_generator(w) for w in words])
-
-
-def _record(r: int, decision: str, cfg: ServerConfig, clients: Clients,
-            deliveries: np.ndarray, assignment=None, plan=None) -> RoundRecord:
-    """The round's record, with the metrics of each client's delivery."""
-    losses, accuracies = evaluate(deliveries, clients)
-    return RoundRecord(
-        r, decision, cfg.strategy, assignment, plan,
-        domain_losses=losses,
-        domain_accuracies=accuracies,
-        avg_loss=float(np.mean(losses)),
-        std_loss=float(np.std(losses)),
-    )
 
 
 def run_simulation(cfg: ServerConfig, clients: Clients) -> tuple[RoundRecord, ...]:
     """Warm-up then R protocol rounds; returns the trace.
 
     Every client starts from one shared randomly initialized decoder. Each
-    warm-up round trains locally and aggregates, so clients enter round 1
-    with identical decoders. Protocol rounds follow the schedule branch.
-    The whole trace is a pure function of cfg.master_seed.
+    round trains every client in one call, runs run_round and scores each
+    delivery on its client's test split. The W warm-up rounds, 1 - W..0, all
+    aggregate, so clients enter round 1 with identical decoders. The whole
+    trace is a pure function of cfg.master_seed.
     """
     n = len(clients)
     if n < 2:
@@ -313,18 +304,19 @@ def run_simulation(cfg: ServerConfig, clients: Clients) -> tuple[RoundRecord, ..
         derive_seed(cfg.master_seed, PURPOSES["exchange"], np.arange(1, R + 1))])
     words = derive_seed(seeds & _MASK32, seeds >> 32, words=4)
     train_words, exchange_words = words[:-R].reshape(W + R, n, 4), words[-R:]
+    train = local_train_fedprox if STRATEGIES[cfg.strategy].proximal else local_train
 
-    for w in range(1, W + 1):
-        uploads = _train_all(decoders, clients, cfg, train_words[w - 1])
-        decoders = np.broadcast_to(weighted_average(uploads, weights), uploads.shape)
-        trace.append(_record(w - W, WARMUP, cfg, clients, decoders))
-
-    for r in range(1, R + 1):
-        uploads = _train_all(decoders, clients, cfg, train_words[W + r - 1])
-        decoders, assignment, plan = run_round(r, uploads, weights, cfg, last_plan,
-                                               _generator(exchange_words[r - 1]))
-        decision = AGGREGATE if plan is None else EXCHANGE
-        trace.append(_record(r, decision, cfg, clients, decoders, assignment, plan))
-        last_plan = last_plan if plan is None else plan
+    for r in range(1 - W, R + 1):
+        uploads = train(decoders, clients, [_generator(w) for w in train_words[W + r - 1]])
+        outcome = run_round(r, uploads, weights, cfg, last_plan,
+                            _generator(exchange_words[r - 1]) if r >= 1 else None)
+        decoders, plan = outcome.deliveries, outcome.plan
+        clusters = plan and plan.clusters
+        losses, accuracies = evaluate(decoders, clients)
+        trace.append(RoundRecord(r, outcome.decision, cfg.strategy,
+                                 clusters and clusters.index_list, plan and plan.assignment,
+                                 losses, accuracies, float(np.mean(losses)),
+                                 float(np.std(losses))))
+        last_plan = plan.assignment if plan else last_plan
 
     return tuple(trace)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedswap import cli
+from fedswap import cli, harness
 from fedswap.cli import main
 from fedswap.clients import DomainSpec, LocalConfig
 from fedswap.errors import ConfigInvalid, FedswapError
@@ -319,6 +320,55 @@ class TestRunExperiment:
                                        rounds=2), tmp_path)
         assert len((cell / "metrics.csv").read_text().splitlines()) == 1 + 2 + 2
         assert not (cell / "summary.json").exists()
+
+    def test_concurrent_writers_publish_whole_files(self, tmp_path):
+        # two processes write one path while a third reads it: every write
+        # must land and every read must see one writer's whole text
+        size, writes = 200_000, 300
+        target, go, stop = tmp_path / "out.json", tmp_path / "go", tmp_path / "stop"
+        harness._write_text(target, "a" * size)
+        wait = "import os, sys\nprint(flush=True)\nwhile not os.path.exists(sys.argv[2]): pass\n"
+        writer = ("from fedswap.harness import _write_text\n" + wait +
+                  "for _ in range(int(sys.argv[4])):\n"
+                  "    _write_text(sys.argv[1], sys.argv[3] * int(sys.argv[5]))\n")
+        reader = (wait + "size, bad, reads = int(sys.argv[4]), 0, 0\n"
+                  "while not reads or not os.path.exists(sys.argv[3]):\n"
+                  "    with open(sys.argv[1], encoding='utf-8') as fh:\n"
+                  "        text = fh.read()\n"
+                  "    reads += 1\n"
+                  "    bad += len(text) != size or text.count(text[:1]) != size\n"
+                  "print(reads, bad)\n")
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        children = [subprocess.Popen([sys.executable, "-c", code, str(target), str(go), *args],
+                                     env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                     text=True)
+                    for code, args in ((reader, (str(stop), str(size))),
+                                       (writer, ("b", str(writes), str(size))),
+                                       (writer, ("c", str(writes), str(size))))]
+        try:
+            for child in children:
+                assert child.stdout.readline() == "\n"  # imported and waiting
+            go.touch()
+            writers = [child.communicate(timeout=120) for child in children[1:]]
+            stop.touch()
+            out, err = children[0].communicate(timeout=120)
+        finally:
+            for child in children:
+                child.kill()
+        for (_, writer_err), child in zip(writers, children[1:]):
+            assert child.returncode == 0 and not writer_err, writer_err
+        assert children[0].returncode == 0 and not err, err
+        reads, bad = map(int, out.split())
+        assert reads > 0 and bad == 0, f"{bad} of {reads} reads saw a partial file"
+        assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
+
+    def test_written_files_keep_the_default_mode(self, tmp_path):
+        umask = os.umask(0)
+        os.umask(umask)
+        harness._write_text(tmp_path / "f.txt", "x")
+        assert stat.S_IMODE((tmp_path / "f.txt").stat().st_mode) == 0o666 & ~umask
 
 
 class TestCompareStrategies:

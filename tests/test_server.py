@@ -4,9 +4,9 @@ import pytest
 from fedswap import harness, server
 from fedswap.clients import DomainSpec, FrozenBackbone, LocalConfig
 from fedswap.clients import make_clients as draw_clients
-from fedswap.clustering import build_distance_matrix, cluster_to_two
+from fedswap.clustering import ClusterAssignment, build_distance_matrix, cluster_to_two
 from fedswap.errors import ConfigInvalid, InvalidInput
-from fedswap.exchange import build_clustered_plan, build_random_plan
+from fedswap.exchange import ExchangePlan, build_clustered_plan, build_random_plan
 from fedswap.params import AggregationWeights, weighted_average
 from fedswap.server import (
     AGGREGATE,
@@ -20,6 +20,7 @@ from fedswap.server import (
     schedule_decision,
 )
 from eval_oracle import oracle_evaluate, oracle_evaluate_round
+from linkage_oracle import oracle_full_recompute
 from train_oracle import oracle_local_train
 
 INPUT_DIM = 6
@@ -271,25 +272,48 @@ class TestRunRound:
         # a generator as run_simulation hands round r: default_rng of its exchange seed
         return np.random.default_rng(derive_seed(7, PURPOSES["exchange"], r))
 
-    def test_aggregate_round_delivers_identical_average(self):
+    @pytest.mark.parametrize("r, decision", [(2, AGGREGATE), (0, WARMUP), (-4, WARMUP)])
+    def test_aggregate_round_delivers_identical_average(self, r, decision):
+        # warm-up rounds aggregate through run_round too, with no exchange generator
         uploads = uploads_of(3)
         weights = AggregationWeights.from_sizes([10, 10, 20])
-        deliveries, assignment, plan = run_round(2, uploads, weights, self.cfg(), None, self.rng(2))
+        rng = self.rng(r) if r >= 1 else None
+        outcome = run_round(r, uploads, weights, self.cfg(), (1, 2, 0), rng)
         expected = weighted_average(uploads, weights)
+        deliveries = outcome.deliveries
         assert deliveries.shape == (3, 5) and not deliveries.flags.writeable
+        assert deliveries.strides[0] == 0  # one row, broadcast
         for d in deliveries:
             assert np.array_equal(d, expected)
-        assert assignment is None and plan is None
+        assert outcome.decision == decision and outcome.plan is None
 
-    def test_exchange_round_permutes_uploads(self):
+    @pytest.mark.parametrize("strategy", ["clustered", "round_robin", "random"])
+    def test_exchange_round_permutes_uploads(self, strategy):
         uploads = uploads_of(4)
         weights = AggregationWeights.from_sizes([1, 1, 1, 1])
-        deliveries, assignment, plan = run_round(1, uploads, weights, self.cfg(), None,
-                                               self.rng(1))
-        assert sorted(plan) == [0, 1, 2, 3]
+        outcome = run_round(1, uploads, weights, self.cfg(strategy), None, self.rng(1))
+        deliveries, plan = outcome.deliveries, outcome.plan.assignment
+        assert outcome.decision == EXCHANGE and sorted(plan) == [0, 1, 2, 3]
         assert deliveries.shape == (4, 5) and not deliveries.flags.writeable
         assert all(np.array_equal(d, uploads[j]) for d, j in zip(deliveries, plan))
-        assert set(assignment) == {0, 1}
+        # only the clustered plan is built from a split
+        assert (outcome.plan.clusters is None) == (strategy != "clustered")
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (4, 2), (9, 3), (16, 4)])
+    def test_clustered_exchange_keeps_its_split(self, n, seed):
+        uploads = uploads_of(n, seed)
+        weights = AggregationWeights.from_sizes([1] * n)
+        plan = run_round(1, uploads, weights, self.cfg(), None, self.rng(1)).plan
+        dm = build_distance_matrix(uploads)
+        assert plan.clusters == cluster_to_two(dm)
+        members_0, merges = oracle_full_recompute(dm.entries)
+        assert plan.clusters.members_0 == members_0 and len(merges) == n - 2
+        assert [(m.first, m.second, m.linkage) for m in plan.clusters.merges] == merges
+        # the split rides along and takes no part in the plan's equality
+        bare = ExchangePlan(plan.assignment)
+        assert bare.clusters is None and bare == plan and hash(bare) == hash(plan)
+        other = ExchangePlan(plan.assignment, ClusterAssignment((1,) + (0,) * (n - 1)))
+        assert other == plan
 
     def test_round_context_attached_to_errors(self):
         uploads = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
