@@ -11,7 +11,11 @@ The matrix: the default four-domain config at 10 rounds with seeds 0 and 1,
 for both tasks, all five strategies and an ablation over T = 1, 2, 5; for both
 tasks, one clustered cell at data fraction 0.5 (seed 0, 10 rounds), so a
 training split that is a prefix of the drawn samples is covered; plus one
-clustered cell of 32 drawn domains of 500 samples each, at 6 rounds.
+clustered cell of 32 drawn domains of 500 samples each, at 6 rounds; and one
+ragged classification population of 8 drawn domains, clustered and fedprox at
+6 rounds, whose train sizes 12, 20 and 30 are at most the batch size of 32 (so
+those clients train full-batch, in three groups of one batch shape each) and
+whose other clients train on mini-batches.
 
 summary.json is hashed without its "metadata" entry, which holds the
 wall-clock time of the run. A mismatch on another host is a finding about the
@@ -46,6 +50,9 @@ from fedswap.harness import (  # noqa: E402
 DIGESTS = Path(__file__).resolve().parents[1] / "tests" / "golden" / "digests.json"
 STRATEGIES = ("clustered", "round_robin", "random", "fedavg_only", "fedprox")
 T_VALUES = (1, 2, 5)
+# groups in first-member order: size 12 {0, 3}, mini-batch {1, 4, 7},
+# size 20 {2, 5} and size 30 {6}
+RAGGED_COUNTS = (12, 300, 20, 12, 500, 20, 30, 250)
 
 
 def wide_domains(count: int = 32, seed: int = 32) -> tuple[DomainSpec, ...]:
@@ -56,6 +63,17 @@ def wide_domains(count: int = 32, seed: int = 32) -> tuple[DomainSpec, ...]:
     return tuple(
         DomainSpec(f"w{i:02d}", 500, 16, (float(s),) * 16, float(c), 0.1)
         for i, (s, c) in enumerate(zip(shifts, concepts))
+    )
+
+
+def ragged_domains(counts=RAGGED_COUNTS, seed: int = 8) -> tuple[DomainSpec, ...]:
+    """One domain per count, with shift and concept drawn from seed."""
+    rng = np.random.default_rng(seed)
+    shifts = rng.uniform(-1.2, 1.2, size=len(counts))
+    concepts = rng.uniform(0.3, 1.8, size=len(counts))
+    return tuple(
+        DomainSpec(f"r{i:02d}", count, 16, (float(s),) * 16, float(c), 0.1)
+        for i, (count, s, c) in enumerate(zip(counts, shifts, concepts))
     )
 
 
@@ -75,6 +93,11 @@ def write_matrix(root: Path) -> None:
         rounds=6, strategies=("clustered",), seeds=(0,), domains=wide_domains()
     )
     run_experiment(wide, out_dir=root / "wide32")
+    ragged = ExperimentConfig(
+        rounds=6, strategies=("clustered", "fedprox"), seeds=(0,),
+        task="classification", domains=ragged_domains(),
+    )
+    run_experiment(ragged, out_dir=root / "ragged8_cls")
 
 
 def file_digest(path: Path) -> str:
