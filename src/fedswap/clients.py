@@ -9,9 +9,8 @@ map over the backbone features; the round loop owns every client's, as the
 rows of one (n, D) array. Local training is plain mini-batch gradient descent
 on a convex loss, optionally with a proximal pull toward the decoder the
 round starts from: under fedprox, the latest global decoder. One call trains
-a whole round, stepping clients with equal batch shapes together, and one
-call evaluates it, bit for bit as if each client trained and was scored
-alone.
+a whole round in one step loop over all clients, and one call evaluates it,
+bit for bit as if each client trained and was scored alone.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ __all__ = [
     "LocalConfig",
     "Clients",
     "make_clients",
-    "decoder_loss_and_gradient",
     "local_train",
     "local_train_fedprox",
     "evaluate",
@@ -129,9 +127,12 @@ class Clients:
     with config over backbone. features_train (N, F) and train_y (N,) hold
     every train split, client i's in rows starts[i] to starts[i + 1];
     features_test (n, test_count, F) and test_y (n, test_count) hold one test
-    split per client. groups holds the index arrays of the clients that
-    training steps together, those of one batch shape: each full-batch train
-    size is a group, and the mini-batch clients are one."""
+    split per client. groups holds the index arrays of the clients of one
+    batch shape: each full-batch train size is a group, and the mini-batch
+    clients are one. order lists the clients group by group, batches holds
+    each one's batch size in that order, and row_client maps each row of a
+    round's batches, every group's (k, B) batches side by side, to its
+    client's position in order."""
 
     domains: tuple[DomainSpec, ...]
     task: str
@@ -144,6 +145,9 @@ class Clients:
     starts: np.ndarray = field(repr=False)
     train_sizes: tuple[int, ...] = field(init=False, repr=False)
     groups: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    order: np.ndarray = field(init=False, repr=False)
+    batches: np.ndarray = field(init=False, repr=False)
+    row_client: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("features_train", "train_y", "features_test", "test_y", "starts"):
@@ -154,6 +158,11 @@ class Clients:
             groups.setdefault(size if self.config.batch_size >= size else None, []).append(i)
         object.__setattr__(self, "train_sizes", sizes)
         object.__setattr__(self, "groups", tuple(map(np.array, groups.values())))
+        order = np.concatenate(self.groups)
+        batches = np.minimum(np.take(sizes, order), self.config.batch_size)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "batches", batches)
+        object.__setattr__(self, "row_client", np.repeat(np.arange(len(order)), batches))
 
     def __len__(self) -> int:
         return len(self.domains)
@@ -269,70 +278,6 @@ def _mean_loss(s: np.ndarray, labels: np.ndarray, task: str):
     return per_row.sum(axis=-1) / s.shape[-1]
 
 
-def decoder_loss_and_gradient(thetas: np.ndarray, features: np.ndarray, labels: np.ndarray,
-                              task: str, anchors: Optional[np.ndarray] = None,
-                              mu: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Mean squared error (regression) or mean logistic loss (classification)
-    of k decoders (k, D), each on its own batch of features (k, B, F) and
-    labels (k, B), plus an optional proximal penalty (mu/2)*|theta - anchor|^2;
-    returns the (k,) losses and their exact (k, D) gradients, from one
-    computation of the scores. Each client gets the operations it would get
-    alone (a matrix-vector product for the scores and the head gradient,
-    sum / count for each mean), so stacking reorders no sum."""
-    s = _scores(thetas, features)
-    loss = _mean_loss(s, labels, task)
-    batch = features.shape[1]
-    features_t = features.transpose(0, 2, 1)
-    grad = np.empty_like(thetas)
-    if task == "regression":
-        residual = s - labels
-        grad[:, :-1] = (2.0 / batch) * np.matmul(features_t, residual[..., None])[..., 0]
-        grad[:, -1] = 2.0 * (residual.sum(axis=-1) / batch)
-    else:
-        # d/ds log(1 + exp(-y s)) = -y * sigmoid(-y s)
-        g = -labels * np.exp(-np.logaddexp(0.0, labels * s))
-        grad[:, :-1] = np.matmul(features_t, g[..., None])[..., 0] / batch
-        grad[:, -1] = g.sum(axis=-1) / batch
-    if mu > 0.0 and anchors is not None:
-        diff = thetas - anchors
-        # this loss only feeds the finiteness check; vecdot is each client's
-        # own dot, so it equals a single client's
-        loss = loss + 0.5 * mu * np.vecdot(diff, diff)
-        grad = grad + mu * diff
-    return loss, grad
-
-
-def _train_group(clients: Clients, members: np.ndarray, thetas: np.ndarray,
-                 rngs: Sequence[np.random.Generator], proximal: bool) -> np.ndarray:
-    """Steps one group of clients together, updating their decoders thetas
-    (k, D) in place; returns the step at which each client's loss was first
-    non-finite, or -1. A diverged client keeps stepping: no other client's
-    numbers depend on it. Each client's batch indices are offset by its
-    first row in the train block."""
-    cfg, size = clients.config, clients.train_sizes[members[0]]
-    if cfg.batch_size >= size:  # every step takes each client's whole split
-        rows = np.tile(np.arange(size), (cfg.steps, len(members), 1))
-    else:
-        # one (steps, B) draw equals steps successive draws of B indices
-        rows = np.stack([rngs[i].integers(0, clients.train_sizes[i],
-                                          size=(cfg.steps, cfg.batch_size))
-                         for i in members], axis=1)
-    # (steps, k, B) block rows, so that each step's batches are one take
-    rows += clients.starts[members, None]
-    step_labels = clients.train_y.take(rows)
-    # one buffer, refilled each step
-    batch = np.empty((len(members), rows.shape[2], clients.features_train.shape[1]))
-    anchors, mu = (thetas.copy(), cfg.prox_mu) if proximal else (None, 0.0)
-    failed_at = np.full(len(members), -1)
-    for step in range(cfg.steps):
-        clients.features_train.take(rows[step], axis=0, out=batch, mode="clip")
-        loss, grad = decoder_loss_and_gradient(thetas, batch, step_labels[step],
-                                               clients.task, anchors, mu)
-        failed_at[(failed_at < 0) & ~np.isfinite(loss)] = step
-        thetas -= cfg.learning_rate * grad
-    return failed_at
-
-
 def _check_decoders(decoders: np.ndarray, clients: Clients) -> None:
     shape = (len(clients), clients.backbone.decoder_dim)
     if np.shape(decoders) != shape:
@@ -342,24 +287,98 @@ def _check_decoders(decoders: np.ndarray, clients: Clients) -> None:
 
 def _train_round(decoders: np.ndarray, clients: Clients,
                  rngs: Sequence[np.random.Generator], proximal: bool) -> np.ndarray:
+    """Steps every client at once, bit for bit as if each trained alone. Each
+    group runs its own matrix-vector products and sums over B on its (k, B)
+    batches; every elementwise op runs once over all rows or all clients,
+    which sit group by group in clients.order."""
     _check_decoders(decoders, clients)
     if len(rngs) != len(clients):
         raise InvalidInput(f"got {len(clients)} clients and {len(rngs)} generators")
-    uploads = np.empty(decoders.shape)
-    failed_at = np.empty(len(clients), dtype=int)
+    cfg, order, rows = clients.config, clients.order, clients.row_client.size
+    steps, dim, regression = cfg.steps, clients.features_train.shape[1], clients.task != TASKS[1]
+    # (steps, rows) train-block rows and one (rows, F) batch, every group's
+    # side by side; a full batch is gathered once per round
+    index, batch = np.empty((steps, rows), dtype=np.intp), np.empty((rows, dim))
+    thetas = decoders[order]  # stepped in place
+    anchors = thetas.copy() if proximal else None
+    scores, resid, per_row, bias = (np.empty(rows) for _ in range(4))
+    grad, diff = np.empty_like(thetas), np.empty_like(thetas)
+    losses = np.empty((steps, len(order)))  # each step's loss sums, checked after the loop
+    forward, backward, drawn, c, o = [], [], slice(0), 0, 0
+    for members in clients.groups:
+        k, size = len(members), int(clients.batches[c])
+        cs, rs = slice(c, c + k), slice(o, o + k * size)
+        block = index[:, rs].reshape(steps, k, size)
+        if size < clients.train_sizes[members[0]]:
+            # one (steps, B) draw equals steps successive draws of B indices
+            for j, i in enumerate(members):
+                block[:, j] = rngs[i].integers(0, clients.train_sizes[i], size=(steps, size))
+            block += clients.starts[members, None]
+            drawn = rs
+        else:  # every step takes each client's whole split
+            block[:] = whole = clients.starts[members, None] + np.arange(size)
+            clients.features_train.take(whole, axis=0, out=batch[rs].reshape(k, size, dim))
+        x, r = batch[rs].reshape(k, size, dim), resid[rs].reshape(k, size)
+        forward.append((x, thetas[cs, :-1, None], scores[rs].reshape(k, size, 1)))
+        backward.append((per_row[rs].reshape(k, size), losses[:, cs], x.transpose(0, 2, 1),
+                         r[..., None], grad[cs, :-1, None], r, grad[cs, -1]))
+        c, o = c + k, o + k * size
+    labels = clients.train_y.take(index)
+    if not regression:  # the loss and its gradient both take -y
+        np.negative(labels, out=labels)
+    sizes = clients.batches.astype(float)
+    head, bias_grad, bias_of = grad[:, :-1], grad[:, -1], thetas[:, -1]
+    head_scale = 2.0 / sizes[:, None]
     # a diverging client overflows before the checks below report it
     with np.errstate(over="ignore", invalid="ignore"):
-        for members in clients.groups:
-            thetas = decoders[members]
-            failed_at[members] = _train_group(clients, members, thetas, rngs, proximal)
-            uploads[members] = thetas
+        for step in range(steps):
+            clients.features_train.take(index[step, drawn], axis=0, out=batch[drawn],
+                                        mode="clip")
+            for x, w, s in forward:
+                np.matmul(x, w, out=s)
+            scores += bias_of.take(clients.row_client, out=bias, mode="clip")
+            y = labels[step]
+            if regression:
+                np.subtract(scores, y, out=resid)
+                np.multiply(resid, resid, out=per_row)
+            else:  # log(1 + e^(-ys)) and its derivative -y * sigmoid(-ys)
+                np.multiply(y, scores, out=per_row)
+                np.negative(per_row, out=resid)
+                np.logaddexp(0.0, per_row, out=per_row)
+                np.logaddexp(0.0, resid, out=resid)
+                np.exp(np.negative(resid, out=resid), out=resid)
+                resid *= y
+            for per_client, loss_sums, xt, r, w_grad, r_flat, b_grad in backward:
+                np.add.reduce(per_client, axis=-1, out=loss_sums[step])
+                np.matmul(xt, r, out=w_grad)
+                np.add.reduce(r_flat, axis=-1, out=b_grad)
+            if regression:
+                head *= head_scale
+                bias_grad /= sizes
+                bias_grad *= 2.0
+            else:
+                grad /= sizes[:, None]
+            if proximal:
+                # a sum is finite when its mean is, but mean + pull can overflow
+                # where neither does: this step's row becomes each loss
+                np.subtract(thetas, anchors, out=diff)
+                losses[step] /= sizes
+                losses[step] += 0.5 * cfg.prox_mu * np.vecdot(diff, diff)
+                diff *= cfg.prox_mu
+                grad += diff
+            grad *= cfg.learning_rate
+            thetas -= grad
+    uploads = np.empty_like(thetas)
+    uploads[order] = thetas
+    failed = np.empty(losses.shape, dtype=bool)
+    failed[:, order] = ~np.isfinite(losses)
     # the lowest-index failure, as if the clients had trained one at a time
-    bad = (failed_at >= 0) | ~np.isfinite(uploads).all(axis=1)
+    bad = failed.any(axis=0) | ~np.isfinite(uploads).all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
         name = clients.domains[i].domain_id
-        if failed_at[i] >= 0:
-            raise NonFiniteLoss(f"non-finite loss at step {failed_at[i]} on {name}; "
+        if failed[:, i].any():
+            raise NonFiniteLoss(f"non-finite loss at step {np.argmax(failed[:, i])} on {name}; "
                                 "reduce the learning rate")
         raise NonFiniteLoss(f"training diverged on {name}; reduce the learning rate")
     uploads.setflags(write=False)

@@ -10,7 +10,6 @@ from fedswap.clients import (
     DomainSpec,
     FrozenBackbone,
     LocalConfig,
-    decoder_loss_and_gradient,
     evaluate,
     local_train,
     local_train_fedprox,
@@ -19,6 +18,7 @@ from fedswap.clients import (
 from fedswap.errors import ConfigInvalid, InvalidInput, NonFiniteLoss
 from eval_oracle import oracle_evaluate
 from loss_oracle import decoder_loss
+from step_gradient import proximal_step_gradient, step_gradient
 from train_oracle import oracle_local_train
 
 INPUT_DIM = 6
@@ -255,27 +255,24 @@ class TestGradients:
             idx = rng.integers(0, cl.train_sizes[0], size=16)
             fb = cl.features_train[idx]
             yb = cl.train_y[idx]
-            loss, grad = decoder_loss_and_gradient(theta[None], fb[None], yb[None], task)
-            assert loss[0] == decoder_loss(theta, fb, yb, task)
+            grad = step_gradient(theta, fb, yb, task)
             approx = fd_gradient(theta, fb, yb, task)
             denom = max(np.linalg.norm(approx), 1e-8)
-            assert np.linalg.norm(grad[0] - approx) / denom < 1e-5
+            assert np.linalg.norm(grad - approx) / denom < 1e-5
 
     def test_proximal_term_matches_finite_differences(self):
         cl = client()
         rng = np.random.default_rng(23)
         for trial in range(20):
-            theta = rng.normal(size=FEATURE_DIM + 1)
             anchor = rng.normal(size=FEATURE_DIM + 1)
             fb = cl.features_train[:16]
             yb = cl.train_y[:16]
-            loss, grad = decoder_loss_and_gradient(
-                theta[None], fb[None], yb[None], "regression", anchor[None], 0.7
-            )
-            assert loss[0] == decoder_loss(theta, fb, yb, "regression", anchor, 0.7)
+            # the gradient one step away from the anchor, where the pull is not zero
+            theta, grad = proximal_step_gradient(anchor, fb, yb, "regression", 0.7)
+            assert not np.array_equal(theta, anchor)
             approx = fd_gradient(theta, fb, yb, "regression", anchor, 0.7)
             denom = max(np.linalg.norm(approx), 1e-8)
-            assert np.linalg.norm(grad[0] - approx) / denom < 1e-5
+            assert np.linalg.norm(grad - approx) / denom < 1e-5
 
 
 class TestLocalTrain:
@@ -291,9 +288,10 @@ class TestLocalTrain:
         cl = client(local=LocalConfig(steps=1, learning_rate=lr, batch_size=10_000))
         start = decoder(1)
         out = local_train(start, cl, rngs(0))
-        _, grad = decoder_loss_and_gradient(
-            start, cl.features_train[None], cl.train_y[None], "regression"
-        )
+        # the mean squared error's gradient over the whole split
+        x, y, size = cl.features_train, cl.train_y, cl.train_sizes[0]
+        residual = x @ start[0, :-1] + start[0, -1] - y
+        grad = np.append((2.0 / size) * (x.T @ residual), 2.0 * np.mean(residual))
         assert np.allclose(out, start - lr * grad, atol=1e-14)
 
     def test_replay_is_bitwise_identical(self):
@@ -473,14 +471,31 @@ class TestBatchedTraining:
             local_train(decoders, clients, rngs(0, 0, 0))
         assert str(info.value) == expected[1]
 
+    @pytest.mark.parametrize("batch_size", [10_000, 180], ids=["full_batch", "mini_batch"])
+    def test_divergence_across_groups_names_the_lowest_index_client(self, batch_size):
+        # client 1 (150 rows, full-batch) is stepped in the second group, after
+        # clients 0 and 2 (200 rows each); client 2's larger shift makes it
+        # fail at an earlier step than client 1, client 0 does not fail
+        local = LocalConfig(steps=300, learning_rate=1.0, batch_size=batch_size)
+        clients = population([spec(f"d{i}", count=count, shift=shift)
+                              for i, (count, shift) in enumerate(((200, 0), (150, 1), (200, 3)))],
+                             backbone(), 11, [22, 23, 24], task="regression", local=local,
+                             test_count=10)
+        assert [g.tolist() for g in clients.groups] == [[0, 2], [1]]
+        decoders = np.ones((3, FEATURE_DIM + 1))
+        expected = [oracle_failure(d, clients, i, 5 + i) for i, d in enumerate(decoders)]
+        assert expected[0] is None
+        steps = [int(re.search(r"step (\d+) on", msg).group(1)) for msg in expected[1:]]
+        assert steps[1] < steps[0]
+        with pytest.raises(NonFiniteLoss) as info:
+            local_train(decoders, clients, rngs(5, 6, 7))
+        assert str(info.value) == expected[1]
+
     def test_end_of_loop_check_catches_a_non_finite_decoder(self):
         # the one step's loss is finite, but its update overflows
         cl = client(local=LocalConfig(steps=1, learning_rate=1e300, batch_size=10_000))
         start = decoder(fill=1e10)
-        loss, _ = decoder_loss_and_gradient(
-            start, cl.features_train[None], cl.train_y[None], "regression"
-        )
-        assert np.isfinite(loss[0])
+        assert np.isfinite(decoder_loss(start[0], cl.features_train, cl.train_y, "regression"))
         expected = oracle_failure(start[0], cl, 0, 0)
         assert expected.startswith("training diverged on d0")
         with pytest.raises(NonFiniteLoss) as info:
