@@ -405,10 +405,15 @@ def evaluate(decoders: np.ndarray, clients: Clients
              ) -> tuple[tuple[float, ...], Optional[tuple[float, ...]]]:
     """Each client's loss on its test split under its row of decoders (n, D),
     from one stacked product, and each one's accuracy if the clients
-    classify, else None."""
+    classify, else None. A non-finite loss raises NonFiniteLoss naming the
+    lowest-index client with one."""
     _check_decoders(decoders, clients)
     s = _scores(decoders, clients.features_test)
-    losses = tuple(_mean_loss(s, clients.test_y, clients.task).tolist())
+    losses = _mean_loss(s, clients.test_y, clients.task)
+    if not np.isfinite(losses).all():
+        name = clients.domains[int(np.argmin(np.isfinite(losses)))].domain_id
+        raise NonFiniteLoss(f"non-finite test loss on {name}; reduce the learning rate")
+    losses = tuple(losses.tolist())
     if clients.task != "classification":
         return losses, None
     hits = np.count_nonzero(np.where(s >= 0.0, 1.0, -1.0) == clients.test_y, axis=-1)

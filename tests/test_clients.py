@@ -567,6 +567,19 @@ class TestEvaluate:
             else:
                 assert accuracies is None
 
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_non_finite_loss_names_the_lowest_index_client(self, task):
+        clients = round_of_clients(4, task, ONE_CONFIG[0])
+        decoders = np.zeros((4, FEATURE_DIM + 1))
+        decoders[3, -1] = decoders[1, -1] = np.inf  # an infinite bias, so infinite losses
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLoss) as info:
+            evaluate(decoders, clients)
+        assert str(info.value) == "non-finite test loss on d1; reduce the learning rate"
+        decoders[1] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLoss,
+                                                          match="^non-finite test loss on d1;"):
+            evaluate(decoders, clients)
+
     def test_decoder_shape_checked(self):
         cl = client()
         with pytest.raises(InvalidInput, match=r"expected \(1, 9\)"):

@@ -584,6 +584,21 @@ class TestCli:
         assert err.startswith("error: non-finite loss at step 4 on d0")
         assert err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_test_loss_is_one_line_error(self, tmp_path, capsys):
+        # one step leaves finite decoders whose test losses overflow; no
+        # summary with an Infinity or NaN in it is written
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "rounds": 1, "warmup_rounds": 0, "aggregation_frequency": 1,
+            "strategies": ["fedavg_only"], "seeds": [0],
+            "local": {"steps": 1, "learning_rate": 1e160}}))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: non-finite test loss on d0; reduce the learning rate\n"
+        assert not list(tmp_path.rglob("summary.json"))
+
     def test_huge_input_dim_fails_fast(self, tmp_path, capsys):
         # each is rejected before a shift tuple, an input matrix or a feature
         # matrix of that size is built
