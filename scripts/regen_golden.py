@@ -22,20 +22,40 @@ wall-clock time of the run. A mismatch on another host is a finding about the
 determinism contract (a run is a pure function of its master seed), not a
 reason to regenerate.
 
-Usage: PYTHONPATH=src python3 scripts/regen_golden.py [DIGESTS_JSON]
+Usage: PYTHONPATH=src python3 scripts/regen_golden.py [--threads N]
+           [--only PART] [DIGESTS_JSON]
+
+--threads runs with N BLAS and OpenMP threads instead of one; --only runs one
+part of the matrix (regression, classification, wide32 or ragged8_cls), whose
+digests keep their paths, so they can be checked against the committed ones.
 """
 
+import argparse
 import os
+import sys
+from pathlib import Path
 
-# one BLAS thread: the digests must not depend on the host's thread count
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+PARTS = ("regression", "classification", "wide32", "ragged8_cls")
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("digests", nargs="?", type=Path, help="where to write the digests")
+    parser.add_argument("--threads", type=int, default=1, help="BLAS threads (default 1)")
+    parser.add_argument("--only", choices=PARTS, help="run one part of the matrix")
+    return parser.parse_args(argv)
+
+
+if __name__ == "__main__":
+    ARGS = parse_args(sys.argv[1:])
+    # the thread count is read when numpy loads: the digests must not depend
+    # on the host's setting, so one thread unless --threads says otherwise
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = str(ARGS.threads)
 
 import hashlib  # noqa: E402
 import json  # noqa: E402
-import sys  # noqa: E402
 import tempfile  # noqa: E402
-from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -77,27 +97,30 @@ def ragged_domains(counts=RAGGED_COUNTS, seed: int = 8) -> tuple[DomainSpec, ...
     )
 
 
-def write_matrix(root: Path) -> None:
-    for task in ("regression", "classification"):
+def write_part(root: Path, part: str) -> None:
+    """Run one part of the matrix into root / part."""
+    if part in ("regression", "classification"):
         cfg = default_experiment_config(
-            rounds=10, seeds=(0, 1), task=task, strategies=STRATEGIES
+            rounds=10, seeds=(0, 1), task=part, strategies=STRATEGIES
         )
-        run_experiment(cfg, out_dir=root / task / "run")
-        ablation_T(cfg, T_VALUES, out_dir=root / task / "ablate_t")
+        run_experiment(cfg, out_dir=root / part / "run")
+        ablation_T(cfg, T_VALUES, out_dir=root / part / "ablate_t")
         half = default_experiment_config(
-            rounds=10, seeds=(0,), task=task, strategies=("clustered",),
+            rounds=10, seeds=(0,), task=part, strategies=("clustered",),
             data_fraction=0.5,
         )
-        run_experiment(half, out_dir=root / task / "fraction")
-    wide = ExperimentConfig(
-        rounds=6, strategies=("clustered",), seeds=(0,), domains=wide_domains()
-    )
-    run_experiment(wide, out_dir=root / "wide32")
-    ragged = ExperimentConfig(
-        rounds=6, strategies=("clustered", "fedprox"), seeds=(0,),
-        task="classification", domains=ragged_domains(),
-    )
-    run_experiment(ragged, out_dir=root / "ragged8_cls")
+        run_experiment(half, out_dir=root / part / "fraction")
+    elif part == "wide32":
+        wide = ExperimentConfig(
+            rounds=6, strategies=("clustered",), seeds=(0,), domains=wide_domains()
+        )
+        run_experiment(wide, out_dir=root / part)
+    else:
+        ragged = ExperimentConfig(
+            rounds=6, strategies=("clustered", "fedprox"), seeds=(0,),
+            task="classification", domains=ragged_domains(),
+        )
+        run_experiment(ragged, out_dir=root / part)
 
 
 def file_digest(path: Path) -> str:
@@ -117,10 +140,11 @@ def digests(root: Path) -> dict[str, str]:
     }
 
 
-def main(argv: list[str]) -> int:
-    out = Path(argv[0]) if argv else DIGESTS
+def main(args: argparse.Namespace) -> int:
+    out = args.digests or DIGESTS
     with tempfile.TemporaryDirectory() as tmp:
-        write_matrix(Path(tmp))
+        for part in [args.only] if args.only else PARTS:
+            write_part(Path(tmp), part)
         table = digests(Path(tmp))
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
@@ -129,4 +153,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main(ARGS))
