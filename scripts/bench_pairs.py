@@ -19,8 +19,10 @@ metric each side's median and quartiles, the change's wins (pairs in which it
 was strictly better, in the direction BENCHMARK.json gives) and the median of
 its per-pair relative change. Per workload it counts each side's failed and
 attempted operations, and failed_share_rose says the change's failed share
-is above the parent's. Each end-to-end metric is also checked against
-its bound in BENCHMARK.json: within_bound says the change's median is worse
+is above the parent's; reference_mismatches counts each side's runs whose
+info.reference_digest_matches is not true, and the printout flags any.
+Each end-to-end metric is also checked against its bound in
+BENCHMARK.json: within_bound says the change's median is worse
 than the parent's by at most the bound, relative to the parent's; unresolved
 says the parent's relative interquartile range exceeds the bound and not
 every change run beats every parent run, so the pairs cannot tell. perfbench
@@ -151,8 +153,10 @@ def bound_check(parent: list[float], change: list[float], sign: float, bound: fl
 
 
 def summarize(pairs: list[dict], better: dict, bounds: dict) -> dict:
-    """Per workload: each side's failed and attempted operations, and whether
-    the change's failed share is above the parent's; per metric, each side's
+    """Per workload: each side's failed and attempted operations, whether the
+    change's failed share is above the parent's, and each side's count of
+    runs whose reference cell did not match perfbench's reference
+    (info.reference_digest_matches not true); per metric, each side's
     quartiles, wins and median change, and the bound flags of every metric
     that bounds holds."""
     summary: dict = {}
@@ -177,6 +181,9 @@ def summarize(pairs: list[dict], better: dict, bounds: dict) -> dict:
                                               bounds[name]))
         counts = {key: {side: sum(p[side][key] for p in mine) for side in SIDES}
                   for key in ("failed", "attempted")}
+        counts["reference_mismatches"] = {
+            side: sum(p[side]["info"].get("reference_digest_matches") is not True for p in mine)
+            for side in SIDES}
         share = {side: counts["failed"][side] / counts["attempted"][side]
                  if counts["attempted"][side] else 0.0 for side in SIDES}
         summary[workload] = {
@@ -188,14 +195,18 @@ def summarize(pairs: list[dict], better: dict, bounds: dict) -> dict:
 
 
 def summary_lines(summary: dict) -> list[str]:
-    """The printout: per workload, each side's failures and the
-    failed_share_rose flag, then each metric's medians, wins and bound flags."""
+    """The printout: per workload, each side's failures, the
+    failed_share_rose flag and any reference mismatches, then each metric's
+    medians, wins and bound flags."""
     lines = []
     for workload, entry in summary.items():
         failed, attempted = entry["failed"], entry["attempted"]
+        mismatches = entry["reference_mismatches"]
         lines.append(f"{workload} failed: parent {failed['parent']}/{attempted['parent']} "
                      f"change {failed['change']}/{attempted['change']}"
-                     + (" failed_share_rose" if entry["failed_share_rose"] else ""))
+                     + (" failed_share_rose" if entry["failed_share_rose"] else "")
+                     + (f" reference_mismatches: parent {mismatches['parent']} "
+                        f"change {mismatches['change']}" if any(mismatches.values()) else ""))
         for name, row in entry["metrics"].items():
             flags = ""
             if "bound" in row:

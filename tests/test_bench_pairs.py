@@ -16,7 +16,7 @@ spec.loader.exec_module(bench_pairs)
 STAMP = {"git_sha": None, "nproc": 2, "python": "3.11", "numpy": "2.4"}
 
 
-def fake_output(side, workload, seed, failed=0):
+def fake_output(side, workload, seed, failed=0, reference=True):
     # the change is 10% faster, except on seed 3; it takes 10% more memory;
     # setup_s swings threefold from seed to seed, and on paper4 the change's
     # is a tenth of the parent's
@@ -33,7 +33,7 @@ def fake_output(side, workload, seed, failed=0):
     return "\n".join([
         "some progress line",
         json.dumps({"stamp": STAMP}),
-        json.dumps({"info": {"reference_digest_matches": True, "side": side}}),
+        json.dumps({"info": {"reference_digest_matches": reference, "side": side}}),
         json.dumps({"correct": True, "attempted": 4 + seed, "failed": failed,
                     "metrics": metrics}),
     ])
@@ -83,6 +83,7 @@ def test_bench_file_shape(tmp_path):
         assert summary["failed"] == {"parent": 0, "change": 0}
         assert summary["attempted"] == {"parent": 26, "change": 26}
         assert summary["failed_share_rose"] is False
+        assert summary["reference_mismatches"] == {"parent": 0, "change": 0}
         for name in ("cell_s", "client_rounds_per_s"):
             row = summary["metrics"][name]
             assert row["better"] == better[name]
@@ -198,3 +199,26 @@ def test_bounds_come_from_the_benchmark():
     bounds = bench_pairs.bounds(SCRIPT.parents[1] / "BENCHMARK.json")
     assert bounds == {"cell_s": 0.2, "client_rounds_per_s": 0.2, "peak_rss_mb": 0.05,
                       "setup_s": 0.25}
+
+
+def test_reference_mismatches_are_counted_and_flagged():
+    # on wide64 the change's seed 2 run and the parent's seed 4 run miss the
+    # reference digest, and the change's seed 3 run does on paper4
+    missed = {("wide64", "change", 2), ("wide64", "parent", 4), ("paper4", "change", 3)}
+
+    def run(side, workload, seed):
+        reference = (workload, side, seed) not in missed
+        return bench_pairs.parse_output(fake_output(side, workload, seed, reference=reference))
+
+    pairs = bench_pairs.run_pairs(run, ["wide64", "paper4", "ragged16_cls"], [1, 2, 3, 4],
+                                  {"parent": "abc", "change": "def"})
+    summary = bench_pairs.summarize(pairs, {}, {})
+    assert summary["wide64"]["reference_mismatches"] == {"parent": 1, "change": 1}
+    assert summary["paper4"]["reference_mismatches"] == {"parent": 0, "change": 1}
+    assert summary["ragged16_cls"]["reference_mismatches"] == {"parent": 0, "change": 0}
+    lines = bench_pairs.summary_lines(summary)
+    assert ("wide64 failed: parent 0/26 change 0/26 reference_mismatches: parent 1 change 1"
+            in lines)
+    assert ("paper4 failed: parent 0/26 change 0/26 reference_mismatches: parent 0 change 1"
+            in lines)
+    assert "ragged16_cls failed: parent 0/26 change 0/26" in lines
