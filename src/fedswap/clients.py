@@ -295,7 +295,8 @@ def _train_round(decoders: np.ndarray, clients: Clients,
     if len(rngs) != len(clients):
         raise InvalidInput(f"got {len(clients)} clients and {len(rngs)} generators")
     cfg, order, rows = clients.config, clients.order, clients.row_client.size
-    steps, dim, regression = cfg.steps, clients.features_train.shape[1], clients.task != TASKS[1]
+    steps, dim = cfg.steps, clients.features_train.shape[1]
+    regression = clients.task == "regression"
     # (steps, rows) train-block rows and one (rows, F) batch, every group's
     # side by side; a full batch is gathered once per round
     index, batch = np.empty((steps, rows), dtype=np.intp), np.empty((rows, dim))
