@@ -4,8 +4,11 @@
 Runs a fixed matrix of experiments into a temporary directory and writes the
 SHA-256 of every deterministic output file, keyed by its path under that
 directory, to tests/golden/digests.json (or to the path given as the only
-argument). tests/test_golden.py runs this script and compares its result with
-the committed file, so a change that alters any output byte fails the suite.
+argument), and the numpy and scipy versions it ran under to versions.json
+beside it: NEP 19 does not freeze Generator.normal, integers or permutation,
+so the digests hold for those versions. tests/test_golden.py runs this script
+and compares its result with the committed file, so a change that alters any
+output byte fails the suite.
 
 The matrix: the default four-domain config at 10 rounds with seeds 0 and 1,
 for both tasks, all five strategies and an ablation over T = 1, 2, 5; for both
@@ -56,6 +59,7 @@ if __name__ == "__main__":
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import tempfile  # noqa: E402
+from importlib.metadata import version  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -68,6 +72,7 @@ from fedswap.harness import (  # noqa: E402
 )
 
 DIGESTS = Path(__file__).resolve().parents[1] / "tests" / "golden" / "digests.json"
+VERSIONS_NAME = "versions.json"
 STRATEGIES = ("clustered", "round_robin", "random", "fedavg_only", "fedprox")
 T_VALUES = (1, 2, 5)
 # groups in first-member order: size 12 {0, 3}, mini-batch {1, 4, 7},
@@ -148,7 +153,9 @@ def main(args: argparse.Namespace) -> int:
         table = digests(Path(tmp))
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(table)} digests to {out}")
+    versions = {name: version(name) for name in ("numpy", "scipy")}
+    out.with_name(VERSIONS_NAME).write_text(json.dumps(versions, indent=2) + "\n")
+    print(f"wrote {len(table)} digests to {out}, made under {versions}")
     return 0
 
 

@@ -40,6 +40,9 @@ _BACKBONE_BIAS_SCALE = 0.2
 # cap on local steps per round, checked before a round's (steps, clients,
 # batch) index block is built; every workload and test takes at most 4000
 MAX_STEPS = 10**5
+# cap on steps times a round's batch rows, checked when the clients are built:
+# a round's index and label blocks take 16 B per step-row, 480 MB at the cap
+MAX_STEP_ROWS = 3 * 10**7
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,7 @@ class Clients:
     clients are one. order lists the clients group by group, batches holds
     each one's batch size in that order, and row_client maps each row of a
     round's batches, every group's (k, B) batches side by side, to its
-    client's position in order."""
+    client's position in order; row_starts holds each position's first row."""
 
     domains: tuple[DomainSpec, ...]
     task: str
@@ -148,6 +151,7 @@ class Clients:
     order: np.ndarray = field(init=False, repr=False)
     batches: np.ndarray = field(init=False, repr=False)
     row_client: np.ndarray = field(init=False, repr=False)
+    row_starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("features_train", "train_y", "features_test", "test_y", "starts"):
@@ -163,6 +167,10 @@ class Clients:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "batches", batches)
         object.__setattr__(self, "row_client", np.repeat(np.arange(len(order)), batches))
+        object.__setattr__(self, "row_starts", np.cumsum(batches) - batches)
+        if self.config.steps * self.row_client.size > MAX_STEP_ROWS:
+            raise ConfigInvalid(f"steps times batch rows must be at most {MAX_STEP_ROWS}, got "
+                                f"{self.config.steps} x {self.row_client.size}")
 
     def __len__(self) -> int:
         return len(self.domains)
@@ -288,9 +296,11 @@ def _check_decoders(decoders: np.ndarray, clients: Clients) -> None:
 def _train_round(decoders: np.ndarray, clients: Clients,
                  rngs: Sequence[np.random.Generator], proximal: bool) -> np.ndarray:
     """Steps every client at once, bit for bit as if each trained alone. Each
-    group runs its own matrix-vector products and sums over B on its (k, B)
-    batches; every elementwise op runs once over all rows or all clients,
-    which sit group by group in clients.order."""
+    group runs its own matrix-vector products and bias-gradient sums over B
+    on its (k, B) batches; every elementwise op and the loss sums run once
+    over all rows or all clients, which sit group by group in clients.order.
+    A loss only has to be checked for finiteness, so a classification row
+    holds max(-ys, 0): finite where log(1 + e^(-ys)) is, and within log 2 of it."""
     _check_decoders(decoders, clients)
     if len(rngs) != len(clients):
         raise InvalidInput(f"got {len(clients)} clients and {len(rngs)} generators")
@@ -321,8 +331,8 @@ def _train_round(decoders: np.ndarray, clients: Clients,
             clients.features_train.take(whole, axis=0, out=batch[rs].reshape(k, size, dim))
         x, r = batch[rs].reshape(k, size, dim), resid[rs].reshape(k, size)
         forward.append((x, thetas[cs, :-1, None], scores[rs].reshape(k, size, 1)))
-        backward.append((per_row[rs].reshape(k, size), losses[:, cs], x.transpose(0, 2, 1),
-                         r[..., None], grad[cs, :-1, None], r, grad[cs, -1]))
+        backward.append((x.transpose(0, 2, 1), r[..., None], grad[cs, :-1, None], r,
+                         grad[cs, -1]))
         c, o = c + k, o + k * size
     labels = clients.train_y.take(index)
     if not regression:  # the loss and its gradient both take -y
@@ -342,15 +352,15 @@ def _train_round(decoders: np.ndarray, clients: Clients,
             if regression:
                 np.subtract(scores, y, out=resid)
                 np.multiply(resid, resid, out=per_row)
-            else:  # log(1 + e^(-ys)) and its derivative -y * sigmoid(-ys)
+            else:  # max(-ys, 0) and the logistic derivative -y * sigmoid(-ys)
                 np.multiply(y, scores, out=per_row)
                 np.negative(per_row, out=resid)
-                np.logaddexp(0.0, per_row, out=per_row)
+                np.maximum(per_row, 0.0, out=per_row)
                 np.logaddexp(0.0, resid, out=resid)
                 np.exp(np.negative(resid, out=resid), out=resid)
                 resid *= y
-            for per_client, loss_sums, xt, r, w_grad, r_flat, b_grad in backward:
-                np.add.reduce(per_client, axis=-1, out=loss_sums[step])
+            np.add.reduceat(per_row, clients.row_starts, out=losses[step])
+            for xt, r, w_grad, r_flat, b_grad in backward:
                 np.matmul(xt, r, out=w_grad)
                 np.add.reduce(r_flat, axis=-1, out=b_grad)
             if regression:
@@ -417,5 +427,5 @@ def evaluate(decoders: np.ndarray, clients: Clients
     losses = tuple(losses.tolist())
     if clients.task != "classification":
         return losses, None
-    hits = np.count_nonzero(np.where(s >= 0.0, 1.0, -1.0) == clients.test_y, axis=-1)
+    hits = np.count_nonzero((s >= 0.0) == (clients.test_y > 0.0), axis=-1)
     return losses, tuple((hits / s.shape[-1]).tolist())

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedswap.clients import (
+    Clients,
     DomainSpec,
     FrozenBackbone,
     LocalConfig,
@@ -413,14 +414,74 @@ def rounds_of_clients(k, task, configs, train_fraction=1.0):
             for local in configs for one in TASK_MIXES[task]]
 
 
-def oracle_failure(decoder, clients, i, seed):
+def oracle_failure(decoder, clients, i, seed, proximal=False):
     """The oracle's divergence message for client i, or None."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            oracle_local_train(decoder, clients, i, seed)
+            oracle_local_train(decoder, clients, i, seed, proximal)
         except NonFiniteLoss as exc:
             return str(exc)
     return None
+
+
+def assert_round_matches_the_oracle(decoders, clients, seeds, proximal):
+    """The kernel raises the message of the lowest-index client the oracle
+    fails on, or, if it fails on none, returns the oracle's uploads. Returns
+    the oracle's message."""
+    failures = [oracle_failure(d, clients, i, seed, proximal)
+                for i, (d, seed) in enumerate(zip(decoders, seeds))]
+    expected = next(filter(None, failures), None)
+    train = local_train_fedprox if proximal else local_train
+    if expected is not None:
+        with pytest.raises(NonFiniteLoss) as info:
+            train(decoders, clients, rngs(*seeds))
+        assert str(info.value) == expected
+        return expected
+    got = train(decoders, clients, rngs(*seeds))
+    for i, (decoder, seed, upload) in enumerate(zip(decoders, seeds, got)):
+        assert upload.tobytes() == oracle_local_train(decoder, clients, i, seed,
+                                                      proximal).tobytes(), i
+    return None
+
+
+# rows of a hand-made classification split under a decoder whose only nonzero
+# weight w is on feature 0, which is 0.5, -0.5 or 0 times the label: under an
+# infinite w, "r" scores infinite with the label's sign (loss 0), "w" against
+# it (loss inf) and "z" scores 0 * inf = NaN
+EDGE_ROWS = {"r": 0.5, "w": -0.5, "z": 0.0}
+# batch 4: d0, d1, d2 and d7 train full-batch in one group of size 3, d3 in
+# one of size 4; d4, d5 and d6 draw mini-batches from 12 rows, each holding at
+# most one row whose loss is not finite
+EDGE_CLIENTS = ("rrr", "rwr", "rzr", "wrww", "r" * 11 + "w", "r" * 6 + "z" + "r" * 5,
+                "r" * 12, "rrz")
+# under a weight of 1.5e308, each "w" row of "wrww" has loss 0.75e308 and its
+# "r" row 0: the three overflow the loss sum, while the plain -ys sum to a
+# finite 1.5e308, the "r" row cancelling one "w"
+HUGE_WEIGHT = 1.5e308
+
+
+def edge_population(proximal):
+    """Classification clients over the EDGE_CLIENTS rows, labels alternating
+    +1 and -1, the other features small and finite."""
+    rng = np.random.default_rng(9)
+    rows = [EDGE_ROWS[kind] for pattern in EDGE_CLIENTS for kind in pattern]
+    labels = np.resize([1.0, -1.0], len(rows))
+    features = rng.normal(0.0, 0.1, size=(len(rows), FEATURE_DIM))
+    features[:, 0] = np.multiply(rows, labels)
+    starts = np.cumsum([0, *map(len, EDGE_CLIENTS)])
+    n = len(EDGE_CLIENTS)
+    local = LocalConfig(steps=6, learning_rate=0.1, batch_size=4,
+                        prox_mu=0.5 if proximal else 0.0)
+    domains = tuple(spec(f"d{i}", count=len(p)) for i, p in enumerate(EDGE_CLIENTS))
+    return Clients(domains, "classification", local, backbone(), features, labels,
+                   np.zeros((n, 1, FEATURE_DIM)), np.ones((n, 1)), starts)
+
+
+def edge_decoders(weights):
+    """One decoder per client, zero but for feature 0's weight."""
+    decoders = np.zeros((len(weights), FEATURE_DIM + 1))
+    decoders[:, 0] = weights
+    return decoders
 
 
 class TestBatchedTraining:
@@ -453,6 +514,8 @@ class TestBatchedTraining:
             assert len({clients.train_sizes[i] for i in g}) == 1
             assert clients.train_sizes[g[0]] <= BATCH
         assert all(clients.train_sizes[i] > BATCH for i in groups[2])
+        first_rows = [int(np.flatnonzero(clients.row_client == j)[0]) for j in range(10)]
+        assert clients.row_starts.tolist() == first_rows
 
     def test_divergence_names_the_lowest_index_client(self):
         # one group steps all three together; the larger the input shift, the
@@ -490,6 +553,61 @@ class TestBatchedTraining:
         with pytest.raises(NonFiniteLoss) as info:
             local_train(decoders, clients, rngs(5, 6, 7))
         assert str(info.value) == expected[1]
+
+    @pytest.mark.parametrize("proximal", [False, True], ids=["plain", "fedprox"])
+    def test_later_divergence_in_the_middle_of_a_group_is_named(self, proximal):
+        # groups {0, 2} (150 rows, full-batch) and {1, 3} (mini-batch): d2's
+        # rows sit between d0's and the second group's, and d3 fails first,
+        # at an earlier step than d2, the client to name
+        local = LocalConfig(steps=300, learning_rate=1.0, batch_size=180, prox_mu=0.01)
+        clients = population([spec(f"d{i}", count=count, shift=shift) for i, (count, shift)
+                              in enumerate(((150, 0), (200, 0), (150, 1), (200, 3)))],
+                             backbone(), 11, [22, 23, 24, 25], task="regression",
+                             local=local, test_count=10)
+        assert [g.tolist() for g in clients.groups] == [[0, 2], [1, 3]]
+        decoders = np.ones((4, FEATURE_DIM + 1))
+        failures = [oracle_failure(d, clients, i, 5 + i, proximal)
+                    for i, d in enumerate(decoders)]
+        assert failures[:2] == [None, None]
+        steps = [int(re.search(r"step (\d+) on", msg).group(1)) for msg in failures[2:]]
+        assert 0 < steps[1] < steps[0]
+        assert assert_round_matches_the_oracle(decoders, clients, [5, 6, 7, 8],
+                                               proximal) == failures[2]
+
+    def test_non_finite_scores_give_the_oracle_verdict(self):
+        # one client at a time takes an infinite weight of either sign (the
+        # others stay at zero and finite), then every client at once: every
+        # verdict, message or upload, is the oracle's
+        clients = edge_population(proximal=False)
+        n = len(clients)
+        assert [g.tolist() for g in clients.groups] == [[0, 1, 2, 7], [3], [4, 5, 6]]
+        seeds = list(range(40, 40 + n))
+        verdicts = set()
+        for sign in (1.0, -1.0):
+            for i in range(n):
+                weights = np.zeros(n)
+                weights[i] = sign * np.inf
+                verdicts.add(assert_round_matches_the_oracle(
+                    edge_decoders(weights), clients, seeds, False))
+            verdicts.add(assert_round_matches_the_oracle(
+                edge_decoders(np.full(n, sign * np.inf)), clients, seeds, False))
+        # a loss that is not finite at step 0 and at a later one, and an
+        # upload that is not finite after losses that all were
+        assert None not in verdicts
+        assert any(v.startswith("training diverged") for v in verdicts)
+        assert any(re.search(r"at step [1-9]", v) for v in verdicts)
+
+    @pytest.mark.parametrize("proximal", [False, True], ids=["plain", "fedprox"])
+    def test_huge_finite_scores_give_the_oracle_verdict(self, proximal):
+        # d3's "wrww" rows overflow their loss sum at step 0; a surrogate
+        # without the max would sum -ys to 1.5e308, finite, and train on
+        clients = edge_population(proximal)
+        weights = np.zeros(len(clients))
+        weights[3] = HUGE_WEIGHT
+        seeds = list(range(40, 40 + len(clients)))
+        assert assert_round_matches_the_oracle(edge_decoders(weights), clients, seeds,
+                                               proximal) == (
+            "non-finite loss at step 0 on d3; reduce the learning rate")
 
     def test_end_of_loop_check_catches_a_non_finite_decoder(self):
         # the one step's loss is finite, but its update overflows

@@ -5,11 +5,14 @@ scripts/regen_golden.py runs the matrix in a subprocess with one BLAS thread,
 and its largest cell once more with two.
 A mismatch means a change altered what the simulator writes; on another host
 it is a finding about the determinism contract. Never regenerate
-tests/golden/digests.json to make this test pass.
+tests/golden/digests.json to make this test pass. The digests hold for the
+numpy and scipy versions in tests/golden/versions.json, which a failure names
+beside the running ones, and which CI installs.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +20,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "regen_golden.py"
 GOLDEN = ROOT / "tests" / "golden" / "digests.json"
+VERSIONS = GOLDEN.with_name("versions.json")
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 
 def run_script(out, *args, threads="1"):
@@ -30,12 +35,21 @@ def run_script(out, *args, threads="1"):
     return json.loads(out.read_text())
 
 
+def versions_note(out):
+    """The versions the digests were recorded under and those the script ran
+    under, as a failure names them."""
+    recorded, running = (json.loads(path.read_text())
+                         for path in (VERSIONS, out.with_name(VERSIONS.name)))
+    return f"digests recorded under {recorded}, run under {running}"
+
+
 def test_outputs_match_golden_digests(tmp_path):
     got = run_script(tmp_path / "digests.json")
     expected = json.loads(GOLDEN.read_text())
-    assert sorted(got) == sorted(expected)
+    note = versions_note(tmp_path / "digests.json")
+    assert sorted(got) == sorted(expected), note
     changed = sorted(name for name in expected if got[name] != expected[name])
-    assert not changed, f"{len(changed)} of {len(expected)} files changed: {changed}"
+    assert not changed, f"{len(changed)} of {len(expected)} files changed ({note}): {changed}"
 
 
 def test_largest_cell_matches_with_two_blas_threads(tmp_path):
@@ -44,4 +58,10 @@ def test_largest_cell_matches_with_two_blas_threads(tmp_path):
                      threads="2")
     expected = {name: digest for name, digest in json.loads(GOLDEN.read_text()).items()
                 if name.startswith("wide32/")}
-    assert len(expected) == 3 and got == expected
+    assert len(expected) == 3 and got == expected, versions_note(tmp_path / "digests.json")
+
+
+def test_ci_installs_the_recorded_versions():
+    [install] = [line for line in WORKFLOW.read_text().splitlines() if "pip install" in line]
+    pins = dict(re.findall(r"\b([a-z]+)==(\S+)", install))
+    assert pins == json.loads(VERSIONS.read_text()), install

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fedswap import cli, harness
 from fedswap.cli import main
-from fedswap.clients import DomainSpec, LocalConfig
+from fedswap.clients import MAX_STEP_ROWS, MAX_STEPS, DomainSpec, LocalConfig
 from fedswap.errors import ConfigInvalid, FedswapError
 from fedswap.harness import (
     MAX_DIM,
@@ -619,6 +619,25 @@ class TestCli:
             assert code == 2 and elapsed < 0.1, (name, elapsed)
             err = capsys.readouterr().err
             assert err.startswith(f"error: {name} must be") and err.count("\n") == 1
+
+    def test_huge_round_index_block_fails_fast(self, tmp_path, capsys):
+        # 64 mini-batch clients of batch 32 at 100000 steps would take 16 B x
+        # 2.05e8 step-rows of batch indices and labels in their first round;
+        # the clients are refused when they are built, before any round
+        domains = [{"domain_id": f"d{i}", "sample_count": 100} for i in range(64)]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"domains": domains, "local": {"steps": 100000}}))
+        t0 = time.perf_counter()
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")])
+        elapsed = time.perf_counter() - t0
+        assert code == 2 and elapsed < 1.0, elapsed
+        err = capsys.readouterr().err
+        assert err == (f"error: steps times batch rows must be at most {MAX_STEP_ROWS}, "
+                       "got 100000 x 2048\n")
+        assert not list(tmp_path.rglob("metrics.csv"))
+        # the default config's four clients of batch 32 pass at the most steps
+        clients = build_clients(default_experiment_config(local=LocalConfig(steps=MAX_STEPS)), 0)
+        assert clients.config.steps * clients.row_client.size == 128 * 10**5 <= MAX_STEP_ROWS
 
     @pytest.mark.parametrize("flags, data, name", [
         (["--rounds", str(10**15), "--agg-frequency", "1", "--strategy", "fedavg_only"], {},
