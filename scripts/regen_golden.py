@@ -80,24 +80,14 @@ T_VALUES = (1, 2, 5)
 RAGGED_COUNTS = (12, 300, 20, 12, 500, 20, 30, 250)
 
 
-def wide_domains(count: int = 32, seed: int = 32) -> tuple[DomainSpec, ...]:
-    """count domains of 500 samples with shift and concept drawn from seed."""
-    rng = np.random.default_rng(seed)
-    shifts = rng.uniform(-1.2, 1.2, size=count)
-    concepts = rng.uniform(0.3, 1.8, size=count)
-    return tuple(
-        DomainSpec(f"w{i:02d}", 500, 16, (float(s),) * 16, float(c), 0.1)
-        for i, (s, c) in enumerate(zip(shifts, concepts))
-    )
-
-
-def ragged_domains(counts=RAGGED_COUNTS, seed: int = 8) -> tuple[DomainSpec, ...]:
-    """One domain per count, with shift and concept drawn from seed."""
+def drawn_domains(counts, seed: int, prefix: str) -> tuple[DomainSpec, ...]:
+    """One domain per count, ids prefix00, prefix01, ..., with shift and
+    concept drawn from seed."""
     rng = np.random.default_rng(seed)
     shifts = rng.uniform(-1.2, 1.2, size=len(counts))
     concepts = rng.uniform(0.3, 1.8, size=len(counts))
     return tuple(
-        DomainSpec(f"r{i:02d}", count, 16, (float(s),) * 16, float(c), 0.1)
+        DomainSpec(f"{prefix}{i:02d}", count, 16, (float(s),) * 16, float(c), 0.1)
         for i, (count, s, c) in enumerate(zip(counts, shifts, concepts))
     )
 
@@ -117,13 +107,14 @@ def write_part(root: Path, part: str) -> None:
         run_experiment(half, out_dir=root / part / "fraction")
     elif part == "wide32":
         wide = ExperimentConfig(
-            rounds=6, strategies=("clustered",), seeds=(0,), domains=wide_domains()
+            rounds=6, strategies=("clustered",), seeds=(0,),
+            domains=drawn_domains((500,) * 32, seed=32, prefix="w"),
         )
         run_experiment(wide, out_dir=root / part)
     else:
         ragged = ExperimentConfig(
             rounds=6, strategies=("clustered", "fedprox"), seeds=(0,),
-            task="classification", domains=ragged_domains(),
+            task="classification", domains=drawn_domains(RAGGED_COUNTS, seed=8, prefix="r"),
         )
         run_experiment(ragged, out_dir=root / part)
 

@@ -2,7 +2,9 @@
 """Ablation sweeps on the default setup: aggregation frequency and data fraction.
 
 Writes runs/ablation_t/ (clustered strategy at T in {2, 5, 10, 40}) and
-runs/fractions/ (clustered and fedavg_only at 100/50/10% of the training data).
+runs/fractions/ (clustered and fedavg_only at 100/50/10% of the training data),
+and prints each root's comparison.txt: the T groups of the sweep, and the
+strategies at each fraction, ranked by mean final average loss.
 """
 
 import sys
@@ -18,7 +20,7 @@ def main() -> int:
 
     cfg = default_experiment_config(seeds=seeds, out_dir=str(root / "ablation_t"))
     ablation_T(cfg, [2, 5, 10, 40])
-    print((root / "ablation_t" / "ablation_t.txt").read_text(), end="")
+    print((root / "ablation_t" / "comparison.txt").read_text(), end="")
 
     for fraction in (1.0, 0.5, 0.1):
         sub = replace(

@@ -65,7 +65,8 @@ def _cmd_ablate_t(args) -> int:
                             f"got {args.t_values!r}") from None
     cfg = _load(args)
     ablation_T(cfg, t_values)
-    print((Path(cfg.out_dir) / "ablation_t.txt").read_text(), end="")
+    if len(t_values) > 1:
+        print((Path(cfg.out_dir) / "comparison.txt").read_text(), end="")
     return 0
 
 

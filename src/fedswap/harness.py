@@ -1,11 +1,12 @@
-"""Experiment harness: configs, per-run metrics files, comparisons, ablations.
+"""Experiment harness: configs, per-run metrics files, comparisons
+(strategies and T sweeps).
 
 A run cell is one (strategy, seed) simulation at a given data fraction and
 aggregation frequency. Each cell removes its old summary.json, writes
 metrics.csv (one row per round, warm-up rows flagged) and then summary.json,
 so a summary.json appears only once the metrics.csv beside it is complete.
-Comparison and ablation outputs aggregate final metrics over seeds, never
-across mismatched configurations. Every file is written
+A comparison aggregates final metrics over seeds per (strategy, T, fraction)
+group, never across mismatched configurations. Every file is written
 atomically (see _write_text).
 """
 
@@ -409,23 +410,33 @@ def _out_root(cfg: ExperimentConfig, out_dir) -> Path:
     return Path(out_dir if out_dir is not None else cfg.out_dir)
 
 
+def _group_name(key: tuple) -> str:
+    strategy, t, fraction = key
+    return f"{strategy}_T{t}_f{fraction:g}"
+
+
 def cell_dir(cfg: ExperimentConfig, strategy: str, seed: int, out_dir=None) -> Path:
-    root = _out_root(cfg, out_dir)
-    t = cfg.effective_frequency(strategy)
-    return root / f"{strategy}_T{t}_f{cfg.data_fraction:g}" / f"seed_{seed}"
+    key = (strategy, cfg.effective_frequency(strategy), cfg.data_fraction)
+    return _out_root(cfg, out_dir) / _group_name(key) / f"seed_{seed}"
 
 
-def _run_cells(cfg: ExperimentConfig, root: Path) -> list[dict]:
+def _run_and_compare(cfgs: Sequence[ExperimentConfig], root: Path) -> list[dict]:
+    """Run every (strategy, seed) cell of each config into root, writing
+    per-cell metrics.csv and summary.json, and a comparison when more than
+    one (strategy, T, fraction) group ran."""
     summaries = []
-    for strategy in cfg.strategies:
-        for seed in cfg.seeds:
-            trace, summary = run_cell(cfg, strategy, seed)
-            cell = cell_dir(cfg, strategy, seed, root)
-            cell.mkdir(parents=True, exist_ok=True)
-            (cell / SUMMARY_NAME).unlink(missing_ok=True)
-            write_metrics_csv(trace, len(cfg.domains), cell / METRICS_NAME)
-            _write_json(cell / SUMMARY_NAME, summary)
-            summaries.append(summary)
+    for cfg in cfgs:
+        for strategy in cfg.strategies:
+            for seed in cfg.seeds:
+                trace, summary = run_cell(cfg, strategy, seed)
+                cell = cell_dir(cfg, strategy, seed, root)
+                cell.mkdir(parents=True, exist_ok=True)
+                (cell / SUMMARY_NAME).unlink(missing_ok=True)
+                write_metrics_csv(trace, len(cfg.domains), cell / METRICS_NAME)
+                _write_json(cell / SUMMARY_NAME, summary)
+                summaries.append(summary)
+    if len({_group_key(s) for s in summaries}) > 1:
+        write_comparison(compare_strategies(summaries), root)
     return summaries
 
 
@@ -435,11 +446,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> list[dict]:
     root = _out_root(cfg, out_dir)
     root.mkdir(parents=True, exist_ok=True)
     save_config(cfg, root / "config.json")
-    summaries = _run_cells(cfg, root)
-    if len(cfg.strategies) > 1:
-        comparison = compare_strategies(summaries)
-        write_comparison(comparison, root)
-    return summaries
+    return _run_and_compare([cfg], root)
 
 
 def _known(data: dict, types: dict) -> dict:
@@ -477,14 +484,6 @@ def _group_key(summary: dict) -> tuple:
     )
 
 
-def _mean_finals(summaries: Sequence[dict]) -> dict:
-    """Mean over seeds of the final average, std and worst-domain losses."""
-    return {
-        f"mean_{name}": float(np.mean([s["final"][name] for s in summaries]))
-        for name in _FINAL_METRICS
-    }
-
-
 def compare_strategies(summaries: Sequence[dict]) -> dict:
     """Mean-over-seeds final metrics per (strategy, T, fraction) group,
     ranked by mean average loss; ties share the better rank."""
@@ -500,14 +499,15 @@ def compare_strategies(summaries: Sequence[dict]) -> dict:
     if len(groups) < 2:
         raise ConfigInvalid("need at least two strategy groups to compare")
 
-    seed_sets = {key: tuple(sorted(s["seed"] for s in rows))
-                 for key, rows in groups.items()}
-    distinct = set(seed_sets.values())
-    if len(distinct) > 1:
-        raise ConfigInvalid(
-            f"strategy groups ran different seed sets: "
-            f"{ {k[0]: v for k, v in seed_sets.items()} }"
-        )
+    seed_sets = {}
+    for key, rows in groups.items():
+        seeds = sorted(s["seed"] for s in rows)
+        for seed, next_seed in zip(seeds, seeds[1:]):
+            if seed == next_seed:
+                raise ConfigInvalid(f"group {_group_name(key)} holds seed {seed} twice")
+        seed_sets[_group_name(key)] = tuple(seeds)
+    if len(set(seed_sets.values())) > 1:
+        raise ConfigInvalid(f"strategy groups ran different seed sets: {seed_sets}")
 
     entries = []
     for key in sorted(groups):
@@ -519,7 +519,9 @@ def compare_strategies(summaries: Sequence[dict]) -> dict:
             "data_fraction": fraction,
             "seeds": [s["seed"] for s in rows],
             "train_sizes": rows[0]["train_sizes"],
-            **_mean_finals(rows),
+            # mean over seeds of the final average, std and worst-domain losses
+            **{f"mean_{name}": float(np.mean([s["final"][name] for s in rows]))
+               for name in _FINAL_METRICS},
             "avg_loss_by_seed": [s["final"]["avg_loss"] for s in rows],
             "worst_domain_loss_by_seed": [
                 s["final"]["worst_domain_loss"] for s in rows
@@ -571,9 +573,10 @@ def write_comparison(comparison: dict, root: Path) -> None:
 
 def ablation_T(
     cfg: ExperimentConfig, t_values: Sequence[int], out_dir=None
-) -> dict:
+) -> list[dict]:
     """Run the clustered strategy at each aggregation frequency in t_values
-    and tabulate mean final metrics per T."""
+    into one root, and compare the T groups as run_experiment compares
+    strategies; returns the summaries."""
     t_values = [int(t) for t in t_values]
     if not t_values:
         raise ConfigInvalid("need at least one T value")
@@ -582,34 +585,4 @@ def ablation_T(
     # building every per-T config checks each T before any cell runs
     subs = [replace(cfg, strategies=("clustered",), aggregation_frequency=t)
             for t in t_values]
-    root = _out_root(cfg, out_dir)
-    root.mkdir(parents=True, exist_ok=True)
-
-    entries = []
-    for sub in subs:
-        summaries = _run_cells(sub, root)
-        entries.append({
-            "aggregation_frequency": sub.aggregation_frequency,
-            "seeds": [s["seed"] for s in summaries],
-            **_mean_finals(summaries),
-        })
-
-    best = min(e["mean_avg_loss"] for e in entries)
-    worst = max(e["mean_avg_loss"] for e in entries)
-    table = {
-        "schema": "aggregation-frequency-ablation-v1",
-        "t_values": t_values,
-        "entries": entries,
-        "best_mean_avg_loss": best,
-        "relative_spread": (worst - best) / best if best > 0 else float("nan"),
-    }
-    _write_json(root / "ablation_t.json", table)
-    lines = ["T  mean_avg_loss  mean_worst_loss  mean_std_loss"]
-    for e in entries:
-        lines.append(
-            f"{e['aggregation_frequency']:<2} {e['mean_avg_loss']:<14.6f} "
-            f"{e['mean_worst_domain_loss']:<16.6f} {e['mean_std_loss']:.6f}"
-        )
-    lines.append(f"relative spread of mean_avg_loss: {table['relative_spread']:.4f}")
-    _write_text(root / "ablation_t.txt", "\n".join(lines) + "\n")
-    return table
+    return _run_and_compare(subs, _out_root(cfg, out_dir))

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -423,6 +425,18 @@ class TestCompareStrategies:
         with pytest.raises(ConfigInvalid, match="different seed sets"):
             compare_strategies(summaries)
 
+    def test_repeated_seed_in_a_group_rejected(self):
+        # two runs of one cell are one seed, not two to average
+        summaries = [
+            self.fake_summary("clustered", 0, 1.0, freq=2),
+            self.fake_summary("clustered", 0, 3.0, freq=2),
+            self.fake_summary("fedavg_only", 0, 2.0),
+            self.fake_summary("fedavg_only", 1, 2.0),
+        ]
+        with pytest.raises(ConfigInvalid,
+                           match="^group clustered_T2_f1 holds seed 0 twice$"):
+            compare_strategies(summaries)
+
     def test_differing_rounds_rejected(self):
         a = self.fake_summary("clustered", 0, 1.0)
         b = self.fake_summary("fedavg_only", 0, 2.0)
@@ -486,13 +500,16 @@ class TestAblationT:
 
     def test_emits_table_and_runs(self, tmp_path):
         cfg = tiny_config(seeds=(0,), strategies=("clustered",))
-        table = ablation_T(cfg, [2, 4], tmp_path)
-        assert [e["aggregation_frequency"] for e in table["entries"]] == [2, 4]
-        assert (tmp_path / "ablation_t.json").exists()
-        assert (tmp_path / "ablation_t.txt").exists()
+        summaries = ablation_T(cfg, [2, 4], tmp_path)
+        assert [s["aggregation_frequency"] for s in summaries] == [2, 4]
         assert (tmp_path / "clustered_T2_f1" / "seed_0" / "metrics.csv").exists()
         assert (tmp_path / "clustered_T4_f1" / "seed_0" / "metrics.csv").exists()
-        assert table["relative_spread"] >= 0.0
+        # one ranked group per T, as compare_strategies ranks strategies
+        comparison = json.loads((tmp_path / "comparison.json").read_text())
+        assert comparison == compare_strategies(summaries)
+        assert sorted(e["aggregation_frequency"] for e in comparison["entries"]) == [2, 4]
+        assert sorted(e["rank"] for e in comparison["entries"]) == [1, 2]
+        assert (tmp_path / "comparison.txt").read_text() == render_comparison_text(comparison)
 
 
 class TestCli:
@@ -736,8 +753,73 @@ class TestCli:
             "--seed", "0", "--out", str(tmp_path / "abl"),
         ])
         assert code == 0
-        assert "relative spread" in capsys.readouterr().out
-        assert (tmp_path / "abl" / "ablation_t.json").exists()
+        out = capsys.readouterr().out
+        assert out == (tmp_path / "abl" / "comparison.txt").read_text()
+        header, rule, *rows = out.splitlines()
+        assert header.split()[:2] == ["strategy", "T"] and set(rule) == {"-"}
+        # one row per T, best first: strategy, T, fraction, seeds, ..., rank
+        cells = [row.split() for row in rows]
+        assert sorted((c[0], c[1], c[3]) for c in cells) == [("clustered", "2", "1"),
+                                                              ("clustered", "4", "1")]
+        assert [c[-1] for c in cells] == ["1", "2"]
+
+    def test_ablate_t_one_value_compares_nothing(self, tmp_path, capsys):
+        cfg_path = self.write_config(tmp_path)
+        out = tmp_path / "abl"
+        assert main(["ablate-t", "--config", str(cfg_path), "--t-values", "2",
+                     "--seed", "0", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert (out / "clustered_T2_f1" / "seed_0" / "metrics.csv").exists()
+        assert (out / "clustered_T2_f1" / "seed_0" / "summary.json").exists()
+        assert not list(out.glob("comparison.*"))
+
+    @pytest.mark.parametrize("command", [
+        ["ablate-t", "--t-values", "2,4", "--seed", "0"],
+        ["run"],
+    ], ids=["ablate_t", "two_strategy_run"])
+    def test_compare_rewrites_the_comparison_byte_for_byte(self, tmp_path, capsys, command):
+        # compare and the command that ran the cells take one path
+        root = tmp_path / "runs"
+        assert main([*command, "--config", str(self.write_config(tmp_path))]) == 0
+        written = {name: (root / name).read_bytes()
+                   for name in ("comparison.json", "comparison.txt")}
+        for path in root.glob("comparison.*"):
+            path.unlink()
+        capsys.readouterr()
+        assert main(["compare", "--in", str(root)]) == 0
+        assert capsys.readouterr().out == written["comparison.txt"].decode()
+        assert {name: (root / name).read_bytes() for name in written} == written
+
+    def test_compare_one_cell_twice_is_one_line_error(self, tmp_path, capsys):
+        # two runs of one cell under one tree used to be averaged as two seeds
+        cfg_path = self.write_config(tmp_path)
+        for name in ("a", "b"):
+            assert main(["run", "--config", str(cfg_path), "--seed", "0",
+                         "--out", str(tmp_path / "dup" / name)]) == 0
+        capsys.readouterr()
+        assert main(["compare", "--in", str(tmp_path / "dup")]) == 2
+        assert capsys.readouterr().err == "error: group clustered_T2_f1 holds seed 0 twice\n"
+
+    def test_readme_command_examples_parse(self):
+        # the examples under README's "Command line" heading must not drift
+        # from the parser or name a script that does not exist
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text()
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        blocks = re.findall(r"```bash\n(.*?)```", section, re.DOTALL)
+        lines = [line.strip() for block in blocks
+                 for line in block.replace("\\\n", " ").splitlines()]
+        commands = set()
+        for line in lines:
+            if line.startswith("fedswap "):
+                argv = shlex.split(line, comments=True)[1:]
+                try:
+                    commands.add(cli.build_parser().parse_args(argv).command)
+                except SystemExit:
+                    pytest.fail(f"README example does not parse: {line}")
+        assert commands == {"run", "compare", "ablate-t"}
+        scripts = re.findall(r"python3 (scripts/\S+\.py)", "\n".join(lines))
+        assert scripts and all((root / script).is_file() for script in scripts), scripts
 
     def test_ablate_t_repeated_value_is_one_line_error(self, tmp_path, capsys):
         # used to run the T=2 cell twice into one directory and write two rows
