@@ -39,13 +39,17 @@ def _load(args) -> ExperimentConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
+def _print_comparison(root: Path) -> None:
+    # the harness leaves a comparison exactly when more than one group ran
+    if (root / "comparison.txt").exists():
+        print((root / "comparison.txt").read_text(), end="")
+
+
 def _cmd_run(args) -> int:
     cfg = _load(args)
     summaries = run_experiment(cfg)
-    root = Path(cfg.out_dir)
-    print(f"wrote {len(summaries)} run(s) under {root}")
-    if len(cfg.strategies) > 1:
-        print((root / "comparison.txt").read_text(), end="")
+    print(f"wrote {len(summaries)} run(s) under {cfg.out_dir}")
+    _print_comparison(Path(cfg.out_dir))
     return 0
 
 
@@ -65,8 +69,7 @@ def _cmd_ablate_t(args) -> int:
                             f"got {args.t_values!r}") from None
     cfg = _load(args)
     ablation_T(cfg, t_values)
-    if len(t_values) > 1:
-        print((Path(cfg.out_dir) / "comparison.txt").read_text(), end="")
+    _print_comparison(Path(cfg.out_dir))
     return 0
 
 

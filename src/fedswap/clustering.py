@@ -1,9 +1,10 @@
-"""Agglomerative average-linkage clustering of uploaded decoders into two clusters.
+"""Cosine distances between uploaded decoders, and their agglomerative
+average-linkage clustering into two clusters.
 
-Starts from singletons and repeatedly merges the pair of clusters with the
-smallest average linkage (the mean of all cross-pair cosine distances), kept
-up to date incrementally from running cross-cluster sums, until exactly two
-clusters remain.
+The clustering starts from singletons and repeatedly merges the pair of
+clusters with the smallest average linkage (the mean of all cross-pair cosine
+distances), kept up to date incrementally from running cross-cluster sums,
+until exactly two clusters remain.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInput
-from .params import cosine_distances
 
 __all__ = [
     "DistanceMatrix",
@@ -99,11 +99,34 @@ class ClusterAssignment:
 
 
 def build_distance_matrix(decoders: np.ndarray) -> DistanceMatrix:
-    """Pairwise cosine-distance matrix over the uploaded decoders, the rows of
-    one (n, D) array."""
-    if len(decoders) < 2:
-        raise InvalidInput(f"need at least two decoders, got {len(decoders)}")
-    return DistanceMatrix(cosine_distances(decoders))
+    """Pairwise cosine distances 1 - (a.b)/(|a||b|), in [0, 2], between the
+    uploaded decoders, the rows of one (n, D) array with n >= 2 and D >= 1.
+
+    Norms are sqrt(vecdot(u, u)); row i is one vecdot of the later decoders with
+    decoder i. Each pair gets the bits of its own np.dot, unlike a Gram product
+    or an axis norm, which sum in another order. Raises InvalidInput for a zero
+    or non-finite norm (a degenerate model must not be hidden by a default
+    value) and for a non-finite cosine (an overflowing dot)."""
+    u = np.asarray(decoders)
+    if u.ndim != 2 or len(u) < 2 or u.shape[1] < 1:
+        raise InvalidInput(f"decoders must be an (n, D) array with n >= 2 and D >= 1, "
+                           f"got shape {u.shape}")
+    cos = np.zeros((len(u), len(u)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.vecdot(u, u))
+        usable = np.isfinite(norms) & (norms > 0.0)
+        if not usable.all():
+            i = int(np.argmin(usable))
+            raise InvalidInput(f"decoder {i} has norm {norms[i]}, not a finite non-zero one")
+        for i in range(len(u) - 1):
+            cos[i, i + 1:] = np.vecdot(u[i + 1:], u[i]) / (norms[i] * norms[i + 1:])
+    finite = np.isfinite(cos)
+    if not finite.all():
+        i, j = divmod(int(np.argmin(finite)), len(u))
+        raise InvalidInput(f"decoders {i} and {j} have a non-finite cosine")
+    # clamp rounding excursions so the result stays in [0, 2] exactly
+    upper = np.triu(1.0 - np.clip(cos, -1.0, 1.0), k=1)
+    return DistanceMatrix(upper + upper.T)
 
 
 def cluster_to_two(dm: DistanceMatrix) -> ClusterAssignment:

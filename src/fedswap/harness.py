@@ -18,6 +18,7 @@ import io
 import json
 import os
 import reprlib
+import sys
 import tempfile
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
@@ -154,7 +155,7 @@ class ExperimentConfig:
 def default_experiment_config(**overrides) -> ExperimentConfig:
     """Four-domain setup: three well-resourced similar domains plus one
     under-resourced domain with the largest input and concept shift."""
-    input_dim = overrides.pop("input_dim", 16)
+    input_dim = overrides.pop("input_dim", ExperimentConfig.input_dim)
     _check_size("input_dim", input_dim, MAX_DIM)
 
     def spec(domain_id, count, shift, concept, noise=0.1):
@@ -243,7 +244,7 @@ def _check_section(section: str, data, types: dict, required=()) -> None:
 def config_from_dict(data: dict) -> ExperimentConfig:
     _check_section("config", data, _TOP_TYPES)
     kwargs = dict(data)
-    input_dim = kwargs.setdefault("input_dim", 16)
+    input_dim = kwargs.get("input_dim", ExperimentConfig.input_dim)
     _check_size("input_dim", input_dim, MAX_DIM)
 
     if "local" in kwargs:
@@ -423,7 +424,8 @@ def cell_dir(cfg: ExperimentConfig, strategy: str, seed: int, out_dir=None) -> P
 def _run_and_compare(cfgs: Sequence[ExperimentConfig], root: Path) -> list[dict]:
     """Run every (strategy, seed) cell of each config into root, writing
     per-cell metrics.csv and summary.json, and a comparison when more than
-    one (strategy, T, fraction) group ran."""
+    one (strategy, T, fraction) group ran; otherwise remove root's old one,
+    which would rank cells this run may have replaced."""
     summaries = []
     for cfg in cfgs:
         for strategy in cfg.strategies:
@@ -437,6 +439,9 @@ def _run_and_compare(cfgs: Sequence[ExperimentConfig], root: Path) -> list[dict]
                 summaries.append(summary)
     if len({_group_key(s) for s in summaries}) > 1:
         write_comparison(compare_strategies(summaries), root)
+    else:
+        for name in ("comparison.json", "comparison.txt"):
+            (root / name).unlink(missing_ok=True)
     return summaries
 
 
@@ -456,7 +461,8 @@ def _known(data: dict, types: dict) -> dict:
 def collect_summaries(root) -> list[dict]:
     """Every summary.json under root; raises ConfigInvalid naming the first
     file that is not an experiment-summary-v1 object holding every key that
-    compare_strategies reads, each with a value of the type it expects."""
+    compare_strategies reads, each with a value of the type it expects and
+    each final metric finite."""
     paths = sorted(Path(root).rglob(SUMMARY_NAME))
     if not paths:
         raise ConfigInvalid(f"no {SUMMARY_NAME} files under {root}")
@@ -468,8 +474,13 @@ def collect_summaries(root) -> list[dict]:
         try:
             _check_section("summary", _known(summary, _SUMMARY_TYPES),
                            _SUMMARY_TYPES, tuple(_SUMMARY_TYPES))
-            _check_section("final", _known(summary["final"], _FINAL_TYPES),
-                           _FINAL_TYPES, _FINAL_METRICS)
+            final = _known(summary["final"], _FINAL_TYPES)
+            _check_section("final", final, _FINAL_TYPES, _FINAL_METRICS)
+            for key, value in final.items():
+                # JSON's reader takes Infinity and NaN; ints past float range fail too
+                if not abs(value) <= sys.float_info.max:
+                    raise ConfigInvalid(f"final key {key!r} is not finite: "
+                                        f"{reprlib.repr(value)}")
         except ConfigInvalid as exc:
             raise ConfigInvalid(f"{p}: {exc}") from exc
         out.append(summary)

@@ -1,20 +1,21 @@
 """Server round loop: schedule branch, aggregation, exchange, redistribution.
 
 The server alternates between two actions on a fixed period T: at rounds
-divisible by T it aggregates uploads into a global decoder via a weighted
-average; at every other round it redistributes them by the plan that the
-strategy's row in STRATEGIES builds. Only the clustered protocol clusters the
-uploads by cosine distance first.
+divisible by T it aggregates uploads into a global decoder, their average
+weighted by train size; at every other round it redistributes them by the
+plan that the strategy's row in STRATEGIES builds. Only the clustered
+protocol clusters the uploads by cosine distance first.
 
 Clients, round outcomes and round records are immutable. run_simulation's
 locals hold the only state that changes: every client's current decoder, as
-the rows of one read-only (n, D) array, the last exchange plan and the trace.
+the rows of one read-only (n, D) array (each row the linear head, then its
+bias, as the shared backbone fixes it), the last exchange plan and the trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .exchange import (
     build_random_plan,
     build_round_robin_plan,
 )
-from .params import AggregationWeights, checked_vector, weighted_average
 
 __all__ = [
     "AGGREGATE",
@@ -39,6 +39,7 @@ __all__ = [
     "RoundRecord",
     "derive_seed",
     "schedule_decision",
+    "weighted_average",
     "run_round",
     "run_simulation",
 ]
@@ -242,30 +243,50 @@ class RoundOutcome:
     plan: Optional[ExchangePlan] = None
 
 
+def weighted_average(decoders: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """Average of the rows of decoders (n, D), row i weighted by its train size
+    over the total, as a read-only (D,) array; raises InvalidInput unless there
+    is one positive size per row and the average is finite. Rows are summed one
+    at a time in client order: np.add.reduce pairs them otherwise when D = 1."""
+    u = np.asarray(decoders)
+    if u.ndim != 2 or 0 in u.shape:
+        raise InvalidInput(f"decoders must be an (n, D) array with n, D >= 1, "
+                           f"got shape {u.shape}")
+    if len(sizes) != len(u):
+        raise InvalidInput(f"{len(u)} decoders but {len(sizes)} train sizes")
+    if min(sizes) <= 0:
+        raise InvalidInput(f"train sizes must be positive, got {min(sizes)}")
+    total = sum(sizes)
+    out = sum(s / total * row for s, row in zip(sizes, u))
+    if not np.isfinite(out).all():
+        raise InvalidInput("aggregated decoder entries must be finite")
+    out.setflags(write=False)
+    return out
+
+
 def run_round(
     r: int,
     uploads: np.ndarray,
-    weights: AggregationWeights,
+    sizes: Sequence[int],
     cfg: ServerConfig,
     last_plan: Optional[tuple[int, ...]],
     rng: Optional[np.random.Generator],
 ) -> RoundOutcome:
     """Process round r's uploads (n, D); rounds r < 1 are warm-up rounds.
 
-    Every decision but EXCHANGE broadcasts one weighted average to all rows.
+    Every decision but EXCHANGE broadcasts to all rows one average weighted
+    by the clients' train sizes.
     An exchange runs the strategy's plan builder with the previous exchange
     plan, last_plan, and the round's exchange generator, rng (None in
     warm-up); client i receives uploads[plan.assignment[i]].
     """
     n = len(uploads)
-    if n != len(weights):
-        raise ConfigInvalid(
-            f"round {r}: got {n} uploads for {len(weights)} aggregation weights"
-        )
+    if n != len(sizes):
+        raise ConfigInvalid(f"round {r}: got {n} uploads for {len(sizes)} train sizes")
     decision = WARMUP if r < 1 else schedule_decision(r, cfg.aggregation_frequency)
     try:
         if decision != EXCHANGE:
-            return RoundOutcome(decision, np.broadcast_to(weighted_average(uploads, weights),
+            return RoundOutcome(decision, np.broadcast_to(weighted_average(uploads, sizes),
                                                           uploads.shape))
         plan = STRATEGIES[cfg.strategy].plan(r, rng, last_plan, uploads)
         deliveries = uploads.take(plan.assignment, axis=0)
@@ -289,9 +310,7 @@ def run_simulation(cfg: ServerConfig, clients: Clients) -> tuple[RoundRecord, ..
         raise ConfigInvalid(f"need at least 2 clients, got {n}")
     init_rng = np.random.default_rng(derive_seed(cfg.master_seed, PURPOSES["init"]))
     dim = clients.backbone.decoder_dim
-    init = checked_vector(init_rng.normal(0.0, 0.1, size=dim), "initial decoder")
-    decoders = np.broadcast_to(init, (n, dim))
-    weights = AggregationWeights.from_sizes(clients.train_sizes)
+    decoders = np.broadcast_to(init_rng.normal(0.0, 0.1, size=dim), (n, dim))
     last_plan = None
     trace = []
     # every client-round's and exchange round's generator words, hashed for the
@@ -308,7 +327,7 @@ def run_simulation(cfg: ServerConfig, clients: Clients) -> tuple[RoundRecord, ..
 
     for r in range(1 - W, R + 1):
         uploads = train(decoders, clients, [_generator(w) for w in train_words[W + r - 1]])
-        outcome = run_round(r, uploads, weights, cfg, last_plan,
+        outcome = run_round(r, uploads, clients.train_sizes, cfg, last_plan,
                             _generator(exchange_words[r - 1]) if r >= 1 else None)
         decoders, plan = outcome.deliveries, outcome.plan
         clusters = plan and plan.clusters

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 
 
-def oracle_cosine_distances(values):
+def oracle_distance_matrix(values):
     """Pairwise 1 - (a.b)/(|a||b|) of the rows of values, pair by pair."""
     norms = [float(np.linalg.norm(v)) for v in values]
     out = np.zeros((len(values), len(values)))

@@ -10,7 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from fedswap.clustering import ClusterAssignment, DistanceMatrix, cluster_to_two
+from fedswap.clustering import (
+    ClusterAssignment,
+    DistanceMatrix,
+    build_distance_matrix,
+    cluster_to_two,
+)
 from fedswap.exchange import build_clustered_plan
 from fedswap.harness import (
     build_clients,
@@ -20,7 +25,6 @@ from fedswap.harness import (
     run_cell,
     run_experiment,
 )
-from fedswap.params import cosine_distances
 from fedswap.server import AGGREGATE, schedule_decision
 from linkage_oracle import oracle_linkage, oracle_merge_to_two
 from loss_oracle import decoder_loss
@@ -65,7 +69,7 @@ def finals(cells, key, field="avg_loss"):
 
 
 def pair_distance(a, b):
-    return cosine_distances(np.stack((a, b)))[0, 1]
+    return build_distance_matrix(np.stack((a, b))).entries[0, 1]
 
 
 def test_criterion_01_clustering_matches_exhaustive_oracle(capsys):

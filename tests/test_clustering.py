@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from fedswap.clustering import (
     cluster_to_two,
 )
 from fedswap.errors import InvalidInput
-from distance_oracle import oracle_cosine_distances
+from distance_oracle import oracle_distance_matrix
 from linkage_oracle import oracle_full_recompute, oracle_linkage, oracle_merge_to_two
 
 
@@ -20,6 +22,21 @@ def vec(*values):
 
 def rows(*vectors):
     return np.stack(vectors)
+
+
+def pair_distance(a, b):
+    """Cosine distance of one pair: the off-diagonal entry of its matrix."""
+    return build_distance_matrix(np.stack((a, b))).entries[0, 1]
+
+
+def finite_vectors(min_dim=1, max_dim=16):
+    return st.integers(min_dim, max_dim).flatmap(
+        lambda d: st.lists(
+            st.floats(-1e3, 1e3, allow_nan=False), min_size=d, max_size=d
+        )
+    ).map(lambda vals: np.array(vals, dtype=np.float64)).filter(
+        lambda a: np.linalg.norm(a) > 1e-6
+    )
 
 
 def matrix(entries):
@@ -56,6 +73,81 @@ def assert_merges_equal_the_full_recompute(dm):
     members_0, merges = oracle_full_recompute(dm.entries)
     assert ca.members_0 == members_0
     assert [(m.first, m.second, m.linkage) for m in ca.merges] == merges
+
+
+class TestCosineDistance:
+    def test_identical_vectors(self):
+        assert pair_distance(vec(1, 0), vec(1, 0)) == 0.0
+
+    def test_orthogonal_vectors(self):
+        assert pair_distance(vec(1, 0), vec(0, 1)) == 1.0
+
+    def test_antiparallel_vectors(self):
+        assert pair_distance(vec(1, 0), vec(-1, 0)) == 2.0
+
+    def test_zero_norm_raises(self):
+        with pytest.raises(InvalidInput):
+            pair_distance(vec(0, 0), vec(1, 0))
+        with pytest.raises(InvalidInput):
+            pair_distance(vec(1, 0), vec(0, 0))
+
+    def test_non_matrix_raises(self):
+        for bad in (np.ones(3), np.ones((2, 0)), np.ones((0, 3)), np.ones((1, 3)),
+                    np.ones((2, 2, 2))):
+            with pytest.raises(InvalidInput, match="must be an"):
+                build_distance_matrix(bad)
+
+    def test_overflowing_norm_names_the_decoder(self):
+        # equal decoders used to come out at distance 2.0, with numpy warnings
+        big = np.full(3, 1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput,
+                               match=r"^decoder 1 has norm inf, not a finite non-zero one$"):
+                build_distance_matrix(rows(vec(1, 2, 3), big, big))
+
+    def test_overflowing_dot_names_the_pair(self):
+        # both norms are finite, but the pair's dot overflows
+        a = vec(6.104282793167473e153, 9.965903859473683e153, 6.571742944683598e153)
+        b = vec(6.104282793167471e153, 9.965903859473681e153, 6.571742944683602e153)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput,
+                               match=r"^decoders 1 and 2 have a non-finite cosine$"):
+                build_distance_matrix(rows(vec(1, 2, 3), a, b))
+
+    @given(finite_vectors())
+    def test_self_distance_is_zero(self, arr):
+        assert abs(pair_distance(arr, arr)) <= 1e-12
+
+    @given(finite_vectors(min_dim=4, max_dim=4), finite_vectors(min_dim=4, max_dim=4))
+    def test_symmetry_and_range(self, a, b):
+        d = pair_distance(a, b)
+        assert d == pair_distance(b, a)
+        assert 0.0 <= d <= 2.0
+
+    @given(
+        finite_vectors(min_dim=3, max_dim=8),
+        st.floats(1e-3, 1e3, allow_nan=False),
+    )
+    def test_positive_scale_invariance(self, a, c):
+        b = a[::-1].copy() + 0.5
+        if np.linalg.norm(b) <= 1e-6:
+            b = b + 1.0
+        d0 = pair_distance(a, b)
+        d1 = pair_distance(c * a, b)
+        assert abs(d0 - d1) <= 1e-9
+
+    def test_scale_invariance_batch(self):
+        rng = np.random.default_rng(11)
+        for _ in range(1000):
+            dim = int(rng.integers(2, 12))
+            a = rng.normal(size=dim)
+            b = rng.normal(size=dim)
+            c = float(rng.uniform(0.01, 100.0))
+            d0 = pair_distance(a, b)
+            d1 = pair_distance(c * a, b)
+            assert abs(d0 - d1) <= 1e-9
 
 
 class TestDistanceMatrix:
@@ -122,7 +214,7 @@ class TestBitwiseOracles:
     def test_distances_and_merges_equal_the_replaced_loops(self, seed):
         for values in oracle_instances(seed, 50):
             dm = build_distance_matrix(values)
-            assert dm.entries.tobytes() == oracle_cosine_distances(values).tobytes()
+            assert dm.entries.tobytes() == oracle_distance_matrix(values).tobytes()
             assert_merges_equal_the_full_recompute(dm)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([(5, 4), (17, 33), (64, 33)]))
@@ -134,7 +226,7 @@ class TestBitwiseOracles:
         rng = np.random.default_rng(seed)
         values = np.stack([rng.normal(size=dim) for _ in range(n)])
         dm = build_distance_matrix(values)
-        assert dm.entries.tobytes() == oracle_cosine_distances(values).tobytes()
+        assert dm.entries.tobytes() == oracle_distance_matrix(values).tobytes()
 
     @pytest.mark.parametrize("seed", range(2))
     def test_tie_heavy_merges_equal_the_full_recompute(self, seed):

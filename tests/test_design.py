@@ -5,6 +5,7 @@ import ast
 import dataclasses
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import fedswap
@@ -66,3 +67,13 @@ def test_no_seed_sequence_calls():
                     getattr(node.func, "attr", None), getattr(node.func, "id", None)):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, f"SeedSequence built at {sorted(offenders)}"
+
+
+def test_readme_layout_names_every_module():
+    # the README's Layout block lists src/fedswap/ one module a line, each
+    # indented two spaces; a deleted or added module must show there
+    package = Path(fedswap.__file__).parent
+    readme = (package.parents[1] / "README.md").read_text()
+    block = readme.split("\n## Layout\n", 1)[1].split("```")[1]
+    listed = re.findall(r"^  (\S+)", block.split("\nsrc/fedswap/\n", 1)[1], re.MULTILINE)
+    assert sorted(listed) == sorted(p.name for p in package.glob("*.py"))

@@ -71,6 +71,12 @@ def tiny_config(**overrides):
     return ExperimentConfig(**defaults)
 
 
+def final_set(key, value):
+    """A damage for summary.json text: its final entry's key set to value."""
+    return lambda text: json.dumps(dict(s := json.loads(text),
+                                        final={**s["final"], key: value}))
+
+
 # JSON-shaped config values: each key gets a value of its own JSON type or
 # any nested value. Integers stay small, except the sizes: they are checked
 # against MAX_DIM and MAX_ROWS before anything that large is built, so a huge
@@ -674,22 +680,56 @@ class TestCli:
         assert err.startswith(f"error: {name} must be in [") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("damage", [
-        lambda text: text[:200],
-        lambda text: "{}",
-        lambda text: json.dumps({"schema": "experiment-summary-v1"}),
-        lambda text: json.dumps({**json.loads(text), "domain_ids": 5}),
-        lambda text: json.dumps(dict(s := json.loads(text),
-                                     final={**s["final"], "avg_loss": "0.5"})),
+    @pytest.mark.parametrize("damage, message", [
+        (lambda text: text[:200], "not valid JSON"),
+        (lambda text: "{}", "not an experiment-summary-v1 file"),
+        (lambda text: json.dumps({"schema": "experiment-summary-v1"}), "missing keys"),
+        (lambda text: json.dumps({**json.loads(text), "domain_ids": 5}), "'domain_ids'"),
+        (final_set("avg_loss", "0.5"), "'avg_loss' has a value of the wrong type"),
+        # json reads Infinity and NaN; compare used to rank them and write them
+        # back into comparison.json, which no strict JSON reader accepts
+        (final_set("avg_loss", float("inf")), "'avg_loss' is not finite: inf"),
+        (final_set("std_loss", float("nan")), "'std_loss' is not finite: nan"),
+        (final_set("worst_domain_loss", float("-inf")), "'worst_domain_loss' is not finite"),
+        (final_set("avg_accuracy", float("nan")), "'avg_accuracy' is not finite"),
+        (final_set("avg_loss", 10**400), "'avg_loss' is not finite"),
     ], ids=["cut_to_200_bytes", "not_a_summary", "v1_tag_only",
-            "domain_ids_a_number", "final_avg_loss_a_string"])
-    def test_compare_damaged_summary_is_one_line_error(self, tmp_path, capsys, damage):
+            "domain_ids_a_number", "final_avg_loss_a_string", "avg_loss_inf",
+            "std_loss_nan", "worst_loss_neg_inf", "avg_accuracy_nan",
+            "avg_loss_past_float_range"])
+    def test_compare_damaged_summary_is_one_line_error(self, tmp_path, capsys, damage,
+                                                       message):
         run_experiment(tiny_config(seeds=(0,)), tmp_path)
+        written = (tmp_path / "comparison.json").read_bytes()
         summary = tmp_path / "clustered_T2_f1" / "seed_0" / "summary.json"
         summary.write_text(damage(summary.read_text()))
         assert main(["compare", "--in", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {summary}:") and err.count("\n") == 1
+        assert message in err
+        assert (tmp_path / "comparison.json").read_bytes() == written
+
+    @pytest.mark.parametrize("second", [
+        ["run", "--rounds", "4", "--agg-frequency", "2", "--strategy", "clustered"],
+        ["ablate-t", "--t-values", "2"],
+    ], ids=["one_strategy_run", "one_value_ablate_t"])
+    def test_command_that_compares_nothing_removes_the_old_comparison(
+            self, tmp_path, capsys, second):
+        # the old comparison ranked 8-round cells that the second command
+        # overwrites with 4-round ones
+        cfg_path = self.write_config(tmp_path)
+        root = tmp_path / "stale"
+        common = ["--config", str(cfg_path), "--seed", "0", "--out", str(root)]
+        assert main(["run", "--rounds", "8", *common]) == 0
+        assert len(list(root.glob("comparison.*"))) == 2
+        capsys.readouterr()
+        assert main([*second, *common]) == 0
+        assert not list(root.glob("comparison.*"))
+        assert "mean_avg_loss" not in capsys.readouterr().out
+        # the fedavg_only cell still holds 8 rounds, so compare refuses the tree
+        assert main(["compare", "--in", str(root)]) == 2
+        assert capsys.readouterr().err == (
+            "error: refusing to compare runs with differing rounds\n")
 
     def test_run_prints_only_its_own_comparison(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedswap import harness, server
 from fedswap.clients import DomainSpec, FrozenBackbone, LocalConfig
@@ -7,7 +9,6 @@ from fedswap.clients import make_clients as draw_clients
 from fedswap.clustering import ClusterAssignment, build_distance_matrix, cluster_to_two
 from fedswap.errors import ConfigInvalid, InvalidInput
 from fedswap.exchange import ExchangePlan, build_clustered_plan, build_random_plan
-from fedswap.params import AggregationWeights, weighted_average
 from fedswap.server import (
     AGGREGATE,
     EXCHANGE,
@@ -18,6 +19,7 @@ from fedswap.server import (
     run_round,
     run_simulation,
     schedule_decision,
+    weighted_average,
 )
 from eval_oracle import oracle_evaluate, oracle_evaluate_round
 from linkage_oracle import oracle_full_recompute
@@ -261,6 +263,78 @@ class TestScheduleDecision:
             schedule_decision(1, 0)
 
 
+class TestWeightedAverage:
+    def test_unweighted_mean(self):
+        out = weighted_average(np.array([[2.0, 0.0], [0.0, 2.0]]), [1, 1])
+        assert np.array_equal(out, [1.0, 1.0])
+
+    def test_weighted_mean(self):
+        out = weighted_average(np.array([[4.0, 0.0], [0.0, 4.0]]), [1, 3])
+        assert np.array_equal(out, [1.0, 3.0])
+
+    def test_single_client_identity(self):
+        out = weighted_average(np.array([[1.0, 1.0]]), [7])
+        assert np.array_equal(out, [1.0, 1.0])
+
+    def test_bad_shapes_raise(self):
+        for bad, sizes in ((np.empty((0, 2)), []), (np.ones(2), [1, 1]),
+                           (np.ones((2, 0)), [1, 1]), (np.ones((2, 2, 2)), [1, 1])):
+            with pytest.raises(InvalidInput, match="must be an"):
+                weighted_average(bad, sizes)
+
+    def test_row_and_size_counts_must_agree(self):
+        with pytest.raises(InvalidInput, match="^3 decoders but 2 train sizes$"):
+            weighted_average(np.ones((3, 2)), [1, 1])
+        with pytest.raises(InvalidInput, match="^2 decoders but 3 train sizes$"):
+            weighted_average(np.ones((2, 2)), [1, 1, 1])
+
+    def test_sizes_must_be_positive(self):
+        for sizes, low in (([5, 0], 0), ([-1, 3], -1), ([2, -4, 0], -4)):
+            with pytest.raises(InvalidInput,
+                               match=f"^train sizes must be positive, got {low}$"):
+                weighted_average(np.ones((len(sizes), 2)), sizes)
+
+    def test_non_finite_result_raises(self):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(InvalidInput,
+                               match="^aggregated decoder entries must be finite$"):
+                weighted_average(np.array([[1.0, bad], [1.0, 2.0]]), [1, 1])
+
+    @pytest.mark.parametrize("dim", [1, 2, 33])
+    def test_sums_rows_left_to_right_in_client_order(self, dim):
+        # the round's aggregation must equal w_0 g_0 + w_1 g_1 + ... with
+        # w_i = n_i / sum(n), summed in client order, bit for bit;
+        # np.add.reduce over the rows pairs the terms in another order when
+        # D = 1, as the last assertion pins
+        rng = np.random.default_rng(40 + dim)
+        reduce_differs = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 65))
+            decoders = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+            sizes = rng.integers(1, 2000, size=n).tolist()
+            weights = np.array([s / sum(sizes) for s in sizes])
+            expected = 0.0
+            for weight, row in zip(weights, decoders):
+                expected = expected + weight * row
+            out = weighted_average(decoders, sizes)
+            assert out.tobytes() == expected.tobytes()
+            assert not out.flags.writeable
+            reduced = np.add.reduce(weights[:, None] * decoders, axis=0)
+            reduce_differs += reduced.tobytes() != expected.tobytes()
+        assert (reduce_differs > 0) == (dim == 1)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50)
+    def test_output_is_coordinatewise_convex_combination(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 5))
+        dim = int(rng.integers(1, 6))
+        decoders = rng.normal(size=(k, dim))
+        out = weighted_average(decoders, rng.integers(1, 2000, size=k).tolist())
+        assert np.all(out >= decoders.min(axis=0) - 1e-12)
+        assert np.all(out <= decoders.max(axis=0) + 1e-12)
+
+
 class TestRunRound:
     def cfg(self, strategy="clustered", T=2):
         return ServerConfig(
@@ -276,10 +350,10 @@ class TestRunRound:
     def test_aggregate_round_delivers_identical_average(self, r, decision):
         # warm-up rounds aggregate through run_round too, with no exchange generator
         uploads = uploads_of(3)
-        weights = AggregationWeights.from_sizes([10, 10, 20])
+        sizes = [10, 10, 20]
         rng = self.rng(r) if r >= 1 else None
-        outcome = run_round(r, uploads, weights, self.cfg(), (1, 2, 0), rng)
-        expected = weighted_average(uploads, weights)
+        outcome = run_round(r, uploads, sizes, self.cfg(), (1, 2, 0), rng)
+        expected = weighted_average(uploads, sizes)
         deliveries = outcome.deliveries
         assert deliveries.shape == (3, 5) and not deliveries.flags.writeable
         assert deliveries.strides[0] == 0  # one row, broadcast
@@ -290,8 +364,7 @@ class TestRunRound:
     @pytest.mark.parametrize("strategy", ["clustered", "round_robin", "random"])
     def test_exchange_round_permutes_uploads(self, strategy):
         uploads = uploads_of(4)
-        weights = AggregationWeights.from_sizes([1, 1, 1, 1])
-        outcome = run_round(1, uploads, weights, self.cfg(strategy), None, self.rng(1))
+        outcome = run_round(1, uploads, [1, 1, 1, 1], self.cfg(strategy), None, self.rng(1))
         deliveries, plan = outcome.deliveries, outcome.plan.assignment
         assert outcome.decision == EXCHANGE and sorted(plan) == [0, 1, 2, 3]
         assert deliveries.shape == (4, 5) and not deliveries.flags.writeable
@@ -302,8 +375,7 @@ class TestRunRound:
     @pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (4, 2), (9, 3), (16, 4)])
     def test_clustered_exchange_keeps_its_split(self, n, seed):
         uploads = uploads_of(n, seed)
-        weights = AggregationWeights.from_sizes([1] * n)
-        plan = run_round(1, uploads, weights, self.cfg(), None, self.rng(1)).plan
+        plan = run_round(1, uploads, [1] * n, self.cfg(), None, self.rng(1)).plan
         dm = build_distance_matrix(uploads)
         assert plan.clusters == cluster_to_two(dm)
         members_0, merges = oracle_full_recompute(dm.entries)
@@ -317,17 +389,13 @@ class TestRunRound:
 
     def test_round_context_attached_to_errors(self):
         uploads = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        weights = AggregationWeights.from_sizes([1, 1])
         with pytest.raises(InvalidInput, match="round 1:") as info:
-            run_round(1, uploads, weights, self.cfg(), None, self.rng(1))
+            run_round(1, uploads, [1, 1], self.cfg(), None, self.rng(1))
         assert str(info.value).count("round 1:") == 1
 
-    def test_upload_count_checked_against_weights(self):
-        with pytest.raises(ConfigInvalid):
-            run_round(
-                1, uploads_of(3), AggregationWeights.from_sizes([1, 1]), self.cfg(), None,
-                self.rng(1),
-            )
+    def test_upload_count_checked_against_sizes(self):
+        with pytest.raises(ConfigInvalid, match="^round 1: got 3 uploads for 2 train sizes$"):
+            run_round(1, uploads_of(3), [1, 1], self.cfg(), None, self.rng(1))
 
 
 class TestRunSimulation:
@@ -428,7 +496,6 @@ class TestRunSimulation:
         dim = FEATURE_DIM + 1
         rng = np.random.default_rng(derive_seed(master, PURPOSES["init"]))
         decoders = [rng.normal(0.0, 0.1, size=dim)] * 3
-        weights = AggregationWeights.from_sizes(replay.train_sizes)
 
         # warm-up round
         ups = np.stack([
@@ -436,7 +503,7 @@ class TestRunSimulation:
                                derive_seed(master, PURPOSES["warmup"], 1, i))
             for i in range(3)
         ])
-        global_decoder = weighted_average(ups, weights)
+        global_decoder = weighted_average(ups, replay.train_sizes)
         decoders = [global_decoder] * 3
 
         # round 1: exchange
@@ -460,7 +527,7 @@ class TestRunSimulation:
                                derive_seed(master, PURPOSES["train"], 2, i))
             for i in range(3)
         ])
-        global_decoder = weighted_average(ups, weights)
+        global_decoder = weighted_average(ups, replay.train_sizes)
         losses_r2 = tuple(
             oracle_evaluate(global_decoder, replay, i)[0] for i in range(3)
         )
