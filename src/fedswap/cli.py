@@ -17,7 +17,6 @@ from .harness import (
     compare_strategies,
     default_experiment_config,
     load_config,
-    render_comparison_text,
     run_experiment,
     write_comparison,
 )
@@ -55,9 +54,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     root = Path(args.in_dir)
-    comparison = compare_strategies(collect_summaries(root))
-    write_comparison(comparison, root)
-    print(render_comparison_text(comparison), end="")
+    write_comparison(compare_strategies(collect_summaries(root)), root)
+    _print_comparison(root)
     return 0
 
 

@@ -98,11 +98,6 @@ class FrozenBackbone:
         out = np.matmul(x, self.weight, out=out)  # biased and squashed in place
         return np.tanh(np.add(out, self.bias, out=out), out=out)
 
-    @property
-    def decoder_dim(self) -> int:
-        """Size of the flat decoder: a linear head over the features, then one bias."""
-        return self.feature_dim + 1
-
 
 @dataclass(frozen=True)
 class LocalConfig:
@@ -127,7 +122,7 @@ class Clients:
     """A simulation's clients, in order, and their data as one block per split.
 
     Client i draws its data from domains[i]; every client trains on task
-    with config over backbone. features_train (N, F) and train_y (N,) hold
+    with config. features_train (N, F) and train_y (N,) hold
     every train split, client i's in rows starts[i] to starts[i + 1];
     features_test (n, test_count, F) and test_y (n, test_count) hold one test
     split per client. groups holds the index arrays of the clients of one
@@ -140,7 +135,6 @@ class Clients:
     domains: tuple[DomainSpec, ...]
     task: str
     config: LocalConfig
-    backbone: FrozenBackbone
     features_train: np.ndarray = field(repr=False)
     train_y: np.ndarray = field(repr=False)
     features_test: np.ndarray = field(repr=False)
@@ -174,6 +168,11 @@ class Clients:
 
     def __len__(self) -> int:
         return len(self.domains)
+
+    @property
+    def decoder_dim(self) -> int:
+        """Size of the flat decoder: a linear head over the features, then one bias."""
+        return self.features_train.shape[1] + 1
 
 
 def _inputs(rng: np.random.Generator, count: int, shift: np.ndarray) -> np.ndarray:
@@ -262,35 +261,15 @@ def make_clients(
         test_y[i] = _labels(features_test[i], true_head, test_eps, task)
     features.setflags(write=False)
     labels.setflags(write=False)
-    return Clients(tuple(specs), task, config, backbone, features_train, train_y,
+    return Clients(tuple(specs), task, config, features_train, train_y,
                    features_test, test_y, starts)
 
 
-def _scores(theta: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Scores of k decoders (k, D), each on its own (k, B, F) batch: one
-    matrix-vector product per decoder, then the bias added in place."""
-    s = np.matmul(features, theta[..., :-1, None])[..., 0]
-    s += theta[..., -1:]
-    return s
-
-
-def _mean_loss(s: np.ndarray, labels: np.ndarray, task: str):
-    """Squared error or logistic loss, averaged over the last axis as sum / count.
-    The per-row losses share one buffer: a round's evaluation has one per test row."""
-    if task == "regression":
-        per_row = s - labels
-        per_row *= per_row
-    else:  # log(1 + e^(-ys)); -(ys) is (-y)s exactly
-        per_row = labels * s
-        np.logaddexp(0.0, np.negative(per_row, out=per_row), out=per_row)
-    return per_row.sum(axis=-1) / s.shape[-1]
-
-
 def _check_decoders(decoders: np.ndarray, clients: Clients) -> None:
-    shape = (len(clients), clients.backbone.decoder_dim)
+    shape = (len(clients), clients.decoder_dim)
     if np.shape(decoders) != shape:
         raise InvalidInput(f"decoders have shape {np.shape(decoders)}, expected {shape}: "
-                           "one row of the backbone's decoder dim per client")
+                           "one row of the clients' decoder dim per client")
 
 
 def _train_round(decoders: np.ndarray, clients: Clients,
@@ -401,7 +380,7 @@ def local_train(decoders: np.ndarray, clients: Clients,
     """One round of local training: each client runs its configured number
     of mini-batch gradient steps from its row of decoders (n, D), drawing
     batches from its own generator; returns the uploads as a read-only
-    (n, D) array in client order. Backbones untouched."""
+    (n, D) array in client order."""
     return _train_round(decoders, clients, rngs, proximal=False)
 
 
@@ -415,12 +394,21 @@ def local_train_fedprox(decoders: np.ndarray, clients: Clients,
 def evaluate(decoders: np.ndarray, clients: Clients
              ) -> tuple[tuple[float, ...], Optional[tuple[float, ...]]]:
     """Each client's loss on its test split under its row of decoders (n, D),
-    from one stacked product, and each one's accuracy if the clients
-    classify, else None. A non-finite loss raises NonFiniteLoss naming the
-    lowest-index client with one."""
+    squared error or logistic, averaged as sum / count, and each one's
+    accuracy if the clients classify, else None. One stacked matrix-vector
+    product scores every test row, and the per-row losses share one buffer.
+    A non-finite loss raises NonFiniteLoss naming the lowest-index client
+    with one."""
     _check_decoders(decoders, clients)
-    s = _scores(decoders, clients.features_test)
-    losses = _mean_loss(s, clients.test_y, clients.task)
+    s = np.matmul(clients.features_test, decoders[:, :-1, None])[..., 0]
+    s += decoders[:, -1:]
+    if clients.task == "regression":
+        per_row = s - clients.test_y
+        per_row *= per_row
+    else:  # log(1 + e^(-ys)); -(ys) is (-y)s exactly
+        per_row = clients.test_y * s
+        np.logaddexp(0.0, np.negative(per_row, out=per_row), out=per_row)
+    losses = per_row.sum(axis=-1) / s.shape[-1]
     if not np.isfinite(losses).all():
         name = clients.domains[int(np.argmin(np.isfinite(losses)))].domain_id
         raise NonFiniteLoss(f"non-finite test loss on {name}; reduce the learning rate")

@@ -23,7 +23,7 @@ import tempfile
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -152,32 +152,27 @@ class ExperimentConfig:
         )
 
 
+def _domain(input_dim: int, domain_id, sample_count: int, shift=0.0,
+            concept_shift=0.0, label_noise=0.0) -> DomainSpec:
+    """A domain over input_dim inputs; a scalar shift moves every input's mean."""
+    if np.isscalar(shift):
+        shift = (shift,) * input_dim
+    return DomainSpec(str(domain_id), sample_count, input_dim, tuple(shift),
+                      float(concept_shift), float(label_noise))
+
+
 def default_experiment_config(**overrides) -> ExperimentConfig:
-    """Four-domain setup: three well-resourced similar domains plus one
-    under-resourced domain with the largest input and concept shift."""
+    """Four-domain setup, unless domains are given: three well-resourced
+    similar domains plus one under-resourced domain with the largest input
+    and concept shift."""
     input_dim = overrides.pop("input_dim", ExperimentConfig.input_dim)
     _check_size("input_dim", input_dim, MAX_DIM)
-
-    def spec(domain_id, count, shift, concept, noise=0.1):
-        return DomainSpec(
-            domain_id=domain_id,
-            sample_count=count,
-            input_dim=input_dim,
-            shift=(shift,) * input_dim,
-            concept_shift=concept,
-            label_noise=noise,
-        )
-
-    domains = overrides.pop(
-        "domains",
-        (
-            spec("d0", 2000, 0.0, 0.3),
-            spec("d1", 2000, 0.4, 0.3),
-            spec("d2", 2000, -0.4, 0.3),
-            spec("d3", 500, 1.2, 1.8),
-        ),
-    )
-    return ExperimentConfig(input_dim=input_dim, domains=domains, **overrides)
+    if "domains" not in overrides:
+        # (domain_id, sample_count, shift, concept_shift), all at label noise 0.1
+        rows = (("d0", 2000, 0.0, 0.3), ("d1", 2000, 0.4, 0.3),
+                ("d2", 2000, -0.4, 0.3), ("d3", 500, 1.2, 1.8))
+        overrides["domains"] = tuple(_domain(input_dim, *row, 0.1) for row in rows)
+    return ExperimentConfig(input_dim=input_dim, **overrides)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -254,22 +249,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if "domains" in kwargs:
         specs = []
         for idx, entry in enumerate(kwargs["domains"]):
-            _check_section(
-                f"domain {idx}", entry, _DOMAIN_TYPES, ("domain_id", "sample_count")
-            )
-            shift = entry.get("shift", 0.0)
-            if np.isscalar(shift):
-                shift = (float(shift),) * input_dim
-            specs.append(
-                DomainSpec(
-                    domain_id=str(entry["domain_id"]),
-                    sample_count=entry["sample_count"],
-                    input_dim=input_dim,
-                    shift=tuple(shift),
-                    concept_shift=float(entry.get("concept_shift", 0.0)),
-                    label_noise=float(entry.get("label_noise", 0.0)),
-                )
-            )
+            _check_section(f"domain {idx}", entry, _DOMAIN_TYPES,
+                           ("domain_id", "sample_count"))
+            specs.append(_domain(input_dim, **entry))
         kwargs["domains"] = tuple(specs)
     return default_experiment_config(**kwargs)
 
@@ -332,23 +314,19 @@ def build_clients(cfg: ExperimentConfig, master_seed: int) -> Clients:
                         test_count=cfg.test_count, train_fraction=cfg.data_fraction)
 
 
-def _csv_header(domain_count: int, classification: bool) -> list[str]:
-    cols = ["round", "decision"]
-    cols += [f"domain_{i}_loss" for i in range(domain_count)]
-    cols += ["avg_loss", "std_loss"]
-    if classification:
-        cols += [f"domain_{i}_accuracy" for i in range(domain_count)]
-        cols += ["avg_accuracy"]
-    return cols
-
-
-def write_metrics_csv(trace: Sequence[RoundRecord], domain_count: int, path) -> None:
-    """One row per round including flagged warm-up rows; floats via repr so a
-    rerun with the same seed is byte-identical."""
+def write_metrics_csv(trace: Sequence[RoundRecord], path) -> None:
+    """One row per round including flagged warm-up rows, with a loss column
+    per domain of the trace; floats via repr so a rerun with the same seed is
+    byte-identical."""
+    domains = range(len(trace[0].domain_losses))
     classification = all(r.domain_accuracies is not None for r in trace)
+    header = ["round", "decision", *(f"domain_{i}_loss" for i in domains),
+              "avg_loss", "std_loss"]
+    if classification:
+        header += [*(f"domain_{i}_accuracy" for i in domains), "avg_accuracy"]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_csv_header(domain_count, classification))
+    writer.writerow(header)
     for rec in trace:
         row = [str(rec.round_index), rec.decision]
         row += [repr(v) for v in rec.domain_losses]
@@ -434,7 +412,7 @@ def _run_and_compare(cfgs: Sequence[ExperimentConfig], root: Path) -> list[dict]
                 cell = cell_dir(cfg, strategy, seed, root)
                 cell.mkdir(parents=True, exist_ok=True)
                 (cell / SUMMARY_NAME).unlink(missing_ok=True)
-                write_metrics_csv(trace, len(cfg.domains), cell / METRICS_NAME)
+                write_metrics_csv(trace, cell / METRICS_NAME)
                 _write_json(cell / SUMMARY_NAME, summary)
                 summaries.append(summary)
     if len({_group_key(s) for s in summaries}) > 1:
@@ -461,8 +439,8 @@ def _known(data: dict, types: dict) -> dict:
 def collect_summaries(root) -> list[dict]:
     """Every summary.json under root; raises ConfigInvalid naming the first
     file that is not an experiment-summary-v1 object holding every key that
-    compare_strategies reads, each with a value of the type it expects and
-    each final metric finite."""
+    compare_strategies reads, each with a value of the type it expects, its
+    data_fraction in (0, 1] and each final metric finite."""
     paths = sorted(Path(root).rglob(SUMMARY_NAME))
     if not paths:
         raise ConfigInvalid(f"no {SUMMARY_NAME} files under {root}")
@@ -474,6 +452,9 @@ def collect_summaries(root) -> list[dict]:
         try:
             _check_section("summary", _known(summary, _SUMMARY_TYPES),
                            _SUMMARY_TYPES, tuple(_SUMMARY_TYPES))
+            if not 0.0 < summary["data_fraction"] <= 1.0:  # NaN fails both
+                raise ConfigInvalid("summary key 'data_fraction' must be in (0, 1], got "
+                                    f"{reprlib.repr(summary['data_fraction'])}")
             final = _known(summary["final"], _FINAL_TYPES)
             _check_section("final", final, _FINAL_TYPES, _FINAL_METRICS)
             for key, value in final.items():

@@ -9,7 +9,7 @@ protocol clusters the uploads by cosine distance first.
 Clients, round outcomes and round records are immutable. run_simulation's
 locals hold the only state that changes: every client's current decoder, as
 the rows of one read-only (n, D) array (each row the linear head, then its
-bias, as the shared backbone fixes it), the last exchange plan and the trace.
+bias, as the clients' features fix it), the last exchange plan and the trace.
 """
 
 from __future__ import annotations
@@ -173,14 +173,12 @@ class RoundRecord:
     deliveries are evaluated.
 
     Warm-up rows carry non-positive round indices and decision "warmup".
-    plan is an exchange round's delivery tuple and assignment the index list of
-    the two-cluster split behind a clustered one; each is None where absent.
+    plan is an exchange round's delivery tuple, None in every other round.
     """
 
     round_index: int
     decision: str
     strategy_tag: str
-    assignment: Optional[tuple[int, ...]]
     plan: Optional[tuple[int, ...]]
     domain_losses: tuple[float, ...]
     domain_accuracies: Optional[tuple[float, ...]]
@@ -309,7 +307,7 @@ def run_simulation(cfg: ServerConfig, clients: Clients) -> tuple[RoundRecord, ..
     if n < 2:
         raise ConfigInvalid(f"need at least 2 clients, got {n}")
     init_rng = np.random.default_rng(derive_seed(cfg.master_seed, PURPOSES["init"]))
-    dim = clients.backbone.decoder_dim
+    dim = clients.decoder_dim
     decoders = np.broadcast_to(init_rng.normal(0.0, 0.1, size=dim), (n, dim))
     last_plan = None
     trace = []
@@ -330,10 +328,8 @@ def run_simulation(cfg: ServerConfig, clients: Clients) -> tuple[RoundRecord, ..
         outcome = run_round(r, uploads, clients.train_sizes, cfg, last_plan,
                             _generator(exchange_words[r - 1]) if r >= 1 else None)
         decoders, plan = outcome.deliveries, outcome.plan
-        clusters = plan and plan.clusters
         losses, accuracies = evaluate(decoders, clients)
-        trace.append(RoundRecord(r, outcome.decision, cfg.strategy,
-                                 clusters and clusters.index_list, plan and plan.assignment,
+        trace.append(RoundRecord(r, outcome.decision, cfg.strategy, plan and plan.assignment,
                                  losses, accuracies, float(np.mean(losses)),
                                  float(np.std(losses))))
         last_plan = plan.assignment if plan else last_plan

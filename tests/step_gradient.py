@@ -10,7 +10,6 @@ import numpy as np
 from fedswap.clients import (
     Clients,
     DomainSpec,
-    FrozenBackbone,
     LocalConfig,
     local_train,
     local_train_fedprox,
@@ -18,12 +17,11 @@ from fedswap.clients import (
 
 
 def _one_client(features, labels, task, steps, mu=0.0):
-    rows, dim = features.shape
+    rows = len(features)
     config = LocalConfig(steps=steps, learning_rate=1.0, batch_size=rows, prox_mu=mu)
     domain = DomainSpec("probe", rows, 1, (0.0,), 0.0, 0.0)
-    return Clients((domain,), task, config, FrozenBackbone.create(0, 1, dim),
-                   features.copy(), labels.copy(), features[None].copy(),
-                   labels[None].copy(), np.array([0, rows]))
+    return Clients((domain,), task, config, features.copy(), labels.copy(),
+                   features[None].copy(), labels[None].copy(), np.array([0, rows]))
 
 
 def step_gradient(theta, features, labels, task):

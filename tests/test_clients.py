@@ -149,7 +149,7 @@ class TestFrozenBackbone:
         assert np.all(np.abs(f) <= 1.0)
 
     def test_manifest_covers_weights_and_bias(self):
-        assert backbone().decoder_dim == FEATURE_DIM + 1
+        assert client().decoder_dim == FEATURE_DIM + 1
 
 
 class TestGenerateDomainDataset:
@@ -330,14 +330,6 @@ class TestLocalTrain:
             theta = local_train(theta, cl, rngs(0))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
-    def test_backbone_untouched_by_training(self):
-        cl = client()
-        before_w = cl.backbone.weight.copy()
-        before_b = cl.backbone.bias.copy()
-        local_train(decoder(fill=0.0), cl, rngs(0))
-        assert np.array_equal(cl.backbone.weight, before_w)
-        assert np.array_equal(cl.backbone.bias, before_b)
-
     def test_dimension_checked_against_manifest(self):
         cl = client()
         for bad in (np.zeros((1, FEATURE_DIM)), np.zeros(FEATURE_DIM + 1),
@@ -473,7 +465,7 @@ def edge_population(proximal):
     local = LocalConfig(steps=6, learning_rate=0.1, batch_size=4,
                         prox_mu=0.5 if proximal else 0.0)
     domains = tuple(spec(f"d{i}", count=len(p)) for i, p in enumerate(EDGE_CLIENTS))
-    return Clients(domains, "classification", local, backbone(), features, labels,
+    return Clients(domains, "classification", local, features, labels,
                    np.zeros((n, 1, FEATURE_DIM)), np.ones((n, 1)), starts)
 
 

@@ -77,6 +77,11 @@ def final_set(key, value):
                                         final={**s["final"], key: value}))
 
 
+def fraction_set(value):
+    """A damage for summary.json text: its data_fraction set to value."""
+    return lambda text: json.dumps({**json.loads(text), "data_fraction": value})
+
+
 # JSON-shaped config values: each key gets a value of its own JSON type or
 # any nested value. Integers stay small, except the sizes: they are checked
 # against MAX_DIM and MAX_ROWS before anything that large is built, so a huge
@@ -211,8 +216,8 @@ class TestBuildClients:
         clients = build_clients(cfg, master_seed=0)
         assert len(clients) == 3
         assert clients.domains == cfg.domains
-        assert (clients.backbone.input_dim, clients.backbone.feature_dim) == (
-            cfg.input_dim, cfg.feature_dim)
+        assert clients.features_train.shape[1] == cfg.feature_dim
+        assert clients.decoder_dim == cfg.feature_dim + 1
         assert (clients.task, clients.config) == (cfg.task, cfg.local)
         assert clients.train_sizes == (50, 50, 20)
         assert clients.starts.tolist() == [0, 50, 100, 120]
@@ -693,10 +698,16 @@ class TestCli:
         (final_set("worst_domain_loss", float("-inf")), "'worst_domain_loss' is not finite"),
         (final_set("avg_accuracy", float("nan")), "'avg_accuracy' is not finite"),
         (final_set("avg_loss", 10**400), "'avg_loss' is not finite"),
+        # compare used to rank a group at any fraction, NaN included
+        (fraction_set(float("nan")), "'data_fraction' must be in (0, 1], got nan"),
+        (fraction_set(0), "'data_fraction' must be in (0, 1], got 0"),
+        (fraction_set(1.5), "'data_fraction' must be in (0, 1], got 1.5"),
+        (fraction_set(-0.5), "'data_fraction' must be in (0, 1], got -0.5"),
     ], ids=["cut_to_200_bytes", "not_a_summary", "v1_tag_only",
             "domain_ids_a_number", "final_avg_loss_a_string", "avg_loss_inf",
             "std_loss_nan", "worst_loss_neg_inf", "avg_accuracy_nan",
-            "avg_loss_past_float_range"])
+            "avg_loss_past_float_range", "data_fraction_nan", "data_fraction_0",
+            "data_fraction_1.5", "data_fraction_neg"])
     def test_compare_damaged_summary_is_one_line_error(self, tmp_path, capsys, damage,
                                                        message):
         run_experiment(tiny_config(seeds=(0,)), tmp_path)

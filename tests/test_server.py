@@ -420,11 +420,12 @@ class TestRunSimulation:
 
     def test_exchange_rounds_record_plan_and_cluster(self, monkeypatch):
         # each exchange's plan builder gets the plan of the exchange before it,
-        # across the aggregate round in between
-        history = []
+        # across the aggregate round in between, and a two-cluster split
+        history, splits = [], []
 
         def recording(assignment, last, rng):
             history.append(last)
+            splits.append(assignment.index_list)
             return build_clustered_plan(assignment, last, rng)
 
         monkeypatch.setattr(server, "build_clustered_plan", recording)
@@ -435,12 +436,12 @@ class TestRunSimulation:
         exchange_rows = [r for r in trace if r.decision == EXCHANGE]
         assert len(exchange_rows) == 2
         assert history == [None, exchange_rows[0].plan]
-        for row in exchange_rows:
+        for row, split in zip(exchange_rows, splits, strict=True):
             assert sorted(row.plan) == [0, 1, 2, 3]
-            assert set(row.assignment) == {0, 1}
+            assert set(split) == {0, 1}
         aggregate_rows = [r for r in trace if r.decision == AGGREGATE]
         for row in aggregate_rows:
-            assert row.plan is None and row.assignment is None
+            assert row.plan is None
 
     def test_determinism_bitwise(self):
         cfg = ServerConfig(
@@ -451,7 +452,6 @@ class TestRunSimulation:
         for a, b in zip(t1, t2):
             assert a.domain_losses == b.domain_losses
             assert a.plan == b.plan
-            assert a.assignment == b.assignment
 
     def test_fedavg_only_matches_clustered_at_t1(self):
         base = dict(rounds=3, warmup_rounds=1, master_seed=2)

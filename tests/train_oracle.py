@@ -35,7 +35,7 @@ def oracle_local_train(decoder, clients, i, seed, proximal=False):
     one batch of indices per step from default_rng(seed); with proximal,
     FedProx's pull toward the starting decoder at the clients' prox_mu. Its
     train split is rows starts[i] to starts[i + 1] of the clients' block."""
-    expected = clients.backbone.decoder_dim
+    expected = clients.features_train.shape[1] + 1
     if decoder.shape != (expected,):
         raise InvalidInput(f"decoder shape {decoder.shape} does not match ({expected},)")
     cfg = clients.config
