@@ -79,8 +79,6 @@ class DomainSpec:
 class FrozenBackbone:
     """Shared feature extractor: tanh(x @ W + b), never updated by training."""
 
-    input_dim: int
-    feature_dim: int
     weight: np.ndarray
     bias: np.ndarray
 
@@ -91,7 +89,7 @@ class FrozenBackbone:
         bias = rng.normal(0.0, _BACKBONE_BIAS_SCALE, size=feature_dim)
         weight.setflags(write=False)
         bias.setflags(write=False)
-        return cls(input_dim=input_dim, feature_dim=feature_dim, weight=weight, bias=bias)
+        return cls(weight, bias)
 
     def features(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """tanh(x @ W + b), written into out when it is given."""
@@ -190,19 +188,18 @@ def _labels(features: np.ndarray, head: np.ndarray, eps: np.ndarray, task: str) 
 
 def make_clients(
     specs: Sequence[DomainSpec],
-    backbone: FrozenBackbone,
-    shared_head: np.ndarray,
-    domain_seeds: Sequence[int],
+    seeds: Sequence[int],
     *,
+    feature_dim: int,
     config: LocalConfig,
     task: str,
     test_count: int,
     train_fraction: float,
 ) -> Clients:
-    """Draw each domain's data, x ~ N(shift, I) with y from the shared head
-    perturbed by concept_shift in a random direction, from its own seed, and
-    build the clients over one block per split; client i takes specs[i] and
-    domain_seeds[i], and all of them train on task with config.
+    """Draw the backbone from seeds[0], the shared head from seeds[1] and each
+    domain's data, x ~ N(shift, I) with y from the shared head perturbed by
+    concept_shift in a random direction, from seeds[i + 2] for specs[i]; every
+    client trains on task with config. The arguments are checked config values.
 
     The full sample_count is always drawn and the train split keeps the first
     round(sample_count * train_fraction) rows, so a reduced-fraction split is
@@ -210,27 +207,12 @@ def make_clients(
     computed straight into the blocks; only a reduced split's full draw passes
     through a temporary, so no second copy of the data is ever resident.
     """
+    backbone = FrozenBackbone.create(seeds[0], specs[0].input_dim, feature_dim)
+    shared_head = np.random.default_rng(seeds[1]).normal(size=feature_dim)
     n = len(specs)
-    if n < 1 or n != len(domain_seeds):
-        raise ConfigInvalid(f"got {n} domains and {len(domain_seeds)} seeds")
-    if task not in TASKS:
-        raise ConfigInvalid(f"unknown task {task!r}")
-    if not 0.0 < train_fraction <= 1.0:
-        raise ConfigInvalid(f"train_fraction must be in (0, 1], got {train_fraction}")
-    if test_count < 1:
-        raise ConfigInvalid("test_count must be >= 1")
-    for spec in specs:
-        if spec.input_dim != backbone.input_dim:
-            raise ConfigInvalid(
-                f"{spec.domain_id}: input_dim {spec.input_dim} does not match "
-                f"backbone input_dim {backbone.input_dim}"
-            )
-    if np.shape(shared_head) != (backbone.feature_dim,):
-        raise ConfigInvalid(f"shared_head must have shape ({backbone.feature_dim},)")
-
     sizes = [max(1, int(round(spec.sample_count * train_fraction))) for spec in specs]
     starts = np.cumsum([0, *sizes])
-    dim, split = backbone.feature_dim, starts[-1]
+    dim, split = feature_dim, starts[-1]
     # one allocation holds both blocks, the train rows then the test rows: with
     # two, malloc handed both back to the system when a cell ended, and every
     # cell faulted its data's pages in afresh (about 900 faults on wide64)
@@ -238,7 +220,7 @@ def make_clients(
     features_train, train_y = features[:split], labels[:split]
     features_test = features[split:].reshape(n, test_count, dim)
     test_y = labels[split:].reshape(n, test_count)
-    for i, (spec, seed) in enumerate(zip(specs, domain_seeds)):
+    for i, (spec, seed) in enumerate(zip(specs, seeds[2:])):
         rng = np.random.default_rng(seed)
         direction = rng.normal(size=dim)
         direction /= np.linalg.norm(direction)

@@ -30,7 +30,6 @@ import numpy as np
 from .clients import (
     TASKS,
     DomainSpec,
-    FrozenBackbone,
     Clients,
     LocalConfig,
     make_clients,
@@ -65,12 +64,14 @@ __all__ = [
 SUMMARY_NAME = "summary.json"
 SUMMARY_SCHEMA = "experiment-summary-v1"
 METRICS_NAME = "metrics.csv"
-# Size caps, checked before any shift tuple, input matrix or feature matrix
-# is built, so a runaway size fails at once instead of allocating. Every
-# workload and test uses input_dim 3 to 16, feature_dim at most 32, at most
-# 2000 samples per domain and 500 test rows.
+# Size caps, checked before any shift tuple, input matrix or feature matrix is
+# built, so a runaway size is one line of error, not an allocation the host may
+# grant lazily and then kill the process for. MAX_ENTRIES caps all data rows
+# times max(input_dim, feature_dim), 480 MB of float64. Workloads and tests use
+# input_dim <= 16, feature_dim <= 32, 2000 samples and 2.05e6 entries at most.
 MAX_DIM = 4096  # input_dim and feature_dim
 MAX_ROWS = 10**6  # sample_count of each domain, and test_count
+MAX_ENTRIES = 6 * 10**7
 
 
 def _check_size(name: str, value: int, cap: int) -> None:
@@ -130,6 +131,11 @@ class ExperimentConfig:
                 raise ConfigInvalid(
                     f"domain {d.domain_id} input_dim {d.input_dim} != {self.input_dim}"
                 )
+        rows = sum(d.sample_count for d in self.domains) + len(self.domains) * self.test_count
+        width = max(self.input_dim, self.feature_dim)
+        if rows * width > MAX_ENTRIES:
+            raise ConfigInvalid(f"data rows times width must be at most {MAX_ENTRIES}, "
+                                f"got {rows} x {width}")
         # surfaces a bad strategy, seed or rounds/frequency combination of any
         # cell before the first cell runs
         for strategy in self.strategies:
@@ -155,6 +161,7 @@ class ExperimentConfig:
 def _domain(input_dim: int, domain_id, sample_count: int, shift=0.0,
             concept_shift=0.0, label_noise=0.0) -> DomainSpec:
     """A domain over input_dim inputs; a scalar shift moves every input's mean."""
+    _check_size("input_dim", input_dim, MAX_DIM)
     if np.isscalar(shift):
         shift = (shift,) * input_dim
     return DomainSpec(str(domain_id), sample_count, input_dim, tuple(shift),
@@ -166,7 +173,6 @@ def default_experiment_config(**overrides) -> ExperimentConfig:
     similar domains plus one under-resourced domain with the largest input
     and concept shift."""
     input_dim = overrides.pop("input_dim", ExperimentConfig.input_dim)
-    _check_size("input_dim", input_dim, MAX_DIM)
     if "domains" not in overrides:
         # (domain_id, sample_count, shift, concept_shift), all at label noise 0.1
         rows = (("d0", 2000, 0.0, 0.3), ("d1", 2000, 0.4, 0.3),
@@ -240,7 +246,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     _check_section("config", data, _TOP_TYPES)
     kwargs = dict(data)
     input_dim = kwargs.get("input_dim", ExperimentConfig.input_dim)
-    _check_size("input_dim", input_dim, MAX_DIM)
 
     if "local" in kwargs:
         _check_section("local", kwargs["local"], _LOCAL_TYPES)
@@ -277,7 +282,7 @@ def _write_text(path, text: str) -> None:
 
 
 def _write_json(path, data) -> None:
-    _write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _read_json(path):
@@ -301,17 +306,10 @@ def build_clients(cfg: ExperimentConfig, master_seed: int) -> Clients:
     # one bulk derivation; backbone and concept at (tag, 0), which zero padding
     # makes equal to (tag,)
     tags = [PURPOSES["backbone"], PURPOSES["concept"]] + [PURPOSES["domain"]] * n
-    backbone_seed, concept_seed, *domain_seeds = derive_seed(
-        master_seed, np.array(tags), np.array([0, 0, *range(n)])).tolist()
-    backbone = FrozenBackbone.create(
-        backbone_seed,
-        input_dim=cfg.input_dim,
-        feature_dim=cfg.feature_dim,
-    )
-    shared_head = np.random.default_rng(concept_seed).normal(size=cfg.feature_dim)
-    return make_clients(cfg.domains, backbone, shared_head, domain_seeds,
-                        config=cfg.local, task=cfg.task,
-                        test_count=cfg.test_count, train_fraction=cfg.data_fraction)
+    seeds = derive_seed(master_seed, np.array(tags), np.array([0, 0, *range(n)])).tolist()
+    return make_clients(cfg.domains, seeds, feature_dim=cfg.feature_dim, config=cfg.local,
+                        task=cfg.task, test_count=cfg.test_count,
+                        train_fraction=cfg.data_fraction)
 
 
 def write_metrics_csv(trace: Sequence[RoundRecord], path) -> None:
@@ -523,6 +521,8 @@ def compare_strategies(summaries: Sequence[dict]) -> dict:
             entry["mean_avg_accuracy"] = float(
                 np.mean([s["final"]["avg_accuracy"] for s in rows])
             )
+        if not np.isfinite([v for k, v in entry.items() if k.startswith("mean_")]).all():
+            raise ConfigInvalid(f"group {_group_name(key)}: a mean over seeds overflows")
         entries.append(entry)
 
     means = [e["mean_avg_loss"] for e in entries]

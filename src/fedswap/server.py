@@ -21,7 +21,7 @@ import numpy as np
 
 from .clients import Clients, evaluate, local_train, local_train_fedprox
 from .clustering import build_distance_matrix, cluster_to_two
-from .errors import ConfigInvalid, FedswapError, InvalidInput
+from .errors import ConfigInvalid, FedswapError, InvalidInput, NonFiniteLoss
 from .exchange import (
     ExchangePlan,
     build_clustered_plan,
@@ -188,8 +188,6 @@ class RoundRecord:
 
 def schedule_decision(r: int, T: int) -> str:
     """Aggregate iff the 1-based round index is a multiple of T."""
-    if r < 1 or T < 1:
-        raise ConfigInvalid(f"round index and frequency must be >= 1, got r={r}, T={T}")
     return AGGREGATE if r % T == 0 else EXCHANGE
 
 
@@ -278,9 +276,6 @@ def run_round(
     plan, last_plan, and the round's exchange generator, rng (None in
     warm-up); client i receives uploads[plan.assignment[i]].
     """
-    n = len(uploads)
-    if n != len(sizes):
-        raise ConfigInvalid(f"round {r}: got {n} uploads for {len(sizes)} train sizes")
     decision = WARMUP if r < 1 else schedule_decision(r, cfg.aggregation_frequency)
     try:
         if decision != EXCHANGE:
@@ -304,8 +299,6 @@ def run_simulation(cfg: ServerConfig, clients: Clients) -> tuple[RoundRecord, ..
     trace is a pure function of cfg.master_seed.
     """
     n = len(clients)
-    if n < 2:
-        raise ConfigInvalid(f"need at least 2 clients, got {n}")
     init_rng = np.random.default_rng(derive_seed(cfg.master_seed, PURPOSES["init"]))
     dim = clients.decoder_dim
     decoders = np.broadcast_to(init_rng.normal(0.0, 0.1, size=dim), (n, dim))
@@ -329,9 +322,11 @@ def run_simulation(cfg: ServerConfig, clients: Clients) -> tuple[RoundRecord, ..
                             _generator(exchange_words[r - 1]) if r >= 1 else None)
         decoders, plan = outcome.deliveries, outcome.plan
         losses, accuracies = evaluate(decoders, clients)
+        avg, std = float(np.mean(losses)), float(np.std(losses))
+        if not np.isfinite(std):  # an overflowing mean makes it inf or NaN too
+            raise NonFiniteLoss(f"round {r}: test loss std overflows; reduce the learning rate")
         trace.append(RoundRecord(r, outcome.decision, cfg.strategy, plan and plan.assignment,
-                                 losses, accuracies, float(np.mean(losses)),
-                                 float(np.std(losses))))
+                                 losses, accuracies, avg, std))
         last_plan = plan.assignment if plan else last_plan
 
     return tuple(trace)

@@ -77,3 +77,28 @@ def test_readme_layout_names_every_module():
     block = readme.split("\n## Layout\n", 1)[1].split("```")[1]
     listed = re.findall(r"^  (\S+)", block.split("\nsrc/fedswap/\n", 1)[1], re.MULTILINE)
     assert sorted(listed) == sorted(p.name for p in package.glob("*.py"))
+
+
+def test_only_config_types_raise_config_invalid():
+    # a fact a config type refused is not checked again below it: in the
+    # simulator modules ConfigInvalid comes only from a config type's
+    # __post_init__, or from derive_seed, which hashes the master seed
+    found = []
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                target = getattr(child.exc, "func", child.exc)
+                if getattr(target, "id", getattr(target, "attr", None)) == "ConfigInvalid":
+                    found.append((function, f"{module}:{child.lineno}"))
+            visit(child, module, function)
+
+    for module in ("clients.py", "server.py"):
+        visit(ast.parse((Path(fedswap.__file__).parent / module).read_text()), module, None)
+    assert {"__post_init__", "derive_seed"} <= {function for function, _ in found}
+    offenders = sorted(where for function, where in found
+                       if function not in ("__post_init__", "derive_seed"))
+    assert not offenders, f"ConfigInvalid raised below the config types at {offenders}"

@@ -1,5 +1,7 @@
 import csv
+import functools
 import json
+import math
 import os
 import re
 import shlex
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedswap import cli, harness
@@ -21,6 +23,7 @@ from fedswap.clients import MAX_STEP_ROWS, MAX_STEPS, DomainSpec, LocalConfig
 from fedswap.errors import ConfigInvalid, FedswapError
 from fedswap.harness import (
     MAX_DIM,
+    MAX_ENTRIES,
     MAX_ROWS,
     ExperimentConfig,
     ablation_T,
@@ -377,6 +380,17 @@ class TestRunExperiment:
         assert reads > 0 and bad == 0, f"{bad} of {reads} reads saw a partial file"
         assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
 
+    def test_non_finite_json_leaves_the_old_file(self, tmp_path):
+        # json refuses NaN and Infinity before the temporary file exists
+        target = tmp_path / "out.json"
+        harness._write_json(target, {"x": 1.0})
+        before = target.read_bytes()
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                harness._write_json(target, {"x": value})
+        assert target.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
     def test_written_files_keep_the_default_mode(self, tmp_path):
         umask = os.umask(0)
         os.umask(umask)
@@ -448,6 +462,14 @@ class TestCompareStrategies:
                            match="^group clustered_T2_f1 holds seed 0 twice$"):
             compare_strategies(summaries)
 
+    def test_overflowing_mean_over_seeds_rejected(self):
+        # each final loss is finite, but their sum over the seeds is not
+        summaries = [self.fake_summary("clustered", seed, 1e308) for seed in (0, 1)]
+        summaries += [self.fake_summary("fedavg_only", seed, 1.0) for seed in (0, 1)]
+        with np.errstate(over="ignore"), pytest.raises(
+                ConfigInvalid, match="^group clustered_T1_f1: a mean over seeds overflows$"):
+            compare_strategies(summaries)
+
     def test_differing_rounds_rejected(self):
         a = self.fake_summary("clustered", 0, 1.0)
         b = self.fake_summary("fedavg_only", 0, 2.0)
@@ -497,6 +519,110 @@ class TestCompareStrategies:
         assert lines[0].startswith("strategy")
         assert any(line.startswith("clustered") for line in lines)
         assert any(line.startswith("fedavg_only") for line in lines)
+
+
+@pytest.fixture(scope="module")
+def summary_trees(tmp_path_factory) -> dict:
+    """Valid trees to compare, two strategies at seeds 0..k-1 for k in 1, 2:
+    by k, each one's root, its summaries by their paths under the root, and
+    the bytes of its comparison files."""
+    trees = {}
+    for k in (1, 2):
+        root = tmp_path_factory.mktemp(f"seeds_{k}")
+        run_experiment(tiny_config(seeds=tuple(range(k))), root)
+        summaries = {str(p.relative_to(root)): json.loads(p.read_text())
+                     for p in root.rglob("summary.json")}
+        trees[k] = root, summaries, {p.name: p.read_bytes() for p in root.glob("comparison.*")}
+    return trees
+
+
+def _locations(summary: dict) -> list[tuple]:
+    """Where one value can be damaged: every key of a summary and of its
+    final entry, and the first item of every list."""
+    found = []
+    for parent in ((), ("final",)):
+        for key, value in functools.reduce(dict.get, parent, summary).items():
+            found.append((*parent, key))
+            if isinstance(value, list):
+                found.append((*parent, key, 0))
+    return found
+
+
+_DAMAGES = ("type", "nan", "inf", "-inf", "negative", "zero", "huge_int", "missing",
+            "extra_key", "repeated_seed")
+_OTHER_TYPES = ("x", [1.0], {"a": 1}, True, None, 0.5, 7)
+
+
+def _damaged(summary: dict, group: list, where: tuple, damage: str, swap: int) -> dict:
+    """A copy of summary, one of group, with one damage at where; swap picks
+    among the replacement values of a damage that has several."""
+    summary = json.loads(json.dumps(summary))
+    *path, last = where
+    holder = functools.reduce(lambda node, key: node[key], path, summary)
+    value = holder[last]
+    if damage == "repeated_seed":
+        summary["seed"] = next(s["seed"] for s in group if s["seed"] != summary["seed"])
+    elif damage == "missing":
+        del holder[last]
+    elif damage == "extra_key":
+        target = holder if isinstance(holder, dict) else summary
+        target["extra"] = 1
+    elif damage == "type":
+        others = [v for v in _OTHER_TYPES if type(v) is not type(value)]
+        holder[last] = others[swap % len(others)]
+    else:
+        holder[last] = {
+            "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "zero": 0,
+            "negative": -abs(value) - 1 if _is_number(value) else -1,
+            "huge_int": (2**63, 10**308, 10**400)[swap % 3],
+        }[damage]
+    return summary
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _assert_finite_numbers(node) -> None:
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for item in node:
+            _assert_finite_numbers(item)
+    elif isinstance(node, float):
+        assert math.isfinite(node), node
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"comparison.json holds {name}")
+
+
+@given(st.sampled_from((1, 2)), st.data(), st.sampled_from(_DAMAGES), st.integers(0, 6))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_compare_refuses_or_writes_finite_json_for_any_one_damage(summary_trees, seeds, data,
+                                                                   damage, swap):
+    # one value of one summary of a valid two-group tree is damaged: compare
+    # either refuses the tree, leaving the old comparison, or writes one
+    # that holds only finite numbers; a one-seed tree lets a summary that
+    # leaves its group still match the other group's seed set
+    assume(damage != "repeated_seed" or seeds > 1)
+    root, summaries, written = summary_trees[seeds]
+    name = data.draw(st.sampled_from(sorted(summaries)))
+    group = [s for path, s in summaries.items()
+             if Path(path).parent.parent == Path(name).parent.parent]
+    where = data.draw(st.sampled_from(_locations(summaries[name])))
+    (root / name).write_text(json.dumps(_damaged(summaries[name], group, where, damage, swap)))
+    try:
+        harness.write_comparison(compare_strategies(collect_summaries(root)), root)
+    except FedswapError:
+        assert {p.name: p.read_bytes() for p in root.glob("comparison.*")} == written
+    else:
+        _assert_finite_numbers(json.loads((root / "comparison.json").read_text(),
+                                          parse_constant=_refuse_constant))
+    finally:
+        (root / name).write_text(json.dumps(summaries[name]))
+        for file, content in written.items():
+            (root / file).write_bytes(content)
 
 
 class TestAblationT:
@@ -603,13 +729,16 @@ class TestCli:
 
     @pytest.mark.filterwarnings("error")
     def test_divergence_is_one_line_error(self, tmp_path, capsys):
-        # numpy's overflow warnings must not escape main or add lines
+        # numpy's overflow warnings must not escape main or add lines; at 100
+        # steps the training loss overflows in the first warm-up round, before
+        # any test loss is scored (at 10 steps the test losses' std overflows
+        # first, in round -2)
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({"local": {"learning_rate": 50}}))
+        cfg_path.write_text(json.dumps({"local": {"learning_rate": 50, "steps": 100}}))
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "runs")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: non-finite loss at step 4 on d0")
+        assert err.startswith("error: non-finite loss at step 68 on d0")
         assert err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error")
@@ -627,6 +756,27 @@ class TestCli:
         assert err == "error: non-finite test loss on d0; reduce the learning rate\n"
         assert not list(tmp_path.rglob("summary.json"))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("overrides, round_index", [
+        ({"warmup_rounds": 0, "local": {"steps": 1, "learning_rate": 1e80}}, 1),
+        ({"local": {"learning_rate": 50}}, -2)], ids=["one_step_at_1e80", "lr_50"])
+    def test_overflowing_loss_std_is_one_line_error(self, tmp_path, capsys, overrides,
+                                                    round_index):
+        # the test losses are finite, near 1e162 in the one-step run, but the
+        # squares in their std overflow; no Infinity reaches metrics.csv or
+        # summary.json
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"rounds": 2, "aggregation_frequency": 1,
+                                        "strategies": ["fedavg_only"], "seeds": [0],
+                                        **overrides}))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: round {round_index}: test loss std overflows; "
+                       "reduce the learning rate\n")
+        assert not list(tmp_path.rglob("metrics.csv"))
+        assert not list(tmp_path.rglob("summary.json"))
+
     def test_huge_input_dim_fails_fast(self, tmp_path, capsys):
         # each is rejected before a shift tuple, an input matrix or a feature
         # matrix of that size is built
@@ -637,6 +787,8 @@ class TestCli:
             ({"feature_dim": 10**15}, "feature_dim"),
             ({"test_count": 10**15}, "test_count"),
             ({"domains": two}, "domain a sample_count"),
+            # each size within its cap: a (4006500, 4096) feature block, 122 GiB
+            ({"feature_dim": 4096, "test_count": 10**6}, "data rows times width"),
         ):
             cfg_path = tmp_path / "config.json"
             cfg_path.write_text(json.dumps(data))
@@ -756,19 +908,23 @@ class TestCli:
         assert "mean_avg_loss" not in printed
 
     def test_oversized_blocks_are_one_line_error(self, tmp_path):
-        # every size is within its cap, but the two domains' feature block is
-        # (2001000, 4096) float64, 61 GiB; the child's address space is capped
-        # so that numpy refuses the allocation at once, whatever the host's
+        # the largest data the caps admit: the two domains' feature block is
+        # (14640, 4096) float64, 458 MiB, just under MAX_ENTRIES; the child
+        # caps its address space 256 MiB above what its imports took, so
+        # numpy refuses the allocation at once, whatever the host's
         # overcommit policy; never run this config without that cap
         config = {"feature_dim": 4096, "rounds": 2, "aggregation_frequency": 2,
-                  "seeds": [0], "strategies": ["clustered"],
-                  "domains": [{"domain_id": "a", "sample_count": 10**6},
-                              {"domain_id": "b", "sample_count": 10**6}]}
+                  "seeds": [0], "strategies": ["clustered"], "test_count": 320,
+                  "domains": [{"domain_id": "a", "sample_count": 7000},
+                              {"domain_id": "b", "sample_count": 7000}]}
+        assert 14640 * 4096 <= MAX_ENTRIES
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))
         child = ("import resource, sys\n"
-                 "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
                  "from fedswap.cli import main\n"
+                 "pages = int(open('/proc/self/statm').read().split()[0])\n"
+                 "limit = pages * resource.getpagesize() + (256 << 20)\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
                  "sys.exit(main(sys.argv[1:]))\n")
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
@@ -778,7 +934,7 @@ class TestCli:
                                "--out", str(tmp_path / "runs")],
                               env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 2, done.stderr
-        assert done.stderr.startswith("error: Unable to allocate 61.1 GiB")
+        assert done.stderr.startswith("error: Unable to allocate 458. MiB")
         assert done.stderr.count("\n") == 1
         assert not list(tmp_path.rglob("summary.json"))
 
