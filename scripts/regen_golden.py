@@ -6,9 +6,10 @@ SHA-256 of every deterministic output file, keyed by its path under that
 directory, to tests/golden/digests.json (or to the path given as the only
 argument), and the numpy and scipy versions it ran under to versions.json
 beside it: NEP 19 does not freeze Generator.normal, integers or permutation,
-so the digests hold for those versions. tests/test_golden.py runs this script
-and compares its result with the committed file, so a change that alters any
-output byte fails the suite.
+so the digests hold for those versions. Its one line of output names those
+versions and the numpy SIMD dispatch targets the run enabled.
+tests/test_golden.py runs this script and compares its result with the
+committed file, so a change that alters any output byte fails the suite.
 
 The matrix: the default four-domain config at 10 rounds with seeds 0 and 1,
 for both tasks, all five strategies and an ablation over T = 1, 2, 5; for both
@@ -136,6 +137,15 @@ def digests(root: Path) -> dict[str, str]:
     }
 
 
+def dispatch_targets() -> list[str]:
+    """The SIMD targets above numpy's baseline that this process enabled,
+    lowest first: the float64 exp and tanh loops, and so some digests,
+    change bits with the highest (NPY_DISABLE_CPU_FEATURES lowers it)."""
+    from numpy._core import _multiarray_umath as umath
+
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
 def main(args: argparse.Namespace) -> int:
     out = args.digests or DIGESTS
     with tempfile.TemporaryDirectory() as tmp:
@@ -146,7 +156,8 @@ def main(args: argparse.Namespace) -> int:
     out.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     versions = {name: version(name) for name in ("numpy", "scipy")}
     out.with_name(VERSIONS_NAME).write_text(json.dumps(versions, indent=2) + "\n")
-    print(f"wrote {len(table)} digests to {out}, made under {versions}")
+    print(f"wrote {len(table)} digests to {out}, made under {versions} "
+          f"with numpy dispatch targets {dispatch_targets()}")
     return 0
 
 

@@ -19,7 +19,6 @@ import json
 import os
 import reprlib
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -62,7 +61,7 @@ __all__ = [
 ]
 
 SUMMARY_NAME = "summary.json"
-SUMMARY_SCHEMA = "experiment-summary-v1"
+SUMMARY_SCHEMA = "experiment-summary-v2"
 METRICS_NAME = "metrics.csv"
 # Size caps, checked before any shift tuple, input matrix or feature matrix is
 # built, so a runaway size is one line of error, not an allocation the host may
@@ -203,16 +202,12 @@ _DOMAIN_TYPES = {"domain_id": (str, int), "sample_count": int,
                  "shift": _NUMBER + _SEQUENCE, "concept_shift": _NUMBER,
                  "label_noise": _NUMBER}
 # what compare_strategies reads of each summary, and of its "final" entry,
-# where every key but avg_accuracy is required
-_SUMMARY_TYPES = {
-    "strategy": str, "seed": int, "rounds": int, "aggregation_frequency": int,
-    "warmup_rounds": int, "data_fraction": _NUMBER, "task": str,
-    "domain_ids": _SEQUENCE, "train_sizes": _SEQUENCE, "final": dict,
-}
+# where every key but avg_accuracy is required; config_from_dict checks "config"
+_SUMMARY_TYPES = {"config": dict, "train_sizes": _SEQUENCE, "final": dict}
 _FINAL_METRICS = ("avg_loss", "std_loss", "worst_domain_loss")
 _FINAL_TYPES = {**dict.fromkeys(_FINAL_METRICS, _NUMBER), "avg_accuracy": _NUMBER}
 _ITEM_TYPES = {"strategies": str, "seeds": int, "domains": dict, "shift": _NUMBER,
-               "domain_ids": str, "train_sizes": int}
+               "train_sizes": int}
 
 
 def _is_a(value, types) -> bool:
@@ -267,12 +262,10 @@ def _write_text(path, text: str) -> None:
     path leaves the old file or a whole new one, never a part. No fsync, so
     this does not guard against a power loss."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")  # umask mode; a failed one makes no file
     try:
-        with open(fd, "w", encoding="utf-8", newline="") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)  # open()'s mode; mkstemp makes 0600
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -336,27 +329,21 @@ def write_metrics_csv(trace: Sequence[RoundRecord], path) -> None:
     _write_text(path, buf.getvalue())
 
 
-def _summarize(
-    cfg: ExperimentConfig,
-    strategy: str,
-    seed: int,
-    clients: Clients,
-    trace: Sequence[RoundRecord],
-) -> dict:
+def _cell_config(cfg: ExperimentConfig, strategy: str, seed: int) -> dict:
+    """The config of one cell at its effective T, as data; without out_dir, so
+    a summary's bytes do not depend on where it was written."""
+    cell = replace(cfg, strategies=(strategy,), seeds=(seed,),
+                   aggregation_frequency=cfg.effective_frequency(strategy))
+    return {key: value for key, value in config_to_dict(cell).items() if key != "out_dir"}
+
+
+def _summarize(config: dict, clients: Clients, trace: Sequence[RoundRecord]) -> dict:
     final = trace[-1]
     losses = list(final.domain_losses)
     worst = int(np.argmax(losses))
     summary = {
         "schema": SUMMARY_SCHEMA,
-        "strategy": strategy,
-        "seed": seed,
-        "rounds": cfg.rounds,
-        "aggregation_frequency": cfg.effective_frequency(strategy),
-        "warmup_rounds": cfg.warmup_rounds,
-        "data_fraction": cfg.data_fraction,
-        "task": cfg.task,
-        "domain_ids": [d.domain_id for d in clients.domains],
-        "sample_counts": [d.sample_count for d in clients.domains],
+        "config": config,
         "train_sizes": list(clients.train_sizes),
         "final": {
             "round": final.round_index,
@@ -380,7 +367,7 @@ def run_cell(
     """One simulation: build clients, run, summarize. No file I/O."""
     clients = build_clients(cfg, seed)
     trace = run_simulation(cfg.server_config(strategy, seed), clients)
-    return trace, _summarize(cfg, strategy, seed, clients, trace)
+    return trace, _summarize(_cell_config(cfg, strategy, seed), clients, trace)
 
 
 def _out_root(cfg: ExperimentConfig, out_dir) -> Path:
@@ -435,10 +422,11 @@ def _known(data: dict, types: dict) -> dict:
 
 
 def collect_summaries(root) -> list[dict]:
-    """Every summary.json under root; raises ConfigInvalid naming the first
-    file that is not an experiment-summary-v1 object holding every key that
-    compare_strategies reads, each with a value of the type it expects, its
-    data_fraction in (0, 1] and each final metric finite."""
+    """Every summary.json under root, its config as _summarize writes it;
+    raises ConfigInvalid naming the first file that is not an
+    experiment-summary-v2 object of the types compare_strategies reads, with
+    a config that config_from_dict takes, of one strategy and one seed, one
+    positive train size per domain and finite final metrics."""
     paths = sorted(Path(root).rglob(SUMMARY_NAME))
     if not paths:
         raise ConfigInvalid(f"no {SUMMARY_NAME} files under {root}")
@@ -450,9 +438,14 @@ def collect_summaries(root) -> list[dict]:
         try:
             _check_section("summary", _known(summary, _SUMMARY_TYPES),
                            _SUMMARY_TYPES, tuple(_SUMMARY_TYPES))
-            if not 0.0 < summary["data_fraction"] <= 1.0:  # NaN fails both
-                raise ConfigInvalid("summary key 'data_fraction' must be in (0, 1], got "
-                                    f"{reprlib.repr(summary['data_fraction'])}")
+            cfg = config_from_dict(summary["config"])
+            if len(cfg.strategies) != 1 or len(cfg.seeds) != 1:
+                raise ConfigInvalid("summary config must hold one strategy and one seed")
+            sizes = summary["train_sizes"]
+            if len(sizes) != len(cfg.domains) or min(sizes) < 1:
+                raise ConfigInvalid("summary key 'train_sizes' must hold one positive "
+                                    f"size per domain, got {reprlib.repr(sizes)}")
+            summary["config"] = _cell_config(cfg, cfg.strategies[0], cfg.seeds[0])
             final = _known(summary["final"], _FINAL_TYPES)
             _check_section("final", final, _FINAL_TYPES, _FINAL_METRICS)
             for key, value in final.items():
@@ -467,20 +460,20 @@ def collect_summaries(root) -> list[dict]:
 
 
 def _group_key(summary: dict) -> tuple:
-    return (
-        summary["strategy"],
-        summary["aggregation_frequency"],
-        summary["data_fraction"],
-    )
+    c = summary["config"]
+    return c["strategies"][0], c["aggregation_frequency"], c["data_fraction"]
 
 
 def compare_strategies(summaries: Sequence[dict]) -> dict:
     """Mean-over-seeds final metrics per (strategy, T, fraction) group,
-    ranked by mean average loss; ties share the better rank."""
+    ranked by mean average loss; ties share the better rank. Refuses runs
+    whose configs differ in a key other than the cell's strategy, T, data
+    fraction and seed."""
     if not summaries:
         raise ConfigInvalid("nothing to compare")
-    for key in ("rounds", "task", "warmup_rounds", "domain_ids"):
-        if len({json.dumps(s[key]) for s in summaries}) > 1:
+    cell_keys = {"strategies", "seeds", "aggregation_frequency", "data_fraction"}
+    for key in sorted(set().union(*(s["config"] for s in summaries)) - cell_keys):
+        if len({json.dumps(s["config"].get(key), sort_keys=True) for s in summaries}) > 1:
             raise ConfigInvalid(f"refusing to compare runs with differing {key}")
 
     groups: dict[tuple, list[dict]] = {}
@@ -491,23 +484,24 @@ def compare_strategies(summaries: Sequence[dict]) -> dict:
 
     seed_sets = {}
     for key, rows in groups.items():
-        seeds = sorted(s["seed"] for s in rows)
+        rows.sort(key=lambda s: s["config"]["seeds"][0])
+        seeds = tuple(s["config"]["seeds"][0] for s in rows)
         for seed, next_seed in zip(seeds, seeds[1:]):
             if seed == next_seed:
                 raise ConfigInvalid(f"group {_group_name(key)} holds seed {seed} twice")
-        seed_sets[_group_name(key)] = tuple(seeds)
+        seed_sets[_group_name(key)] = seeds
     if len(set(seed_sets.values())) > 1:
         raise ConfigInvalid(f"strategy groups ran different seed sets: {seed_sets}")
 
     entries = []
     for key in sorted(groups):
-        rows = sorted(groups[key], key=lambda s: s["seed"])
+        rows = groups[key]
         strategy, freq, fraction = key
         entry = {
             "strategy": strategy,
             "aggregation_frequency": freq,
             "data_fraction": fraction,
-            "seeds": [s["seed"] for s in rows],
+            "seeds": [s["config"]["seeds"][0] for s in rows],
             "train_sizes": rows[0]["train_sizes"],
             # mean over seeds of the final average, std and worst-domain losses
             **{f"mean_{name}": float(np.mean([s["final"][name] for s in rows]))

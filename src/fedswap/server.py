@@ -277,16 +277,13 @@ def run_round(
     warm-up); client i receives uploads[plan.assignment[i]].
     """
     decision = WARMUP if r < 1 else schedule_decision(r, cfg.aggregation_frequency)
-    try:
-        if decision != EXCHANGE:
-            return RoundOutcome(decision, np.broadcast_to(weighted_average(uploads, sizes),
-                                                          uploads.shape))
-        plan = STRATEGIES[cfg.strategy].plan(r, rng, last_plan, uploads)
-        deliveries = uploads.take(plan.assignment, axis=0)
-        deliveries.setflags(write=False)
-        return RoundOutcome(decision, deliveries, plan)
-    except FedswapError as exc:
-        raise type(exc)(f"round {r}: {exc}") from exc
+    if decision != EXCHANGE:
+        return RoundOutcome(decision, np.broadcast_to(weighted_average(uploads, sizes),
+                                                      uploads.shape))
+    plan = STRATEGIES[cfg.strategy].plan(r, rng, last_plan, uploads)
+    deliveries = uploads.take(plan.assignment, axis=0)
+    deliveries.setflags(write=False)
+    return RoundOutcome(decision, deliveries, plan)
 
 
 def run_simulation(cfg: ServerConfig, clients: Clients) -> tuple[RoundRecord, ...]:
@@ -296,7 +293,8 @@ def run_simulation(cfg: ServerConfig, clients: Clients) -> tuple[RoundRecord, ..
     round trains every client in one call, runs run_round and scores each
     delivery on its client's test split. The W warm-up rounds, 1 - W..0, all
     aggregate, so clients enter round 1 with identical decoders. The whole
-    trace is a pure function of cfg.master_seed.
+    trace is a pure function of cfg.master_seed. A FedswapError raised in
+    round r, whether in training, run_round or evaluation, names the round.
     """
     n = len(clients)
     init_rng = np.random.default_rng(derive_seed(cfg.master_seed, PURPOSES["init"]))
@@ -317,14 +315,17 @@ def run_simulation(cfg: ServerConfig, clients: Clients) -> tuple[RoundRecord, ..
     train = local_train_fedprox if STRATEGIES[cfg.strategy].proximal else local_train
 
     for r in range(1 - W, R + 1):
-        uploads = train(decoders, clients, [_generator(w) for w in train_words[W + r - 1]])
-        outcome = run_round(r, uploads, clients.train_sizes, cfg, last_plan,
-                            _generator(exchange_words[r - 1]) if r >= 1 else None)
-        decoders, plan = outcome.deliveries, outcome.plan
-        losses, accuracies = evaluate(decoders, clients)
-        avg, std = float(np.mean(losses)), float(np.std(losses))
-        if not np.isfinite(std):  # an overflowing mean makes it inf or NaN too
-            raise NonFiniteLoss(f"round {r}: test loss std overflows; reduce the learning rate")
+        try:
+            uploads = train(decoders, clients, [_generator(w) for w in train_words[W + r - 1]])
+            outcome = run_round(r, uploads, clients.train_sizes, cfg, last_plan,
+                                _generator(exchange_words[r - 1]) if r >= 1 else None)
+            decoders, plan = outcome.deliveries, outcome.plan
+            losses, accuracies = evaluate(decoders, clients)
+            avg, std = float(np.mean(losses)), float(np.std(losses))
+            if not np.isfinite(std):  # an overflowing mean makes it inf or NaN too
+                raise NonFiniteLoss("test loss std overflows; reduce the learning rate")
+        except FedswapError as exc:
+            raise type(exc)(f"round {r}: {exc}") from exc
         trace.append(RoundRecord(r, outcome.decision, cfg.strategy, plan and plan.assignment,
                                  losses, accuracies, avg, std))
         last_plan = plan.assignment if plan else last_plan

@@ -6,8 +6,9 @@ and its largest cell once more with two.
 A mismatch means a change altered what the simulator writes; on another host
 it is a finding about the determinism contract. Never regenerate
 tests/golden/digests.json to make this test pass. The digests hold for the
-numpy and scipy versions in tests/golden/versions.json, which a failure names
-beside the running ones, and which CI installs.
+numpy and scipy versions in tests/golden/versions.json, which CI installs; a
+failure names them beside the script's own line, which names the running
+versions and numpy's enabled SIMD dispatch targets.
 """
 
 import json
@@ -30,23 +31,21 @@ def run_script(out, *args, threads="1"):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    subprocess.run([sys.executable, str(SCRIPT), *args, str(out)], env=env, check=True,
-                   capture_output=True, timeout=120)
-    return json.loads(out.read_text())
+    done = subprocess.run([sys.executable, str(SCRIPT), *args, str(out)], env=env,
+                          check=True, capture_output=True, text=True, timeout=120)
+    return json.loads(out.read_text()), done.stdout.strip()
 
 
-def versions_note(out):
-    """The versions the digests were recorded under and those the script ran
-    under, as a failure names them."""
-    recorded, running = (json.loads(path.read_text())
-                         for path in (VERSIONS, out.with_name(VERSIONS.name)))
-    return f"digests recorded under {recorded}, run under {running}"
+def versions_note(line):
+    """The versions the digests were recorded under and the script's line,
+    as a failure names them."""
+    return f"digests recorded under {json.loads(VERSIONS.read_text())}; script: {line}"
 
 
 def test_outputs_match_golden_digests(tmp_path):
-    got = run_script(tmp_path / "digests.json")
+    got, line = run_script(tmp_path / "digests.json")
     expected = json.loads(GOLDEN.read_text())
-    note = versions_note(tmp_path / "digests.json")
+    note = versions_note(line)
     assert sorted(got) == sorted(expected), note
     changed = sorted(name for name in expected if got[name] != expected[name])
     assert not changed, f"{len(changed)} of {len(expected)} files changed ({note}): {changed}"
@@ -54,11 +53,11 @@ def test_outputs_match_golden_digests(tmp_path):
 
 def test_largest_cell_matches_with_two_blas_threads(tmp_path):
     # the 32-domain cell, with the script and its environment at 2 threads
-    got = run_script(tmp_path / "digests.json", "--threads", "2", "--only", "wide32",
-                     threads="2")
+    got, line = run_script(tmp_path / "digests.json", "--threads", "2", "--only", "wide32",
+                           threads="2")
     expected = {name: digest for name, digest in json.loads(GOLDEN.read_text()).items()
                 if name.startswith("wide32/")}
-    assert len(expected) == 3 and got == expected, versions_note(tmp_path / "digests.json")
+    assert len(expected) == 3 and got == expected, versions_note(line)
 
 
 def test_ci_installs_the_recorded_versions():

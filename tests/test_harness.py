@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import typing
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -80,9 +81,16 @@ def final_set(key, value):
                                         final={**s["final"], key: value}))
 
 
-def fraction_set(value):
-    """A damage for summary.json text: its data_fraction set to value."""
-    return lambda text: json.dumps({**json.loads(text), "data_fraction": value})
+def config_set(key, value):
+    """A damage for summary.json text: its config's key set to value."""
+    return lambda text: json.dumps(dict(s := json.loads(text),
+                                        config={**s["config"], key: value}))
+
+
+def sizes_set(change):
+    """A damage for summary.json text: its train_sizes replaced by change(sizes)."""
+    return lambda text: json.dumps(dict(s := json.loads(text),
+                                        train_sizes=change(s["train_sizes"])))
 
 
 # JSON-shaped config values: each key gets a value of its own JSON type or
@@ -307,7 +315,20 @@ class TestRunExperiment:
         cfg = tiny_config(seeds=(0,), strategies=("clustered",), data_fraction=0.1)
         summaries = run_experiment(cfg, tmp_path)
         assert summaries[0]["train_sizes"] == [10, 10, 4]
-        assert summaries[0]["sample_counts"] == [100, 100, 40]
+        assert [d["sample_count"] for d in summaries[0]["config"]["domains"]] == [100, 100, 40]
+
+    def test_summary_carries_its_cell_config(self, tmp_path):
+        # one strategy, one seed and the effective T; no out_dir, so the
+        # summary's bytes do not depend on where it was written
+        cfg = tiny_config(seeds=(0, 1), out_dir="elsewhere")
+        run_experiment(cfg, tmp_path)
+        path = tmp_path / "fedavg_only_T1_f1" / "seed_1" / "summary.json"
+        written = json.loads(path.read_text())["config"]
+        cell = replace(cfg, strategies=("fedavg_only",), seeds=(1,), aggregation_frequency=1)
+        expected = json.loads(json.dumps(config_to_dict(cell)))
+        del expected["out_dir"]
+        assert written == expected
+        assert config_from_dict(written) == replace(cell, out_dir="runs")
 
     def test_summary_final_matches_csv_last_row(self, tmp_path):
         cfg = tiny_config(seeds=(0,), strategies=("clustered",))
@@ -400,21 +421,18 @@ class TestRunExperiment:
 
 class TestCompareStrategies:
     def fake_summary(self, strategy, seed, avg, worst=None, freq=1, fraction=1.0):
+        config = json.loads(json.dumps(config_to_dict(tiny_config())))
+        del config["out_dir"]
+        config.update(strategies=[strategy], seeds=[seed], aggregation_frequency=freq,
+                      data_fraction=fraction)
         return {
-            "strategy": strategy,
-            "seed": seed,
-            "rounds": 4,
-            "aggregation_frequency": freq,
-            "warmup_rounds": 2,
-            "data_fraction": fraction,
-            "task": "regression",
-            "domain_ids": ["d0", "d1"],
-            "train_sizes": [100, 100],
+            "config": config,
+            "train_sizes": [100, 100, 40],
             "final": {
                 "avg_loss": avg,
                 "std_loss": 0.1,
-                "domain_losses": [avg, avg],
-                "worst_domain": "d1",
+                "domain_losses": [avg, avg, avg],
+                "worst_domain": "d2",
                 "worst_domain_loss": worst if worst is not None else avg,
             },
         }
@@ -470,18 +488,19 @@ class TestCompareStrategies:
                 ConfigInvalid, match="^group clustered_T1_f1: a mean over seeds overflows$"):
             compare_strategies(summaries)
 
-    def test_differing_rounds_rejected(self):
+    @pytest.mark.parametrize("change, key", [
+        (lambda c: c.update(rounds=8), "rounds"),
+        (lambda c: c["domains"][1].update(domain_id="d9"), "domains"),
+        (lambda c: c["local"].update(learning_rate=0.1), "local"),
+        (lambda c: c.update(test_count=41), "test_count"),
+        (lambda c: c["domains"][2].update(shift=[0.7] * INPUT_DIM), "domains"),
+    ], ids=["rounds", "domain_id", "learning_rate", "test_count", "shift"])
+    def test_differing_config_rejected(self, change, key):
+        # every config key but the cell's strategy, T, fraction and seed
         a = self.fake_summary("clustered", 0, 1.0)
         b = self.fake_summary("fedavg_only", 0, 2.0)
-        b["rounds"] = 8
-        with pytest.raises(ConfigInvalid):
-            compare_strategies([a, b])
-
-    def test_differing_domains_rejected(self):
-        a = self.fake_summary("clustered", 0, 1.0)
-        b = self.fake_summary("fedavg_only", 0, 2.0)
-        b["domain_ids"] = ["d0", "d2"]
-        with pytest.raises(ConfigInvalid, match="differing domain_ids"):
+        change(b["config"])
+        with pytest.raises(ConfigInvalid, match=f"^refusing to compare runs with differing {key}$"):
             compare_strategies([a, b])
 
     def test_single_group_rejected(self):
@@ -496,7 +515,7 @@ class TestCompareStrategies:
         table = compare_strategies(summaries)
         assert len(table["entries"]) == 2
         for entry in table["entries"]:
-            mine = [s for s in summaries if s["strategy"] == entry["strategy"]]
+            mine = [s for s in summaries if s["config"]["strategies"][0] == entry["strategy"]]
             accuracies = [s["final"]["avg_accuracy"] for s in mine]
             assert len(accuracies) == 2 and all(0.0 <= a <= 1.0 for a in accuracies)
             assert entry["mean_avg_accuracy"] == float(np.mean(accuracies))
@@ -537,10 +556,10 @@ def summary_trees(tmp_path_factory) -> dict:
 
 
 def _locations(summary: dict) -> list[tuple]:
-    """Where one value can be damaged: every key of a summary and of its
-    final entry, and the first item of every list."""
+    """Where one value can be damaged: every key of a summary, of its config
+    and of its final entry, and the first item of every list."""
     found = []
-    for parent in ((), ("final",)):
+    for parent in ((), ("config",), ("final",)):
         for key, value in functools.reduce(dict.get, parent, summary).items():
             found.append((*parent, key))
             if isinstance(value, list):
@@ -561,7 +580,9 @@ def _damaged(summary: dict, group: list, where: tuple, damage: str, swap: int) -
     holder = functools.reduce(lambda node, key: node[key], path, summary)
     value = holder[last]
     if damage == "repeated_seed":
-        summary["seed"] = next(s["seed"] for s in group if s["seed"] != summary["seed"])
+        seeds = summary["config"]["seeds"]
+        seeds[0] = next(s["config"]["seeds"][0] for s in group
+                        if s["config"]["seeds"] != seeds)
     elif damage == "missing":
         del holder[last]
     elif damage == "extra_key":
@@ -638,7 +659,7 @@ class TestAblationT:
     def test_emits_table_and_runs(self, tmp_path):
         cfg = tiny_config(seeds=(0,), strategies=("clustered",))
         summaries = ablation_T(cfg, [2, 4], tmp_path)
-        assert [s["aggregation_frequency"] for s in summaries] == [2, 4]
+        assert [s["config"]["aggregation_frequency"] for s in summaries] == [2, 4]
         assert (tmp_path / "clustered_T2_f1" / "seed_0" / "metrics.csv").exists()
         assert (tmp_path / "clustered_T4_f1" / "seed_0" / "metrics.csv").exists()
         # one ranked group per T, as compare_strategies ranks strategies
@@ -738,7 +759,7 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "runs")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: non-finite loss at step 68 on d0")
+        assert err.startswith("error: round -4: non-finite loss at step 68 on d0")
         assert err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error")
@@ -753,7 +774,7 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "runs")]) == 2
         err = capsys.readouterr().err
-        assert err == "error: non-finite test loss on d0; reduce the learning rate\n"
+        assert err == "error: round 1: non-finite test loss on d0; reduce the learning rate\n"
         assert not list(tmp_path.rglob("summary.json"))
 
     @pytest.mark.filterwarnings("error")
@@ -839,9 +860,11 @@ class TestCli:
 
     @pytest.mark.parametrize("damage, message", [
         (lambda text: text[:200], "not valid JSON"),
-        (lambda text: "{}", "not an experiment-summary-v1 file"),
-        (lambda text: json.dumps({"schema": "experiment-summary-v1"}), "missing keys"),
-        (lambda text: json.dumps({**json.loads(text), "domain_ids": 5}), "'domain_ids'"),
+        (lambda text: "{}", "not an experiment-summary-v2 file"),
+        (lambda text: json.dumps({**json.loads(text), "schema": "experiment-summary-v1"}),
+         "not an experiment-summary-v2 file"),
+        (lambda text: json.dumps({"schema": "experiment-summary-v2"}), "missing keys"),
+        (lambda text: json.dumps({**json.loads(text), "train_sizes": 5}), "'train_sizes'"),
         (final_set("avg_loss", "0.5"), "'avg_loss' has a value of the wrong type"),
         # json reads Infinity and NaN; compare used to rank them and write them
         # back into comparison.json, which no strict JSON reader accepts
@@ -850,19 +873,31 @@ class TestCli:
         (final_set("worst_domain_loss", float("-inf")), "'worst_domain_loss' is not finite"),
         (final_set("avg_accuracy", float("nan")), "'avg_accuracy' is not finite"),
         (final_set("avg_loss", 10**400), "'avg_loss' is not finite"),
-        # compare used to rank a group at any fraction, NaN included
-        (fraction_set(float("nan")), "'data_fraction' must be in (0, 1], got nan"),
-        (fraction_set(0), "'data_fraction' must be in (0, 1], got 0"),
-        (fraction_set(1.5), "'data_fraction' must be in (0, 1], got 1.5"),
-        (fraction_set(-0.5), "'data_fraction' must be in (0, 1], got -0.5"),
-    ], ids=["cut_to_200_bytes", "not_a_summary", "v1_tag_only",
-            "domain_ids_a_number", "final_avg_loss_a_string", "avg_loss_inf",
+        # the config is refused as config_from_dict refuses a config file;
+        # compare used to rank a group at any fraction, NaN included, and at
+        # any T, -3 included
+        (config_set("data_fraction", float("nan")), "data_fraction must be in (0, 1], got nan"),
+        (config_set("data_fraction", 0), "data_fraction must be in (0, 1], got 0"),
+        (config_set("data_fraction", 1.5), "data_fraction must be in (0, 1], got 1.5"),
+        (config_set("data_fraction", -0.5), "data_fraction must be in (0, 1], got -0.5"),
+        (config_set("aggregation_frequency", -3), "aggregation_frequency must be >= 1"),
+        (config_set("seeds", [2**32]), "master_seed must lie in [0, 2**32)"),
+        (config_set("warmup_rounds", -1), "warmup_rounds must be in [0, "),
+        (config_set("rounds", 0), "rounds must be in [1, "),
+        (config_set("seeds", [0, 1]), "one strategy and one seed"),
+        (sizes_set(lambda sizes: [-5, 0, 1, 2]), "'train_sizes' must hold one positive size"),
+        (sizes_set(lambda sizes: sizes[:-1]), "'train_sizes' must hold one positive size"),
+    ], ids=["cut_to_200_bytes", "not_a_summary", "v1_summary", "v2_tag_only",
+            "train_sizes_a_number", "final_avg_loss_a_string", "avg_loss_inf",
             "std_loss_nan", "worst_loss_neg_inf", "avg_accuracy_nan",
             "avg_loss_past_float_range", "data_fraction_nan", "data_fraction_0",
-            "data_fraction_1.5", "data_fraction_neg"])
+            "data_fraction_1.5", "data_fraction_neg", "agg_frequency_neg",
+            "seed_2**32", "warmup_rounds_neg", "rounds_0", "two_seeds",
+            "train_sizes_neg_and_0", "train_sizes_one_short"])
     def test_compare_damaged_summary_is_one_line_error(self, tmp_path, capsys, damage,
                                                        message):
-        run_experiment(tiny_config(seeds=(0,)), tmp_path)
+        run_experiment(tiny_config(seeds=(0,), domains=tiny_domains((100, 100, 40, 40))),
+                       tmp_path)
         written = (tmp_path / "comparison.json").read_bytes()
         summary = tmp_path / "clustered_T2_f1" / "seed_0" / "summary.json"
         summary.write_text(damage(summary.read_text()))

@@ -376,14 +376,25 @@ class TestRunRound:
         other = ExchangePlan(plan.assignment, ClusterAssignment((1,) + (0,) * (n - 1)))
         assert other == plan
 
-    def test_round_context_attached_to_errors(self):
-        uploads = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        with pytest.raises(InvalidInput, match="round 1:") as info:
-            run_round(1, uploads, [1, 1], self.cfg(), None, self.rng(1))
-        assert str(info.value).count("round 1:") == 1
-
 
 class TestRunSimulation:
+    def test_round_context_attached_to_errors(self, monkeypatch):
+        # the last client's uploads are all zeros, which aggregate in warm-up
+        # but have no cosine distance in round 1, the first exchange:
+        # run_round's error names the round once
+        train = server.local_train
+
+        def train_last_to_zero(decoders, clients, rngs):
+            uploads = np.array(train(decoders, clients, rngs))
+            uploads[-1] = 0.0
+            return uploads
+
+        monkeypatch.setattr(server, "local_train", train_last_to_zero)
+        cfg = ServerConfig(rounds=4, aggregation_frequency=2, warmup_rounds=2)
+        with pytest.raises(InvalidInput, match="^round 1: ") as info:
+            run_simulation(cfg, make_clients())
+        assert str(info.value).count("round ") == 1
+
     def test_decision_sequence_and_trace_shape(self):
         cfg = ServerConfig(
             rounds=4, aggregation_frequency=2, warmup_rounds=2, master_seed=3
