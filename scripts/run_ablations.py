@@ -8,7 +8,6 @@ strategies at each fraction, ranked by mean final average loss.
 """
 
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from fedswap.harness import ablation_T, default_experiment_config, run_experiment
@@ -18,22 +17,17 @@ def main() -> int:
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("runs")
     seeds = tuple(range(10))
 
-    cfg = default_experiment_config(seeds=seeds, out_dir=str(root / "ablation_t"))
-    ablation_T(cfg, [2, 5, 10, 40])
+    ablation_T(default_experiment_config(seeds=seeds), [2, 5, 10, 40], root / "ablation_t")
     print((root / "ablation_t" / "comparison.txt").read_text(), end="")
 
     for fraction in (1.0, 0.5, 0.1):
-        sub = replace(
-            default_experiment_config(
-                seeds=seeds,
-                strategies=("clustered", "fedavg_only"),
-                data_fraction=fraction,
-            ),
-            out_dir=str(root / "fractions" / f"f{fraction:g}"),
+        sub = default_experiment_config(
+            seeds=seeds, strategies=("clustered", "fedavg_only"), data_fraction=fraction
         )
-        run_experiment(sub)
+        out = root / "fractions" / f"f{fraction:g}"
+        run_experiment(sub, out)
         print(f"\nfraction {fraction:g}:")
-        print((Path(sub.out_dir) / "comparison.txt").read_text(), end="")
+        print((out / "comparison.txt").read_text(), end="")
     return 0
 
 

@@ -15,9 +15,8 @@ def main() -> int:
     cfg = default_experiment_config(
         seeds=tuple(range(10)),
         strategies=("clustered", "round_robin", "random", "fedavg_only", "fedprox"),
-        out_dir=str(out),
     )
-    summaries = run_experiment(cfg)
+    summaries = run_experiment(cfg, out)
     print(f"wrote {len(summaries)} runs under {out}")
     print((out / "comparison.txt").read_text(), end="")
     return 0

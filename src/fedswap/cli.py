@@ -32,7 +32,6 @@ def _load(args) -> ExperimentConfig:
         "aggregation_frequency": getattr(args, "agg_frequency", None),
         "rounds": args.rounds,
         "data_fraction": args.data_fraction,
-        "out_dir": args.out,
     }
     overrides = {key: value for key, value in overrides.items() if value is not None}
     return replace(cfg, **overrides) if overrides else cfg
@@ -45,10 +44,9 @@ def _print_comparison(root: Path) -> None:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load(args)
-    summaries = run_experiment(cfg)
-    print(f"wrote {len(summaries)} run(s) under {cfg.out_dir}")
-    _print_comparison(Path(cfg.out_dir))
+    summaries = run_experiment(_load(args), args.out)
+    print(f"wrote {len(summaries)} run(s) under {args.out}")
+    _print_comparison(Path(args.out))
     return 0
 
 
@@ -65,9 +63,8 @@ def _cmd_ablate_t(args) -> int:
     except ValueError:
         raise ConfigInvalid(f"--t-values must be comma-separated integers, "
                             f"got {args.t_values!r}") from None
-    cfg = _load(args)
-    ablation_T(cfg, t_values)
-    _print_comparison(Path(cfg.out_dir))
+    ablation_T(_load(args), t_values, args.out)
+    _print_comparison(Path(args.out))
     return 0
 
 
@@ -83,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     cells = argparse.ArgumentParser(add_help=False)
     cells.add_argument("--config", help="path to a JSON experiment config")
     cells.add_argument("--seed", type=int, help="run a single seed")
-    cells.add_argument("--out", help="output directory (overrides config)")
+    cells.add_argument("--out", default="runs", help="output directory (default: runs)")
     cells.add_argument("--rounds", type=int, help="protocol rounds R (multiple of T)")
     cells.add_argument("--data-fraction", type=float, dest="data_fraction",
                        help="fraction of each training split to keep, in (0, 1]")

@@ -19,7 +19,7 @@ import json
 import os
 import reprlib
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -94,7 +94,6 @@ class ExperimentConfig:
     test_count: int = 500
     local: LocalConfig = field(default_factory=LocalConfig)
     domains: tuple[DomainSpec, ...] = ()
-    out_dir: str = "runs"
 
     def __post_init__(self):
         object.__setattr__(self, "strategies", tuple(self.strategies))
@@ -117,8 +116,6 @@ class ExperimentConfig:
             )
         if self.task not in TASKS:
             raise ConfigInvalid(f"unknown task {self.task!r}; expected one of {TASKS}")
-        if "\0" in self.out_dir:
-            raise ConfigInvalid("out_dir must not contain a null byte")
         if len(self.domains) < 2:
             raise ConfigInvalid("need at least 2 domains")
         ids = [d.domain_id for d in self.domains]
@@ -182,10 +179,8 @@ def default_experiment_config(**overrides) -> ExperimentConfig:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """The config as JSON-ready data; each domain's input_dim is the top-level one."""
-    d = asdict(cfg)
-    for domain in d["domains"]:
-        del domain["input_dim"]
-    return d
+    domains = [{k: v for k, v in vars(d).items() if k != "input_dim"} for d in cfg.domains]
+    return {**vars(cfg), "local": dict(vars(cfg.local)), "domains": domains}
 
 
 _NUMBER, _SEQUENCE = (int, float), (list, tuple)
@@ -194,7 +189,7 @@ _TOP_TYPES = {
     "rounds": int, "aggregation_frequency": int, "warmup_rounds": int,
     "strategies": _SEQUENCE, "seeds": _SEQUENCE, "data_fraction": _NUMBER,
     "task": str, "input_dim": int, "feature_dim": int, "test_count": int,
-    "local": dict, "domains": _SEQUENCE, "out_dir": str,
+    "local": dict, "domains": _SEQUENCE,
 }
 _LOCAL_TYPES = {"steps": int, "learning_rate": _NUMBER, "batch_size": int,
                 "prox_mu": _NUMBER}
@@ -330,11 +325,9 @@ def write_metrics_csv(trace: Sequence[RoundRecord], path) -> None:
 
 
 def _cell_config(cfg: ExperimentConfig, strategy: str, seed: int) -> dict:
-    """The config of one cell at its effective T, as data; without out_dir, so
-    a summary's bytes do not depend on where it was written."""
-    cell = replace(cfg, strategies=(strategy,), seeds=(seed,),
-                   aggregation_frequency=cfg.effective_frequency(strategy))
-    return {key: value for key, value in config_to_dict(cell).items() if key != "out_dir"}
+    """The config of one cell at its effective T, as data."""
+    return {**config_to_dict(cfg), "strategies": (strategy,), "seeds": (seed,),
+            "aggregation_frequency": cfg.effective_frequency(strategy)}
 
 
 def _summarize(config: dict, clients: Clients, trace: Sequence[RoundRecord]) -> dict:
@@ -370,18 +363,19 @@ def run_cell(
     return trace, _summarize(_cell_config(cfg, strategy, seed), clients, trace)
 
 
-def _out_root(cfg: ExperimentConfig, out_dir) -> Path:
-    return Path(out_dir if out_dir is not None else cfg.out_dir)
+def _fraction_name(fraction: float) -> str:
+    # exact, so two fractions never share a name: 1, 0.5, 0.1000001
+    return np.format_float_positional(fraction, trim="-")
 
 
 def _group_name(key: tuple) -> str:
     strategy, t, fraction = key
-    return f"{strategy}_T{t}_f{fraction:g}"
+    return f"{strategy}_T{t}_f{_fraction_name(fraction)}"
 
 
-def cell_dir(cfg: ExperimentConfig, strategy: str, seed: int, out_dir=None) -> Path:
+def cell_dir(cfg: ExperimentConfig, strategy: str, seed: int, out_dir) -> Path:
     key = (strategy, cfg.effective_frequency(strategy), cfg.data_fraction)
-    return _out_root(cfg, out_dir) / _group_name(key) / f"seed_{seed}"
+    return Path(out_dir) / _group_name(key) / f"seed_{seed}"
 
 
 def _run_and_compare(cfgs: Sequence[ExperimentConfig], root: Path) -> list[dict]:
@@ -408,10 +402,10 @@ def _run_and_compare(cfgs: Sequence[ExperimentConfig], root: Path) -> list[dict]
     return summaries
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None) -> list[dict]:
-    """Run every (strategy, seed) cell, write per-cell metrics.csv and
-    summary.json, and a comparison when more than one strategy ran."""
-    root = _out_root(cfg, out_dir)
+def run_experiment(cfg: ExperimentConfig, out_dir) -> list[dict]:
+    """Run every (strategy, seed) cell into out_dir, write per-cell metrics.csv
+    and summary.json, and a comparison when more than one strategy ran."""
+    root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     save_config(cfg, root / "config.json")
     return _run_and_compare([cfg], root)
@@ -538,7 +532,7 @@ def render_comparison_text(comparison: dict) -> str:
         rows.append([
             e["strategy"],
             str(e["aggregation_frequency"]),
-            f"{e['data_fraction']:g}",
+            _fraction_name(e["data_fraction"]),
             str(len(e["seeds"])),
             f"{e['mean_avg_loss']:.6f}",
             f"{e['mean_worst_domain_loss']:.6f}",
@@ -557,9 +551,7 @@ def write_comparison(comparison: dict, root: Path) -> None:
     _write_text(root / "comparison.txt", render_comparison_text(comparison))
 
 
-def ablation_T(
-    cfg: ExperimentConfig, t_values: Sequence[int], out_dir=None
-) -> list[dict]:
+def ablation_T(cfg: ExperimentConfig, t_values: Sequence[int], out_dir) -> list[dict]:
     """Run the clustered strategy at each aggregation frequency in t_values
     into one root, and compare the T groups as run_experiment compares
     strategies; returns the summaries."""
@@ -571,4 +563,4 @@ def ablation_T(
     # building every per-T config checks each T before any cell runs
     subs = [replace(cfg, strategies=("clustered",), aggregation_frequency=t)
             for t in t_values]
-    return _run_and_compare(subs, _out_root(cfg, out_dir))
+    return _run_and_compare(subs, Path(out_dir))

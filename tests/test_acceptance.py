@@ -305,10 +305,8 @@ def test_criterion_08_scarce_data_support(capsys, cells):
 
 
 def test_criterion_09_byte_identical_reruns(capsys, tmp_path):
-    cfg = default_experiment_config(
-        seeds=(0,), strategies=("clustered",), out_dir=str(tmp_path / "a")
-    )
-    run_experiment(cfg)
+    cfg = default_experiment_config(seeds=(0,), strategies=("clustered",))
+    run_experiment(cfg, tmp_path / "a")
     run_experiment(cfg, tmp_path / "b")
     rel = "clustered_T2_f1/seed_0/metrics.csv"
     a = (tmp_path / "a" / rel).read_bytes()

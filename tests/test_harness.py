@@ -124,7 +124,6 @@ _CONFIG = _json_object({
     "strategies": st.lists(_WORDS, max_size=3), "seeds": st.lists(_INTS, max_size=3),
     "data_fraction": _NUMBERS, "task": _WORDS,
     "input_dim": _DIMS, "feature_dim": _DIMS, "test_count": _ROWS,
-    "out_dir": st.text(max_size=3),
     "local": _json_object({"steps": _INTS, "learning_rate": _NUMBERS,
                            "batch_size": _INTS, "prox_mu": _NUMBERS}),
     "domains": st.lists(_json_object({
@@ -186,6 +185,14 @@ class TestExperimentConfig:
     def test_round_trip_through_dict(self):
         cfg = tiny_config()
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    def test_dict_is_a_copy(self):
+        cfg = tiny_config()
+        data = config_to_dict(cfg)
+        data["rounds"] = 7
+        data["local"]["steps"] = 7
+        data["domains"][0]["sample_count"] = 7
+        assert cfg == tiny_config()
 
     def test_round_trip_through_file(self, tmp_path):
         cfg = tiny_config()
@@ -318,17 +325,14 @@ class TestRunExperiment:
         assert [d["sample_count"] for d in summaries[0]["config"]["domains"]] == [100, 100, 40]
 
     def test_summary_carries_its_cell_config(self, tmp_path):
-        # one strategy, one seed and the effective T; no out_dir, so the
-        # summary's bytes do not depend on where it was written
-        cfg = tiny_config(seeds=(0, 1), out_dir="elsewhere")
+        # one strategy, one seed and the effective T
+        cfg = tiny_config(seeds=(0, 1))
         run_experiment(cfg, tmp_path)
         path = tmp_path / "fedavg_only_T1_f1" / "seed_1" / "summary.json"
         written = json.loads(path.read_text())["config"]
         cell = replace(cfg, strategies=("fedavg_only",), seeds=(1,), aggregation_frequency=1)
-        expected = json.loads(json.dumps(config_to_dict(cell)))
-        del expected["out_dir"]
-        assert written == expected
-        assert config_from_dict(written) == replace(cell, out_dir="runs")
+        assert written == json.loads(json.dumps(config_to_dict(cell)))
+        assert config_from_dict(written) == cell
 
     def test_summary_final_matches_csv_last_row(self, tmp_path):
         cfg = tiny_config(seeds=(0,), strategies=("clustered",))
@@ -422,7 +426,6 @@ class TestRunExperiment:
 class TestCompareStrategies:
     def fake_summary(self, strategy, seed, avg, worst=None, freq=1, fraction=1.0):
         config = json.loads(json.dumps(config_to_dict(tiny_config())))
-        del config["out_dir"]
         config.update(strategies=[strategy], seeds=[seed], aggregation_frequency=freq,
                       data_fraction=fraction)
         return {
@@ -673,12 +676,12 @@ class TestAblationT:
 class TestCli:
     def write_config(self, tmp_path):
         path = tmp_path / "config.json"
-        save_config(tiny_config(out_dir=str(tmp_path / "runs")), path)
+        save_config(tiny_config(), path)
         return path
 
     def test_run_and_compare(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path)
-        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")]) == 0
         out = capsys.readouterr().out
         assert "wrote 4 run(s)" in out
         assert "strategy" in out
@@ -730,8 +733,9 @@ class TestCli:
         {"seeds": [0, -1]},
         # both used to get past the config and fail while writing a run
         {"test_count": 0},
-        {"out_dir": "runs\u0000x"},
         {"input_dim": 0},
+        # the output directory is --out, not a config key
+        {"out_dir": "runs"},
         # used to run the clustered cell twice into one directory
         {"strategies": ["clustered", "clustered", "fedavg_only"], "rounds": 2,
          "seeds": [0]},
@@ -747,6 +751,39 @@ class TestCli:
         assert "reduce the learning rate" not in err
         assert not list(tmp_path.rglob("summary.json"))
         assert not (tmp_path / "runs").exists()
+
+    def test_config_naming_a_directory_is_refused(self, tmp_path, capsys):
+        # as a config.json written while the directory was a config key
+        data = {**config_to_dict(tiny_config()), "out_dir": str(tmp_path / "runs")}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(data))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "error: unknown config keys: ['out_dir']\n"
+        assert not (tmp_path / "runs").exists()
+
+    def test_run_writes_config_naming_no_directory(self, tmp_path):
+        cfg = tiny_config(seeds=(0,), strategies=("clustered",))
+        run_experiment(cfg, tmp_path / "elsewhere")
+        written = json.loads((tmp_path / "elsewhere" / "config.json").read_text())
+        assert written == json.loads(json.dumps(config_to_dict(cfg)))
+        assert "out_dir" not in written
+
+    def test_fractions_that_print_alike_get_two_directories(self, tmp_path, capsys):
+        # 0.1 and 0.1000001 both printed as 0.1 and shared one cell directory
+        out = tmp_path / "col"
+        for fraction in ("0.1", "0.1000001"):
+            assert main(["run", "--rounds", "2", "--agg-frequency", "2", "--seed", "0",
+                         "--strategy", "clustered", "--data-fraction", fraction,
+                         "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
+            "clustered_T2_f0.1", "clustered_T2_f0.1000001"]
+        capsys.readouterr()
+        assert main(["compare", "--in", str(out)]) == 0
+        comparison = json.loads((out / "comparison.json").read_text())
+        # both keep the same train sizes, so the two groups tie
+        assert [(e["data_fraction"], e["rank"]) for e in comparison["entries"]] == [
+            (0.1, 1), (0.1000001, 1)]
+        assert "0.1000001" in capsys.readouterr().out
 
     @pytest.mark.filterwarnings("error")
     def test_divergence_is_one_line_error(self, tmp_path, capsys):
@@ -974,7 +1011,7 @@ class TestCli:
         assert not list(tmp_path.rglob("summary.json"))
 
     def test_memory_error_without_a_message(self, tmp_path, capsys, monkeypatch):
-        def exhausted(cfg):
+        def exhausted(cfg, out_dir):
             raise MemoryError()
 
         monkeypatch.setattr(cli, "run_experiment", exhausted)
@@ -1022,7 +1059,8 @@ class TestCli:
     def test_compare_rewrites_the_comparison_byte_for_byte(self, tmp_path, capsys, command):
         # compare and the command that ran the cells take one path
         root = tmp_path / "runs"
-        assert main([*command, "--config", str(self.write_config(tmp_path))]) == 0
+        assert main([*command, "--config", str(self.write_config(tmp_path)),
+                     "--out", str(root)]) == 0
         written = {name: (root / name).read_bytes()
                    for name in ("comparison.json", "comparison.txt")}
         for path in root.glob("comparison.*"):
