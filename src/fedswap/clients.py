@@ -22,17 +22,6 @@ import numpy as np
 
 from .errors import ConfigInvalid, InvalidInput, NonFiniteLoss
 
-__all__ = [
-    "DomainSpec",
-    "FrozenBackbone",
-    "LocalConfig",
-    "Clients",
-    "make_clients",
-    "local_train",
-    "local_train_fedprox",
-    "evaluate",
-]
-
 TASKS = ("regression", "classification")
 
 # standard deviation of the backbone's feature biases

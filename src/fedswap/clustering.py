@@ -16,15 +16,6 @@ import numpy as np
 
 from .errors import InvalidInput
 
-__all__ = [
-    "DistanceMatrix",
-    "ClusterAssignment",
-    "MergeStep",
-    "build_distance_matrix",
-    "cluster_to_two",
-]
-
-
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """Symmetric n x n matrix of pairwise cosine distances, zero diagonal."""
@@ -44,29 +35,17 @@ class DistanceMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
-    @property
-    def n(self) -> int:
-        return int(self.entries.shape[0])
-
-
-@dataclass(frozen=True)
-class MergeStep:
-    """One agglomerative merge: the two clusters joined and their linkage."""
-
-    first: tuple[int, ...]
-    second: tuple[int, ...]
-    linkage: float
-
 
 @dataclass(frozen=True)
 class ClusterAssignment:
     """A two-block partition of decoder indices, as a binary index list.
 
-    merges is the agglomeration that produced it, when there was one; it
-    takes no part in equality or hashing."""
+    merges is the agglomeration that produced it, when there was one, as
+    (first, second, linkage) tuples: the two clusters joined and their average
+    linkage. It takes no part in equality or hashing."""
 
     index_list: tuple[int, ...]
-    merges: tuple[MergeStep, ...] = field(default=(), compare=False, repr=False)
+    merges: tuple[tuple, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         idx = tuple(int(v) for v in self.index_list)
@@ -92,7 +71,7 @@ class ClusterAssignment:
 
     @classmethod
     def from_members(
-        cls, n: int, members_0: Sequence[int], merges: Sequence[MergeStep] = ()
+        cls, n: int, members_0: Sequence[int], merges: Sequence[tuple] = ()
     ) -> "ClusterAssignment":
         zero = set(members_0)
         return cls(tuple(0 if i in zero else 1 for i in range(n)), tuple(merges))
@@ -145,7 +124,7 @@ def cluster_to_two(dm: DistanceMatrix) -> ClusterAssignment:
     outer(sizes, sizes), kept across merges by dividing row a again, is that
     tie-break.
     """
-    n = dm.n
+    n = len(dm.entries)
     if n < 2:
         raise InvalidInput(f"need at least two decoders, got {n}")
     sums = dm.entries.copy()
@@ -153,10 +132,10 @@ def cluster_to_two(dm: DistanceMatrix) -> ClusterAssignment:
     sizes = np.ones(n)
     linkage = sums.copy()  # x / (1.0 * 1.0) == x
     members = [(i,) for i in range(n)]
-    merges: list[MergeStep] = []
+    merges = []
     for _ in range(n - 2):
         a, b = divmod(int(np.argmin(linkage)), n)
-        merges.append(MergeStep(members[a], members[b], float(linkage[a, b])))
+        merges.append((members[a], members[b], float(linkage[a, b])))
         members[a] = tuple(sorted(members[a] + members[b]))
         sizes[a] += sizes[b]
         sums[a] += sums[b]

@@ -17,13 +17,6 @@ import numpy as np
 from .clustering import ClusterAssignment
 from .errors import InvalidInput
 
-__all__ = [
-    "ExchangePlan",
-    "build_clustered_plan",
-    "build_round_robin_plan",
-    "build_random_plan",
-]
-
 # rejection sampling: this many draws with the history constraint, then
 # draws with only the self-derangement constraint until one meets it
 _ATTEMPTS_PER_PHASE = 32

@@ -43,23 +43,6 @@ from .server import (
     run_simulation,
 )
 
-__all__ = [
-    "ExperimentConfig",
-    "default_experiment_config",
-    "config_to_dict",
-    "config_from_dict",
-    "load_config",
-    "save_config",
-    "build_clients",
-    "run_cell",
-    "run_experiment",
-    "collect_summaries",
-    "compare_strategies",
-    "ablation_T",
-    "write_metrics_csv",
-    "write_comparison",
-]
-
 SUMMARY_NAME = "summary.json"
 SUMMARY_SCHEMA = "experiment-summary-v2"
 METRICS_NAME = "metrics.csv"
@@ -381,8 +364,11 @@ def cell_dir(cfg: ExperimentConfig, strategy: str, seed: int, out_dir) -> Path:
 def _run_and_compare(cfgs: Sequence[ExperimentConfig], root: Path) -> list[dict]:
     """Run every (strategy, seed) cell of each config into root, writing
     per-cell metrics.csv and summary.json, and a comparison when more than
-    one (strategy, T, fraction) group ran; otherwise remove root's old one,
-    which would rank cells this run may have replaced."""
+    one (strategy, T, fraction) group ran. Root's old config and comparison
+    go before the first cell: they would describe cells this run may replace,
+    also when it fails part way."""
+    for name in ("config.json", "comparison.json", "comparison.txt"):
+        (root / name).unlink(missing_ok=True)
     summaries = []
     for cfg in cfgs:
         for strategy in cfg.strategies:
@@ -396,19 +382,16 @@ def _run_and_compare(cfgs: Sequence[ExperimentConfig], root: Path) -> list[dict]
                 summaries.append(summary)
     if len({_group_key(s) for s in summaries}) > 1:
         write_comparison(compare_strategies(summaries), root)
-    else:
-        for name in ("comparison.json", "comparison.txt"):
-            (root / name).unlink(missing_ok=True)
     return summaries
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> list[dict]:
     """Run every (strategy, seed) cell into out_dir, write per-cell metrics.csv
-    and summary.json, and a comparison when more than one strategy ran."""
-    root = Path(out_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, root / "config.json")
-    return _run_and_compare([cfg], root)
+    and summary.json, a comparison when more than one strategy ran, and,
+    after the last cell, config.json."""
+    summaries = _run_and_compare([cfg], Path(out_dir))
+    save_config(cfg, Path(out_dir) / "config.json")
+    return summaries
 
 
 def _known(data: dict, types: dict) -> dict:

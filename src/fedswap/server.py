@@ -29,21 +29,6 @@ from .exchange import (
     build_round_robin_plan,
 )
 
-__all__ = [
-    "AGGREGATE",
-    "EXCHANGE",
-    "WARMUP",
-    "STRATEGIES",
-    "ServerConfig",
-    "RoundOutcome",
-    "RoundRecord",
-    "derive_seed",
-    "schedule_decision",
-    "weighted_average",
-    "run_round",
-    "run_simulation",
-]
-
 AGGREGATE = "aggregate"
 EXCHANGE = "exchange"
 WARMUP = "warmup"

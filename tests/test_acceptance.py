@@ -85,9 +85,9 @@ def test_criterion_01_clustering_matches_exhaustive_oracle(capsys):
         ca = cluster_to_two(dm)
         oracle_clusters, oracle_steps = oracle_merge_to_two(dm.entries, n)
         assert len(ca.merges) == len(oracle_steps)
-        for step, (a, b, link) in zip(ca.merges, oracle_steps):
-            assert {frozenset(step.first), frozenset(step.second)} == {a, b}
-            assert abs(step.linkage - link) <= 1e-12
+        for (first, second, linkage), (a, b, link) in zip(ca.merges, oracle_steps):
+            assert {frozenset(first), frozenset(second)} == {a, b}
+            assert abs(linkage - link) <= 1e-12
         assert {frozenset(ca.members_0), frozenset(ca.members_1)} == set(
             oracle_clusters
         )
@@ -127,9 +127,9 @@ def test_criterion_02_distance_and_linkage_numerics(capsys):
         m[iu] = rng.uniform(0.0, 2.0, size=len(iu[0]))
         dm = DistanceMatrix(m + m.T)
         # each merge's incrementally kept linkage against the direct double sum
-        for step in cluster_to_two(dm).merges:
-            direct = oracle_linkage(dm.entries, step.first, step.second)
-            worst_link = max(worst_link, abs(step.linkage - direct))
+        for first, second, linkage in cluster_to_two(dm).merges:
+            direct = oracle_linkage(dm.entries, first, second)
+            worst_link = max(worst_link, abs(linkage - direct))
             links += 1
 
     ok = worst_sym <= 1e-9 and worst_scale <= 1e-9 and worst_link <= 1e-12

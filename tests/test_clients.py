@@ -205,18 +205,21 @@ class TestGenerateDomainDataset:
         assert_noiseless_labels_follow(dataset(domain, 0, 1, 2), generating_head(domain, 1, 2))
 
     def test_inputs_equal_the_scaled_normal_draws(self):
-        # standard_normal + shift is bit for bit normal(loc=shift, scale=1.0)
-        bb = backbone()
+        # standard_normal + shift is bit for bit normal(loc=shift, scale=1.0);
+        # the backbone is replayed too, weight drawn before bias
         domain = replace(spec(count=300), shift=(0.3, -1.2, 2.5, 0.0, 7.1, -0.01))
         ds = dataset(domain, 0, 1, 2, test_count=70)
+        rng = np.random.default_rng(0)
+        weight = rng.normal(0.0, 1.0 / np.sqrt(INPUT_DIM), (INPUT_DIM, FEATURE_DIM))
+        bias = rng.normal(0.0, 0.2, FEATURE_DIM)
         rng = np.random.default_rng(2)
         rng.normal(size=FEATURE_DIM)  # the concept direction
         shift = np.array(domain.shift)
         train_x = rng.normal(loc=shift, scale=1.0, size=(300, INPUT_DIM))
         rng.normal(0.0, domain.label_noise, size=300)
         test_x = rng.normal(loc=shift, scale=1.0, size=(70, INPUT_DIM))
-        assert ds.features_train.tobytes() == bb.features(train_x).tobytes()
-        assert ds.features_test[0].tobytes() == bb.features(test_x).tobytes()
+        assert ds.features_train.tobytes() == np.tanh(train_x @ weight + bias).tobytes()
+        assert ds.features_test[0].tobytes() == np.tanh(test_x @ weight + bias).tobytes()
 
 
 class TestGradients:

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -72,7 +73,10 @@ def assert_merges_equal_the_full_recompute(dm):
     ca = cluster_to_two(dm)
     members_0, merges = oracle_full_recompute(dm.entries)
     assert ca.members_0 == members_0
-    assert [(m.first, m.second, m.linkage) for m in ca.merges] == merges
+    assert list(ca.merges) == merges
+    # the merges are ready for JSON as they stand
+    assert json.loads(json.dumps(ca.merges)) == [[list(a), list(b), link]
+                                                 for a, b, link in merges]
 
 
 class TestCosineDistance:
@@ -313,7 +317,8 @@ class TestClusterToTwo:
         entries = np.full((4, 4), 1.0)
         np.fill_diagonal(entries, 0.0)
         merges = cluster_to_two(DistanceMatrix(entries)).merges
-        assert [set(m.first) | set(m.second) for m in merges] == [{0, 1}, {0, 1, 2}]
+        assert [set(first) | set(second) for first, second, _ in merges] == [
+            {0, 1}, {0, 1, 2}]
 
     def test_oracle_equivalence_random_instances(self):
         rng = np.random.default_rng(77)
@@ -324,9 +329,9 @@ class TestClusterToTwo:
             merges = ca.merges
             oracle_clusters, oracle_merges = oracle_merge_to_two(dm.entries, n)
             assert len(merges) == len(oracle_merges)
-            for step, (a, b, link) in zip(merges, oracle_merges):
-                assert {frozenset(step.first), frozenset(step.second)} == {a, b}
-                assert step.linkage == pytest.approx(link, abs=1e-12)
+            for (first, second, linkage), (a, b, link) in zip(merges, oracle_merges):
+                assert {frozenset(first), frozenset(second)} == {a, b}
+                assert linkage == pytest.approx(link, abs=1e-12)
             assert {frozenset(ca.members_0), frozenset(ca.members_1)} == set(
                 oracle_clusters
             )
@@ -366,9 +371,9 @@ class TestClusterToTwo:
             assert ca.index_list == tuple(0 if v == labels[0] else 1 for v in labels)
             assert ca == cluster_to_two(dm)
             assert len(ca.merges) == n - 2
-            for step in ca.merges:
-                assert step.linkage == pytest.approx(
-                    oracle_linkage(dm.entries, step.first, step.second), abs=1e-12
+            for first, second, link in ca.merges:
+                assert link == pytest.approx(
+                    oracle_linkage(dm.entries, first, second), abs=1e-12
                 )
 
     def test_determinism(self):

@@ -303,7 +303,7 @@ class TestRunExperiment:
         )
         run_experiment(cfg, tmp_path)
         path = tmp_path / "clustered_T2_f1" / "seed_0" / "metrics.csv"
-        header = open(path).readline().strip().split(",")
+        header = path.read_text().splitlines()[0].split(",")
         assert header[-1] == "avg_accuracy"
         assert "domain_0_accuracy" in header
         summary = json.loads(
@@ -338,7 +338,7 @@ class TestRunExperiment:
         cfg = tiny_config(seeds=(0,), strategies=("clustered",))
         summaries = run_experiment(cfg, tmp_path)
         path = tmp_path / "clustered_T2_f1" / "seed_0" / "metrics.csv"
-        last = open(path).read().splitlines()[-1].split(",")
+        last = path.read_text().splitlines()[-1].split(",")
         assert float(last[5]) == summaries[0]["final"]["avg_loss"]
         assert summaries[0]["final"]["round"] == cfg.rounds
 
@@ -965,6 +965,27 @@ class TestCli:
         assert main(["compare", "--in", str(root)]) == 2
         assert capsys.readouterr().err == (
             "error: refusing to compare runs with differing rounds\n")
+
+    def test_failed_rerun_leaves_no_root_file_of_other_cells(self, tmp_path, capsys):
+        # the rerun fails in its first cell's warm-up: the root's config and
+        # comparison would describe it, or cells it did not replace
+        root = tmp_path / "r"
+        assert main(["run", "--rounds", "4", "--agg-frequency", "2", "--seed", "0",
+                     "--out", str(root)]) == 0
+        comparison = (root / "comparison.json").read_bytes()
+        cells = {p: p.read_bytes() for p in root.glob("*/seed_*/*")}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"rounds": 2, "aggregation_frequency": 2,
+                                   "strategies": ["clustered", "fedavg_only"],
+                                   "local": {"learning_rate": 50}}))
+        capsys.readouterr()
+        assert main(["run", "--config", str(bad), "--seed", "0", "--out", str(root)]) == 2
+        assert capsys.readouterr().err == (
+            "error: round -2: test loss std overflows; reduce the learning rate\n")
+        assert not [p for p in root.iterdir() if p.is_file()]
+        assert {p: p.read_bytes() for p in root.glob("*/seed_*/*")} == cells
+        assert main(["compare", "--in", str(root)]) == 0
+        assert (root / "comparison.json").read_bytes() == comparison
 
     def test_run_prints_only_its_own_comparison(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path)
