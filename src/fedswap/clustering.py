@@ -58,10 +58,6 @@ class ClusterAssignment:
         object.__setattr__(self, "index_list", idx)
 
     @property
-    def n(self) -> int:
-        return len(self.index_list)
-
-    @property
     def members_0(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.index_list) if v == 0)
 

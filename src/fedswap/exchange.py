@@ -56,7 +56,7 @@ def build_clustered_plan(
     """
     if not isinstance(ca, ClusterAssignment):
         raise InvalidInput("ca must be a ClusterAssignment")
-    n = ca.n
+    n = len(ca.index_list)
     if last is not None and len(last) != n:
         raise InvalidInput(
             f"history length {len(last)} does not match client count {n}"

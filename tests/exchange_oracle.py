@@ -45,7 +45,7 @@ def oracle_clustered_plan(
 ) -> ExchangePlan:
     if not isinstance(ca, ClusterAssignment):
         raise InvalidInput("ca must be a ClusterAssignment")
-    n = ca.n
+    n = len(ca.index_list)
     if last is not None and len(last) != n:
         raise InvalidInput(
             f"history length {len(last)} does not match client count {n}"

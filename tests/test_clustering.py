@@ -183,6 +183,11 @@ class TestDistanceMatrix:
             matrix([[0, 1], [0.5, 0]])
         with pytest.raises(InvalidInput):
             matrix([[0, 3], [3, 0]])
+        # the range is closed at both ends, and one ulp outside it is refused
+        assert matrix([[0, 2], [2, 0]]).entries[0, 1] == 2.0
+        for outside in (np.nextafter(2.0, 3.0), -np.nextafter(0.0, 1.0)):
+            with pytest.raises(InvalidInput, match=r"distances must lie in \[0, 2\]"):
+                matrix([[0, outside], [outside, 0]])
         with pytest.raises(InvalidInput):
             matrix([[0.5, 1], [1, 0]])
         with pytest.raises(InvalidInput, match=r"must be square, got \(2, 3\)"):

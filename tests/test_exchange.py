@@ -32,7 +32,8 @@ def random_members_0(meta, n):
 
 def cross_count(ca, plan):
     return sum(
-        1 for i in range(ca.n) if ca.index_list[i] != ca.index_list[plan.assignment[i]]
+        1 for i in range(len(ca.index_list))
+        if ca.index_list[i] != ca.index_list[plan.assignment[i]]
     )
 
 

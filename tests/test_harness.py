@@ -228,6 +228,16 @@ class TestExperimentConfig:
         assert cfg.rounds == 8
 
 
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+# an empty glob would parametrize no case and pass unseen, hence the None case
+@pytest.mark.parametrize("path", CONFIGS or [None], ids=lambda path: path and path.name)
+def test_checked_in_config_loads(path):
+    assert path is not None, "configs/ holds no *.json"
+    assert isinstance(load_config(path), ExperimentConfig)
+
+
 class TestBuildClients:
     def test_shared_backbone_and_fraction(self):
         cfg = tiny_config(data_fraction=0.5)
@@ -1102,8 +1112,9 @@ class TestCli:
         assert capsys.readouterr().err == "error: group clustered_T2_f1 holds seed 0 twice\n"
 
     def test_readme_command_examples_parse(self):
-        # the examples under README's "Command line" heading must not drift
-        # from the parser or name a script that does not exist
+        # the examples under README's "Command line" heading, the paper's
+        # reproduction commands among them, must not drift from the parser or
+        # name a config that does not exist
         root = Path(__file__).resolve().parents[1]
         readme = (root / "README.md").read_text()
         section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
@@ -1119,8 +1130,8 @@ class TestCli:
                 except SystemExit:
                     pytest.fail(f"README example does not parse: {line}")
         assert commands == {"run", "compare", "ablate-t"}
-        scripts = re.findall(r"python3 (scripts/\S+\.py)", "\n".join(lines))
-        assert scripts and all((root / script).is_file() for script in scripts), scripts
+        configs = re.findall(r"--config (configs/\S+\.json)", "\n".join(lines))
+        assert configs and all((root / config).is_file() for config in configs), configs
 
     def test_ablate_t_repeated_value_is_one_line_error(self, tmp_path, capsys):
         # used to run the T=2 cell twice into one directory and write two rows
