@@ -52,7 +52,9 @@ def build_clustered_plan(
     (e.g. two clients alternating) it is dropped after a bounded number of
     attempts. Draws then go on until no client receives its own upload, which
     every split allows: only the larger cluster serves its own clients, and
-    with more than two clients it has at least two members.
+    with more than two clients it has at least two members. If last gave a lone
+    client's decoder to its fixed receiver, no history attempt can pass, so
+    their shuffles are drawn in one call and never compared.
     """
     if not isinstance(ca, ClusterAssignment):
         raise InvalidInput("ca must be a ClusterAssignment")
@@ -68,9 +70,14 @@ def build_clustered_plan(
     crossing = members[big][:len(members[1 - big])]
     receivers = {1 - big: crossing, big: np.delete(clients, crossing)}
     plan = np.empty(n, dtype=np.intp)
-    for attempt in itertools.count():
+    first = 0
+    if len(crossing) == 1 and last is not None and last[crossing[0]] == members[1 - big][0]:
+        # the words of one permutation per attempt; a cluster of one draws none
+        first = _ATTEMPTS_PER_PHASE
+        rng.permuted(np.tile(np.arange(len(members[big])), (first, 1)), axis=1)
+    for attempt in itertools.count(first):
         for c in (0, 1):
-            plan[receivers[c]] = members[c][rng.permutation(len(members[c]))]
+            plan[receivers[c]] = rng.permuted(members[c])
         if (plan == clients).any():
             continue
         enforce_history = last is not None and attempt < _ATTEMPTS_PER_PHASE

@@ -14,6 +14,7 @@ bias, as the clients' features fix it), the last exchange plan and the trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -306,7 +307,11 @@ def run_simulation(cfg: ServerConfig, clients: Clients) -> tuple[RoundRecord, ..
                                 _generator(exchange_words[r - 1]) if r >= 1 else None)
             decoders, plan = outcome.deliveries, outcome.plan
             losses, accuracies = evaluate(decoders, clients)
-            avg, std = float(np.mean(losses)), float(np.std(losses))
+            # np.mean's and np.std's own arithmetic, bit for bit, without their wrappers
+            a = np.array(losses)
+            avg = float(np.add.reduce(a) / n)
+            a -= avg
+            std = math.sqrt(np.add.reduce(np.multiply(a, a, out=a)) / n)
             if not np.isfinite(std):  # an overflowing mean makes it inf or NaN too
                 raise NonFiniteLoss("test loss std overflows; reduce the learning rate")
         except FedswapError as exc:

@@ -37,6 +37,23 @@ def cross_count(ca, plan):
     )
 
 
+class CountingGenerator:
+    """A Generator whose method calls are recorded: name, first argument's
+    shape and keyword arguments."""
+
+    def __init__(self, generator):
+        self.generator = generator
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self.generator, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append((name, np.shape(args[0]) if args else (), kwargs))
+            return method(*args, **kwargs)
+        return counted
+
+
 split_strategy = st.integers(0, 2**32 - 1).flatmap(
     lambda seed: st.integers(3, 128).map(lambda n: (n, seed))
 )
@@ -146,14 +163,44 @@ class TestClusteredPlan:
                 last = last.assignment
             seed = int(meta.integers(2**32))
             mine, theirs = rng(seed), rng(seed)
-            assert build_clustered_plan(ca, last, mine) == oracle_clustered_plan(ca, last, theirs)
+            plan = build_clustered_plan(ca, last, mine)
+            assert plan == oracle_clustered_plan(ca, last, theirs)
             # the same random draws, not only the same plan
             assert mine.bit_generator.state == theirs.bit_generator.state
             small = min(len(ca.members_0), len(ca.members_1))
             seen.add((n == 2, small == 1, 2 * small == n, history))
+            if small == 1 and last is not None:
+                # did last already give the lone decoder to its one receiver?
+                lone = min(ca.members_0, ca.members_1, key=len)
+                repeats = last[plan.assignment.index(lone[0])] == lone[0]
+                seen.add(("lone decoder repeats", repeats, history))
         for history in ("none", "same split", "other split"):
             assert {(True, True, True, history), (False, True, False, history),
                     (False, False, True, history), (False, False, False, history)} <= seen
+        assert {("lone decoder repeats", True, "same split"),
+                ("lone decoder repeats", True, "other split"),
+                ("lone decoder repeats", False, "other split")} <= seen
+
+    @pytest.mark.parametrize("n, members_0", [(5, [3]), (4, [0, 1, 2]), (2, [0])],
+                             ids=["lone_cluster_0", "lone_cluster_1", "two_clients"])
+    def test_repeated_lone_decoder_skips_the_history_attempts(self, n, members_0):
+        # last gave the lone client's decoder to the receiver it must get
+        # again, so no history attempt can pass: phase 1's shuffles come from
+        # one bulk call, then only the attempts without history draw
+        ca = assignment_of(n, members_0)
+        attempts = exchange._ATTEMPTS_PER_PHASE
+        bulk = ("permuted", (attempts, max(len(ca.members_0), len(ca.members_1))), {"axis": 1})
+        per_attempt = [("permuted", (len(members),), {})
+                       for members in (ca.members_0, ca.members_1)]
+        for seed in range(40):
+            last = oracle_clustered_plan(ca, None, rng(seed)).assignment
+            mine, theirs = CountingGenerator(rng(seed + 1)), CountingGenerator(rng(seed + 1))
+            assert build_clustered_plan(ca, last, mine) == oracle_clustered_plan(ca, last, theirs)
+            assert mine.generator.bit_generator.state == theirs.generator.bit_generator.state
+            # the oracle draws two shuffles per attempt, phase 1's first
+            phase_2 = len(theirs.calls) // 2 - attempts
+            assert phase_2 >= 1
+            assert mine.calls == [bulk] + per_attempt * phase_2
 
     def test_no_self_delivery_once_history_attempts_run_out(self, monkeypatch):
         # on this split half of all draws hand client 2 its own upload; the
@@ -171,6 +218,28 @@ class TestClusteredPlan:
             ca = assignment_of(5, [0, 1, 2, 3])
             plan = build_clustered_plan(ca, None, rng(seed))
             assert all(plan.assignment[i] != i for i in range(5))
+
+
+class TestNumpyBulkDraws:
+    """The numpy behaviour the clustered plan relies on: its bulk draws take
+    the same words, in the same order, as one permutation call each."""
+
+    @pytest.mark.parametrize("pending", [False, True], ids=["aligned", "half_buffered"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 17, 64])
+    def test_permuted_draws_as_permutation(self, k, pending):
+        changed = f"numpy {np.__version__} changed Generator.permuted's draws"
+        for seed in range(50):
+            bulk, single = rng(seed), rng(seed)
+            if pending:
+                # leave half of a 64-bit word buffered for the next uint32
+                for g in (bulk, single):
+                    g.integers(2**32, dtype=np.uint32)
+                assert bulk.bit_generator.state["has_uint32"] == 1
+            rows = bulk.permuted(np.tile(np.arange(k), (32, 1)), axis=1)
+            assert np.array_equal(rows, [single.permutation(k) for _ in range(32)]), changed
+            x = np.arange(k) * 3 + 5
+            assert np.array_equal(bulk.permuted(x), x[single.permutation(k)]), changed
+            assert bulk.bit_generator.state == single.bit_generator.state, changed
 
 
 class TestRoundRobinPlan:

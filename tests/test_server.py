@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,11 @@ def make_clients(n=3, master_seed=0, counts=(120, 120, 60), steps=3):
              *(derive_seed(master_seed, PURPOSES["domain"], i) for i in range(n))]
     return draw_clients(specs, seeds, feature_dim=FEATURE_DIM, config=local,
                         task="regression", test_count=50, train_fraction=1.0)
+
+
+@functools.cache
+def clients_of(n):
+    return make_clients(n=n, counts=(20,), steps=1)
 
 
 def uploads_of(n=4, seed=0):
@@ -413,6 +420,20 @@ class TestRunSimulation:
             assert record.avg_loss == pytest.approx(
                 float(np.mean(record.domain_losses)), abs=1e-12
             )
+
+    @given(st.sampled_from([2, 3, 4, 17, 129]).flatmap(
+        lambda n: st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n)))
+    @settings(max_examples=200, deadline=None)
+    def test_round_statistics_equal_np_mean_and_std(self, losses):
+        # run_simulation restates np.mean's and np.std's arithmetic without
+        # their wrappers; the recorded bits must be theirs
+        cfg = ServerConfig(rounds=1, aggregation_frequency=1, warmup_rounds=0,
+                           strategy="fedavg_only")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(server, "evaluate", lambda decoders, clients: (tuple(losses), None))
+            (row,) = run_simulation(cfg, clients_of(len(losses)))
+        assert row.avg_loss == float(np.mean(losses))
+        assert row.std_loss == float(np.std(losses))
 
     def test_exchange_rounds_record_plan_and_cluster(self, monkeypatch):
         # each exchange's plan builder gets the plan of the exchange before it,
