@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Alternating parent/change benchmark pairs, written to BENCH_<pr>.json.
+"""Alternating parent/change benchmark pairs, written to BENCH_<pr>.json, or
+to BENCH_<pr>_trace.json with --trace 1.
 
 Usage, from the root of a checkout:
 
     python3 scripts/bench_pairs.py --pr N --parent HEAD~1 --workload wide64 \\
-        --seeds 101 102 103 --seconds 25 --trace 0 --scratch /tmp/fedswap-pairs
+        --seeds 101 102 103 --trace 0 --scratch /tmp/fedswap-pairs
+
+Each perfbench run lasts --seconds, by default BENCHMARK.json's run_seconds.
 
 The parent commit's files are exported with ``git archive`` into
 <scratch>/parent, a plain directory of committed files, as the benchmark
@@ -249,20 +252,24 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="the parent commit")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float,
+                        help="seconds per perfbench run; BENCHMARK.json's run_seconds if unset")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--scratch", type=Path, required=True,
                         help="a new directory for the exported commits")
     args = parser.parse_args(argv)
+    benchmark = ROOT / "BENCHMARK.json"
+    if args.seconds is None:
+        args.seconds = float(json.loads(benchmark.read_text())["run_seconds"])
 
     dirs = {"parent": args.scratch / "parent", "change": ROOT}
     revs = {"parent": export(args.parent, dirs["parent"]), "change": working_tree_rev()}
     run = perfbench_runner(dirs, args.seconds, args.trace)
     pairs = run_pairs(run, args.workload, args.seeds, revs)
-    out = ROOT / f"BENCH_{args.pr}.json"
+    # traced pairs sit beside the untraced ones of the same PR, not over them
+    out = ROOT / f"BENCH_{args.pr}{'_trace' if args.trace else ''}.json"
     settings = {"workloads": args.workload, "seeds": args.seeds,
                 "seconds": args.seconds, "trace": args.trace}
-    benchmark = ROOT / "BENCHMARK.json"
     data = write_bench(out, args.pr, revs, settings, pairs, directions(benchmark),
                        bounds(benchmark))
     print("\n".join(summary_lines(data["summary"])))

@@ -49,8 +49,6 @@ class ClusterAssignment:
 
     def __post_init__(self):
         idx = tuple(int(v) for v in self.index_list)
-        if len(idx) < 2:
-            raise InvalidInput("an assignment needs at least two decoders")
         if any(v not in (0, 1) for v in idx):
             raise InvalidInput("index list entries must be 0 or 1")
         if all(v == 0 for v in idx) or all(v == 1 for v in idx):

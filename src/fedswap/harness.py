@@ -36,7 +36,6 @@ from .clients import (
 from .errors import ConfigInvalid
 from .server import (
     PURPOSES,
-    STRATEGIES,
     RoundRecord,
     ServerConfig,
     derive_seed,
@@ -121,16 +120,10 @@ class ExperimentConfig:
             for seed in self.seeds:
                 self.server_config(strategy, seed)
 
-    def effective_frequency(self, strategy: str) -> int:
-        # strategies without an exchange plan aggregate every round by
-        # definition; an unknown name keeps T for ServerConfig to reject
-        row = STRATEGIES.get(strategy)
-        return 1 if row is not None and row.plan is None else self.aggregation_frequency
-
     def server_config(self, strategy: str, seed: int) -> ServerConfig:
         return ServerConfig(
             rounds=self.rounds,
-            aggregation_frequency=self.effective_frequency(strategy),
+            aggregation_frequency=self.aggregation_frequency,
             strategy=strategy,
             warmup_rounds=self.warmup_rounds,
             master_seed=seed,
@@ -308,9 +301,9 @@ def write_metrics_csv(trace: Sequence[RoundRecord], path) -> None:
 
 
 def _cell_config(cfg: ExperimentConfig, strategy: str, seed: int) -> dict:
-    """The config of one cell at its effective T, as data."""
+    """The config of one cell at the T its ServerConfig runs, as data."""
     return {**config_to_dict(cfg), "strategies": (strategy,), "seeds": (seed,),
-            "aggregation_frequency": cfg.effective_frequency(strategy)}
+            "aggregation_frequency": cfg.server_config(strategy, seed).aggregation_frequency}
 
 
 def _summarize(config: dict, clients: Clients, trace: Sequence[RoundRecord]) -> dict:
@@ -357,8 +350,8 @@ def _group_name(key: tuple) -> str:
 
 
 def cell_dir(cfg: ExperimentConfig, strategy: str, seed: int, out_dir) -> Path:
-    key = (strategy, cfg.effective_frequency(strategy), cfg.data_fraction)
-    return Path(out_dir) / _group_name(key) / f"seed_{seed}"
+    t = cfg.server_config(strategy, seed).aggregation_frequency
+    return Path(out_dir) / _group_name((strategy, t, cfg.data_fraction)) / f"seed_{seed}"
 
 
 def _run_and_compare(cfgs: Sequence[ExperimentConfig], root: Path) -> list[dict]:

@@ -116,7 +116,8 @@ def _generator(words: np.ndarray) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Protocol settings for one simulation."""
+    """Protocol settings for one simulation. It takes the configured T, refuses T < 1 for
+    every strategy, and runs a strategy without an exchange plan at T = 1."""
 
     rounds: int
     aggregation_frequency: int
@@ -131,19 +132,15 @@ class ServerConfig:
             raise ConfigInvalid(
                 f"aggregation_frequency must be >= 1, got {self.aggregation_frequency}"
             )
+        if self.strategy not in STRATEGIES:
+            raise ConfigInvalid(f"unknown strategy {self.strategy!r}; "
+                                f"expected one of {tuple(STRATEGIES)}")
+        if STRATEGIES[self.strategy].plan is None:
+            object.__setattr__(self, "aggregation_frequency", 1)
         if self.rounds % self.aggregation_frequency != 0:
             raise ConfigInvalid(
                 f"rounds ({self.rounds}) must be divisible by aggregation_frequency "
                 f"({self.aggregation_frequency}) so the final round aggregates"
-            )
-        if self.strategy not in STRATEGIES:
-            raise ConfigInvalid(
-                f"unknown strategy {self.strategy!r}; expected one of {tuple(STRATEGIES)}"
-            )
-        if STRATEGIES[self.strategy].plan is None and self.aggregation_frequency != 1:
-            raise ConfigInvalid(
-                f"strategy {self.strategy!r} aggregates every round; "
-                f"set aggregation_frequency=1"
             )
         if not 0 <= self.warmup_rounds <= MAX_ROUNDS:
             raise ConfigInvalid(

@@ -46,7 +46,7 @@ def cells():
     t0 = time.perf_counter()
     for strategy in ("clustered", "fedavg_only"):
         cfg = default_experiment_config(seeds=SEEDS, strategies=(strategy,))
-        out[(strategy, cfg.effective_frequency(strategy), 1.0)] = [
+        out[(strategy, cfg.server_config(strategy, 0).aggregation_frequency, 1.0)] = [
             run_cell(cfg, strategy, s)[1] for s in SEEDS
         ]
     elapsed_direct = time.perf_counter() - t0

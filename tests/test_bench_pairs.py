@@ -222,3 +222,33 @@ def test_reference_mismatches_are_counted_and_flagged():
     assert ("paper4 failed: parent 0/26 change 0/26 reference_mismatches: parent 0 change 1"
             in lines)
     assert "ragged16_cls failed: parent 0/26 change 0/26" in lines
+
+
+def test_traced_pairs_keep_the_untraced_file(tmp_path, monkeypatch):
+    # traced pairs used to overwrite BENCH_<pr>.json, and --seconds defaulted
+    # to a second copy of BENCHMARK.json's run_seconds
+    spec = json.loads((SCRIPT.parents[1] / "BENCHMARK.json").read_text())
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({**spec, "run_seconds": 7}))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: "abc")
+    monkeypatch.setattr(bench_pairs, "working_tree_rev", lambda: "def")
+    settings = []
+
+    def runner(dirs, seconds, trace):
+        settings.append((seconds, trace))
+        return lambda side, workload, seed: bench_pairs.parse_output(
+            fake_output(side, workload, seed))
+
+    monkeypatch.setattr(bench_pairs, "perfbench_runner", runner)
+    common = ["--pr", "9", "--parent", "HEAD", "--workload", "paper4", "--seeds", "1", "2",
+              "--scratch", str(tmp_path / "pairs")]
+    assert bench_pairs.main([*common, "--trace", "0"]) == 0
+    untraced = (tmp_path / "BENCH_9.json").read_bytes()
+    assert json.loads(untraced)["args"]["seconds"] == 7.0
+    assert bench_pairs.main([*common, "--trace", "1", "--seconds", "3"]) == 0
+    assert (tmp_path / "BENCH_9.json").read_bytes() == untraced
+    traced = json.loads((tmp_path / "BENCH_9_trace.json").read_text())
+    assert traced["args"]["seconds"] == 3.0 and traced["args"]["trace"] == 1
+    assert settings == [(7.0, 0), (3.0, 1)]
+    assert sorted(p.name for p in tmp_path.glob("BENCH_*")) == ["BENCH_9.json",
+                                                                "BENCH_9_trace.json"]

@@ -259,6 +259,8 @@ class TestClusterAssignment:
             ClusterAssignment((0, 0, 0))
         with pytest.raises(InvalidInput):
             ClusterAssignment((1,))
+        with pytest.raises(InvalidInput):
+            ClusterAssignment(())
 
     def test_rejects_non_binary(self):
         with pytest.raises(InvalidInput):

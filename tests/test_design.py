@@ -102,3 +102,17 @@ def test_only_config_types_raise_config_invalid():
     offenders = sorted(where for function, where in found
                        if function not in ("__post_init__", "derive_seed"))
     assert not offenders, f"ConfigInvalid raised below the config types at {offenders}"
+
+
+def test_only_server_reads_strategy_rows():
+    # whether a strategy has an exchange plan decides its period; ServerConfig
+    # decides it, so no other module looks a STRATEGIES row up
+    offenders = []
+    for path in Path(fedswap.__file__).parent.glob("*.py"):
+        if path.name == "server.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = {ast.alias: "name", ast.Name: "id", ast.Attribute: "attr"}.get(type(node))
+            if name and getattr(node, name) in ("STRATEGIES", "Strategy"):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"strategy rows read outside server.py at {sorted(offenders)}"

@@ -169,10 +169,11 @@ class TestExperimentConfig:
 
     def test_pure_aggregation_strategies_run_at_t1(self):
         cfg = tiny_config()
-        assert cfg.effective_frequency("fedavg_only") == 1
-        assert cfg.effective_frequency("fedprox") == 1
-        assert cfg.effective_frequency("clustered") == 2
         assert cfg.server_config("fedavg_only", 0).aggregation_frequency == 1
+        assert cfg.server_config("fedprox", 0).aggregation_frequency == 1
+        assert cfg.server_config("clustered", 0).aggregation_frequency == 2
+        # the config keeps T as written; only the cells without a plan run at 1
+        assert cfg.aggregation_frequency == 2
 
     def test_default_config_shape(self):
         cfg = default_experiment_config()
@@ -761,6 +762,32 @@ class TestCli:
         assert "reduce the learning rate" not in err
         assert not list(tmp_path.rglob("summary.json"))
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("args, data, t", [
+        (["--strategy", "fedavg_only", "--agg-frequency", "0", "--rounds", "2",
+          "--seed", "0"], {}, 0),
+        ([], {"strategies": ["fedprox", "fedavg_only"], "aggregation_frequency": -7}, -7),
+    ], ids=["fedavg_only_flag_T0", "fedprox_config_T-7"])
+    def test_period_below_1_is_refused_for_every_strategy(self, tmp_path, capsys, args,
+                                                          data, t):
+        # the strategies that run at T = 1 used to run at any T given, 0 included,
+        # and write it into config.json
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(data))
+        out = tmp_path / "runs"
+        assert main(["run", "--config", str(cfg_path), *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: aggregation_frequency must be >= 1, got {t}\n"
+        assert not out.exists()
+
+    def test_compare_refuses_a_negative_period_of_a_planless_strategy(self, tmp_path, capsys):
+        run_experiment(tiny_config(seeds=(0,)), tmp_path)
+        summary = tmp_path / "fedavg_only_T1_f1" / "seed_0" / "summary.json"
+        summary.write_text(config_set("aggregation_frequency", -3)(summary.read_text()))
+        written = (tmp_path / "comparison.json").read_bytes()
+        assert main(["compare", "--in", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {summary}: aggregation_frequency must be >= 1, got -3\n")
+        assert (tmp_path / "comparison.json").read_bytes() == written
 
     def test_config_naming_a_directory_is_refused(self, tmp_path, capsys):
         # as a config.json written while the directory was a config key

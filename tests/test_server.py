@@ -228,12 +228,18 @@ class TestServerConfig:
         with pytest.raises(ConfigInvalid):
             ServerConfig(rounds=4, aggregation_frequency=2, strategy="mystery")
 
-    def test_pure_aggregation_strategies_require_t1(self):
-        with pytest.raises(ConfigInvalid):
-            ServerConfig(rounds=4, aggregation_frequency=2, strategy="fedavg_only")
-        with pytest.raises(ConfigInvalid):
-            ServerConfig(rounds=4, aggregation_frequency=2, strategy="fedprox")
-        ServerConfig(rounds=4, aggregation_frequency=1, strategy="fedprox")
+    def test_pure_aggregation_strategies_run_at_t1(self):
+        # a strategy without a plan aggregates every round whatever T it is
+        # given, also a T that does not divide the rounds; T < 1 is refused first
+        for strategy in ("fedavg_only", "fedprox"):
+            for t in (2, 3):
+                cfg = ServerConfig(rounds=4, aggregation_frequency=t, strategy=strategy)
+                assert cfg.aggregation_frequency == 1
+            for t in (0, -3):
+                with pytest.raises(ConfigInvalid,
+                                   match=f"^aggregation_frequency must be >= 1, got {t}$"):
+                    ServerConfig(rounds=4, aggregation_frequency=t, strategy=strategy)
+        assert ServerConfig(rounds=4, aggregation_frequency=2).aggregation_frequency == 2
 
     def test_rejects_out_of_range_seed_and_negative_warmup(self):
         for seed in (-1, 2**32):
