@@ -236,6 +236,42 @@ def make_clients(
                    features_test, test_y, starts)
 
 
+@dataclass(frozen=True)
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """default_rng(seed)'s PCG64 state: derive_seed(seed & 0xFFFFFFFF, seed >> 32, words=4)."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise InvalidInput(f"pre-hashed PCG64 words, not {n_words} {np.dtype(dtype)}")
+        return np.ascontiguousarray(self.words)  # PCG64 reads the raw buffer
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """default_rng(seed) for the state words derive_seed pre-hashed from seed."""
+    return np.random.Generator(np.random.PCG64(_StateWords(words)))
+
+
+def _draw_indices(words: np.ndarray, highs: np.ndarray, count: int) -> np.ndarray:
+    """Row j is _generator(words[j]).integers(0, highs[j], size=count), for highs
+    in [1, 2**32], as a (k, count) uint32 view. It replays numpy's buffered
+    32-bit Lemire draw (Lemire, ACM TOMACS 2019) on each row's raw PCG64 words,
+    low half first: m = u * high gives the index m >> 32, unless m's low word is
+    below (2**32 - high) % high, where numpy draws again; a row with such a draw
+    takes Generator.integers instead."""
+    highs = np.asarray(highs, np.uint64)
+    raw = np.array([np.random.PCG64(_StateWords(w)).random_raw(-(-count // 2)) for w in words])
+    m = raw.astype("<u8", copy=False).view("<u4")[:, :count].astype("<u8")
+    m *= highs[:, None]
+    halves = m.view("<u4")
+    picks = halves[:, 1::2]
+    lowest = halves[:, ::2].min(axis=1, initial=2**32 - 1)
+    for j in np.flatnonzero(lowest < (2**32 - highs) % highs):
+        picks[j] = _generator(words[j]).integers(0, highs[j], size=count)
+    return picks
+
+
 def _check_decoders(decoders: np.ndarray, clients: Clients) -> None:
     shape = (len(clients), clients.decoder_dim)
     if np.shape(decoders) != shape:
@@ -243,8 +279,8 @@ def _check_decoders(decoders: np.ndarray, clients: Clients) -> None:
                            "one row of the clients' decoder dim per client")
 
 
-def _train_round(decoders: np.ndarray, clients: Clients,
-                 rngs: Sequence[np.random.Generator], proximal: bool) -> np.ndarray:
+def _train_round(decoders: np.ndarray, clients: Clients, words: np.ndarray,
+                 proximal: bool) -> np.ndarray:
     """Steps every client at once, bit for bit as if each trained alone. Each
     group runs its own matrix-vector products and bias-gradient sums over B
     on its (k, B) batches; every elementwise op and the loss sums run once
@@ -252,8 +288,9 @@ def _train_round(decoders: np.ndarray, clients: Clients,
     A loss only has to be checked for finiteness, so a classification row
     holds max(-ys, 0): finite where log(1 + e^(-ys)) is, and within log 2 of it."""
     _check_decoders(decoders, clients)
-    if len(rngs) != len(clients):
-        raise InvalidInput(f"got {len(clients)} clients and {len(rngs)} generators")
+    if np.shape(words) != (len(clients), 4) or np.asarray(words).dtype != np.uint64:
+        raise InvalidInput(f"state words have shape {np.shape(words)}, expected ({len(clients)}, "
+                           "4) uint64: one row of PCG64 state words per client")
     cfg, order, rows = clients.config, clients.order, clients.row_client.size
     steps, dim = cfg.steps, clients.features_train.shape[1]
     regression = clients.task == "regression"
@@ -272,9 +309,10 @@ def _train_round(decoders: np.ndarray, clients: Clients,
         block = index[:, rs].reshape(steps, k, size)
         if size < clients.train_sizes[members[0]]:
             # one (steps, B) draw equals steps successive draws of B indices
-            for j, i in enumerate(members):
-                block[:, j] = rngs[i].integers(0, clients.train_sizes[i], size=(steps, size))
-            block += clients.starts[members, None]
+            picks = _draw_indices(words[members], np.take(clients.train_sizes, members),
+                                  steps * size)
+            np.add(picks.reshape(k, steps, size), clients.starts[members, None, None],
+                   out=block.transpose(1, 0, 2))
             drawn = rs
         else:  # every step takes each client's whole split
             block[:] = whole = clients.starts[members, None] + np.arange(size)
@@ -346,20 +384,19 @@ def _train_round(decoders: np.ndarray, clients: Clients,
     return uploads
 
 
-def local_train(decoders: np.ndarray, clients: Clients,
-                rngs: Sequence[np.random.Generator]) -> np.ndarray:
+def local_train(decoders: np.ndarray, clients: Clients, words: np.ndarray) -> np.ndarray:
     """One round of local training: each client runs its configured number
     of mini-batch gradient steps from its row of decoders (n, D), drawing
-    batches from its own generator; returns the uploads as a read-only
-    (n, D) array in client order."""
-    return _train_round(decoders, clients, rngs, proximal=False)
+    batches as _generator of its row of PCG64 state words (n, 4) would;
+    returns the uploads as a read-only (n, D) array in client order."""
+    return _train_round(decoders, clients, words, proximal=False)
 
 
 def local_train_fedprox(decoders: np.ndarray, clients: Clients,
-                        rngs: Sequence[np.random.Generator]) -> np.ndarray:
+                        words: np.ndarray) -> np.ndarray:
     """local_train plus FedProx's proximal gradient term mu * (theta - anchor),
     with mu = the clients' config.prox_mu and each one's starting decoder as the anchor."""
-    return _train_round(decoders, clients, rngs, proximal=True)
+    return _train_round(decoders, clients, words, proximal=True)
 
 
 def evaluate(decoders: np.ndarray, clients: Clients

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .clients import Clients, evaluate, local_train, local_train_fedprox
+from .clients import Clients, _generator, evaluate, local_train, local_train_fedprox
 from .clustering import build_distance_matrix, cluster_to_two
 from .errors import ConfigInvalid, FedswapError, InvalidInput, NonFiniteLoss
 from .exchange import (
@@ -95,23 +95,6 @@ def derive_seed(master_seed, *path, words: int = 1):
     seeds = state.astype("<u4", copy=False).view("<u8")
     seeds = seeds.reshape(shape + ((words,) if words > 1 else ()))
     return int(seeds) if seeds.ndim == 0 else seeds
-
-
-@dataclass(frozen=True)
-class _StateWords(np.random.bit_generator.ISeedSequence):
-    """default_rng(seed)'s PCG64 state: derive_seed(seed & _MASK32, seed >> 32, words=4)."""
-
-    words: np.ndarray
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise InvalidInput(f"pre-hashed PCG64 words, not {n_words} {np.dtype(dtype)}")
-        return np.ascontiguousarray(self.words)  # PCG64 reads the raw buffer
-
-
-def _generator(words: np.ndarray) -> np.random.Generator:
-    """default_rng(seed) for the state words derive_seed pre-hashed from seed."""
-    return np.random.Generator(np.random.PCG64(_StateWords(words)))
 
 
 @dataclass(frozen=True)
@@ -285,8 +268,8 @@ def run_simulation(cfg: ServerConfig, clients: Clients) -> tuple[RoundRecord, ..
     decoders = np.broadcast_to(init_rng.normal(0.0, 0.1, size=dim), (n, dim))
     last_plan = None
     trace = []
-    # every client-round's and exchange round's generator words, hashed for the
-    # whole cell in bulk; each round builds its generators when it runs
+    # every client-round's and exchange round's PCG64 state words, hashed for
+    # the whole cell in bulk; only an exchange round builds a generator from them
     W, R = cfg.warmup_rounds, cfg.rounds
     tags = np.repeat([PURPOSES["warmup"], PURPOSES["train"]], [W, R])
     rounds = np.concatenate([np.arange(1, W + 1), np.arange(1, R + 1)])
@@ -299,7 +282,7 @@ def run_simulation(cfg: ServerConfig, clients: Clients) -> tuple[RoundRecord, ..
 
     for r in range(1 - W, R + 1):
         try:
-            uploads = train(decoders, clients, [_generator(w) for w in train_words[W + r - 1]])
+            uploads = train(decoders, clients, train_words[W + r - 1])
             outcome = run_round(r, uploads, clients.train_sizes, cfg, last_plan,
                                 _generator(exchange_words[r - 1]) if r >= 1 else None)
             decoders, plan = outcome.deliveries, outcome.plan

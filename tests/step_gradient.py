@@ -16,6 +16,10 @@ from fedswap.clients import (
 )
 
 
+# the probe's one client trains full-batch, so it reads no PCG64 state words
+_WORDS = np.zeros((1, 4), np.uint64)
+
+
 def _one_client(features, labels, task, steps, mu=0.0):
     rows = len(features)
     config = LocalConfig(steps=steps, learning_rate=1.0, batch_size=rows, prox_mu=mu)
@@ -26,8 +30,7 @@ def _one_client(features, labels, task, steps, mu=0.0):
 
 def step_gradient(theta, features, labels, task):
     """The gradient at theta (D,): theta minus one full-batch step from it."""
-    [after] = local_train(theta[None], _one_client(features, labels, task, 1),
-                          [np.random.default_rng(0)])
+    [after] = local_train(theta[None], _one_client(features, labels, task, 1), _WORDS)
     return theta - after
 
 
@@ -37,8 +40,6 @@ def proximal_step_gradient(anchor, features, labels, task, mu):
     first step's proximal term is zero), and theta minus the second step of
     local_train_fedprox from the anchor, the gradient at theta."""
     start = anchor[None]
-    [theta] = local_train_fedprox(start, _one_client(features, labels, task, 1, mu),
-                                  [np.random.default_rng(0)])
-    [after] = local_train_fedprox(start, _one_client(features, labels, task, 2, mu),
-                                  [np.random.default_rng(0)])
+    [theta] = local_train_fedprox(start, _one_client(features, labels, task, 1, mu), _WORDS)
+    [after] = local_train_fedprox(start, _one_client(features, labels, task, 2, mu), _WORDS)
     return theta, theta - after

@@ -11,12 +11,17 @@ from fedswap.clients import (
     DomainSpec,
     FrozenBackbone,
     LocalConfig,
+    _draw_indices,
+    _generator,
+    _StateWords,
     evaluate,
     local_train,
     local_train_fedprox,
     make_clients,
 )
 from fedswap.errors import ConfigInvalid, InvalidInput, NonFiniteLoss
+from fedswap.harness import MAX_ROWS
+from fedswap.server import derive_seed
 from eval_oracle import oracle_evaluate
 from loss_oracle import decoder_loss
 from step_gradient import proximal_step_gradient, step_gradient
@@ -96,9 +101,11 @@ def decoder(seed=None, fill=None):
     return np.random.default_rng(seed).normal(size=(1, FEATURE_DIM + 1))
 
 
-def rngs(*seeds):
-    """One round's generators, one per client, as default_rng of each seed."""
-    return [np.random.default_rng(seed) for seed in seeds]
+def state_words(*seeds):
+    """One round's (n, 4) PCG64 state words, one row per client, each
+    default_rng(seed)'s, as run_simulation hashes them in bulk."""
+    seeds = np.array(seeds, dtype=np.uint64)
+    return derive_seed(seeds & 0xFFFFFFFF, seeds >> 32, words=4)
 
 
 def fd_gradient(theta, features, labels, task, anchor=None, mu=0.0, h=1e-6):
@@ -256,7 +263,7 @@ class TestLocalTrain:
     def test_zero_steps_returns_decoder_unchanged(self):
         cl = client(local=LocalConfig(steps=0, learning_rate=0.05, batch_size=32))
         start = decoder(0)
-        out = local_train(start, cl, rngs(99))
+        out = local_train(start, cl, state_words(99))
         assert np.array_equal(out, start)
         assert out.shape == start.shape and not out.flags.writeable
 
@@ -264,7 +271,7 @@ class TestLocalTrain:
         lr = 0.03
         cl = client(local=LocalConfig(steps=1, learning_rate=lr, batch_size=10_000))
         start = decoder(1)
-        out = local_train(start, cl, rngs(0))
+        out = local_train(start, cl, state_words(0))
         # the mean squared error's gradient over the whole split
         x, y, size = cl.features_train, cl.train_y, cl.train_sizes[0]
         residual = x @ start[0, :-1] + start[0, -1] - y
@@ -275,7 +282,7 @@ class TestLocalTrain:
         cl = client()
         start = decoder(fill=0.0)
         assert np.array_equal(
-            local_train(start, cl, rngs(7)), local_train(start, cl, rngs(7)),
+            local_train(start, cl, state_words(7)), local_train(start, cl, state_words(7)),
         )
 
     def test_noiseless_task_trains_to_tiny_loss(self):
@@ -283,7 +290,7 @@ class TestLocalTrain:
             noise=0.0,
             local=LocalConfig(steps=4000, learning_rate=0.3, batch_size=10_000),
         )
-        [out] = local_train(decoder(fill=0.0), cl, rngs(0))
+        [out] = local_train(decoder(fill=0.0), cl, state_words(0))
         final = decoder_loss(out, cl.features_train, cl.train_y, "regression")
         # the noiseless targets are realizable, so the least-squares optimum is 0
         coeffs, *_ = np.linalg.lstsq(
@@ -303,7 +310,7 @@ class TestLocalTrain:
             losses.append(
                 decoder_loss(theta[0], cl.features_train, cl.train_y, "regression")
             )
-            theta = local_train(theta, cl, rngs(0))
+            theta = local_train(theta, cl, state_words(0))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_dimension_checked_against_manifest(self):
@@ -311,18 +318,18 @@ class TestLocalTrain:
         for bad in (np.zeros((1, FEATURE_DIM)), np.zeros(FEATURE_DIM + 1),
                     np.zeros((2, FEATURE_DIM + 1))):
             with pytest.raises(InvalidInput, match=r"expected \(1, 9\)"):
-                local_train(bad, cl, rngs(0))
+                local_train(bad, cl, state_words(0))
 
     def test_divergence_raises_non_finite_loss(self):
         cl = client(local=LocalConfig(steps=400, learning_rate=50.0, batch_size=10_000))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteLoss):
-            local_train(decoder(fill=1.0), cl, rngs(0))
+            local_train(decoder(fill=1.0), cl, state_words(0))
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_output_always_finite(self, seed):
         cl = client(local=LocalConfig(steps=3, learning_rate=0.05, batch_size=8))
-        out = local_train(decoder(seed), cl, rngs(seed))
+        out = local_train(decoder(seed), cl, state_words(seed))
         assert np.all(np.isfinite(out))
 
 
@@ -330,18 +337,18 @@ class TestLocalTrainFedprox:
     def test_mu_zero_matches_plain_training(self):
         local = LocalConfig(steps=5, learning_rate=0.05, batch_size=32, prox_mu=0.0)
         start = decoder(4)
-        plain = local_train(start, client(local=local), rngs(13))
-        prox = local_train_fedprox(start, client(local=local), rngs(13))
+        plain = local_train(start, client(local=local), state_words(13))
+        prox = local_train_fedprox(start, client(local=local), state_words(13))
         assert np.array_equal(plain, prox)
         # mu is read from the client's config
         pulled = client(local=replace(local, prox_mu=0.5))
-        assert not np.array_equal(plain, local_train_fedprox(start, pulled, rngs(13)))
+        assert not np.array_equal(plain, local_train_fedprox(start, pulled, state_words(13)))
 
     def test_huge_mu_pins_decoder_to_anchor(self):
         cl = client(local=LocalConfig(steps=200, learning_rate=1e-7,
                                       batch_size=10_000, prox_mu=1e6))
         anchor = decoder(5)
-        out = local_train_fedprox(anchor, cl, rngs(0))
+        out = local_train_fedprox(anchor, cl, state_words(0))
         assert np.max(np.abs(out - anchor)) < 1e-3
 
     def test_negative_mu_rejected(self):
@@ -402,10 +409,10 @@ def assert_round_matches_the_oracle(decoders, clients, seeds, proximal):
     train = local_train_fedprox if proximal else local_train
     if expected is not None:
         with pytest.raises(NonFiniteLoss) as info:
-            train(decoders, clients, rngs(*seeds))
+            train(decoders, clients, state_words(*seeds))
         assert str(info.value) == expected
         return expected
-    got = train(decoders, clients, rngs(*seeds))
+    got = train(decoders, clients, state_words(*seeds))
     for i, (decoder, seed, upload) in enumerate(zip(decoders, seeds, got)):
         assert upload.tobytes() == oracle_local_train(decoder, clients, i, seed,
                                                       proximal).tobytes(), i
@@ -464,7 +471,7 @@ class TestBatchedTraining:
             decoders = rng.normal(size=(k, FEATURE_DIM + 1))
             seeds = [int(s) for s in rng.integers(0, 2**62, size=k)]
             train = local_train_fedprox if proximal else local_train
-            got = train(decoders, clients, rngs(*seeds))
+            got = train(decoders, clients, state_words(*seeds))
             assert got.shape == (k, FEATURE_DIM + 1)
             for i, (decoder, seed, upload) in enumerate(zip(decoders, seeds, got)):
                 want = oracle_local_train(decoder, clients, i, seed, proximal)
@@ -499,7 +506,7 @@ class TestBatchedTraining:
         steps = [int(re.search(r"step (\d+) on", msg).group(1)) for msg in expected[1:]]
         assert steps[1] < steps[0]
         with pytest.raises(NonFiniteLoss) as info:
-            local_train(decoders, clients, rngs(0, 0, 0))
+            local_train(decoders, clients, state_words(0, 0, 0))
         assert str(info.value) == expected[1]
 
     @pytest.mark.parametrize("batch_size", [10_000, 180], ids=["full_batch", "mini_batch"])
@@ -519,7 +526,7 @@ class TestBatchedTraining:
         steps = [int(re.search(r"step (\d+) on", msg).group(1)) for msg in expected[1:]]
         assert steps[1] < steps[0]
         with pytest.raises(NonFiniteLoss) as info:
-            local_train(decoders, clients, rngs(5, 6, 7))
+            local_train(decoders, clients, state_words(5, 6, 7))
         assert str(info.value) == expected[1]
 
     @pytest.mark.parametrize("proximal", [False, True], ids=["plain", "fedprox"])
@@ -585,15 +592,30 @@ class TestBatchedTraining:
         expected = oracle_failure(start[0], cl, 0, 0)
         assert expected.startswith("training diverged on d0")
         with pytest.raises(NonFiniteLoss) as info:
-            local_train(start, cl, rngs(0))
+            local_train(start, cl, state_words(0))
         assert str(info.value) == expected
 
-    def test_list_lengths_must_agree(self):
+    def test_words_and_decoders_need_one_row_per_client(self):
         cl = client()
+        for bad in (state_words(0, 1), state_words(0)[0], state_words(0)[:, :3],
+                    state_words(0).astype(np.int64), state_words(0).tolist()):
+            with pytest.raises(InvalidInput, match="state words"):
+                local_train(decoder(fill=0.0), cl, bad)
         with pytest.raises(InvalidInput):
-            local_train(decoder(fill=0.0), cl, rngs(0, 1))
-        with pytest.raises(InvalidInput):
-            local_train(np.zeros((2, FEATURE_DIM + 1)), cl, rngs(0))
+            local_train(np.zeros((2, FEATURE_DIM + 1)), cl, state_words(0))
+
+    def test_only_mini_batch_clients_read_their_words(self):
+        # clients 0 and 1 (5 and 16 rows) train full-batch at batch size 16
+        clients = round_of_clients(5, "regression", ONE_CONFIG[0])
+        decoders = np.random.default_rng(4).normal(size=(5, FEATURE_DIM + 1))
+        words = state_words(10, 11, 12, 13, 14)
+        base = local_train(decoders, clients, words)
+        for i in range(5):
+            changed = words.copy()
+            changed[i] ^= np.uint64(1)
+            got = local_train(decoders, clients, changed)
+            same = [a.tobytes() == b.tobytes() for a, b in zip(base, got)]
+            assert same == [j != i or clients.train_sizes[i] <= BATCH for j in range(5)], i
 
     def test_reduced_fraction_equals_the_per_client_oracle(self):
         # ragged prefixes of the draws, gathered from one block by offset
@@ -602,10 +624,54 @@ class TestBatchedTraining:
             rng = np.random.default_rng(3)
             decoders = rng.normal(size=(10, FEATURE_DIM + 1))
             seeds = [int(s) for s in rng.integers(0, 2**62, size=10)]
-            got = local_train_fedprox(decoders, clients, rngs(*seeds))
+            got = local_train_fedprox(decoders, clients, state_words(*seeds))
             for i, (decoder, seed, upload) in enumerate(zip(decoders, seeds, got)):
                 want = oracle_local_train(decoder, clients, i, seed, proximal=True)
                 assert upload.tobytes() == want.tobytes(), (clients.config, clients.task, i)
+
+
+class TestDrawIndices:
+    """The mini-batch draws replay numpy's bounded integers from raw PCG64
+    words. NEP 19 does not freeze Generator.integers, so these are the first
+    tests to fail when a numpy upgrade changes its draws."""
+
+    @staticmethod
+    def assert_rows_equal_integers(words, highs, count):
+        changed = f"numpy {np.__version__} changed Generator.integers's draws"
+        got = _draw_indices(words, highs, count)
+        assert got.shape == (len(highs), count)
+        for row, w, high in zip(got, words, highs):
+            want = np.random.Generator(np.random.PCG64(_StateWords(w))).integers(
+                0, high, size=count)
+            assert row.tobytes() == want.astype(np.uint32).tobytes(), (high, changed)
+
+    @staticmethod
+    def redrawn(words, high, count):
+        """Whether Generator.integers took more PCG64 words than one per two draws."""
+        rng, raw = _generator(words), np.random.PCG64(_StateWords(words))
+        rng.integers(0, high, size=count)
+        raw.random_raw(-(-count // 2))
+        return rng.bit_generator.state["state"] != raw.state["state"]
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 320, 321])
+    def test_equals_generator_integers(self, count):
+        rng = np.random.default_rng(count)
+        edges = [1, 2, 3, 5, 17, 500, MAX_ROWS - 1, MAX_ROWS, 2**32 - 1, 2**32]
+        highs = np.concatenate([edges, rng.integers(2, MAX_ROWS + 1, size=54)])
+        words = state_words(*rng.integers(0, 2**64, size=highs.size, dtype=np.uint64))
+        self.assert_rows_equal_integers(words, highs, count)
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 320, 321])
+    def test_redrawn_rows_equal_generator_integers(self, count):
+        # above 2**31 numpy draws again with probability (2**32 - high) / 2**32,
+        # here at least a quarter: rows that redraw sit beside rows that do not
+        rng = np.random.default_rng(100 + count)
+        highs = np.concatenate([rng.integers(2**31 + 1, 2**31 + 2**30, size=48),
+                                rng.integers(2, MAX_ROWS + 1, size=16)])
+        rng.shuffle(highs)
+        words = state_words(*rng.integers(0, 2**64, size=highs.size, dtype=np.uint64))
+        assert any(self.redrawn(w, high, count) for w, high in zip(words, highs))
+        self.assert_rows_equal_integers(words, highs, count)
 
 
 class TestEvaluate:

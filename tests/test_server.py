@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedswap import harness, server
-from fedswap.clients import DomainSpec, LocalConfig
+from fedswap.clients import DomainSpec, LocalConfig, _generator, _StateWords
 from fedswap.clients import make_clients as draw_clients
 from fedswap.clustering import ClusterAssignment, build_distance_matrix, cluster_to_two
 from fedswap.errors import ConfigInvalid, InvalidInput
@@ -133,13 +133,10 @@ class TestDeriveSeed:
 
 
 class TestRoundGenerators:
-    """Each client-round's generator is PCG64 seeded with state words that
-    derive_seed pre-hashed in bulk; it must draw as default_rng(seed)."""
-
-    @staticmethod
-    def generator(words):
-        # as run_simulation builds a round's generators
-        return np.random.Generator(np.random.PCG64(server._StateWords(words)))
+    """PCG64 seeded with state words that derive_seed pre-hashed in bulk must
+    draw as default_rng(seed). Only exchange rounds build a Generator from
+    them; training draws a client-round's batches from its raw PCG64 words,
+    as test_clients.TestDrawIndices checks."""
 
     def test_draws_equal_default_rng(self):
         rng = np.random.default_rng(31)
@@ -149,17 +146,17 @@ class TestRoundGenerators:
         shapes = [(), (7,), (10, 32), (3, 4, 5)]
         for k, (seed, w) in enumerate(zip(seeds.tolist(), words)):
             high, shape = int(rng.integers(1, 2**40)), shapes[k % len(shapes)]
-            got = self.generator(w).integers(0, high, size=shape)
+            got = _generator(w).integers(0, high, size=shape)
             want = np.random.default_rng(seed).integers(0, high, size=shape)
             assert np.array_equal(got, want), seed
         # a strided view of the words seeds the same generator
         strided = np.repeat(words[3], 2)[::2]
         assert not strided.flags.c_contiguous
-        assert self.generator(strided).integers(0, 100, size=8).tolist() == \
+        assert _generator(strided).integers(0, 100, size=8).tolist() == \
             np.random.default_rng(2**32).integers(0, 100, size=8).tolist()
 
     def test_state_words_serve_only_pcg64(self):
-        stub = server._StateWords(np.arange(4, dtype=np.uint64))
+        stub = _StateWords(np.arange(4, dtype=np.uint64))
         assert stub.generate_state(4, np.uint64).tolist() == [0, 1, 2, 3]
         for n_words, dtype in ((4, np.uint32), (2, np.uint64), (8, np.uint64), (1, np.uint32)):
             with pytest.raises(InvalidInput):
@@ -397,8 +394,8 @@ class TestRunSimulation:
         # run_round's error names the round once
         train = server.local_train
 
-        def train_last_to_zero(decoders, clients, rngs):
-            uploads = np.array(train(decoders, clients, rngs))
+        def train_last_to_zero(decoders, clients, words):
+            uploads = np.array(train(decoders, clients, words))
             uploads[-1] = 0.0
             return uploads
 
