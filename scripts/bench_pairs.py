@@ -28,7 +28,10 @@ Each end-to-end metric is also checked against its bound in
 BENCHMARK.json: within_bound says the change's median is worse
 than the parent's by at most the bound, relative to the parent's; unresolved
 says the parent's relative interquartile range exceeds the bound and not
-every change run beats every parent run, so the pairs cannot tell. perfbench
+every change run beats every parent run, so the pairs cannot tell. gain says
+the change wins at least 9 of every 10 pairs (a tie is no win) and its median
+is better than the parent's by more than the parent's interquartile range:
+the test a claimed speed-up has to pass. perfbench
 stamps the HEAD it finds in .git, which is neither side here (the export has
 no .git, and the working tree may differ from its HEAD), so each stamp's
 git_sha is replaced by that side's revision: the parent's SHA, or the working
@@ -141,8 +144,13 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def _wins(parent: list[float], change: list[float], sign: float) -> int:
+    """Pairs in which the change is strictly better."""
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+
+
 def bound_check(parent: list[float], change: list[float], sign: float, bound: float) -> dict:
-    """The bound flags of one metric, sign -1.0 if lower is better, else 1.0."""
+    """The bound and gain flags of one metric, sign -1.0 if lower is better, else 1.0."""
     p, c = _quartiles(parent), _quartiles(change)
     scale = abs(p["median"]) or 1.0
     relative_iqr = (p["q3"] - p["q1"]) / scale
@@ -152,6 +160,8 @@ def bound_check(parent: list[float], change: list[float], sign: float, bound: fl
         "parent_relative_iqr": relative_iqr,
         "within_bound": sign * (p["median"] - c["median"]) / scale <= bound,
         "unresolved": relative_iqr > bound and not all_beat,
+        "gain": (10 * _wins(parent, change, sign) >= 9 * len(parent)
+                 and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"]),
     }
 
 
@@ -160,8 +170,8 @@ def summarize(pairs: list[dict], better: dict, bounds: dict) -> dict:
     change's failed share is above the parent's, and each side's count of
     runs whose reference cell did not match perfbench's reference
     (info.reference_digest_matches not true); per metric, each side's
-    quartiles, wins and median change, and the bound flags of every metric
-    that bounds holds."""
+    quartiles, wins and median change, and the bound and gain flags of every
+    metric that bounds holds."""
     summary: dict = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         mine = [p for p in pairs if p["workload"] == workload]
@@ -169,7 +179,7 @@ def summarize(pairs: list[dict], better: dict, bounds: dict) -> dict:
         for name in mine[0]["parent"]["metrics"]:
             values = {side: [p[side]["metrics"][name] for p in mine] for side in SIDES}
             sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
-            wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+            wins = _wins(values["parent"], values["change"], sign)
             changes = [(c - p) / p for p, c in zip(values["parent"], values["change"]) if p]
             rows[name] = {
                 "better": better.get(name),
@@ -200,7 +210,7 @@ def summarize(pairs: list[dict], better: dict, bounds: dict) -> dict:
 def summary_lines(summary: dict) -> list[str]:
     """The printout: per workload, each side's failures, the
     failed_share_rose flag and any reference mismatches, then each metric's
-    medians, wins and bound flags."""
+    medians, wins, and bound and gain flags."""
     lines = []
     for workload, entry in summary.items():
         failed, attempted = entry["failed"], entry["attempted"]
@@ -215,6 +225,7 @@ def summary_lines(summary: dict) -> list[str]:
             if "bound" in row:
                 flags = " within_bound" if row["within_bound"] else " out_of_bound"
                 flags += " unresolved" if row["unresolved"] else ""
+                flags += " gain" if row["gain"] else " no_gain"
             lines.append(f"{workload} {name}: parent {row['parent']['median']:.6g} "
                          f"change {row['change']['median']:.6g} "
                          f"wins {row['change_wins']}/{row['pairs']}{flags}")

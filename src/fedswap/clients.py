@@ -30,7 +30,8 @@ _BACKBONE_BIAS_SCALE = 0.2
 # batch) index block is built; every workload and test takes at most 4000
 MAX_STEPS = 10**5
 # cap on steps times a round's batch rows, checked when the clients are built:
-# a round's index and label blocks take 16 B per step-row, 480 MB at the cap
+# a round's index and label blocks take 16 B per step-row, 480 MB at the cap;
+# classification's -ys block adds 8 B, 720 MB in all
 MAX_STEP_ROWS = 3 * 10**7
 
 
@@ -283,9 +284,10 @@ def _train_round(decoders: np.ndarray, clients: Clients, words: np.ndarray,
                  proximal: bool) -> np.ndarray:
     """Steps every client at once, bit for bit as if each trained alone. Each
     group runs its own matrix-vector products and bias-gradient sums over B
-    on its (k, B) batches; every elementwise op and the loss sums run once
-    over all rows or all clients, which sit group by group in clients.order.
-    A loss only has to be checked for finiteness, so a classification row
+    on its (k, B) batches; every elementwise op runs once over all rows or all
+    clients, which sit group by group in clients.order. A step runs only what
+    its gradient needs, and the (steps, clients) loss table is built after the
+    loop. A loss only has to be checked for finiteness, so a classification row
     holds max(-ys, 0): finite where log(1 + e^(-ys)) is, and within log 2 of it."""
     _check_decoders(decoders, clients)
     if np.shape(words) != (len(clients), 4) or np.asarray(words).dtype != np.uint64:
@@ -294,14 +296,15 @@ def _train_round(decoders: np.ndarray, clients: Clients, words: np.ndarray,
     cfg, order, rows = clients.config, clients.order, clients.row_client.size
     steps, dim = cfg.steps, clients.features_train.shape[1]
     regression = clients.task == "regression"
-    # (steps, rows) train-block rows and one (rows, F) batch, every group's
-    # side by side; a full batch is gathered once per round
+    # (steps, rows) train-block rows and their labels, and one (rows, F) batch,
+    # every group's side by side; a full batch is gathered once per round
     index, batch = np.empty((steps, rows), dtype=np.intp), np.empty((rows, dim))
+    labels = np.empty((steps, rows))  # each step's row becomes its residual
     thetas = decoders[order]  # stepped in place
     anchors = thetas.copy() if proximal else None
-    scores, resid, per_row, bias = (np.empty(rows) for _ in range(4))
+    scores, resid, bias = (np.empty(rows) for _ in range(3))
     grad, diff = np.empty_like(thetas), np.empty_like(thetas)
-    losses = np.empty((steps, len(order)))  # each step's loss sums, checked after the loop
+    losses, pull = np.empty((steps, len(order))), np.empty((steps, len(order)))
     forward, backward, drawn, c, o = [], [], slice(0), 0, 0
     for members in clients.groups:
         k, size = len(members), int(clients.batches[c])
@@ -317,14 +320,16 @@ def _train_round(decoders: np.ndarray, clients: Clients, words: np.ndarray,
         else:  # every step takes each client's whole split
             block[:] = whole = clients.starts[members, None] + np.arange(size)
             clients.features_train.take(whole, axis=0, out=batch[rs].reshape(k, size, dim))
-        x, r = batch[rs].reshape(k, size, dim), resid[rs].reshape(k, size)
+        x, r = batch[rs].reshape(k, size, dim), labels[:, rs].reshape(steps, k, size)
         forward.append((x, thetas[cs, :-1, None], scores[rs].reshape(k, size, 1)))
         backward.append((x.transpose(0, 2, 1), r[..., None], grad[cs, :-1, None], r,
                          grad[cs, -1]))
         c, o = c + k, o + k * size
-    labels = clients.train_y.take(index)
+    clients.train_y.take(index, out=labels, mode="clip")
     if not regression:  # the loss and its gradient both take -y
         np.negative(labels, out=labels)
+    # the loss table's rows: each step's residual, squared after the loop, or its -ys
+    per_row = labels if regression else np.empty_like(labels)
     sizes = clients.batches.astype(float)
     head, bias_grad, bias_of = grad[:, :-1], grad[:, -1], thetas[:, -1]
     head_scale = 2.0 / sizes[:, None]
@@ -338,19 +343,15 @@ def _train_round(decoders: np.ndarray, clients: Clients, words: np.ndarray,
             scores += bias_of.take(clients.row_client, out=bias, mode="clip")
             y = labels[step]
             if regression:
-                np.subtract(scores, y, out=resid)
-                np.multiply(resid, resid, out=per_row)
-            else:  # max(-ys, 0) and the logistic derivative -y * sigmoid(-ys)
-                np.multiply(y, scores, out=per_row)
-                np.negative(per_row, out=resid)
-                np.maximum(per_row, 0.0, out=per_row)
+                np.subtract(scores, y, out=y)
+            else:  # -ys and the logistic derivative -y * sigmoid(-ys)
+                np.negative(np.multiply(y, scores, out=per_row[step]), out=resid)
                 np.logaddexp(0.0, resid, out=resid)
                 np.exp(np.negative(resid, out=resid), out=resid)
-                resid *= y
-            np.add.reduceat(per_row, clients.row_starts, out=losses[step])
+                y *= resid
             for xt, r, w_grad, r_flat, b_grad in backward:
-                np.matmul(xt, r, out=w_grad)
-                np.add.reduce(r_flat, axis=-1, out=b_grad)
+                np.matmul(xt, r[step], out=w_grad)
+                np.add.reduce(r_flat[step], axis=-1, out=b_grad)
             if regression:
                 head *= head_scale
                 bias_grad /= sizes
@@ -358,23 +359,29 @@ def _train_round(decoders: np.ndarray, clients: Clients, words: np.ndarray,
             else:
                 grad /= sizes[:, None]
             if proximal:
-                # a sum is finite when its mean is, but mean + pull can overflow
-                # where neither does: this step's row becomes each loss
                 np.subtract(thetas, anchors, out=diff)
-                losses[step] /= sizes
-                losses[step] += 0.5 * cfg.prox_mu * np.vecdot(diff, diff)
+                np.vecdot(diff, diff, out=pull[step])
                 diff *= cfg.prox_mu
                 grad += diff
             grad *= cfg.learning_rate
             thetas -= grad
+        if regression:
+            np.multiply(per_row, per_row, out=per_row)
+        else:
+            np.maximum(per_row, 0.0, out=per_row)
+        np.add.reduceat(per_row, clients.row_starts, axis=1, out=losses)
+        if proximal:
+            # a sum is finite when its mean is, but mean + pull can overflow
+            # where neither does: each step's loss is its mean plus its pull
+            losses /= sizes
+            losses += np.multiply(pull, 0.5 * cfg.prox_mu, out=pull)
     uploads = np.empty_like(thetas)
     uploads[order] = thetas
-    failed = np.empty(losses.shape, dtype=bool)
-    failed[:, order] = ~np.isfinite(losses)
-    # the lowest-index failure, as if the clients had trained one at a time
-    bad = failed.any(axis=0) | ~np.isfinite(uploads).all(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
+    if not (np.isfinite(losses).all() and np.isfinite(thetas).all()):
+        failed = np.empty(losses.shape, dtype=bool)
+        failed[:, order] = ~np.isfinite(losses)
+        # the lowest-index failure, as if the clients had trained one at a time
+        i = int(np.argmax(failed.any(axis=0) | ~np.isfinite(uploads).all(axis=1)))
         name = clients.domains[i].domain_id
         if failed[:, i].any():
             raise NonFiniteLoss(f"non-finite loss at step {np.argmax(failed[:, i])} on {name}; "

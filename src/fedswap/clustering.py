@@ -75,31 +75,30 @@ def build_distance_matrix(decoders: np.ndarray) -> DistanceMatrix:
     """Pairwise cosine distances 1 - (a.b)/(|a||b|), in [0, 2], between the
     uploaded decoders, the rows of one (n, D) array with n >= 2 and D >= 1.
 
-    Norms are sqrt(vecdot(u, u)); row i is one vecdot of the later decoders with
-    decoder i. Each pair gets the bits of its own np.dot, unlike a Gram product
-    or an axis norm, which sum in another order. Raises InvalidInput for a zero
-    or non-finite norm (a degenerate model must not be hidden by a default
-    value) and for a non-finite cosine (an overflowing dot)."""
+    Norms are sqrt(vecdot(u, u)); one vecdot takes every pair's dot, so each
+    pair gets the bits of its own np.dot, unlike a Gram product or an axis
+    norm, which sum in another order. Raises InvalidInput for a zero or
+    non-finite norm (a degenerate model must not be hidden by a default value)
+    and for a non-finite cosine (an overflowing dot), naming the first pair."""
     u = np.asarray(decoders)
     if u.ndim != 2 or len(u) < 2 or u.shape[1] < 1:
         raise InvalidInput(f"decoders must be an (n, D) array with n >= 2 and D >= 1, "
                            f"got shape {u.shape}")
-    cos = np.zeros((len(u), len(u)))
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(np.vecdot(u, u))
         usable = np.isfinite(norms) & (norms > 0.0)
         if not usable.all():
             i = int(np.argmin(usable))
             raise InvalidInput(f"decoder {i} has norm {norms[i]}, not a finite non-zero one")
-        for i in range(len(u) - 1):
-            cos[i, i + 1:] = np.vecdot(u[i + 1:], u[i]) / (norms[i] * norms[i + 1:])
+        cos = np.vecdot(u[:, None], u) / np.multiply.outer(norms, norms)
+    np.fill_diagonal(cos, 1.0)  # distance 0 to itself
     finite = np.isfinite(cos)
     if not finite.all():
+        # row-major, the first failure lies above the diagonal: (j, i) fails with (i, j)
         i, j = divmod(int(np.argmin(finite)), len(u))
         raise InvalidInput(f"decoders {i} and {j} have a non-finite cosine")
     # clamp rounding excursions so the result stays in [0, 2] exactly
-    upper = np.triu(1.0 - np.clip(cos, -1.0, 1.0), k=1)
-    return DistanceMatrix(upper + upper.T)
+    return DistanceMatrix(1.0 - np.minimum(np.maximum(cos, -1.0), 1.0))
 
 
 def cluster_to_two(dm: DistanceMatrix) -> ClusterAssignment:

@@ -209,7 +209,9 @@ def weighted_average(decoders: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     """Average of the rows of decoders (n, D), row i weighted by its train size
     over the total, as a read-only (D,) array; raises InvalidInput unless there
     is one positive size per row and the average is finite. Rows are summed one
-    at a time in client order: np.add.reduce pairs them otherwise when D = 1."""
+    at a time in client order, as np.add.accumulate does for every D, while
+    np.add.reduce pairs them when D = 1; + 0.0 turns a sum of -0.0 rows into
+    +0.0, as the sum from 0 did."""
     u = np.asarray(decoders)
     if u.ndim != 2 or 0 in u.shape:
         raise InvalidInput(f"decoders must be an (n, D) array with n, D >= 1, "
@@ -219,7 +221,8 @@ def weighted_average(decoders: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
     if min(sizes) <= 0:
         raise InvalidInput(f"train sizes must be positive, got {min(sizes)}")
     total = sum(sizes)
-    out = sum(s / total * row for s, row in zip(sizes, u))
+    weights = np.array([s / total for s in sizes])
+    out = np.add.accumulate(weights[:, None] * u, axis=0)[-1] + 0.0
     if not np.isfinite(out).all():
         raise InvalidInput("aggregated decoder entries must be finite")
     out.setflags(write=False)
@@ -283,8 +286,9 @@ def run_simulation(cfg: ServerConfig, clients: Clients) -> tuple[RoundRecord, ..
     for r in range(1 - W, R + 1):
         try:
             uploads = train(decoders, clients, train_words[W + r - 1])
+            exchange = r >= 1 and schedule_decision(r, cfg.aggregation_frequency) == EXCHANGE
             outcome = run_round(r, uploads, clients.train_sizes, cfg, last_plan,
-                                _generator(exchange_words[r - 1]) if r >= 1 else None)
+                                _generator(exchange_words[r - 1]) if exchange else None)
             decoders, plan = outcome.deliveries, outcome.plan
             losses, accuracies = evaluate(decoders, clients)
             # np.mean's and np.std's own arithmetic, bit for bit, without their wrappers

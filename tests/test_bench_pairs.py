@@ -170,7 +170,33 @@ def test_bound_flags():
     assert flags("paper4", "setup_s") == (True, False)
     # a metric without a bound gets no flags
     lone = bench_pairs.summarize(pairs, better, {})["wide64"]["metrics"]["cell_s"]
-    assert "within_bound" not in lone and "unresolved" not in lone
+    assert "within_bound" not in lone and "unresolved" not in lone and "gain" not in lone
+
+
+def test_gain_flag():
+    # the parent spreads 1.00 to 1.09: median 1.045, IQR 0.045
+    parent = [1.0 + 0.01 * i for i in range(10)]
+
+    def gain(change, sign=-1.0):
+        return bench_pairs.bound_check(parent, change, sign, 0.2)["gain"]
+
+    # 9/10 wins, the medians 0.1 apart: a gain, in either direction
+    nine = [0.9 * v for v in parent[:9]] + [parent[9] + 0.01]
+    assert gain(nine)
+    assert gain([2 * p - c for p, c in zip(parent, nine)], sign=1.0)
+    assert not gain(nine, sign=1.0)
+    # 8/10 wins and a tie, the medians as far apart: no gain
+    assert not gain(nine[:8] + [parent[8], parent[9] + 0.01])
+    # 10/10 wins by 0.01, inside the parent's IQR: no gain
+    assert not gain([v - 0.01 for v in parent])
+
+    pairs = [{"workload": "paper4", **{side: {"metrics": {"cell_s": v}, "failed": 0,
+                                              "attempted": 1, "info": {}}
+                                       for side, v in (("parent", p), ("change", c))}}
+             for p, c in zip(parent, nine)]
+    summary = bench_pairs.summarize(pairs, {"cell_s": "lower"}, {"cell_s": 0.2})
+    assert summary["paper4"]["metrics"]["cell_s"]["gain"] is True
+    assert bench_pairs.summary_lines(summary)[1].endswith(" wins 9/10 within_bound gain")
 
 
 def test_failures_are_counted_per_side():

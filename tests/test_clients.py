@@ -549,11 +549,13 @@ class TestBatchedTraining:
         assert assert_round_matches_the_oracle(decoders, clients, [5, 6, 7, 8],
                                                proximal) == failures[2]
 
-    def test_non_finite_scores_give_the_oracle_verdict(self):
+    @pytest.mark.parametrize("proximal", [False, True], ids=["plain", "fedprox"])
+    def test_non_finite_scores_give_the_oracle_verdict(self, proximal):
         # one client at a time takes an infinite weight of either sign (the
         # others stay at zero and finite), then every client at once: every
-        # verdict, message or upload, is the oracle's
-        clients = edge_population(proximal=False)
+        # verdict, message or upload, is the oracle's, with FedProx's pull
+        # added to each step's loss after the step loop
+        clients = edge_population(proximal)
         n = len(clients)
         assert [g.tolist() for g in clients.groups] == [[0, 1, 2, 7], [3], [4, 5, 6]]
         seeds = list(range(40, 40 + n))
@@ -563,9 +565,15 @@ class TestBatchedTraining:
                 weights = np.zeros(n)
                 weights[i] = sign * np.inf
                 verdicts.add(assert_round_matches_the_oracle(
-                    edge_decoders(weights), clients, seeds, False))
+                    edge_decoders(weights), clients, seeds, proximal))
             verdicts.add(assert_round_matches_the_oracle(
-                edge_decoders(np.full(n, sign * np.inf)), clients, seeds, False))
+                edge_decoders(np.full(n, sign * np.inf)), clients, seeds, proximal))
+        if proximal:
+            # inf - inf makes step 0's pull NaN on every client with an
+            # infinite weight, whatever its scores
+            assert verdicts == {f"non-finite loss at step 0 on d{i}; reduce the learning rate"
+                                for i in range(n)}
+            return
         # a loss that is not finite at step 0 and at a later one, and an
         # upload that is not finite after losses that all were
         assert None not in verdicts

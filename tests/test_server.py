@@ -188,6 +188,31 @@ class TestRoundGenerators:
             assert builder(*args, np.random.default_rng(seed)) == plan
 
 
+    def test_only_exchange_rounds_build_a_generator(self, monkeypatch):
+        # each exchange round builds one generator from its exchange words,
+        # and no other round builds any; counting them changes no trace
+        built = []
+
+        def counting(words):
+            built.append(words.tolist())
+            return _generator(words)
+
+        clients = make_clients(n=4, counts=(40, 90, 25))
+        for strategy, exchanges in (("clustered", 3), ("fedavg_only", 0)):
+            cfg = ServerConfig(rounds=6, aggregation_frequency=2, strategy=strategy,
+                               warmup_rounds=2, master_seed=7)
+            plain = run_simulation(cfg, clients)
+            built.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(server, "_generator", counting)
+                assert run_simulation(cfg, clients) == plain
+            rounds = [row.round_index for row in plain if row.decision == EXCHANGE]
+            assert rounds == [1, 3, 5][:exchanges]
+            seeds = np.array([derive_seed(7, PURPOSES["exchange"], r) for r in rounds],
+                             dtype=np.uint64)
+            assert built == derive_seed(seeds & 0xFFFFFFFF, seeds >> 32, words=4).tolist()
+
+
 class TestSeedPaths:
     @pytest.mark.parametrize("strategy", ["clustered", "fedprox"])
     def test_one_length_per_purpose_and_distinct_seeds(self, strategy, monkeypatch):
@@ -321,6 +346,16 @@ class TestWeightedAverage:
             reduced = np.add.reduce(weights[:, None] * decoders, axis=0)
             reduce_differs += reduced.tobytes() != expected.tobytes()
         assert (reduce_differs > 0) == (dim == 1)
+        # a column of -0.0 rows sums to +0.0, as the loop's 0 + row does
+        for n in (1, 5):
+            decoders = rng.normal(size=(n, dim))
+            decoders[:, 0] = -0.0
+            expected = 0.0
+            for size, row in zip(range(1, n + 1), decoders):
+                expected = expected + size / (n * (n + 1) // 2) * row
+            out = weighted_average(decoders, range(1, n + 1))
+            assert out.tobytes() == expected.tobytes()
+            assert not np.signbit(out[0])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50)
