@@ -1,20 +1,22 @@
 """Simulated cross-domain clients.
 
 Each client has the backbone features and labels of a synthetic domain
-dataset; all of them share the frozen backbone (a fixed random affine map
-plus tanh), the task and the local training settings. One Clients value holds
-the whole population and never changes once built: make_clients draws every
-client's data into one read-only block per split. A decoder is a flat linear
+dataset; all of them share the frozen backbone (a fixed random affine map plus
+tanh), the task and the local training settings. One Clients value holds the
+whole population and never changes once built: make_clients draws every
+client's data into one read-only block per split, on two threads that share a
+queue of domains, each domain into its own rows. A decoder is a flat linear
 map over the backbone features; the round loop owns every client's, as the
 rows of one (n, D) array. Local training is plain mini-batch gradient descent
-on a convex loss, optionally with a proximal pull toward the decoder the
-round starts from: under fedprox, the latest global decoder. One call trains
-a whole round in one step loop over all clients, and one call evaluates it,
-bit for bit as if each client trained and was scored alone.
+on a convex loss, optionally with a proximal pull toward the decoder the round
+starts from: under fedprox, the latest global decoder. One call trains a whole
+round in one step loop over all clients, and one call evaluates it, on one
+thread, bit for bit as if each client trained and was scored alone.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -210,7 +212,9 @@ def make_clients(
     features_train, train_y = features[:split], labels[:split]
     features_test = features[split:].reshape(n, test_count, dim)
     test_y = labels[split:].reshape(n, test_count)
-    for i, (spec, seed) in enumerate(zip(specs, seeds[2:])):
+
+    def draw(i: int) -> None:
+        spec, seed = specs[i], seeds[i + 2]
         rng = np.random.default_rng(seed)
         direction = rng.normal(size=dim)
         direction /= np.linalg.norm(direction)
@@ -231,6 +235,22 @@ def make_clients(
         backbone.features(_inputs(rng, test_count, shift), out=features_test[i])
         test_eps = rng.normal(0.0, spec.label_noise, size=test_count)
         test_y[i] = _labels(features_test[i], true_head, test_eps, task)
+    # the caller and one helper drain one queue of domains, each into its own rows
+    todo, errors = iter(range(n)), []
+
+    def work() -> None:
+        try:
+            for i in todo:
+                draw(i)
+        except BaseException as exc:  # raised in the caller once both stop
+            errors.append(exc)
+
+    helper = threading.Thread(target=work)
+    helper.start()
+    work()
+    helper.join()
+    if errors:
+        raise errors[0]
     features.setflags(write=False)
     labels.setflags(write=False)
     return Clients(tuple(specs), task, config, features_train, train_y,
@@ -310,6 +330,7 @@ def _train_round(decoders: np.ndarray, clients: Clients, words: np.ndarray,
         k, size = len(members), int(clients.batches[c])
         cs, rs = slice(c, c + k), slice(o, o + k * size)
         block = index[:, rs].reshape(steps, k, size)
+        x, r = batch[rs].reshape(k, size, dim), labels[:, rs].reshape(steps, k, size)
         if size < clients.train_sizes[members[0]]:
             # one (steps, B) draw equals steps successive draws of B indices
             picks = _draw_indices(words[members], np.take(clients.train_sizes, members),
@@ -319,8 +340,7 @@ def _train_round(decoders: np.ndarray, clients: Clients, words: np.ndarray,
             drawn = rs
         else:  # every step takes each client's whole split
             block[:] = whole = clients.starts[members, None] + np.arange(size)
-            clients.features_train.take(whole, axis=0, out=batch[rs].reshape(k, size, dim))
-        x, r = batch[rs].reshape(k, size, dim), labels[:, rs].reshape(steps, k, size)
+            clients.features_train.take(whole, axis=0, out=x, mode="clip")
         forward.append((x, thetas[cs, :-1, None], scores[rs].reshape(k, size, 1)))
         backward.append((x.transpose(0, 2, 1), r[..., None], grad[cs, :-1, None], r,
                          grad[cs, -1]))

@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedswap import clients as clients_module
 from fedswap.clients import (
     Clients,
     DomainSpec,
@@ -22,6 +25,7 @@ from fedswap.clients import (
 from fedswap.errors import ConfigInvalid, InvalidInput, NonFiniteLoss
 from fedswap.harness import MAX_ROWS
 from fedswap.server import derive_seed
+from build_oracle import oracle_blocks
 from eval_oracle import oracle_evaluate
 from loss_oracle import decoder_loss
 from step_gradient import proximal_step_gradient, step_gradient
@@ -229,6 +233,99 @@ class TestGenerateDomainDataset:
         assert ds.features_test[0].tobytes() == np.tanh(test_x @ weight + bias).tobytes()
 
 
+# log-uniform in 8..1500, as the ragged benchmark draws them, with 1 and 2 rows
+RAGGED_COUNTS = (1500, 8, 2, 311, 41, 1, 977, 120, 15)
+
+
+def ragged_build(build, n, task="regression", train_fraction=1.0):
+    """build (make_clients or the serial oracle) over n domains cycling through
+    RAGGED_COUNTS, domain i shifted by 0.1 * i and drawn from seed 300 + i."""
+    specs = [spec(f"d{i}", count=RAGGED_COUNTS[i % len(RAGGED_COUNTS)], shift=0.1 * i,
+                  concept=0.1 * (i % 4), noise=0.05 * (i % 3)) for i in range(n)]
+    extra = {"config": LocalConfig()} if build is make_clients else {}
+    return build(specs, [5, 6, *range(300, 300 + n)], feature_dim=FEATURE_DIM, task=task,
+                 test_count=13, train_fraction=train_fraction, **extra)
+
+
+def assert_blocks_equal(clients, blocks):
+    names = ("features_train", "train_y", "features_test", "test_y", "starts")
+    for name, block in zip(names, blocks):
+        assert getattr(clients, name).shape == block.shape, name
+        assert getattr(clients, name).tobytes() == block.tobytes(), name
+
+
+class TestThreadedBuild:
+    """make_clients draws the domains on two threads, byte for byte as one
+    thread drawing them in order would."""
+
+    @pytest.mark.parametrize("train_fraction", [1.0, 0.5])
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("n", [1, 2, 9, 33])
+    def test_blocks_equal_the_serial_loop(self, n, task, train_fraction):
+        got = ragged_build(make_clients, n, task, train_fraction)
+        want = ragged_build(oracle_blocks, n, task, train_fraction)
+        assert_blocks_equal(got, want)
+
+    def test_concurrent_builds_under_fast_switching_equal_the_serial_loop(self):
+        # four builds at once are eight threads on fewer cores, switching every
+        # microsecond: a domain that a lost update of the queue skipped would
+        # leave its rows unwritten
+        want = ragged_build(oracle_blocks, 40, "classification", 0.5)
+        got = [None] * 4
+
+        def build(j):
+            got[j] = ragged_build(make_clients, 40, "classification", 0.5)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(j,)) for j in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for clients in got:
+            assert_blocks_equal(clients, want)
+
+    @pytest.mark.parametrize("failing", [0, 1, 4, 8])
+    def test_a_domain_error_reaches_the_caller_and_no_thread_outlives_it(
+            self, monkeypatch, failing):
+        # the failing domain is the one whose shift is 0.1 * failing; the
+        # others draw on, and the caller gets the very exception raised
+        error = MemoryError(f"domain {failing}")
+        real = clients_module._inputs
+
+        def inputs(rng, count, shift):
+            if shift[0] == 0.1 * failing:
+                raise error
+            return real(rng, count, shift)
+
+        monkeypatch.setattr(clients_module, "_inputs", inputs)
+        before = threading.active_count()
+        with pytest.raises(MemoryError) as info:
+            ragged_build(make_clients, 9)
+        assert info.value is error
+        assert threading.active_count() == before
+
+    def test_errors_on_both_threads_raise_one_of_them(self, monkeypatch):
+        errors = [ValueError(f"domain {i}") for i in range(9)]
+        real = clients_module._inputs
+
+        def inputs(rng, count, shift):
+            real(rng, count, shift)
+            raise errors[round(shift[0] / 0.1)]
+
+        monkeypatch.setattr(clients_module, "_inputs", inputs)
+        before = threading.active_count()
+        with pytest.raises(ValueError) as info:
+            ragged_build(make_clients, 9)
+        assert any(info.value is e for e in errors)
+        assert threading.active_count() == before
+
+
 class TestGradients:
     @pytest.mark.parametrize("task", ["regression", "classification"])
     def test_matches_finite_differences(self, task):
@@ -350,6 +447,28 @@ class TestLocalTrainFedprox:
         anchor = decoder(5)
         out = local_train_fedprox(anchor, cl, state_words(0))
         assert np.max(np.abs(out - anchor)) < 1e-3
+
+    def test_pull_that_overflows_the_step_loss_is_reported(self):
+        # one zero feature row labelled y: step 0's loss is y^2, finite, and
+        # at rate 0.5 its step lands the bias on y, so step 1's mean loss is 0
+        # and its pull y^2, finite; 0.5 * mu * y^2 overflows at mu = 3, where
+        # a quarter of mu times the pull would not, and the uploads stay finite
+        y, mu = np.sqrt(1.5e308), 3.0
+        assert np.isfinite(y * y) and np.isfinite(0.25 * mu * (y * y))
+        with np.errstate(over="ignore"):
+            assert np.isinf(0.5 * mu * (y * y))
+        local = LocalConfig(steps=2, learning_rate=0.5, batch_size=1, prox_mu=mu)
+        cl = Clients((spec(count=1),), "regression", local, np.zeros((1, FEATURE_DIM)),
+                     np.array([y]), np.zeros((1, 1, FEATURE_DIM)), np.zeros((1, 1)),
+                     np.array([0, 1]))
+        start = decoder(fill=0.0)
+        expected = "non-finite loss at step 1 on d0; reduce the learning rate"
+        assert oracle_failure(start[0], cl, 0, 0, proximal=True) == expected
+        with pytest.raises(NonFiniteLoss) as info:
+            local_train_fedprox(start, cl, state_words(0))
+        assert str(info.value) == expected
+        # without the pull the same round trains to finite uploads
+        assert np.isfinite(local_train(start, cl, state_words(0))).all()
 
     def test_negative_mu_rejected(self):
         with pytest.raises(ConfigInvalid):
