@@ -75,8 +75,9 @@ class FrozenBackbone:
     bias: np.ndarray
 
     @classmethod
-    def create(cls, seed: int, input_dim: int, feature_dim: int) -> "FrozenBackbone":
-        rng = np.random.default_rng(seed)
+    def create(cls, words: np.ndarray, input_dim: int, feature_dim: int) -> "FrozenBackbone":
+        """Draws weight, then bias, from _generator of the PCG64 state words (4,)."""
+        rng = _generator(words)
         weight = rng.normal(0.0, 1.0 / np.sqrt(input_dim), size=(input_dim, feature_dim))
         bias = rng.normal(0.0, _BACKBONE_BIAS_SCALE, size=feature_dim)
         weight.setflags(write=False)
@@ -180,7 +181,7 @@ def _labels(features: np.ndarray, head: np.ndarray, eps: np.ndarray, task: str) 
 
 def make_clients(
     specs: Sequence[DomainSpec],
-    seeds: Sequence[int],
+    words: np.ndarray,
     *,
     feature_dim: int,
     config: LocalConfig,
@@ -188,10 +189,11 @@ def make_clients(
     test_count: int,
     train_fraction: float,
 ) -> Clients:
-    """Draw the backbone from seeds[0], the shared head from seeds[1] and each
+    """Draw the backbone from words[0], the shared head from words[1] and each
     domain's data, x ~ N(shift, I) with y from the shared head perturbed by
-    concept_shift in a random direction, from seeds[i + 2] for specs[i]; every
-    client trains on task with config. The arguments are checked config values.
+    concept_shift in a random direction, from words[i + 2] for specs[i], each
+    row of the (n + 2, 4) PCG64 state words through _generator; every client
+    trains on task with config. The arguments are checked config values.
 
     The full sample_count is always drawn and the train split keeps the first
     round(sample_count * train_fraction) rows, so a reduced-fraction split is
@@ -199,8 +201,8 @@ def make_clients(
     computed straight into the blocks; only a reduced split's full draw passes
     through a temporary, so no second copy of the data is ever resident.
     """
-    backbone = FrozenBackbone.create(seeds[0], specs[0].input_dim, feature_dim)
-    shared_head = np.random.default_rng(seeds[1]).normal(size=feature_dim)
+    backbone = FrozenBackbone.create(words[0], specs[0].input_dim, feature_dim)
+    shared_head = _generator(words[1]).normal(size=feature_dim)
     n = len(specs)
     sizes = [max(1, int(round(spec.sample_count * train_fraction))) for spec in specs]
     starts = np.cumsum([0, *sizes])
@@ -214,10 +216,9 @@ def make_clients(
     test_y = labels[split:].reshape(n, test_count)
 
     def draw(i: int) -> None:
-        spec, seed = specs[i], seeds[i + 2]
-        rng = np.random.default_rng(seed)
+        spec, rng = specs[i], _generator(words[i + 2])
         direction = rng.normal(size=dim)
-        direction /= np.linalg.norm(direction)
+        direction /= np.sqrt(np.vecdot(direction, direction))
         true_head = shared_head + spec.concept_shift * direction
 
         # each split's inputs are dropped once its features are in the block;

@@ -2,9 +2,11 @@
 (strategies and T sweeps).
 
 A run cell is one (strategy, seed) simulation at a given data fraction and
-aggregation frequency. Each cell removes its old summary.json, writes
-metrics.csv (one row per round, warm-up rows flagged) and then summary.json,
-so a summary.json appears only once the metrics.csv beside it is complete.
+aggregation frequency. A run builds each seed's clients once and runs every
+cell of that seed on them, seed by seed. Each cell removes its old
+summary.json, writes metrics.csv (one row per round, warm-up rows flagged)
+and then summary.json, so a summary.json appears only once the metrics.csv
+beside it is complete.
 A comparison aggregates final metrics over seeds per (strategy, T, fraction)
 group, never across mismatched configurations. Every file is written
 atomically (see _write_text).
@@ -48,11 +50,15 @@ METRICS_NAME = "metrics.csv"
 # Size caps, checked before any shift tuple, input matrix or feature matrix is
 # built, so a runaway size is one line of error, not an allocation the host may
 # grant lazily and then kill the process for. MAX_ENTRIES caps all data rows
-# times max(input_dim, feature_dim), 480 MB of float64. Workloads and tests use
-# input_dim <= 16, feature_dim <= 32, 2000 samples and 2.05e6 entries at most.
+# times max(input_dim, feature_dim), 480 MB of float64. MAX_CLIENTS bounds the
+# distance matrix (8 MB) and, with server.MAX_ROUNDS on rounds and warm-up
+# rounds, the cell's bulk seed table: about 200 B per client-round at peak,
+# 400 MB at both caps. Workloads and tests use input_dim <= 16, feature_dim
+# <= 32, 2000 samples, 64 domains and 2.05e6 entries at most.
 MAX_DIM = 4096  # input_dim and feature_dim
 MAX_ROWS = 10**6  # sample_count of each domain, and test_count
 MAX_ENTRIES = 6 * 10**7
+MAX_CLIENTS = 1024  # domains, one client each
 
 
 def _check_size(name: str, value: int, cap: int) -> None:
@@ -100,6 +106,8 @@ class ExperimentConfig:
             raise ConfigInvalid(f"unknown task {self.task!r}; expected one of {TASKS}")
         if len(self.domains) < 2:
             raise ConfigInvalid("need at least 2 domains")
+        if len(self.domains) > MAX_CLIENTS:
+            raise ConfigInvalid(f"at most {MAX_CLIENTS} domains, got {len(self.domains)}")
         ids = [d.domain_id for d in self.domains]
         if len(set(ids)) != len(ids):
             raise ConfigInvalid(f"duplicate domain ids in {ids}")
@@ -268,10 +276,11 @@ def build_clients(cfg: ExperimentConfig, master_seed: int) -> Clients:
     """Deterministic client construction: backbone, shared concept, domain data."""
     n = len(cfg.domains)
     # one bulk derivation; backbone and concept at (tag, 0), which zero padding
-    # makes equal to (tag,)
+    # makes equal to (tag,); then one bulk pass pre-hashes their PCG64 state words
     tags = [PURPOSES["backbone"], PURPOSES["concept"]] + [PURPOSES["domain"]] * n
-    seeds = derive_seed(master_seed, np.array(tags), np.array([0, 0, *range(n)])).tolist()
-    return make_clients(cfg.domains, seeds, feature_dim=cfg.feature_dim, config=cfg.local,
+    seeds = derive_seed(master_seed, np.array(tags), np.array([0, 0, *range(n)]))
+    words = derive_seed(seeds & 0xFFFFFFFF, seeds >> 32, words=4)
+    return make_clients(cfg.domains, words, feature_dim=cfg.feature_dim, config=cfg.local,
                         task=cfg.task, test_count=cfg.test_count,
                         train_fraction=cfg.data_fraction)
 
@@ -330,15 +339,6 @@ def _summarize(config: dict, clients: Clients, trace: Sequence[RoundRecord]) -> 
     return summary
 
 
-def run_cell(
-    cfg: ExperimentConfig, strategy: str, seed: int
-) -> tuple[tuple[RoundRecord, ...], dict]:
-    """One simulation: build clients, run, summarize. No file I/O."""
-    clients = build_clients(cfg, seed)
-    trace = run_simulation(cfg.server_config(strategy, seed), clients)
-    return trace, _summarize(_cell_config(cfg, strategy, seed), clients, trace)
-
-
 def _fraction_name(fraction: float) -> str:
     # exact, so two fractions never share a name: 1, 0.5, 0.1000001
     return np.format_float_positional(fraction, trim="-")
@@ -355,18 +355,22 @@ def cell_dir(cfg: ExperimentConfig, strategy: str, seed: int, out_dir) -> Path:
 
 
 def _run_and_compare(cfgs: Sequence[ExperimentConfig], root: Path) -> list[dict]:
-    """Run every (strategy, seed) cell of each config into root, writing
-    per-cell metrics.csv and summary.json, and a comparison when more than
-    one (strategy, T, fraction) group ran. Root's old config and comparison
-    go before the first cell: they would describe cells this run may replace,
+    """Run every (config, strategy) cell of each seed into root, seed by seed,
+    writing per-cell metrics.csv and summary.json, and a comparison when more
+    than one (strategy, T, fraction) group ran. The configs differ only in
+    strategies and T, so each seed's clients are built once, from cfgs[0], and
+    every cell of that seed runs on them. Root's old config and comparison go
+    before the first cell: they would describe cells this run may replace,
     also when it fails part way."""
     for name in ("config.json", "comparison.json", "comparison.txt"):
         (root / name).unlink(missing_ok=True)
     summaries = []
-    for cfg in cfgs:
-        for strategy in cfg.strategies:
-            for seed in cfg.seeds:
-                trace, summary = run_cell(cfg, strategy, seed)
+    for seed in cfgs[0].seeds:
+        clients = build_clients(cfgs[0], seed)
+        for cfg in cfgs:
+            for strategy in cfg.strategies:
+                trace = run_simulation(cfg.server_config(strategy, seed), clients)
+                summary = _summarize(_cell_config(cfg, strategy, seed), clients, trace)
                 cell = cell_dir(cfg, strategy, seed, root)
                 cell.mkdir(parents=True, exist_ok=True)
                 (cell / SUMMARY_NAME).unlink(missing_ok=True)

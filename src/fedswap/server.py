@@ -34,9 +34,10 @@ AGGREGATE = "aggregate"
 EXCHANGE = "exchange"
 WARMUP = "warmup"
 # cap on rounds and on warmup_rounds, checked before the cell's bulk seed table
-# of (warmup_rounds + rounds) x clients entries is built; every workload and
-# test runs at most 100 rounds
-MAX_ROUNDS = 10**5
+# of (warmup_rounds + rounds) x clients entries is built: with harness's
+# MAX_CLIENTS, 2e6 client-rounds, about 400 MB at peak; every workload and test
+# runs at most 100 rounds
+MAX_ROUNDS = 1000
 
 # seed-derivation purpose tags; changing a value changes every stream derived from it
 PURPOSES = {"init": 0, "concept": 1, "domain": 2, "backbone": 3,
@@ -263,24 +264,26 @@ def run_simulation(cfg: ServerConfig, clients: Clients) -> tuple[RoundRecord, ..
     delivery on its client's test split. The W warm-up rounds, 1 - W..0, all
     aggregate, so clients enter round 1 with identical decoders. The whole
     trace is a pure function of cfg.master_seed. A FedswapError raised in
-    round r, whether in training, run_round or evaluation, names the round.
+    round r, whether in training, run_round or evaluation, names the cell's
+    strategy, T and seed, and the round.
     """
     n = len(clients)
-    init_rng = np.random.default_rng(derive_seed(cfg.master_seed, PURPOSES["init"]))
-    dim = clients.decoder_dim
-    decoders = np.broadcast_to(init_rng.normal(0.0, 0.1, size=dim), (n, dim))
-    last_plan = None
-    trace = []
-    # every client-round's and exchange round's PCG64 state words, hashed for
-    # the whole cell in bulk; only an exchange round builds a generator from them
+    # the initial decoder's, every client-round's and every exchange round's
+    # PCG64 state words, hashed for the whole cell in bulk; only the initial
+    # decoder and the exchange rounds build a generator from them
     W, R = cfg.warmup_rounds, cfg.rounds
     tags = np.repeat([PURPOSES["warmup"], PURPOSES["train"]], [W, R])
     rounds = np.concatenate([np.arange(1, W + 1), np.arange(1, R + 1)])
     seeds = np.concatenate([
+        np.array([derive_seed(cfg.master_seed, PURPOSES["init"])], np.uint64),
         derive_seed(cfg.master_seed, tags[:, None], rounds[:, None], np.arange(n)).ravel(),
         derive_seed(cfg.master_seed, PURPOSES["exchange"], np.arange(1, R + 1))])
     words = derive_seed(seeds & _MASK32, seeds >> 32, words=4)
-    train_words, exchange_words = words[:-R].reshape(W + R, n, 4), words[-R:]
+    train_words, exchange_words = words[1:-R].reshape(W + R, n, 4), words[-R:]
+    dim = clients.decoder_dim
+    decoders = np.broadcast_to(_generator(words[0]).normal(0.0, 0.1, size=dim), (n, dim))
+    last_plan = None
+    trace = []
     train = local_train_fedprox if STRATEGIES[cfg.strategy].proximal else local_train
 
     for r in range(1 - W, R + 1):
@@ -299,7 +302,8 @@ def run_simulation(cfg: ServerConfig, clients: Clients) -> tuple[RoundRecord, ..
             if not np.isfinite(std):  # an overflowing mean makes it inf or NaN too
                 raise NonFiniteLoss("test loss std overflows; reduce the learning rate")
         except FedswapError as exc:
-            raise type(exc)(f"round {r}: {exc}") from exc
+            raise type(exc)(f"{cfg.strategy} T={cfg.aggregation_frequency} seed "
+                            f"{cfg.master_seed}, round {r}: {exc}") from exc
         trace.append(RoundRecord(r, outcome.decision, cfg.strategy, plan and plan.assignment,
                                  losses, accuracies, avg, std))
         last_plan = plan.assignment if plan else last_plan

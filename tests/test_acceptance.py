@@ -6,6 +6,7 @@ readable straight from the pytest run.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,14 +19,15 @@ from fedswap.clustering import (
 )
 from fedswap.exchange import build_clustered_plan
 from fedswap.harness import (
+    _cell_config,
+    _summarize,
     build_clients,
     compare_strategies,
     default_experiment_config,
     render_comparison_text,
-    run_cell,
     run_experiment,
 )
-from fedswap.server import AGGREGATE, schedule_decision
+from fedswap.server import AGGREGATE, run_simulation, schedule_decision
 from linkage_oracle import oracle_linkage, oracle_merge_to_two
 from loss_oracle import decoder_loss
 from step_gradient import proximal_step_gradient, step_gradient
@@ -41,26 +43,31 @@ def report(capsys, num, ok, detail):
 
 @pytest.fixture(scope="module")
 def cells():
-    """Final summaries for every experiment cell the empirical criteria share."""
-    out = {}
-    t0 = time.perf_counter()
-    for strategy in ("clustered", "fedavg_only"):
-        cfg = default_experiment_config(seeds=SEEDS, strategies=(strategy,))
-        out[(strategy, cfg.server_config(strategy, 0).aggregation_frequency, 1.0)] = [
-            run_cell(cfg, strategy, s)[1] for s in SEEDS
-        ]
-    elapsed_direct = time.perf_counter() - t0
-    cfg = default_experiment_config(seeds=SEEDS, strategies=("random",))
-    out[("random", 2, 1.0)] = [run_cell(cfg, "random", s)[1] for s in SEEDS]
-    cfg = default_experiment_config(
-        seeds=SEEDS, strategies=("clustered",), data_fraction=0.5
-    )
-    out[("clustered", 2, 0.5)] = [run_cell(cfg, "clustered", s)[1] for s in SEEDS]
-    for t in (5, 10):
-        cfg = default_experiment_config(
-            seeds=SEEDS, strategies=("clustered",), aggregation_frequency=t
-        )
-        out[("clustered", t, 1.0)] = [run_cell(cfg, "clustered", s)[1] for s in SEEDS]
+    """Final summaries for every experiment cell the empirical criteria share.
+    A seed's fraction-1.0 cells run on one build of its clients, as a run's
+    cells do; elapsed_direct times the clustered and fedavg_only cells, their
+    clients' builds included."""
+    full = default_experiment_config(seeds=SEEDS)
+    half = replace(full, data_fraction=0.5)
+    out, elapsed_direct = {}, 0.0
+
+    def run(cfg, strategy, seed, clients):
+        server_cfg = cfg.server_config(strategy, seed)
+        trace = run_simulation(server_cfg, clients)
+        key = (strategy, server_cfg.aggregation_frequency, cfg.data_fraction)
+        out.setdefault(key, []).append(
+            _summarize(_cell_config(cfg, strategy, seed), clients, trace))
+
+    for seed in SEEDS:
+        t0 = time.perf_counter()
+        clients = build_clients(full, seed)
+        for strategy in ("clustered", "fedavg_only"):
+            run(full, strategy, seed, clients)
+        elapsed_direct += time.perf_counter() - t0
+        run(full, "random", seed, clients)
+        for t in (5, 10):
+            run(replace(full, aggregation_frequency=t), "clustered", seed, clients)
+        run(half, "clustered", seed, build_clients(half, seed))
     return {"summaries": out, "elapsed_direct": elapsed_direct}
 
 

@@ -47,7 +47,7 @@ def spec(domain_id="d0", count=200, shift=0.0, concept=0.5, noise=0.1):
 
 
 def backbone(seed=0):
-    return FrozenBackbone.create(seed, INPUT_DIM, FEATURE_DIM)
+    return FrozenBackbone.create(state_words(seed)[0], INPUT_DIM, FEATURE_DIM)
 
 
 def shared_head_of(concept_seed):
@@ -57,9 +57,11 @@ def shared_head_of(concept_seed):
 def population(domains, backbone_seed, concept_seed, domain_seeds, *, task, local,
                test_count=500, train_fraction=1.0):
     """Clients over backbone(backbone_seed) and one block per split, client i
-    from domains[i] and domain_seeds[i], all training on task with local."""
+    from domains[i] and domain_seeds[i], all training on task with local; each
+    seed's generator is default_rng(seed)'s, as build_clients pre-hashes it."""
     return make_clients(
-        domains, [backbone_seed, concept_seed, *domain_seeds], feature_dim=FEATURE_DIM,
+        domains, state_words(backbone_seed, concept_seed, *domain_seeds),
+        feature_dim=FEATURE_DIM,
         config=local, task=task, test_count=test_count, train_fraction=train_fraction,
     )
 
@@ -239,11 +241,18 @@ RAGGED_COUNTS = (1500, 8, 2, 311, 41, 1, 977, 120, 15)
 
 def ragged_build(build, n, task="regression", train_fraction=1.0):
     """build (make_clients or the serial oracle) over n domains cycling through
-    RAGGED_COUNTS, domain i shifted by 0.1 * i and drawn from seed 300 + i."""
+    RAGGED_COUNTS, domain i shifted by 0.1 * i and drawn from seed 300 + i.
+    make_clients takes every seed as its PCG64 state words; the oracle draws
+    the head and the domains from default_rng of the seeds, and passes the
+    backbone's state words on to FrozenBackbone.create."""
     specs = [spec(f"d{i}", count=RAGGED_COUNTS[i % len(RAGGED_COUNTS)], shift=0.1 * i,
                   concept=0.1 * (i % 4), noise=0.05 * (i % 3)) for i in range(n)]
-    extra = {"config": LocalConfig()} if build is make_clients else {}
-    return build(specs, [5, 6, *range(300, 300 + n)], feature_dim=FEATURE_DIM, task=task,
+    seeds = [5, 6, *range(300, 300 + n)]
+    if build is make_clients:
+        seeds, extra = state_words(*seeds), {"config": LocalConfig()}
+    else:
+        seeds, extra = [state_words(5)[0], *seeds[1:]], {}
+    return build(specs, seeds, feature_dim=FEATURE_DIM, task=task,
                  test_count=13, train_fraction=train_fraction, **extra)
 
 

@@ -23,6 +23,7 @@ from fedswap.cli import main
 from fedswap.clients import MAX_STEP_ROWS, MAX_STEPS, DomainSpec, LocalConfig
 from fedswap.errors import ConfigInvalid, FedswapError
 from fedswap.harness import (
+    MAX_CLIENTS,
     MAX_DIM,
     MAX_ENTRIES,
     MAX_ROWS,
@@ -36,7 +37,6 @@ from fedswap.harness import (
     default_experiment_config,
     load_config,
     render_comparison_text,
-    run_cell,
     run_experiment,
     save_config,
 )
@@ -288,6 +288,49 @@ class TestRunExperiment:
         assert (tmp_path / "comparison.json").exists()
         assert (tmp_path / "comparison.txt").exists()
         assert (tmp_path / "config.json").exists()
+
+    def test_each_seed_builds_its_clients_once(self, tmp_path, monkeypatch):
+        # a run's configs differ only in strategies and T, so every cell of a
+        # seed runs on one build of its clients, and the cells go seed by seed
+        built, build = [], harness.build_clients
+
+        def counting(cfg, seed):
+            built.append(seed)
+            return build(cfg, seed)
+
+        monkeypatch.setattr(harness, "build_clients", counting)
+        summaries = run_experiment(tiny_config(strategies=("clustered", "fedavg_only", "random")),
+                                   tmp_path / "run")
+        assert built == [0, 1]
+        assert [(s["config"]["seeds"][0], s["config"]["strategies"][0]) for s in summaries] == [
+            (seed, strategy) for seed in (0, 1)
+            for strategy in ("clustered", "fedavg_only", "random")]
+        built.clear()
+        ablation_T(tiny_config(), [2, 4], tmp_path / "ablation")
+        assert built == [0, 1]
+
+    def test_run_equals_its_single_cell_runs(self, tmp_path):
+        # sharing a seed's clients between its cells changes no byte of a cell
+        cfg = tiny_config()
+        run_experiment(cfg, tmp_path / "run")
+        for strategy in cfg.strategies:
+            for seed in cfg.seeds:
+                run_experiment(replace(cfg, strategies=(strategy,), seeds=(seed,)),
+                               tmp_path / "cells")
+
+        def cells(root):
+            files = {}
+            for path in root.glob("*/seed_*/*"):
+                if path.name == "summary.json":
+                    files[path.relative_to(root)] = {**json.loads(path.read_text()),
+                                                     "metadata": None}
+                else:
+                    files[path.relative_to(root)] = path.read_bytes()
+            return files
+
+        run = cells(tmp_path / "run")
+        assert len(run) == 8
+        assert run == cells(tmp_path / "cells")
 
     def test_csv_schema_and_row_count(self, tmp_path):
         cfg = tiny_config(seeds=(0,), strategies=("clustered",))
@@ -833,7 +876,8 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "runs")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: round -4: non-finite loss at step 68 on d0")
+        assert err.startswith(
+            "error: clustered T=2 seed 0, round -4: non-finite loss at step 68 on d0")
         assert err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error")
@@ -848,7 +892,8 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "runs")]) == 2
         err = capsys.readouterr().err
-        assert err == "error: round 1: non-finite test loss on d0; reduce the learning rate\n"
+        assert err == ("error: fedavg_only T=1 seed 0, round 1: non-finite test loss on d0; "
+                       "reduce the learning rate\n")
         assert not list(tmp_path.rglob("summary.json"))
 
     @pytest.mark.filterwarnings("error")
@@ -867,8 +912,8 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "runs")]) == 2
         err = capsys.readouterr().err
-        assert err == (f"error: round {round_index}: test loss std overflows; "
-                       "reduce the learning rate\n")
+        assert err == (f"error: fedavg_only T=1 seed 0, round {round_index}: test loss std "
+                       "overflows; reduce the learning rate\n")
         assert not list(tmp_path.rglob("metrics.csv"))
         assert not list(tmp_path.rglob("summary.json"))
 
@@ -914,13 +959,37 @@ class TestCli:
         clients = build_clients(default_experiment_config(local=LocalConfig(steps=MAX_STEPS)), 0)
         assert clients.config.steps * clients.row_client.size == 128 * 10**5 <= MAX_STEP_ROWS
 
+    def test_too_many_clients_is_one_line_error(self, tmp_path, capsys, monkeypatch):
+        # one-sample domains pass every data cap; the config refuses one past
+        # MAX_CLIENTS before any client is built
+        def refused(*args, **kwargs):
+            raise AssertionError("clients built")
+
+        monkeypatch.setattr(harness, "make_clients", refused)
+        small = {"input_dim": 1, "feature_dim": 1, "test_count": 1}
+        domains = [{"domain_id": f"d{i}", "sample_count": 1} for i in range(MAX_CLIENTS + 1)]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**small, "domains": domains}))
+        out = tmp_path / "runs"
+        t0 = time.perf_counter()
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        elapsed = time.perf_counter() - t0
+        assert code == 2 and elapsed < 2.0, elapsed
+        assert capsys.readouterr().err == (
+            f"error: at most {MAX_CLIENTS} domains, got {MAX_CLIENTS + 1}\n")
+        assert not out.exists()
+        assert len(config_from_dict({**small, "domains": domains[:-1]}).domains) == MAX_CLIENTS
+
     @pytest.mark.parametrize("flags, data, name", [
         (["--rounds", str(10**15), "--agg-frequency", "1", "--strategy", "fedavg_only"], {},
          "rounds"),
         ([], {"rounds": 10**15}, "rounds"),
         ([], {"warmup_rounds": 10**15}, "warmup_rounds"),
         ([], {"local": {"steps": 10**15}}, "steps"),
-    ], ids=["rounds_flag", "rounds", "warmup_rounds", "local_steps"])
+        ([], {"rounds": 1001, "aggregation_frequency": 1}, "rounds"),
+        ([], {"warmup_rounds": 1001}, "warmup_rounds"),
+    ], ids=["rounds_flag", "rounds", "warmup_rounds", "local_steps", "rounds_1001",
+            "warmup_rounds_1001"])
     def test_huge_protocol_length_is_one_line_error(self, tmp_path, capsys, flags, data, name):
         # each is rejected before the cell's seed table or a round's batch
         # indices of that length are built
@@ -1018,7 +1087,8 @@ class TestCli:
         capsys.readouterr()
         assert main(["run", "--config", str(bad), "--seed", "0", "--out", str(root)]) == 2
         assert capsys.readouterr().err == (
-            "error: round -2: test loss std overflows; reduce the learning rate\n")
+            "error: clustered T=2 seed 0, round -2: test loss std overflows; "
+            "reduce the learning rate\n")
         assert not [p for p in root.iterdir() if p.is_file()]
         assert {p: p.read_bytes() for p in root.glob("*/seed_*/*")} == cells
         assert main(["compare", "--in", str(root)]) == 0

@@ -44,10 +44,12 @@ def make_clients(n=3, master_seed=0, counts=(120, 120, 60), steps=3):
         )
         for i in range(n)
     ]
-    seeds = [derive_seed(master_seed, PURPOSES["backbone"]),
-             derive_seed(master_seed, PURPOSES["concept"]),
-             *(derive_seed(master_seed, PURPOSES["domain"], i) for i in range(n))]
-    return draw_clients(specs, seeds, feature_dim=FEATURE_DIM, config=local,
+    seeds = np.array([derive_seed(master_seed, PURPOSES["backbone"]),
+                      derive_seed(master_seed, PURPOSES["concept"]),
+                      *(derive_seed(master_seed, PURPOSES["domain"], i) for i in range(n))],
+                     np.uint64)
+    words = derive_seed(seeds & 0xFFFFFFFF, seeds >> 32, words=4)
+    return draw_clients(specs, words, feature_dim=FEATURE_DIM, config=local,
                         task="regression", test_count=50, train_fraction=1.0)
 
 
@@ -189,8 +191,9 @@ class TestRoundGenerators:
 
 
     def test_only_exchange_rounds_build_a_generator(self, monkeypatch):
-        # each exchange round builds one generator from its exchange words,
-        # and no other round builds any; counting them changes no trace
+        # the initial decoder's generator comes first; then each exchange round
+        # builds one from its exchange words, and no other round builds any;
+        # counting them changes no trace
         built = []
 
         def counting(words):
@@ -208,7 +211,8 @@ class TestRoundGenerators:
                 assert run_simulation(cfg, clients) == plain
             rounds = [row.round_index for row in plain if row.decision == EXCHANGE]
             assert rounds == [1, 3, 5][:exchanges]
-            seeds = np.array([derive_seed(7, PURPOSES["exchange"], r) for r in rounds],
+            seeds = np.array([derive_seed(7, PURPOSES["init"]),
+                              *(derive_seed(7, PURPOSES["exchange"], r) for r in rounds)],
                              dtype=np.uint64)
             assert built == derive_seed(seeds & 0xFFFFFFFF, seeds >> 32, words=4).tolist()
 
@@ -227,9 +231,10 @@ class TestSeedPaths:
 
         monkeypatch.setattr(server, "derive_seed", recording)
         monkeypatch.setattr(harness, "derive_seed", recording)
-        harness.run_cell(harness.default_experiment_config(), strategy, 0)
-        # bulk derivation: one call builds the clients, four run the cell
-        assert len(calls) == 5
+        cfg = harness.default_experiment_config()
+        run_simulation(cfg.server_config(strategy, 0), harness.build_clients(cfg, 0))
+        # bulk derivation: two calls build the clients, four run the cell
+        assert len(calls) == 6
         lengths, seeds = {}, []
         for path, words, out in calls:
             if words == 1:  # words=4 pre-hashes generator states from seeds
@@ -436,7 +441,7 @@ class TestRunSimulation:
 
         monkeypatch.setattr(server, "local_train", train_last_to_zero)
         cfg = ServerConfig(rounds=4, aggregation_frequency=2, warmup_rounds=2)
-        with pytest.raises(InvalidInput, match="^round 1: ") as info:
+        with pytest.raises(InvalidInput, match="^clustered T=2 seed 0, round 1: ") as info:
             run_simulation(cfg, make_clients())
         assert str(info.value).count("round ") == 1
 
@@ -608,7 +613,7 @@ class TestEvaluationOracle:
             input_dim=4, feature_dim=6, test_count=30, data_fraction=fraction,
             local=LocalConfig(steps=3, batch_size=16), domains=domains,
         )
-        trace, _ = harness.run_cell(cfg, "clustered", 5)
+        trace = run_simulation(cfg.server_config("clustered", 5), harness.build_clients(cfg, 5))
         assert len(calls) == len(trace) == 8
         broadcast = 0
         for (deliveries, clients, (losses, accuracies)), row in zip(calls, trace):
