@@ -12,8 +12,9 @@ Each perfbench run lasts --seconds, by default BENCHMARK.json's run_seconds.
 The parent commit's files are exported with ``git archive`` into
 <scratch>/parent, a plain directory of committed files, as the benchmark
 itself checks a commit out; a worktree would register itself in the
-repository's metadata and outlive an interrupted run. The change is this
-checkout's working tree. For every workload and seed the two sides run
+repository's metadata and outlive an interrupted run. --scratch must not
+exist yet: if it does, the script exits 2 with a one-line error before any
+git call. The change is this checkout's working tree. For every workload and seed the two sides run
 ``python3 perfbench/run.py`` back to back, and the side that runs first
 alternates from pair to pair, so that a drift in host speed favours neither.
 
@@ -269,6 +270,9 @@ def main(argv=None) -> int:
     parser.add_argument("--scratch", type=Path, required=True,
                         help="a new directory for the exported commits")
     args = parser.parse_args(argv)
+    if args.scratch.exists():  # a finished run leaves <scratch>/parent behind
+        print(f"error: --scratch {args.scratch} exists; give a new directory", file=sys.stderr)
+        return 2
     benchmark = ROOT / "BENCHMARK.json"
     if args.seconds is None:
         args.seconds = float(json.loads(benchmark.read_text())["run_seconds"])

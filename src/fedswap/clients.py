@@ -7,11 +7,11 @@ whole population and never changes once built: make_clients draws every
 client's data into one read-only block per split, on two threads that share a
 queue of domains, each domain into its own rows. A decoder is a flat linear
 map over the backbone features; the round loop owns every client's, as the
-rows of one (n, D) array. Local training is plain mini-batch gradient descent
-on a convex loss, optionally with a proximal pull toward the decoder the round
-starts from: under fedprox, the latest global decoder. One call trains a whole
-round in one step loop over all clients, and one call evaluates it, on one
-thread, bit for bit as if each client trained and was scored alone.
+rows of one (n, D) array, and one training Workspace per cell. Local training
+is mini-batch gradient descent on a convex loss, optionally pulled toward the
+round's starting decoder (under fedprox, the latest global decoder). One call
+trains a whole round in one step loop over all clients, and one call evaluates
+it, on one thread, bit for bit as if each client trained and was scored alone.
 """
 
 from __future__ import annotations
@@ -28,12 +28,13 @@ TASKS = ("regression", "classification")
 
 # standard deviation of the backbone's feature biases
 _BACKBONE_BIAS_SCALE = 0.2
-# cap on local steps per round, checked before a round's (steps, clients,
-# batch) index block is built; every workload and test takes at most 4000
+# cap on local steps per round, checked before a workspace's (steps, rows)
+# index block is built; every workload and test takes at most 4000
 MAX_STEPS = 10**5
-# cap on steps times a round's batch rows, checked when the clients are built:
-# a round's index and label blocks take 16 B per step-row, 480 MB at the cap;
-# classification's -ys block adds 8 B, 720 MB in all
+# cap on steps times a round's batch rows, checked when the clients are built: a
+# workspace's index and label blocks take 16 B per step-row, 480 MB at the cap,
+# and classification's -ys 8 B more; its per-step views take about 0.6 kB plus
+# 0.4 kB per group a step, at most 1.1 GB at both caps, 1.8 GB in all
 MAX_STEP_ROWS = 3 * 10**7
 
 
@@ -301,7 +302,62 @@ def _check_decoders(decoders: np.ndarray, clients: Clients) -> None:
                            "one row of the clients' decoder dim per client")
 
 
-def _train_round(decoders: np.ndarray, clients: Clients, words: np.ndarray,
+@dataclass(frozen=True, eq=False)
+class Workspace:
+    """A cell's training buffers and their views, built once from its clients
+    and refilled by each round's training call. A step reads only constants of
+    the cell (the full-batch groups' index columns and batch rows) or what its
+    round wrote first. A run_simulation local, like the decoders: no two
+    threads share one."""
+
+    clients: Clients
+    blocks: tuple = field(init=False, repr=False)  # (steps, rows) index, labels, per_row
+    params: np.ndarray = field(init=False, repr=False)  # thetas, anchors, grad, diff; in order
+    rows: np.ndarray = field(init=False, repr=False)  # scores, resid, bias
+    tables: np.ndarray = field(init=False, repr=False)  # (steps, n) losses and pulls
+    scales: tuple = field(init=False, repr=False)  # B as floats, flat and as a column; 2 / B
+    draw: tuple = field(init=False, repr=False)  # () or the mini-batch group's
+    drawn_batch: np.ndarray = field(init=False, repr=False)  # its rows of the step's batch
+    forward: tuple = field(init=False, repr=False)  # each group's score product
+    steps: tuple = field(init=False, repr=False)  # each step's views
+
+    def __post_init__(self):
+        clients = self.clients
+        steps, rows, n = clients.config.steps, clients.row_client.size, len(clients)
+        dim = clients.features_train.shape[1]
+        # every group's batches side by side; each step's labels row becomes its residual
+        index, batch = np.empty((steps, rows), dtype=np.intp), np.empty((rows, dim))
+        labels, tables = np.empty((steps, rows)), np.empty((2, steps, n))
+        per_row = labels if clients.task == "regression" else np.empty_like(labels)
+        params, buffers = np.empty((4, n, dim + 1)), np.empty((3, rows))
+        thetas, grad, scores, sizes = params[0], params[2], buffers[0], clients.batches * 1.0
+        forward, backward, draw, drawn, c, o = [], [], (), slice(0), 0, 0
+        for members in clients.groups:
+            k, size = len(members), int(clients.batches[c])
+            cs, rs = slice(c, c + k), slice(o, o + k * size)
+            block = index[:, rs].reshape(steps, k, size)
+            x, r = batch[rs].reshape(k, size, dim), labels[:, rs].reshape(steps, k, size)
+            if size < clients.train_sizes[members[0]]:
+                draw, drawn = (members, np.array(clients.train_sizes, np.uint64)[members],
+                               clients.starts[members].reshape(1, k, 1), block), rs
+            else:  # every step takes each client's whole split
+                block[:] = whole = clients.starts[members, None] + np.arange(size)
+                clients.features_train.take(whole, axis=0, out=x, mode="clip")
+            forward.append((x, thetas[cs, :-1, None], scores[rs].reshape(k, size, 1)))
+            backward.append((x.transpose(0, 2, 1), r[..., None], grad[cs, :-1, None], r,
+                             grad[cs, -1]))
+            c, o = c + k, o + k * size
+        views = tuple((index[s, drawn], labels[s], per_row[s], tables[1, s],
+                       tuple((xt, r4[s], w, r3[s], b) for xt, r4, w, r3, b in backward))
+                      for s in range(steps))
+        for name, value in dict(
+                blocks=(index, labels, per_row), params=params, rows=buffers, tables=tables,
+                scales=(sizes, sizes[:, None], 2.0 / sizes[:, None]), draw=draw,
+                drawn_batch=batch[drawn], forward=tuple(forward), steps=views).items():
+            object.__setattr__(self, name, value)
+
+
+def _train_round(decoders: np.ndarray, work: Workspace, words: np.ndarray,
                  proximal: bool) -> np.ndarray:
     """Steps every client at once, bit for bit as if each trained alone. Each
     group runs its own matrix-vector products and bias-gradient sums over B
@@ -310,78 +366,53 @@ def _train_round(decoders: np.ndarray, clients: Clients, words: np.ndarray,
     its gradient needs, and the (steps, clients) loss table is built after the
     loop. A loss only has to be checked for finiteness, so a classification row
     holds max(-ys, 0): finite where log(1 + e^(-ys)) is, and within log 2 of it."""
+    clients = work.clients
     _check_decoders(decoders, clients)
     if np.shape(words) != (len(clients), 4) or np.asarray(words).dtype != np.uint64:
         raise InvalidInput(f"state words have shape {np.shape(words)}, expected ({len(clients)}, "
                            "4) uint64: one row of PCG64 state words per client")
-    cfg, order, rows = clients.config, clients.order, clients.row_client.size
-    steps, dim = cfg.steps, clients.features_train.shape[1]
-    regression = clients.task == "regression"
-    # (steps, rows) train-block rows and their labels, and one (rows, F) batch,
-    # every group's side by side; a full batch is gathered once per round
-    index, batch = np.empty((steps, rows), dtype=np.intp), np.empty((rows, dim))
-    labels = np.empty((steps, rows))  # each step's row becomes its residual
-    thetas = decoders[order]  # stepped in place
-    anchors = thetas.copy() if proximal else None
-    scores, resid, bias = (np.empty(rows) for _ in range(3))
-    grad, diff = np.empty_like(thetas), np.empty_like(thetas)
-    losses, pull = np.empty((steps, len(order))), np.empty((steps, len(order)))
-    forward, backward, drawn, c, o = [], [], slice(0), 0, 0
-    for members in clients.groups:
-        k, size = len(members), int(clients.batches[c])
-        cs, rs = slice(c, c + k), slice(o, o + k * size)
-        block = index[:, rs].reshape(steps, k, size)
-        x, r = batch[rs].reshape(k, size, dim), labels[:, rs].reshape(steps, k, size)
-        if size < clients.train_sizes[members[0]]:
-            # one (steps, B) draw equals steps successive draws of B indices
-            picks = _draw_indices(words[members], np.take(clients.train_sizes, members),
-                                  steps * size)
-            np.add(picks.reshape(k, steps, size), clients.starts[members, None, None],
-                   out=block.transpose(1, 0, 2))
-            drawn = rs
-        else:  # every step takes each client's whole split
-            block[:] = whole = clients.starts[members, None] + np.arange(size)
-            clients.features_train.take(whole, axis=0, out=x, mode="clip")
-        forward.append((x, thetas[cs, :-1, None], scores[rs].reshape(k, size, 1)))
-        backward.append((x.transpose(0, 2, 1), r[..., None], grad[cs, :-1, None], r,
-                         grad[cs, -1]))
-        c, o = c + k, o + k * size
+    cfg, order, regression = clients.config, clients.order, clients.task == "regression"
+    (thetas, anchors, grad, diff), (scores, resid, bias) = work.params, work.rows
+    (index, labels, per_row), (sizes, size_column, head_scale) = work.blocks, work.scales
+    np.take(decoders, order, axis=0, out=thetas, mode="clip")  # stepped in place
+    if proximal:
+        np.copyto(anchors, thetas)
+    if work.draw:
+        # one (steps, B) draw equals steps successive draws of B indices
+        members, highs, starts, block = work.draw
+        steps, k, size = block.shape
+        picks = _draw_indices(words[members], highs, steps * size)
+        np.add(picks.reshape(k, steps, size).transpose(1, 0, 2), starts, out=block)
     clients.train_y.take(index, out=labels, mode="clip")
     if not regression:  # the loss and its gradient both take -y
         np.negative(labels, out=labels)
-    # the loss table's rows: each step's residual, squared after the loop, or its -ys
-    per_row = labels if regression else np.empty_like(labels)
-    sizes = clients.batches.astype(float)
     head, bias_grad, bias_of = grad[:, :-1], grad[:, -1], thetas[:, -1]
-    head_scale = 2.0 / sizes[:, None]
     # a diverging client overflows before the checks below report it
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps):
-            clients.features_train.take(index[step, drawn], axis=0, out=batch[drawn],
-                                        mode="clip")
-            for x, w, s in forward:
+        for drawn, y, ys, step_pull, backward in work.steps:
+            clients.features_train.take(drawn, axis=0, out=work.drawn_batch, mode="clip")
+            for x, w, s in work.forward:
                 np.matmul(x, w, out=s)
             scores += bias_of.take(clients.row_client, out=bias, mode="clip")
-            y = labels[step]
             if regression:
                 np.subtract(scores, y, out=y)
             else:  # -ys and the logistic derivative -y * sigmoid(-ys)
-                np.negative(np.multiply(y, scores, out=per_row[step]), out=resid)
+                np.negative(np.multiply(y, scores, out=ys), out=resid)
                 np.logaddexp(0.0, resid, out=resid)
                 np.exp(np.negative(resid, out=resid), out=resid)
                 y *= resid
             for xt, r, w_grad, r_flat, b_grad in backward:
-                np.matmul(xt, r[step], out=w_grad)
-                np.add.reduce(r_flat[step], axis=-1, out=b_grad)
+                np.matmul(xt, r, out=w_grad)
+                np.add.reduce(r_flat, axis=-1, out=b_grad)
             if regression:
                 head *= head_scale
                 bias_grad /= sizes
                 bias_grad *= 2.0
             else:
-                grad /= sizes[:, None]
+                grad /= size_column
             if proximal:
                 np.subtract(thetas, anchors, out=diff)
-                np.vecdot(diff, diff, out=pull[step])
+                np.vecdot(diff, diff, out=step_pull)
                 diff *= cfg.prox_mu
                 grad += diff
             grad *= cfg.learning_rate
@@ -390,6 +421,7 @@ def _train_round(decoders: np.ndarray, clients: Clients, words: np.ndarray,
             np.multiply(per_row, per_row, out=per_row)
         else:
             np.maximum(per_row, 0.0, out=per_row)
+        losses, pull = work.tables
         np.add.reduceat(per_row, clients.row_starts, axis=1, out=losses)
         if proximal:
             # a sum is finite when its mean is, but mean + pull can overflow
@@ -412,19 +444,19 @@ def _train_round(decoders: np.ndarray, clients: Clients, words: np.ndarray,
     return uploads
 
 
-def local_train(decoders: np.ndarray, clients: Clients, words: np.ndarray) -> np.ndarray:
-    """One round of local training: each client runs its configured number
-    of mini-batch gradient steps from its row of decoders (n, D), drawing
-    batches as _generator of its row of PCG64 state words (n, 4) would;
-    returns the uploads as a read-only (n, D) array in client order."""
-    return _train_round(decoders, clients, words, proximal=False)
+def local_train(decoders: np.ndarray, work: Workspace, words: np.ndarray) -> np.ndarray:
+    """One round of local training of work's clients: each runs its configured
+    number of mini-batch gradient steps from its row of decoders (n, D),
+    drawing batches as _generator of its row of PCG64 state words (n, 4)
+    would; returns the uploads as a fresh read-only (n, D) array in client order."""
+    return _train_round(decoders, work, words, proximal=False)
 
 
-def local_train_fedprox(decoders: np.ndarray, clients: Clients,
+def local_train_fedprox(decoders: np.ndarray, work: Workspace,
                         words: np.ndarray) -> np.ndarray:
     """local_train plus FedProx's proximal gradient term mu * (theta - anchor),
     with mu = the clients' config.prox_mu and each one's starting decoder as the anchor."""
-    return _train_round(decoders, clients, words, proximal=True)
+    return _train_round(decoders, work, words, proximal=True)
 
 
 def evaluate(decoders: np.ndarray, clients: Clients

@@ -66,6 +66,11 @@ def _check_size(name: str, value: int, cap: int) -> None:
         raise ConfigInvalid(f"{name} must be in [1, {cap}], got {value}")
 
 
+def _check_domain_count(count: int) -> None:
+    if count > MAX_CLIENTS:
+        raise ConfigInvalid(f"at most {MAX_CLIENTS} domains, got {count}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce an experiment, strategies x seeds."""
@@ -106,8 +111,7 @@ class ExperimentConfig:
             raise ConfigInvalid(f"unknown task {self.task!r}; expected one of {TASKS}")
         if len(self.domains) < 2:
             raise ConfigInvalid("need at least 2 domains")
-        if len(self.domains) > MAX_CLIENTS:
-            raise ConfigInvalid(f"at most {MAX_CLIENTS} domains, got {len(self.domains)}")
+        _check_domain_count(len(self.domains))
         ids = [d.domain_id for d in self.domains]
         if len(set(ids)) != len(ids):
             raise ConfigInvalid(f"duplicate domain ids in {ids}")
@@ -226,6 +230,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         kwargs["local"] = LocalConfig(**kwargs["local"])
 
     if "domains" in kwargs:
+        _check_domain_count(len(kwargs["domains"]))  # before a single spec is built
         specs = []
         for idx, entry in enumerate(kwargs["domains"]):
             _check_section(f"domain {idx}", entry, _DOMAIN_TYPES,

@@ -7,9 +7,9 @@ plan that the strategy's row in STRATEGIES builds. Only the clustered
 protocol clusters the uploads by cosine distance first.
 
 Clients, round outcomes and round records are immutable. run_simulation's
-locals hold the only state that changes: every client's current decoder, as
-the rows of one read-only (n, D) array (each row the linear head, then its
-bias, as the clients' features fix it), the last exchange plan and the trace.
+locals hold the only state that changes: each client's current decoder, a row
+of one read-only (n, D) array (the linear head, then its bias, as the clients'
+features fix it), the cell's training Workspace, the last plan and the trace.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .clients import Clients, _generator, evaluate, local_train, local_train_fedprox
+from .clients import Clients, Workspace, _generator, evaluate, local_train, local_train_fedprox
 from .clustering import build_distance_matrix, cluster_to_two
 from .errors import ConfigInvalid, FedswapError, InvalidInput, NonFiniteLoss
 from .exchange import (
@@ -260,12 +260,12 @@ def run_simulation(cfg: ServerConfig, clients: Clients) -> tuple[RoundRecord, ..
     """Warm-up then R protocol rounds; returns the trace.
 
     Every client starts from one shared randomly initialized decoder. Each
-    round trains every client in one call, runs run_round and scores each
-    delivery on its client's test split. The W warm-up rounds, 1 - W..0, all
-    aggregate, so clients enter round 1 with identical decoders. The whole
-    trace is a pure function of cfg.master_seed. A FedswapError raised in
-    round r, whether in training, run_round or evaluation, names the cell's
-    strategy, T and seed, and the round.
+    round trains every client in one call on the cell's Workspace, runs
+    run_round and scores each delivery on its client's test split. The W
+    warm-up rounds, 1 - W..0, all aggregate, so clients enter round 1 with
+    identical decoders. The whole trace is a pure function of cfg.master_seed.
+    A FedswapError raised in round r, whether in training, run_round or
+    evaluation, names the cell's strategy, T and seed, and the round.
     """
     n = len(clients)
     # the initial decoder's, every client-round's and every exchange round's
@@ -282,13 +282,12 @@ def run_simulation(cfg: ServerConfig, clients: Clients) -> tuple[RoundRecord, ..
     train_words, exchange_words = words[1:-R].reshape(W + R, n, 4), words[-R:]
     dim = clients.decoder_dim
     decoders = np.broadcast_to(_generator(words[0]).normal(0.0, 0.1, size=dim), (n, dim))
-    last_plan = None
-    trace = []
+    work, last_plan, trace = Workspace(clients), None, []
     train = local_train_fedprox if STRATEGIES[cfg.strategy].proximal else local_train
 
     for r in range(1 - W, R + 1):
         try:
-            uploads = train(decoders, clients, train_words[W + r - 1])
+            uploads = train(decoders, work, train_words[W + r - 1])
             exchange = r >= 1 and schedule_decision(r, cfg.aggregation_frequency) == EXCHANGE
             outcome = run_round(r, uploads, clients.train_sizes, cfg, last_plan,
                                 _generator(exchange_words[r - 1]) if exchange else None)

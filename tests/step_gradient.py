@@ -11,6 +11,7 @@ from fedswap.clients import (
     Clients,
     DomainSpec,
     LocalConfig,
+    Workspace,
     local_train,
     local_train_fedprox,
 )
@@ -24,8 +25,8 @@ def _one_client(features, labels, task, steps, mu=0.0):
     rows = len(features)
     config = LocalConfig(steps=steps, learning_rate=1.0, batch_size=rows, prox_mu=mu)
     domain = DomainSpec("probe", rows, 1, (0.0,), 0.0, 0.0)
-    return Clients((domain,), task, config, features.copy(), labels.copy(),
-                   features[None].copy(), labels[None].copy(), np.array([0, rows]))
+    return Workspace(Clients((domain,), task, config, features.copy(), labels.copy(),
+                             features[None].copy(), labels[None].copy(), np.array([0, rows])))
 
 
 def step_gradient(theta, features, labels, task):

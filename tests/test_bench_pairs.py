@@ -278,3 +278,19 @@ def test_traced_pairs_keep_the_untraced_file(tmp_path, monkeypatch):
     assert settings == [(7.0, 0), (3.0, 1)]
     assert sorted(p.name for p in tmp_path.glob("BENCH_*")) == ["BENCH_9.json",
                                                                 "BENCH_9_trace.json"]
+
+
+def test_existing_scratch_is_refused_before_any_git_call(tmp_path, monkeypatch, capsys):
+    # a finished run leaves <scratch>/parent behind; reusing its --scratch
+    # used to export the parent and then die with a FileExistsError traceback
+    def no_git(*args, **kwargs):
+        raise AssertionError(f"git called: {args}")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", no_git)
+    (tmp_path / "pairs" / "parent").mkdir(parents=True)
+    argv = ["--pr", "9", "--parent", "HEAD", "--workload", "paper4", "--seeds", "1",
+            "--scratch", str(tmp_path / "pairs")]
+    assert bench_pairs.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --scratch {tmp_path / 'pairs'} exists; give a new directory\n"

@@ -1,7 +1,7 @@
 import re
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from fedswap.clients import (
     DomainSpec,
     FrozenBackbone,
     LocalConfig,
+    Workspace,
     _draw_indices,
     _generator,
     _StateWords,
@@ -91,8 +92,9 @@ def assert_noiseless_labels_follow(ds, head):
 
 
 def client(task="regression", noise=0.1, count=200, local=None, seed=0):
-    """A one-client population, as local_train and evaluate take it, drawn
-    from spec(count=count, noise=noise) with concept seed 11 and domain seed 22."""
+    """A one-client population, as evaluate takes it (local_train takes its
+    Workspace), drawn from spec(count=count, noise=noise) with concept seed 11
+    and domain seed 22."""
     return population(
         [spec(count=count, noise=noise)], seed, 11, [22], task=task,
         local=local or LocalConfig(steps=5, learning_rate=0.05, batch_size=32),
@@ -369,7 +371,7 @@ class TestLocalTrain:
     def test_zero_steps_returns_decoder_unchanged(self):
         cl = client(local=LocalConfig(steps=0, learning_rate=0.05, batch_size=32))
         start = decoder(0)
-        out = local_train(start, cl, state_words(99))
+        out = local_train(start, Workspace(cl), state_words(99))
         assert np.array_equal(out, start)
         assert out.shape == start.shape and not out.flags.writeable
 
@@ -377,7 +379,7 @@ class TestLocalTrain:
         lr = 0.03
         cl = client(local=LocalConfig(steps=1, learning_rate=lr, batch_size=10_000))
         start = decoder(1)
-        out = local_train(start, cl, state_words(0))
+        out = local_train(start, Workspace(cl), state_words(0))
         # the mean squared error's gradient over the whole split
         x, y, size = cl.features_train, cl.train_y, cl.train_sizes[0]
         residual = x @ start[0, :-1] + start[0, -1] - y
@@ -386,9 +388,9 @@ class TestLocalTrain:
 
     def test_replay_is_bitwise_identical(self):
         cl = client()
-        start = decoder(fill=0.0)
+        start, work = decoder(fill=0.0), Workspace(cl)
         assert np.array_equal(
-            local_train(start, cl, state_words(7)), local_train(start, cl, state_words(7)),
+            local_train(start, work, state_words(7)), local_train(start, work, state_words(7)),
         )
 
     def test_noiseless_task_trains_to_tiny_loss(self):
@@ -396,7 +398,7 @@ class TestLocalTrain:
             noise=0.0,
             local=LocalConfig(steps=4000, learning_rate=0.3, batch_size=10_000),
         )
-        [out] = local_train(decoder(fill=0.0), cl, state_words(0))
+        [out] = local_train(decoder(fill=0.0), Workspace(cl), state_words(0))
         final = decoder_loss(out, cl.features_train, cl.train_y, "regression")
         # the noiseless targets are realizable, so the least-squares optimum is 0
         coeffs, *_ = np.linalg.lstsq(
@@ -410,13 +412,13 @@ class TestLocalTrain:
 
     def test_full_batch_loss_is_non_increasing(self):
         cl = client(local=LocalConfig(steps=1, learning_rate=0.05, batch_size=10_000))
-        theta = decoder(2)
+        theta, work = decoder(2), Workspace(cl)
         losses = []
         for _ in range(30):
             losses.append(
                 decoder_loss(theta[0], cl.features_train, cl.train_y, "regression")
             )
-            theta = local_train(theta, cl, state_words(0))
+            theta = local_train(theta, work, state_words(0))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_dimension_checked_against_manifest(self):
@@ -424,18 +426,18 @@ class TestLocalTrain:
         for bad in (np.zeros((1, FEATURE_DIM)), np.zeros(FEATURE_DIM + 1),
                     np.zeros((2, FEATURE_DIM + 1))):
             with pytest.raises(InvalidInput, match=r"expected \(1, 9\)"):
-                local_train(bad, cl, state_words(0))
+                local_train(bad, Workspace(cl), state_words(0))
 
     def test_divergence_raises_non_finite_loss(self):
         cl = client(local=LocalConfig(steps=400, learning_rate=50.0, batch_size=10_000))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteLoss):
-            local_train(decoder(fill=1.0), cl, state_words(0))
+            local_train(decoder(fill=1.0), Workspace(cl), state_words(0))
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_output_always_finite(self, seed):
         cl = client(local=LocalConfig(steps=3, learning_rate=0.05, batch_size=8))
-        out = local_train(decoder(seed), cl, state_words(seed))
+        out = local_train(decoder(seed), Workspace(cl), state_words(seed))
         assert np.all(np.isfinite(out))
 
 
@@ -443,18 +445,19 @@ class TestLocalTrainFedprox:
     def test_mu_zero_matches_plain_training(self):
         local = LocalConfig(steps=5, learning_rate=0.05, batch_size=32, prox_mu=0.0)
         start = decoder(4)
-        plain = local_train(start, client(local=local), state_words(13))
-        prox = local_train_fedprox(start, client(local=local), state_words(13))
+        work = Workspace(client(local=local))
+        plain = local_train(start, work, state_words(13))
+        prox = local_train_fedprox(start, work, state_words(13))
         assert np.array_equal(plain, prox)
         # mu is read from the client's config
-        pulled = client(local=replace(local, prox_mu=0.5))
+        pulled = Workspace(client(local=replace(local, prox_mu=0.5)))
         assert not np.array_equal(plain, local_train_fedprox(start, pulled, state_words(13)))
 
     def test_huge_mu_pins_decoder_to_anchor(self):
         cl = client(local=LocalConfig(steps=200, learning_rate=1e-7,
                                       batch_size=10_000, prox_mu=1e6))
         anchor = decoder(5)
-        out = local_train_fedprox(anchor, cl, state_words(0))
+        out = local_train_fedprox(anchor, Workspace(cl), state_words(0))
         assert np.max(np.abs(out - anchor)) < 1e-3
 
     def test_pull_that_overflows_the_step_loss_is_reported(self):
@@ -473,11 +476,12 @@ class TestLocalTrainFedprox:
         start = decoder(fill=0.0)
         expected = "non-finite loss at step 1 on d0; reduce the learning rate"
         assert oracle_failure(start[0], cl, 0, 0, proximal=True) == expected
+        work = Workspace(cl)
         with pytest.raises(NonFiniteLoss) as info:
-            local_train_fedprox(start, cl, state_words(0))
+            local_train_fedprox(start, work, state_words(0))
         assert str(info.value) == expected
         # without the pull the same round trains to finite uploads
-        assert np.isfinite(local_train(start, cl, state_words(0))).all()
+        assert np.isfinite(local_train(start, work, state_words(0))).all()
 
     def test_negative_mu_rejected(self):
         with pytest.raises(ConfigInvalid):
@@ -537,10 +541,10 @@ def assert_round_matches_the_oracle(decoders, clients, seeds, proximal):
     train = local_train_fedprox if proximal else local_train
     if expected is not None:
         with pytest.raises(NonFiniteLoss) as info:
-            train(decoders, clients, state_words(*seeds))
+            train(decoders, Workspace(clients), state_words(*seeds))
         assert str(info.value) == expected
         return expected
-    got = train(decoders, clients, state_words(*seeds))
+    got = train(decoders, Workspace(clients), state_words(*seeds))
     for i, (decoder, seed, upload) in enumerate(zip(decoders, seeds, got)):
         assert upload.tobytes() == oracle_local_train(decoder, clients, i, seed,
                                                       proximal).tobytes(), i
@@ -599,7 +603,7 @@ class TestBatchedTraining:
             decoders = rng.normal(size=(k, FEATURE_DIM + 1))
             seeds = [int(s) for s in rng.integers(0, 2**62, size=k)]
             train = local_train_fedprox if proximal else local_train
-            got = train(decoders, clients, state_words(*seeds))
+            got = train(decoders, Workspace(clients), state_words(*seeds))
             assert got.shape == (k, FEATURE_DIM + 1)
             for i, (decoder, seed, upload) in enumerate(zip(decoders, seeds, got)):
                 want = oracle_local_train(decoder, clients, i, seed, proximal)
@@ -634,7 +638,7 @@ class TestBatchedTraining:
         steps = [int(re.search(r"step (\d+) on", msg).group(1)) for msg in expected[1:]]
         assert steps[1] < steps[0]
         with pytest.raises(NonFiniteLoss) as info:
-            local_train(decoders, clients, state_words(0, 0, 0))
+            local_train(decoders, Workspace(clients), state_words(0, 0, 0))
         assert str(info.value) == expected[1]
 
     @pytest.mark.parametrize("batch_size", [10_000, 180], ids=["full_batch", "mini_batch"])
@@ -654,7 +658,7 @@ class TestBatchedTraining:
         steps = [int(re.search(r"step (\d+) on", msg).group(1)) for msg in expected[1:]]
         assert steps[1] < steps[0]
         with pytest.raises(NonFiniteLoss) as info:
-            local_train(decoders, clients, state_words(5, 6, 7))
+            local_train(decoders, Workspace(clients), state_words(5, 6, 7))
         assert str(info.value) == expected[1]
 
     @pytest.mark.parametrize("proximal", [False, True], ids=["plain", "fedprox"])
@@ -728,28 +732,29 @@ class TestBatchedTraining:
         expected = oracle_failure(start[0], cl, 0, 0)
         assert expected.startswith("training diverged on d0")
         with pytest.raises(NonFiniteLoss) as info:
-            local_train(start, cl, state_words(0))
+            local_train(start, Workspace(cl), state_words(0))
         assert str(info.value) == expected
 
     def test_words_and_decoders_need_one_row_per_client(self):
         cl = client()
+        work = Workspace(cl)
         for bad in (state_words(0, 1), state_words(0)[0], state_words(0)[:, :3],
                     state_words(0).astype(np.int64), state_words(0).tolist()):
             with pytest.raises(InvalidInput, match="state words"):
-                local_train(decoder(fill=0.0), cl, bad)
+                local_train(decoder(fill=0.0), work, bad)
         with pytest.raises(InvalidInput):
-            local_train(np.zeros((2, FEATURE_DIM + 1)), cl, state_words(0))
+            local_train(np.zeros((2, FEATURE_DIM + 1)), work, state_words(0))
 
     def test_only_mini_batch_clients_read_their_words(self):
         # clients 0 and 1 (5 and 16 rows) train full-batch at batch size 16
         clients = round_of_clients(5, "regression", ONE_CONFIG[0])
         decoders = np.random.default_rng(4).normal(size=(5, FEATURE_DIM + 1))
-        words = state_words(10, 11, 12, 13, 14)
-        base = local_train(decoders, clients, words)
+        words, work = state_words(10, 11, 12, 13, 14), Workspace(clients)
+        base = local_train(decoders, work, words)
         for i in range(5):
             changed = words.copy()
             changed[i] ^= np.uint64(1)
-            got = local_train(decoders, clients, changed)
+            got = local_train(decoders, work, changed)
             same = [a.tobytes() == b.tobytes() for a, b in zip(base, got)]
             assert same == [j != i or clients.train_sizes[i] <= BATCH for j in range(5)], i
 
@@ -760,10 +765,74 @@ class TestBatchedTraining:
             rng = np.random.default_rng(3)
             decoders = rng.normal(size=(10, FEATURE_DIM + 1))
             seeds = [int(s) for s in rng.integers(0, 2**62, size=10)]
-            got = local_train_fedprox(decoders, clients, state_words(*seeds))
+            got = local_train_fedprox(decoders, Workspace(clients), state_words(*seeds))
             for i, (decoder, seed, upload) in enumerate(zip(decoders, seeds, got)):
                 want = oracle_local_train(decoder, clients, i, seed, proximal=True)
                 assert upload.tobytes() == want.tobytes(), (clients.config, clients.task, i)
+
+
+def workspace_arrays(value):
+    """Every array a workspace field holds, tuples of views included."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from workspace_arrays(item)
+
+
+def assert_uploads_equal_the_oracle(got, decoders, clients, seeds, proximal):
+    for i, (decoder, seed, upload) in enumerate(zip(decoders, seeds, got)):
+        want = oracle_local_train(decoder, clients, i, seed, proximal)
+        assert upload.tobytes() == want.tobytes(), (clients.task, proximal, i)
+
+
+class TestWorkspace:
+    """One workspace serves every round of a cell: a round reads nothing a
+    round before it left behind, and hands back uploads of its own."""
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_reused_over_rounds_equals_the_oracle(self, task, fraction):
+        # full-batch groups of 5 and 16 rows (2 and 8 at half the data) beside
+        # the mini-batch group; plain and FedProx rounds alternate, each from
+        # the last one's uploads
+        clients = round_of_clients(7, task, ONE_CONFIG[0], train_fraction=fraction)
+        groups = {1.0: [[0, 5], [1, 6], [2, 3, 4]], 0.5: [[0, 5], [1, 2, 6], [3, 4]]}
+        assert [g.tolist() for g in clients.groups] == groups[fraction]
+        work, rng = Workspace(clients), np.random.default_rng(6)
+        decoders = rng.normal(size=(7, FEATURE_DIM + 1))
+        for r in range(6):
+            proximal = r % 2 == 1
+            seeds = [int(s) for s in rng.integers(0, 2**62, size=7)]
+            train = local_train_fedprox if proximal else local_train
+            got = train(decoders, work, state_words(*seeds))
+            assert_uploads_equal_the_oracle(got, decoders, clients, seeds, proximal)
+            decoders = got
+
+    @pytest.mark.parametrize("proximal", [False, True], ids=["plain", "fedprox"])
+    def test_a_round_after_a_failed_one_equals_the_oracle(self, proximal):
+        # squared errors of 1e300-sized scores overflow at step 0
+        clients = round_of_clients(7, "regression", ONE_CONFIG[0])
+        work, seeds = Workspace(clients), list(range(50, 57))
+        train = local_train_fedprox if proximal else local_train
+        huge = np.full((7, FEATURE_DIM + 1), 1e300)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLoss):
+            train(huge, work, state_words(*seeds))
+        decoders = np.random.default_rng(7).normal(size=(7, FEATURE_DIM + 1))
+        got = train(decoders, work, state_words(*seeds))
+        assert_uploads_equal_the_oracle(got, decoders, clients, seeds, proximal)
+
+    def test_uploads_share_no_memory_with_the_workspace(self):
+        clients = round_of_clients(7, "regression", ONE_CONFIG[0])
+        work, rng = Workspace(clients), np.random.default_rng(8)
+        first = local_train(rng.normal(size=(7, FEATURE_DIM + 1)), work, state_words(*range(7)))
+        kept = first.copy()
+        arrays = [a for f in fields(work) if f.name != "clients"
+                  for a in workspace_arrays(getattr(work, f.name))]
+        assert len(arrays) > 20
+        assert not any(np.shares_memory(first, a) for a in arrays)
+        local_train_fedprox(rng.normal(size=(7, FEATURE_DIM + 1)), work, state_words(*range(9, 16)))
+        assert not first.flags.writeable and first.tobytes() == kept.tobytes()
 
 
 class TestDrawIndices:

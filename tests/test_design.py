@@ -23,12 +23,35 @@ def package_dataclasses() -> list[type]:
 
 
 def test_every_dataclass_is_frozen():
-    # clients and round records are values; the round loop's locals are the
-    # simulator's only mutable state
+    # clients and round records are values; the round loop's locals, its
+    # training workspace included, are the simulator's only mutable state
     classes = package_dataclasses()
-    assert {"Clients", "RoundRecord", "ExperimentConfig"} <= {c.__name__ for c in classes}
+    assert {"Clients", "RoundRecord", "ExperimentConfig", "Workspace"} <= {
+        c.__name__ for c in classes}
     mutable = sorted(c.__qualname__ for c in classes if not c.__dataclass_params__.frozen)
     assert not mutable, f"mutable dataclasses: {mutable}"
+
+
+def test_workspace_is_built_only_by_the_round_loop():
+    # a cell's training buffers are one run_simulation local, rebuilt per
+    # cell: a module-level or per-Clients cache would share them between cells
+    # and threads
+    found = []
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, f"{function}.{child.name}" if function else child.name)
+                continue
+            if isinstance(child, ast.Call) and "Workspace" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.append((module, function, child.lineno))
+            visit(child, module, function)
+
+    for path in sorted(Path(fedswap.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, None)
+    assert [(module, function) for module, function, _ in found] == [
+        ("server.py", "run_simulation")], found
 
 
 def test_no_reordered_sums():

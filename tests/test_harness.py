@@ -980,6 +980,21 @@ class TestCli:
         assert not out.exists()
         assert len(config_from_dict({**small, "domains": domains[:-1]}).domains) == MAX_CLIENTS
 
+    def test_domain_count_is_refused_before_any_domain_is_built(self, monkeypatch):
+        # config_from_dict counts the entries first: building every spec before
+        # ExperimentConfig counted them took 1.5 s on 100000 one-sample domains
+        calls = []
+        monkeypatch.setattr(harness, "_domain", lambda *args, **kwargs: calls.append(args))
+        domains = [{"domain_id": f"d{i}", "sample_count": 1} for i in range(MAX_CLIENTS + 1)]
+        with pytest.raises(ConfigInvalid) as info:
+            config_from_dict({"domains": domains})
+        assert str(info.value) == f"at most {MAX_CLIENTS} domains, got {MAX_CLIENTS + 1}"
+        assert calls == []
+        # the config type refuses the same count with the same message
+        specs = tuple(DomainSpec(f"d{i}", 1, 1, (0.0,), 0.0, 0.0) for i in range(MAX_CLIENTS + 1))
+        with pytest.raises(ConfigInvalid, match=f"^{info.value}$"):
+            ExperimentConfig(input_dim=1, domains=specs)
+
     @pytest.mark.parametrize("flags, data, name", [
         (["--rounds", str(10**15), "--agg-frequency", "1", "--strategy", "fedavg_only"], {},
          "rounds"),

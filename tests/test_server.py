@@ -434,8 +434,8 @@ class TestRunSimulation:
         # run_round's error names the round once
         train = server.local_train
 
-        def train_last_to_zero(decoders, clients, words):
-            uploads = np.array(train(decoders, clients, words))
+        def train_last_to_zero(decoders, work, words):
+            uploads = np.array(train(decoders, work, words))
             uploads[-1] = 0.0
             return uploads
 
