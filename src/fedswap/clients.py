@@ -31,11 +31,12 @@ _BACKBONE_BIAS_SCALE = 0.2
 # cap on local steps per round, checked before a workspace's (steps, rows)
 # index block is built; every workload and test takes at most 4000
 MAX_STEPS = 10**5
-# cap on steps times a round's batch rows, checked when the clients are built: a
-# workspace's index and label blocks take 16 B per step-row, 480 MB at the cap,
-# and classification's -ys 8 B more; its per-step views take about 0.6 kB plus
-# 0.4 kB per group a step, at most 1.1 GB at both caps, 1.8 GB in all
+# cap on a workspace's step-rows, checked before it is built: its blocks take 16 B
+# per step and batch row (classification's -ys 8 B more), its loss tables 16 B per
+# step and client, and a step's views about 0.36 kB per batch shape and 0.5 kB more
+# (tracemalloc, CPython 3.11), counted as 16-B rows: at most 720 MB at the cap
 MAX_STEP_ROWS = 3 * 10**7
+_VIEW_ROWS = 32  # 0.5 kB: a step's views per batch shape, and twice that more
 
 
 @dataclass(frozen=True)
@@ -117,12 +118,8 @@ class Clients:
     with config. features_train (N, F) and train_y (N,) hold
     every train split, client i's in rows starts[i] to starts[i + 1];
     features_test (n, test_count, F) and test_y (n, test_count) hold one test
-    split per client. groups holds the index arrays of the clients of one
-    batch shape: each full-batch train size is a group, and the mini-batch
-    clients are one. order lists the clients group by group, batches holds
-    each one's batch size in that order, and row_client maps each row of a
-    round's batches, every group's (k, B) batches side by side, to its
-    client's position in order; row_starts holds each position's first row."""
+    split per client. One value serves every cell of a seed, so it holds only
+    data; each cell's Workspace lays out its training."""
 
     domains: tuple[DomainSpec, ...]
     task: str
@@ -133,30 +130,11 @@ class Clients:
     test_y: np.ndarray = field(repr=False)
     starts: np.ndarray = field(repr=False)
     train_sizes: tuple[int, ...] = field(init=False, repr=False)
-    groups: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    order: np.ndarray = field(init=False, repr=False)
-    batches: np.ndarray = field(init=False, repr=False)
-    row_client: np.ndarray = field(init=False, repr=False)
-    row_starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("features_train", "train_y", "features_test", "test_y", "starts"):
             getattr(self, name).setflags(write=False)
-        sizes = tuple(np.diff(self.starts).tolist())
-        groups: dict[Optional[int], list[int]] = {}
-        for i, size in enumerate(sizes):
-            groups.setdefault(size if self.config.batch_size >= size else None, []).append(i)
-        object.__setattr__(self, "train_sizes", sizes)
-        object.__setattr__(self, "groups", tuple(map(np.array, groups.values())))
-        order = np.concatenate(self.groups)
-        batches = np.minimum(np.take(sizes, order), self.config.batch_size)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "batches", batches)
-        object.__setattr__(self, "row_client", np.repeat(np.arange(len(order)), batches))
-        object.__setattr__(self, "row_starts", np.cumsum(batches) - batches)
-        if self.config.steps * self.row_client.size > MAX_STEP_ROWS:
-            raise ConfigInvalid(f"steps times batch rows must be at most {MAX_STEP_ROWS}, got "
-                                f"{self.config.steps} x {self.row_client.size}")
+        object.__setattr__(self, "train_sizes", tuple(np.diff(self.starts).tolist()))
 
     def __len__(self) -> int:
         return len(self.domains)
@@ -304,13 +282,18 @@ def _check_decoders(decoders: np.ndarray, clients: Clients) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Workspace:
-    """A cell's training buffers and their views, built once from its clients
-    and refilled by each round's training call. A step reads only constants of
-    the cell (the full-batch groups' index columns and batch rows) or what its
-    round wrote first. A run_simulation local, like the decoders: no two
-    threads share one."""
+    """A cell's training layout, buffers and their views, built once from its
+    clients and refilled by each round's training call. Each full-batch train
+    size is a group of clients, and the mini-batch clients are one; a round's
+    batches lie group by group, each group's (k, B) side by side. A step reads
+    only constants of the cell (the full-batch groups' index columns and batch
+    rows) or what its round wrote first. A run_simulation local, like the
+    decoders: no two threads share one."""
 
     clients: Clients
+    order: np.ndarray = field(init=False, repr=False)  # the clients, group by group
+    row_client: np.ndarray = field(init=False, repr=False)  # each batch row's place in order
+    row_starts: np.ndarray = field(init=False, repr=False)  # each place's first batch row
     blocks: tuple = field(init=False, repr=False)  # (steps, rows) index, labels, per_row
     params: np.ndarray = field(init=False, repr=False)  # thetas, anchors, grad, diff; in order
     rows: np.ndarray = field(init=False, repr=False)  # scores, resid, bias
@@ -322,22 +305,31 @@ class Workspace:
     steps: tuple = field(init=False, repr=False)  # each step's views
 
     def __post_init__(self):
-        clients = self.clients
-        steps, rows, n = clients.config.steps, clients.row_client.size, len(clients)
+        clients, cfg = self.clients, self.clients.config
+        shapes: dict[Optional[int], list[int]] = {}  # full-batch train size or None
+        for i, size in enumerate(clients.train_sizes):
+            shapes.setdefault(size if cfg.batch_size >= size else None, []).append(i)
+        order = np.concatenate(list(shapes.values()))
+        batches = np.minimum(np.take(clients.train_sizes, order), cfg.batch_size)
+        steps, n, rows = cfg.steps, len(order), int(batches.sum())
+        extra = n + _VIEW_ROWS * (len(shapes) + 2)  # the loss tables and views, as step-rows
+        if steps * (rows + extra) > MAX_STEP_ROWS:
+            raise ConfigInvalid(f"steps times batch rows must be at most {MAX_STEP_ROWS}, got "
+                                f"{steps} x ({rows} + {extra} for the loss tables and views)")
         dim = clients.features_train.shape[1]
         # every group's batches side by side; each step's labels row becomes its residual
         index, batch = np.empty((steps, rows), dtype=np.intp), np.empty((rows, dim))
         labels, tables = np.empty((steps, rows)), np.empty((2, steps, n))
         per_row = labels if clients.task == "regression" else np.empty_like(labels)
         params, buffers = np.empty((4, n, dim + 1)), np.empty((3, rows))
-        thetas, grad, scores, sizes = params[0], params[2], buffers[0], clients.batches * 1.0
+        thetas, grad, scores, sizes = params[0], params[2], buffers[0], batches * 1.0
         forward, backward, draw, drawn, c, o = [], [], (), slice(0), 0, 0
-        for members in clients.groups:
-            k, size = len(members), int(clients.batches[c])
+        for key, members in shapes.items():
+            members, size, k = np.array(members), key or cfg.batch_size, len(members)
             cs, rs = slice(c, c + k), slice(o, o + k * size)
             block = index[:, rs].reshape(steps, k, size)
             x, r = batch[rs].reshape(k, size, dim), labels[:, rs].reshape(steps, k, size)
-            if size < clients.train_sizes[members[0]]:
+            if key is None:
                 draw, drawn = (members, np.array(clients.train_sizes, np.uint64)[members],
                                clients.starts[members].reshape(1, k, 1), block), rs
             else:  # every step takes each client's whole split
@@ -353,7 +345,9 @@ class Workspace:
         for name, value in dict(
                 blocks=(index, labels, per_row), params=params, rows=buffers, tables=tables,
                 scales=(sizes, sizes[:, None], 2.0 / sizes[:, None]), draw=draw,
-                drawn_batch=batch[drawn], forward=tuple(forward), steps=views).items():
+                drawn_batch=batch[drawn], forward=tuple(forward), steps=views, order=order,
+                row_client=np.repeat(np.arange(n), batches),
+                row_starts=np.cumsum(batches) - batches).items():
             object.__setattr__(self, name, value)
 
 
@@ -362,7 +356,7 @@ def _train_round(decoders: np.ndarray, work: Workspace, words: np.ndarray,
     """Steps every client at once, bit for bit as if each trained alone. Each
     group runs its own matrix-vector products and bias-gradient sums over B
     on its (k, B) batches; every elementwise op runs once over all rows or all
-    clients, which sit group by group in clients.order. A step runs only what
+    clients, which sit group by group in work.order. A step runs only what
     its gradient needs, and the (steps, clients) loss table is built after the
     loop. A loss only has to be checked for finiteness, so a classification row
     holds max(-ys, 0): finite where log(1 + e^(-ys)) is, and within log 2 of it."""
@@ -371,7 +365,7 @@ def _train_round(decoders: np.ndarray, work: Workspace, words: np.ndarray,
     if np.shape(words) != (len(clients), 4) or np.asarray(words).dtype != np.uint64:
         raise InvalidInput(f"state words have shape {np.shape(words)}, expected ({len(clients)}, "
                            "4) uint64: one row of PCG64 state words per client")
-    cfg, order, regression = clients.config, clients.order, clients.task == "regression"
+    cfg, order, regression = clients.config, work.order, clients.task == "regression"
     (thetas, anchors, grad, diff), (scores, resid, bias) = work.params, work.rows
     (index, labels, per_row), (sizes, size_column, head_scale) = work.blocks, work.scales
     np.take(decoders, order, axis=0, out=thetas, mode="clip")  # stepped in place
@@ -393,7 +387,7 @@ def _train_round(decoders: np.ndarray, work: Workspace, words: np.ndarray,
             clients.features_train.take(drawn, axis=0, out=work.drawn_batch, mode="clip")
             for x, w, s in work.forward:
                 np.matmul(x, w, out=s)
-            scores += bias_of.take(clients.row_client, out=bias, mode="clip")
+            scores += bias_of.take(work.row_client, out=bias, mode="clip")
             if regression:
                 np.subtract(scores, y, out=y)
             else:  # -ys and the logistic derivative -y * sigmoid(-ys)
@@ -422,7 +416,7 @@ def _train_round(decoders: np.ndarray, work: Workspace, words: np.ndarray,
         else:
             np.maximum(per_row, 0.0, out=per_row)
         losses, pull = work.tables
-        np.add.reduceat(per_row, clients.row_starts, axis=1, out=losses)
+        np.add.reduceat(per_row, work.row_starts, axis=1, out=losses)
         if proximal:
             # a sum is finite when its mean is, but mean + pull can overflow
             # where neither does: each step's loss is its mean plus its pull

@@ -294,21 +294,12 @@ def test_criterion_08_scarce_data_support(capsys, cells):
             <= finals(cells, ("fedavg_only", 1, 1.0))
         )
     )
-    if wins >= 6:
-        report(
-            capsys, 8, True,
-            f"fractions {{1.0, 0.5, 0.1}} supported with correct train sizes; "
-            f"clustered at 0.5 beats fedavg_only at 1.0 in {wins}/10 seeds "
-            f"(need 6)",
-        )
-    else:
-        # downgrade path: the margin did not transfer; the comparison table
-        # is still emitted with correct per-fraction sizes
-        report(
-            capsys, 8, True,
-            f"downgraded: margin not met ({wins}/10 seeds), comparison table "
-            f"emitted with correct per-fraction train sizes",
-        )
+    report(
+        capsys, 8, wins >= 6,
+        f"fractions {{1.0, 0.5, 0.1}} supported with correct train sizes; "
+        f"clustered at 0.5 beats fedavg_only at 1.0 in {wins}/10 seeds "
+        f"(need 6)",
+    )
 
 
 def test_criterion_09_byte_identical_reruns(capsys, tmp_path):

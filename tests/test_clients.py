@@ -1,6 +1,7 @@
 import re
 import sys
 import threading
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -114,6 +115,13 @@ def state_words(*seeds):
     default_rng(seed)'s, as run_simulation hashes them in bulk."""
     seeds = np.array(seeds, dtype=np.uint64)
     return derive_seed(seeds & 0xFFFFFFFF, seeds >> 32, words=4)
+
+
+def groups_of(work):
+    """Each batch-shape group of work's clients, as the rows of its forward
+    products lay them out in work.order."""
+    bounds = np.cumsum([x.shape[0] for x, _, _ in work.forward])
+    return [g.tolist() for g in np.split(work.order, bounds[:-1])]
 
 
 def fd_gradient(theta, features, labels, task, anchor=None, mu=0.0, h=1e-6):
@@ -613,7 +621,8 @@ class TestBatchedTraining:
         # batch 16 over sizes 5, 16, 17, 40, 200, twice: 5 and 16 are
         # full-batch sizes, 17, 40 and 200 mini-batch
         clients = round_of_clients(10, "regression", ONE_CONFIG[0])
-        groups = [g.tolist() for g in clients.groups]
+        work = Workspace(clients)
+        groups = groups_of(work)
         assert groups == [[0, 5], [1, 6], [2, 3, 4, 7, 8, 9]]
         assert sorted(i for g in groups for i in g) == list(range(10))
         assert [g[0] for g in groups] == sorted(g[0] for g in groups)
@@ -621,8 +630,8 @@ class TestBatchedTraining:
             assert len({clients.train_sizes[i] for i in g}) == 1
             assert clients.train_sizes[g[0]] <= BATCH
         assert all(clients.train_sizes[i] > BATCH for i in groups[2])
-        first_rows = [int(np.flatnonzero(clients.row_client == j)[0]) for j in range(10)]
-        assert clients.row_starts.tolist() == first_rows
+        first_rows = [int(np.flatnonzero(work.row_client == j)[0]) for j in range(10)]
+        assert work.row_starts.tolist() == first_rows
 
     def test_divergence_names_the_lowest_index_client(self):
         # one group steps all three together; the larger the input shift, the
@@ -631,7 +640,7 @@ class TestBatchedTraining:
         clients = population([spec(f"d{i}", shift=shift) for i, shift in enumerate((0, 1, 3))],
                              0, 11, [22, 23, 24], task="regression", local=local,
                              test_count=10)
-        assert [g.tolist() for g in clients.groups] == [[0, 1, 2]]
+        assert groups_of(Workspace(clients)) == [[0, 1, 2]]
         decoders = np.ones((3, FEATURE_DIM + 1))
         expected = [oracle_failure(d, clients, i, 0) for i, d in enumerate(decoders)]
         assert expected[0] is None
@@ -651,7 +660,7 @@ class TestBatchedTraining:
                               for i, (count, shift) in enumerate(((200, 0), (150, 1), (200, 3)))],
                              0, 11, [22, 23, 24], task="regression", local=local,
                              test_count=10)
-        assert [g.tolist() for g in clients.groups] == [[0, 2], [1]]
+        assert groups_of(Workspace(clients)) == [[0, 2], [1]]
         decoders = np.ones((3, FEATURE_DIM + 1))
         expected = [oracle_failure(d, clients, i, 5 + i) for i, d in enumerate(decoders)]
         assert expected[0] is None
@@ -671,7 +680,7 @@ class TestBatchedTraining:
                               in enumerate(((150, 0), (200, 0), (150, 1), (200, 3)))],
                              0, 11, [22, 23, 24, 25], task="regression",
                              local=local, test_count=10)
-        assert [g.tolist() for g in clients.groups] == [[0, 2], [1, 3]]
+        assert groups_of(Workspace(clients)) == [[0, 2], [1, 3]]
         decoders = np.ones((4, FEATURE_DIM + 1))
         failures = [oracle_failure(d, clients, i, 5 + i, proximal)
                     for i, d in enumerate(decoders)]
@@ -689,7 +698,7 @@ class TestBatchedTraining:
         # added to each step's loss after the step loop
         clients = edge_population(proximal)
         n = len(clients)
-        assert [g.tolist() for g in clients.groups] == [[0, 1, 2, 7], [3], [4, 5, 6]]
+        assert groups_of(Workspace(clients)) == [[0, 1, 2, 7], [3], [4, 5, 6]]
         seeds = list(range(40, 40 + n))
         verdicts = set()
         for sign in (1.0, -1.0):
@@ -798,8 +807,8 @@ class TestWorkspace:
         # the last one's uploads
         clients = round_of_clients(7, task, ONE_CONFIG[0], train_fraction=fraction)
         groups = {1.0: [[0, 5], [1, 6], [2, 3, 4]], 0.5: [[0, 5], [1, 2, 6], [3, 4]]}
-        assert [g.tolist() for g in clients.groups] == groups[fraction]
         work, rng = Workspace(clients), np.random.default_rng(6)
+        assert groups_of(work) == groups[fraction]
         decoders = rng.normal(size=(7, FEATURE_DIM + 1))
         for r in range(6):
             proximal = r % 2 == 1
@@ -833,6 +842,44 @@ class TestWorkspace:
         assert not any(np.shares_memory(first, a) for a in arrays)
         local_train_fedprox(rng.normal(size=(7, FEATURE_DIM + 1)), work, state_words(*range(9, 16)))
         assert not first.flags.writeable and first.tobytes() == kept.tobytes()
+
+
+    def test_cap_counts_batch_rows_loss_tables_and_views(self, monkeypatch):
+        # 4 steps of 90 batch rows, 7 loss-table columns and the views of
+        # three batch shapes, 32 rows each and 64 more
+        clients = round_of_clients(7, "regression", ONE_CONFIG[0])
+        monkeypatch.setattr(clients_module, "MAX_STEP_ROWS", 4 * (90 + 7 + 32 * 5))
+        Workspace(clients)
+        monkeypatch.setattr(clients_module, "MAX_STEP_ROWS", 4 * (90 + 7 + 32 * 5) - 1)
+        with pytest.raises(ConfigInvalid, match=re.escape(
+                "steps times batch rows must be at most 1027, got 4 x (90 + 167 for the "
+                "loss tables and views)")):
+            Workspace(clients)
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_a_step_takes_at_most_its_counted_rows(self, task):
+        # 23 full-batch shapes and one mini-batch group in 308 batch rows, so
+        # a step's views outweigh its batch rows: each step adds at most 16 B
+        # per counted row, and classification's -ys 8 B per batch row
+        sizes = [*range(1, 24), 500]
+        domains = [spec(f"d{i}", count=size) for i, size in enumerate(sizes)]
+
+        def traced(steps):
+            clients = population(domains, 0, 11, range(100, 124), task=task, test_count=10,
+                                 local=LocalConfig(steps=steps, batch_size=32))
+            tracemalloc.start()
+            try:
+                work = Workspace(clients)
+                return tracemalloc.get_traced_memory()[0], work
+            finally:
+                tracemalloc.stop()
+
+        (small, work), (large, _) = traced(200), traced(400)
+        assert len(groups_of(work)) == 24 and work.row_client.size == 308
+        per_step, counted = (large - small) / 200, 308 + 24 + 32 * (24 + 2)
+        assert per_step <= 16 * counted + (8 * 308 if task == "classification" else 0)
+        # the views take more than 0.3 kB per shape a step beside the blocks and tables
+        assert per_step - 16 * (308 + 24) > 24 * 300, per_step
 
 
 class TestDrawIndices:

@@ -9,6 +9,7 @@ import re
 from pathlib import Path
 
 import fedswap
+from fedswap.clients import Clients
 
 
 def package_dataclasses() -> list[type]:
@@ -30,6 +31,14 @@ def test_every_dataclass_is_frozen():
         c.__name__ for c in classes}
     mutable = sorted(c.__qualname__ for c in classes if not c.__dataclass_params__.frozen)
     assert not mutable, f"mutable dataclasses: {mutable}"
+
+
+def test_clients_hold_only_data():
+    # one Clients value serves every cell of a seed; the training layout is
+    # each cell's Workspace's, so it cannot grow back onto the shared value
+    assert [f.name for f in dataclasses.fields(Clients)] == [
+        "domains", "task", "config", "features_train", "train_y", "features_test",
+        "test_y", "starts", "train_sizes"]
 
 
 def test_workspace_is_built_only_by_the_round_loop():

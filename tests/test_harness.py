@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fedswap import cli, harness
+from fedswap import cli, harness, server
 from fedswap.cli import main
 from fedswap.clients import MAX_STEP_ROWS, MAX_STEPS, DomainSpec, LocalConfig
 from fedswap.errors import ConfigInvalid, FedswapError
@@ -940,24 +940,39 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {name} must be") and err.count("\n") == 1
 
-    def test_huge_round_index_block_fails_fast(self, tmp_path, capsys):
+    def test_huge_round_index_block_fails_fast(self, tmp_path, capsys, monkeypatch):
         # 64 mini-batch clients of batch 32 at 100000 steps would take 16 B x
-        # 2.05e8 step-rows of batch indices and labels in their first round;
-        # the clients are refused when they are built, before any round
+        # 2.05e8 step-rows of batch indices and labels: their clients build,
+        # and the first cell's workspace refuses them before any round, file
+        # or directory, counting one batch shape's views and 64 loss-table
+        # columns as 160 more rows a step
+        def refused(*args):
+            raise AssertionError("a round trained")
+
+        for name in ("local_train", "local_train_fedprox"):
+            monkeypatch.setattr(server, name, refused)
         domains = [{"domain_id": f"d{i}", "sample_count": 100} for i in range(64)]
+        data = {"domains": domains, "local": {"steps": 100000}}
+        cfg = config_from_dict(data)
+        clients = build_clients(cfg, 0)
+        message = (f"steps times batch rows must be at most {MAX_STEP_ROWS}, "
+                   "got 100000 x (2048 + 160 for the loss tables and views)")
+        with pytest.raises(ConfigInvalid) as info:
+            server.run_simulation(cfg.server_config("clustered", 0), clients)
+        assert str(info.value) == message
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({"domains": domains, "local": {"steps": 100000}}))
+        cfg_path.write_text(json.dumps(data))
         t0 = time.perf_counter()
         code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")])
         elapsed = time.perf_counter() - t0
         assert code == 2 and elapsed < 1.0, elapsed
-        err = capsys.readouterr().err
-        assert err == (f"error: steps times batch rows must be at most {MAX_STEP_ROWS}, "
-                       "got 100000 x 2048\n")
-        assert not list(tmp_path.rglob("metrics.csv"))
-        # the default config's four clients of batch 32 pass at the most steps
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "runs").exists()
+        # the default config's four clients of batch 32, one batch shape, pass
+        # at the most steps; only their sizes are read, no workspace is built
         clients = build_clients(default_experiment_config(local=LocalConfig(steps=MAX_STEPS)), 0)
-        assert clients.config.steps * clients.row_client.size == 128 * 10**5 <= MAX_STEP_ROWS
+        assert len(clients) == 4 and min(clients.train_sizes) > 32
+        assert MAX_STEPS * (4 * 32 + 4 + 32 * (1 + 2)) <= MAX_STEP_ROWS
 
     def test_too_many_clients_is_one_line_error(self, tmp_path, capsys, monkeypatch):
         # one-sample domains pass every data cap; the config refuses one past
